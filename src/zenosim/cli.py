@@ -29,7 +29,9 @@ from .analysis import (
     projective_convergence_curve,
 )
 from .config import (
+    MECHANISMS,
     MODEL_REGISTRY,
+    SERIES_OUTPUTS,
     ScenarioConfig,
     apply_overrides,
     load_document,
@@ -122,21 +124,21 @@ def run_scenario(config: ScenarioConfig, output_dir: str | Path = ".",
         res = bundle.resolution()
         psi0 = config.resolve_initial_state()
         rho0 = np.outer(psi0, psi0.conj())
-        series_outputs = [k for k in config.outputs
-                          if k in ("probabilities", "purity", "coherence")]
+        # the swept N or K values; None for zeno-limit
+        values = {"N": config.n_values, "K": config.k_values}.get(
+            MECHANISMS[mech][0])
+        series_outputs = [k for k in config.outputs if k in SERIES_OUTPUTS]
 
-        record = None
         if series_outputs:
             if mech == "projective":
                 record = evolve_projective(rho0, bundle.H, res, config.t,
-                                           config.n_values[-1], config.samples)
+                                           values[-1], config.samples)
             elif mech == "kicked":
                 record = evolve_kicked(psi0, bundle.H, bundle.U_kick, config.t,
-                                       config.n_values[-1], config.samples)
+                                       values[-1], config.samples)
             elif mech == "continuous":
                 record = evolve_continuous(psi0, bundle.H, bundle.H_c,
-                                           config.k_values[-1], config.t,
-                                           config.samples)
+                                           values[-1], config.t, config.samples)
             else:
                 record = evolve_zeno_limit(rho0, bundle.H, res, config.t,
                                            config.samples)
@@ -146,10 +148,8 @@ def run_scenario(config: ScenarioConfig, output_dir: str | Path = ".",
         if "convergence" in config.outputs:
             if mech == "projective":
                 curve = projective_convergence_curve(
-                    bundle, rho0, config.t, list(config.n_values))
+                    bundle, rho0, config.t, list(values))
             else:
-                values = (config.n_values if mech == "kicked"
-                          else config.k_values)
                 curve = convergence_curve(bundle, config.t, list(values))
             files[f"{base}_convergence.csv"] = _curve_lines(curve)
             if curve.exact:
@@ -162,10 +162,10 @@ def run_scenario(config: ScenarioConfig, output_dir: str | Path = ".",
         if "propagator" in config.outputs:
             if mech == "kicked":
                 u = kicked_propagator(bundle.H, bundle.U_kick, config.t,
-                                      config.n_values[-1])
+                                      values[-1])
             elif mech == "continuous":
-                u = continuous_propagator(bundle.H, bundle.H_c,
-                                          config.k_values[-1], config.t)
+                u = continuous_propagator(bundle.H, bundle.H_c, values[-1],
+                                          config.t)
             else:
                 u = propagator(bundle.zeno_hamiltonian(), config.t)
                 for i, v in enumerate(zeno_propagators(bundle.H, res, config.t)):

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaViolation
+from .errors import InvalidState, SchemaViolation
+from .linalg import check_density_matrix
 from .models import (
     decay_model,
     four_level_continuous,
@@ -37,6 +38,7 @@ __all__ = [
     "MODEL_REGISTRY",
     "MECHANISMS",
     "OUTPUT_KINDS",
+    "SERIES_OUTPUTS",
     "ModelSpec",
     "ScenarioConfig",
     "parse_config",
@@ -45,9 +47,18 @@ __all__ = [
     "apply_overrides",
 ]
 
-MECHANISMS = ("projective", "kicked", "continuous", "zeno-limit", "decay-sweep")
-OUTPUT_KINDS = ("probabilities", "purity", "coherence",
-                "convergence", "propagator", "survival")
+SERIES_OUTPUTS = ("probabilities", "purity", "coherence")
+OUTPUT_KINDS = SERIES_OUTPUTS + ("convergence", "propagator", "survival")
+
+# mechanism -> (schedule key it sweeps: "N" step counts, "K" couplings or
+# None, outputs it can produce)
+MECHANISMS = {
+    "projective": ("N", SERIES_OUTPUTS + ("convergence",)),
+    "kicked": ("N", SERIES_OUTPUTS + ("convergence", "propagator")),
+    "continuous": ("K", SERIES_OUTPUTS + ("convergence", "propagator")),
+    "zeno-limit": (None, SERIES_OUTPUTS + ("propagator",)),
+    "decay-sweep": ("K", ("survival",)),
+}
 
 _BASIS_LABELS = {3: ("a", "b", "c"), 4: ("a", "b", "c", "M")}
 
@@ -250,38 +261,29 @@ def _validate_schedule(doc, mechanism, err: _Collector):
         else:
             samples = raw_s
 
-    if "N" in sched:
-        raw_n = sched["N"]
-        vals = raw_n if isinstance(raw_n, list) else [raw_n]
-        if not vals or not all(_is_int(v) and v >= 1 for v in vals):
-            err.add("schedule.N", "must be a positive integer or list of them")
+    swept = {}
+    for key, cast, ok, what in (
+            ("N", int, lambda v: _is_int(v) and v >= 1, "a positive integer"),
+            ("K", float, lambda v: _is_number(v) and v >= 0, "a number >= 0")):
+        if key not in sched:
+            continue
+        vals = sched[key] if isinstance(sched[key], list) else [sched[key]]
+        if not vals or not all(ok(v) for v in vals):
+            err.add(f"schedule.{key}", f"must be {what} or list of them")
         elif any(b <= a for a, b in zip(vals, vals[1:])):
-            err.add("schedule.N", "list must be strictly increasing")
+            err.add(f"schedule.{key}", "list must be strictly increasing")
         else:
-            n_values = tuple(int(v) for v in vals)
+            swept[key] = tuple(cast(v) for v in vals)
+    n_values, k_values = swept.get("N"), swept.get("K")
 
-    if "K" in sched:
-        raw_k = sched["K"]
-        vals = raw_k if isinstance(raw_k, list) else [raw_k]
-        if not vals or not all(_is_number(v) and v >= 0 for v in vals):
-            err.add("schedule.K", "must be a number >= 0 or list of them")
-        elif any(b <= a for a, b in zip(vals, vals[1:])):
-            err.add("schedule.K", "list must be strictly increasing")
-        else:
-            k_values = tuple(float(v) for v in vals)
-
-    needs_n = mechanism in ("projective", "kicked")
-    needs_k = mechanism in ("continuous", "decay-sweep")
-    if needs_n and n_values is None and "N" not in sched:
-        err.add("schedule.N", f"required for mechanism {mechanism}")
-    if needs_k and k_values is None and "K" not in sched:
-        err.add("schedule.K", f"required for mechanism {mechanism}")
-    if not needs_n and "N" in sched:
-        err.add("schedule.N", f"not applicable to mechanism {mechanism}")
-    if not needs_k and "K" in sched:
-        err.add("schedule.K", f"not applicable to mechanism {mechanism}")
-    if mechanism == "decay-sweep" and k_values is not None and len(k_values) < 1:
-        err.add("schedule.K", "decay-sweep needs at least one K value")
+    if mechanism is not None:
+        key = MECHANISMS[mechanism][0]
+        if key is not None and key not in sched:
+            err.add(f"schedule.{key}", f"required for mechanism {mechanism}")
+        for other in ("N", "K"):
+            if other != key and other in sched:
+                err.add(f"schedule.{other}",
+                        f"not applicable to mechanism {mechanism}")
     return t, n_values, k_values, samples
 
 
@@ -294,6 +296,8 @@ def _validate_initial_state(doc, model_name, mechanism, err: _Collector):
     raw = doc["initial_state"]
     dim = MODEL_REGISTRY[model_name].dim if model_name else None
     if isinstance(raw, str):
+        if dim is None:
+            return None  # labels depend on the model, which is reported
         labels = _BASIS_LABELS.get(dim, ())
         matches = [i for i, lab in enumerate(labels) if lab.lower() == raw.lower()]
         if not matches:
@@ -304,17 +308,19 @@ def _validate_initial_state(doc, model_name, mechanism, err: _Collector):
         psi[matches[0]] = 1.0
         return tuple(psi)
     if isinstance(raw, list):
-        ok = (dim is not None and len(raw) == dim
+        ok = ((dim is None or len(raw) == dim)
               and all(isinstance(entry, list) and len(entry) == 2
                       and all(_is_number(x) for x in entry) for entry in raw))
         if not ok:
-            err.add("initial_state", f"must be a basis label or a list of "
-                                     f"{dim} [re, im] pairs")
+            err.add("initial_state", "must be a basis label or a list of "
+                                     + (f"{dim} " if dim else "") + "[re, im] pairs")
             return None
         psi = np.array([complex(re, im) for re, im in raw])
-        norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > 1e-6:
-            err.add("initial_state", f"must be normalized; got norm {norm:.8g}")
+        try:  # the engines' own check, in its strictest form: trace of |psi><psi|
+            check_density_matrix(np.outer(psi, psi.conj()))
+        except InvalidState:
+            err.add("initial_state", f"must be normalized; got norm "
+                                     f"{np.linalg.norm(psi):.12g}")
             return None
         return tuple(psi)
     err.add("initial_state", "must be a basis label string or amplitude list")
@@ -334,24 +340,15 @@ def _validate_outputs(doc, mechanism, n_values, k_values, err: _Collector):
             err.add(f"outputs[{i}]", f"duplicate output {item!r}")
         else:
             outputs.append(item)
-    series_ok = mechanism in ("projective", "kicked", "continuous", "zeno-limit")
-    for kind in outputs:
-        if kind == "survival" and mechanism != "decay-sweep":
-            err.add("outputs", "survival is only produced by decay-sweep")
-        if kind != "survival" and mechanism == "decay-sweep":
-            err.add("outputs", f"decay-sweep only produces survival, not {kind!r}")
-        if kind in ("probabilities", "purity", "coherence") and not series_ok:
-            err.add("outputs", f"{kind} not available for mechanism {mechanism}")
-        if kind == "propagator" and mechanism not in ("kicked", "continuous",
-                                                      "zeno-limit"):
-            err.add("outputs", f"propagator not available for mechanism {mechanism}")
-        if kind == "convergence":
-            if mechanism not in ("projective", "kicked", "continuous"):
-                err.add("outputs", f"convergence not available for {mechanism}")
-            else:
-                values = n_values if mechanism in ("projective", "kicked") else k_values
-                if values is not None and len(values) < 3:
-                    err.add("outputs", "convergence needs at least 3 schedule values")
+    if mechanism is not None:
+        key, allowed = MECHANISMS[mechanism]
+        values = {"N": n_values, "K": k_values}.get(key)
+        for kind in outputs:
+            if kind not in allowed:
+                err.add("outputs", f"{kind} not available for mechanism "
+                                   f"{mechanism}; it produces {list(allowed)}")
+            elif kind == "convergence" and values is not None and len(values) < 3:
+                err.add("outputs", "convergence needs at least 3 schedule values")
     return tuple(outputs)
 
 
@@ -364,7 +361,7 @@ def validate_document(doc: dict) -> ScenarioConfig:
     model_name, params = _validate_model(doc, err)
 
     mechanism = doc.get("mechanism")
-    if mechanism not in MECHANISMS:
+    if not isinstance(mechanism, str) or mechanism not in MECHANISMS:
         err.add("mechanism", f"must be one of {list(MECHANISMS)}")
         mechanism = None
 

@@ -27,6 +27,7 @@ from .linalg import (
     check_state_vector,
     dagger,
     expm,
+    hermitian_evolution,
     hermiticity_defect,
     propagator,
     require_hermitian,
@@ -103,6 +104,32 @@ def _validate_step_args(t: float, n: int) -> tuple[float, int]:
     return float(t), int(n)
 
 
+def _kick_step(h, u_kick, t: float, n: int,
+               tol: Tolerances) -> tuple[float, int, np.ndarray, np.ndarray]:
+    """Validate a kick schedule; return (t, N, U_kick, U_kick U(t/N))."""
+    t, n = _validate_step_args(t, n)
+    hm = require_hermitian(h, "H", tol)
+    uk = as_square_matrix(u_kick, "U_kick")
+    d = unitarity_defect(uk)
+    if d > tol.unitarity:
+        raise NotUnitary(f"U_kick has unitarity defect {d:.3e}")
+    if uk.shape != hm.shape:
+        raise DimensionMismatch("H and U_kick dimensions differ")
+    return t, n, uk, uk @ propagator(hm, t / n, tol)
+
+
+def _sector_evolutions(h, res: ResolutionOfIdentity, tol: Tolerances) -> list:
+    """(P_n, tau -> exp(-i P_n H P_n tau)) per sector, one eigh each."""
+    hm = require_hermitian(h, "H", tol)
+    if hm.shape[0] != res.dim:
+        raise DimensionMismatch("H and resolution dimensions differ")
+    out = []
+    for p in res.projectors:
+        h_n = p @ hm @ p
+        out.append((p, hermitian_evolution(0.5 * (h_n + dagger(h_n)), tol)))
+    return out
+
+
 def _maybe_renormalize(rho: np.ndarray, step: int,
                        corrections: list[tuple[int, float]],
                        tol: Tolerances) -> np.ndarray:
@@ -165,21 +192,13 @@ def evolve_kicked(state0, h, u_kick, t: float, n: int, samples: int = 50,
     Accepts a state vector or a density matrix.  The dynamics is unitary,
     so norm, trace and purity are conserved up to roundoff.
     """
-    t, n = _validate_step_args(t, n)
-    hm = require_hermitian(h, "H", tol)
-    uk = as_square_matrix(u_kick, "U_kick")
-    d = unitarity_defect(uk)
-    if d > tol.unitarity:
-        raise NotUnitary(f"U_kick has unitarity defect {d:.3e}")
-    if uk.shape != hm.shape:
-        raise DimensionMismatch("H and U_kick dimensions differ")
-    step_op = uk @ propagator(hm, t / n, tol)
-
+    t, n, _, step_op = _kick_step(h, u_kick, t, n, tol)
+    dim = step_op.shape[0]
     is_density = np.asarray(state0).ndim == 2
     if is_density:
-        state = check_density_matrix(state0, hm.shape[0], tol)
+        state = check_density_matrix(state0, dim, tol)
     else:
-        state = check_state_vector(state0, hm.shape[0], tol=tol)
+        state = check_state_vector(state0, dim, tol=tol)
 
     keep = _checkpoints(n, samples)
     keep_set = set(int(k) for k in keep)
@@ -200,7 +219,7 @@ def evolve_kicked(state0, h, u_kick, t: float, n: int, samples: int = 50,
         mechanism="kicked",
         times_or_steps=keep,
         states=tuple(states),
-        parameters={"t": t, "N": n, "dim": hm.shape[0]},
+        parameters={"t": t, "N": n, "dim": dim},
         trace_corrections=tuple(corrections),
     )
 
@@ -241,9 +260,9 @@ def evolve_continuous(state0, h, h_c, coupling: float, t: float,
             rho0m = check_density_matrix(state0, dim, tol)
         else:
             psi0 = check_state_vector(state0, dim, tol=tol)
-        w, v = np.linalg.eigh(0.5 * (h_k + dagger(h_k)))
+        u_at = hermitian_evolution(h_k, tol)
         for tau in times:
-            u = (v * np.exp(-1j * w * tau)) @ dagger(v)
+            u = u_at(tau)
             states.append(u @ rho0m @ dagger(u) if is_density else u @ psi0)
     else:
         psi0 = check_state_vector(state0, dim, subnormalized=True, tol=tol)
@@ -270,14 +289,7 @@ def zeno_propagators(h, res: ResolutionOfIdentity, t: float,
     Each V_n is unitary within its sector and vanishes outside it;
     sum_n V_n† V_n = I.
     """
-    hm = require_hermitian(h, "H", tol)
-    if hm.shape[0] != res.dim:
-        raise DimensionMismatch("H and resolution dimensions differ")
-    out = []
-    for p in res.projectors:
-        h_n = p @ hm @ p
-        out.append(p @ propagator(0.5 * (h_n + dagger(h_n)), t, tol))
-    return out
+    return [p @ v_at(t) for p, v_at in _sector_evolutions(h, res, tol)]
 
 
 def evolve_zeno_limit(rho0, h, res: ResolutionOfIdentity, t: float,
@@ -294,22 +306,13 @@ def evolve_zeno_limit(rho0, h, res: ResolutionOfIdentity, t: float,
     if samples < 2:
         raise InvalidParameter(f"samples must be >= 2, got {samples}")
     rho = check_density_matrix(rho0, res.dim, tol)
-    hm = require_hermitian(h, "H", tol)
-    if hm.shape[0] != res.dim:
-        raise DimensionMismatch("H and resolution dimensions differ")
+    blocks = _sector_evolutions(h, res, tol)
     times = np.array([0.0]) if t == 0 else np.linspace(0.0, t, samples)
-
-    # eigh once per sector, reuse across the time grid
-    blocks = []
-    for p in res.projectors:
-        h_n = p @ hm @ p
-        w, v = np.linalg.eigh(0.5 * (h_n + dagger(h_n)))
-        blocks.append((p, w, v))
     states = []
     for tau in times:
         acc = np.zeros_like(rho)
-        for p, w, v in blocks:
-            v_n = p @ ((v * np.exp(-1j * w * tau)) @ dagger(v))
+        for p, v_at in blocks:
+            v_n = p @ v_at(tau)
             acc += v_n @ rho @ dagger(v_n)
         states.append(acc)
     return EvolutionRecord(
@@ -351,15 +354,8 @@ def asymptotic_continuous_propagator(h, res: ResolutionOfIdentity, t: float,
 def kicked_propagator(h, u_kick, t: float, n: int,
                       tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Lab-frame propagator after N kick cycles, U_N(t) = [U_kick U(t/N)]^N."""
-    t, n = _validate_step_args(t, n)
-    hm = require_hermitian(h, "H", tol)
-    uk = as_square_matrix(u_kick, "U_kick")
-    d = unitarity_defect(uk)
-    if d > tol.unitarity:
-        raise NotUnitary(f"U_kick has unitarity defect {d:.3e}")
-    if uk.shape != hm.shape:
-        raise DimensionMismatch("H and U_kick dimensions differ")
-    return np.linalg.matrix_power(uk @ propagator(hm, t / n, tol), n)
+    _, n, _, step = _kick_step(h, u_kick, t, n, tol)
+    return np.linalg.matrix_power(step, n)
 
 
 def continuous_propagator(h, h_c, coupling: float, t: float,
@@ -379,15 +375,7 @@ def extracted_kick_limit(h, u_kick, t: float, n: int,
     Converges to exp(-i H_Z t) at rate O(1/N), where H_Z is the pinching of
     H by the kick's spectral projectors.
     """
-    t, n = _validate_step_args(t, n)
-    hm = require_hermitian(h, "H", tol)
-    uk = as_square_matrix(u_kick, "U_kick")
-    d = unitarity_defect(uk)
-    if d > tol.unitarity:
-        raise NotUnitary(f"U_kick has unitarity defect {d:.3e}")
-    if uk.shape != hm.shape:
-        raise DimensionMismatch("H and U_kick dimensions differ")
-    step = uk @ propagator(hm, t / n, tol)
+    _, n, uk, step = _kick_step(h, u_kick, t, n, tol)
     return np.linalg.matrix_power(dagger(uk), n) @ np.linalg.matrix_power(step, n)
 
 

@@ -24,12 +24,11 @@ __all__ = [
     "frobenius",
     "opnorm",
     "hermiticity_defect",
-    "is_hermitian",
     "require_hermitian",
     "unitarity_defect",
-    "commutator",
     "eigh",
     "expm",
+    "hermitian_evolution",
     "propagator",
     "check_state_vector",
     "check_density_matrix",
@@ -67,10 +66,6 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return frobenius(a - dagger(a)) / max(1.0, frobenius(a))
 
 
-def is_hermitian(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    return hermiticity_defect(a) <= tol.hermiticity
-
-
 def require_hermitian(a, name: str = "matrix",
                       tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     m = as_square_matrix(a, name)
@@ -84,10 +79,6 @@ def require_hermitian(a, name: str = "matrix",
 def unitarity_defect(u: np.ndarray) -> float:
     """||U†U - I||, Frobenius."""
     return frobenius(dagger(u) @ u - np.eye(u.shape[0]))
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
 
 
 def eigh(h, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
@@ -124,22 +115,32 @@ def expm(a, accuracy: float = DEFAULT_TOLERANCES.expm_accuracy) -> np.ndarray:
     m = as_square_matrix(a, "expm input")
     scale = max(1.0, frobenius(m))
     if frobenius(m - dagger(m)) <= accuracy * scale:
+        # real exponent: the real np.exp, which rounds unlike exp(-i w t) at t = i
         w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
         return (v * np.exp(w)) @ dagger(v)
     if frobenius(m + dagger(m)) <= accuracy * scale:
-        # A = -iH with H = iA Hermitian; exp(A) = V exp(-i w) V†
-        w, v = np.linalg.eigh(0.5j * (m - dagger(m)))
-        return (v * np.exp(-1j * w)) @ dagger(v)
+        # A = -iH, H = iA Hermitian to accuracy (x2: rounding of the same ratio)
+        return hermitian_evolution(1j * m, Tolerances(hermiticity=2 * accuracy))(1.0)
     out = scipy.linalg.expm(m)
     if not np.all(np.isfinite(out)):
         raise ConvergenceFailure("expm produced non-finite entries")
     return out
 
 
+def hermitian_evolution(h, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Validate and eigendecompose Hermitian h once; return t -> exp(-i h t).
+
+    Every evaluation is V exp(-i w t) V†, exactly unitary up to roundoff for
+    any real t, so sampling many times costs one eigh.
+    """
+    w, v = eigh(h, tol)
+    vd = dagger(v)
+    return lambda t: (v * np.exp(-1j * w * t)) @ vd
+
+
 def propagator(h, t: float, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """exp(-i h t) for Hermitian h, exactly unitary up to roundoff."""
-    w, v = eigh(h, tol)
-    return (v * np.exp(-1j * w * t)) @ dagger(v)
+    return hermitian_evolution(h, tol)(t)
 
 
 def check_state_vector(psi, dim: int | None = None, *, subnormalized: bool = False,

@@ -44,18 +44,7 @@ __all__ = [
     "simplified_kicked",
     "simplified_continuous",
     "decay_model",
-    "VACUUM_DECAY_RATE_PER_S",
-    "VACUUM_ZENO_TIME_SQ_S2",
-    "VACUUM_PROTECTION_SCALE_PER_S",
 ]
-
-# Reference magnitudes for spontaneous decay in vacuum, SI units.  Kept for
-# documentation only: simulations run in dimensionless units where tau_Z
-# sets the time scale, which preserves the ratios K*tau_Z and K*tau_Z^2*gamma
-# that the protection argument depends on.
-VACUUM_DECAY_RATE_PER_S = 1e9            # gamma
-VACUUM_ZENO_TIME_SQ_S2 = 1e-29           # tau_Z^2
-VACUUM_PROTECTION_SCALE_PER_S = 1e20     # 1 / (tau_Z^2 * gamma)
 
 _HERMITIAN_BUNDLE_TOL = 1e-12
 

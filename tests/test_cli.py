@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from zenosim.cli import main, run_scenario
-from zenosim.config import parse_config
+from zenosim.config import MECHANISMS, OUTPUT_KINDS, parse_config, validate_document
+from zenosim.errors import SchemaViolation
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -105,6 +106,42 @@ class TestRunScenario:
         for name in ("kick-demo_series.csv", "kick-demo_convergence.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
+
+
+# one fitting model and schedule per mechanism, small enough to run in ms
+_MECHANISM_SETUP = {
+    "projective": ("three-level-projective", {"N": [2, 4, 8]}),
+    "kicked": ("simplified-kicked", {"N": [2, 4, 8]}),
+    "continuous": ("simplified-continuous", {"K": [1.0, 2.0, 4.0]}),
+    "zeno-limit": ("three-level-projective", {}),
+    "decay-sweep": ("decay", {"K": [1.0, 2.0, 4.0]}),
+}
+_FILE_SUFFIX = {"probabilities": "series.csv", "purity": "series.csv",
+                "coherence": "series.csv", "convergence": "convergence.csv",
+                "propagator": "propagator.txt", "survival": "survival.csv"}
+
+
+@pytest.mark.parametrize("kind", sorted(_FILE_SUFFIX))
+@pytest.mark.parametrize("mechanism", sorted(_MECHANISM_SETUP))
+def test_schema_and_runner_agree(tmp_path, mechanism, kind):
+    """The schema accepts exactly the table's pairs, and each one runs."""
+    assert set(MECHANISMS) == set(_MECHANISM_SETUP)
+    assert set(OUTPUT_KINDS) == set(_FILE_SUFFIX)
+    model, swept = _MECHANISM_SETUP[mechanism]
+    doc = {"name": "pair", "model": {"name": model, "parameters": {}},
+           "mechanism": mechanism, "schedule": {"t": 1.0, "samples": 3, **swept},
+           "outputs": [kind]}
+    if kind not in MECHANISMS[mechanism][1]:
+        with pytest.raises(SchemaViolation) as e:
+            validate_document(doc)
+        assert [path for path, _ in e.value.violations] == ["outputs"]
+        return
+    written = run_scenario(validate_document(doc), output_dir=tmp_path, quiet=True)
+    names = {p.name for p in written}
+    suffix = _FILE_SUFFIX[kind]
+    assert f"pair_{suffix}" in names
+    # zeno-limit adds one propagator file per sector
+    assert all(name.endswith(suffix) for name in names)
 
 
 class TestMain:

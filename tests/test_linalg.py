@@ -90,6 +90,13 @@ class TestExpm:
             with pytest.raises(InvalidParameter):
                 expm(np.zeros((2, 2)), accuracy=bad)
 
+    def test_loose_accuracy_keeps_spectral_route(self):
+        # asymmetry ~1e-8: inside accuracy=1e-6, outside tol.hermiticity
+        h = random_hermitian(np.random.default_rng(3), 4)
+        u = expm(-1j * (h + 1e-8 * np.triu(np.ones((4, 4)), 1)), accuracy=1e-6)
+        # the spectral route is unitary to roundoff; Padé would be off by ~1e-8
+        assert frobenius(u.conj().T @ u - np.eye(4)) <= 1e-12
+
     def test_general_path_matches_series(self):
         a = np.array([[0, 1], [0, 0]], dtype=complex)  # nilpotent
         assert np.allclose(expm(a), np.eye(2) + a, atol=1e-14)
