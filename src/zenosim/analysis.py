@@ -204,6 +204,33 @@ def _fit_rate(params: np.ndarray, dists: np.ndarray) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
+def _sweep_values(parameter_values) -> np.ndarray:
+    values = np.asarray(parameter_values, dtype=float)
+    if len(values) < 3:
+        raise InvalidParameter("need at least 3 parameter values")
+    if np.any(np.diff(values) <= 0):
+        raise InvalidParameter("parameter values must be strictly increasing")
+    return values
+
+
+def _curve(name: str, values: np.ndarray, count: str | None, distance,
+           tol: Tolerances) -> ConvergenceCurve:
+    """distance(v) over validated sweep values, and the fitted rate.
+
+    ``count`` names an integer parameter such as "kick count"; None a real one.
+    """
+    dists = []
+    for v in values:
+        if count is not None and v != int(v):
+            raise InvalidParameter(f"{count} must be an integer, got {v!r}")
+        dists.append(distance(float(v) if count is None else int(v)))
+    dists = np.asarray(dists)
+    exact = bool(np.all(dists <= tol.exact_distance))
+    rate = float("nan") if exact else _fit_rate(values, dists)
+    return ConvergenceCurve(parameter_name=name, parameter_values=values,
+                            distances=dists, fitted_rate=rate, exact=exact)
+
+
 def convergence_curve(bundle: ModelBundle, t: float, parameter_values,
                       tol: Tolerances = DEFAULT_TOLERANCES) -> ConvergenceCurve:
     """Operator-norm distance of the extracted limit to exp(-i H_Z t).
@@ -216,27 +243,13 @@ def convergence_curve(bundle: ModelBundle, t: float, parameter_values,
         raise InvalidParameter(
             f"convergence_curve needs a kicked or continuous bundle, "
             f"got {bundle.mechanism!r}")
-    values = np.asarray(parameter_values, dtype=float)
-    if len(values) < 3:
-        raise InvalidParameter("need at least 3 parameter values")
-    if np.any(np.diff(values) <= 0):
-        raise InvalidParameter("parameter values must be strictly increasing")
+    values = _sweep_values(parameter_values)
     u_z = propagator(bundle.zeno_hamiltonian(tol), t, tol)
-    dists = []
-    for v in values:
-        if bundle.mechanism == "kicked":
-            if v != int(v):
-                raise InvalidParameter(f"kick count must be an integer, got {v!r}")
-            ext = extracted_kick_limit(bundle.H, bundle.U_kick, t, int(v), tol)
-        else:
-            ext = extracted_continuous_limit(bundle.H, bundle.H_c, t, float(v), tol)
-        dists.append(opnorm(ext - u_z))
-    dists = np.asarray(dists)
-    exact = bool(np.all(dists <= tol.exact_distance))
-    rate = float("nan") if exact else _fit_rate(values, dists)
-    return ConvergenceCurve(
-        parameter_name="N" if bundle.mechanism == "kicked" else "K",
-        parameter_values=values, distances=dists, fitted_rate=rate, exact=exact)
+    if bundle.mechanism == "kicked":
+        return _curve("N", values, "kick count", lambda n: opnorm(
+            extracted_kick_limit(bundle.H, bundle.U_kick, t, n, tol) - u_z), tol)
+    return _curve("K", values, None, lambda k: opnorm(
+        extracted_continuous_limit(bundle.H, bundle.H_c, t, k, tol) - u_z), tol)
 
 
 def projective_convergence_curve(bundle: ModelBundle, rho0, t: float, n_values,
@@ -246,26 +259,13 @@ def projective_convergence_curve(bundle: ModelBundle, rho0, t: float, n_values,
         raise InvalidParameter(
             f"projective_convergence_curve needs a projective bundle, "
             f"got {bundle.mechanism!r}")
-    values = np.asarray(n_values, dtype=float)
-    if len(values) < 3:
-        raise InvalidParameter("need at least 3 parameter values")
-    if np.any(np.diff(values) <= 0):
-        raise InvalidParameter("parameter values must be strictly increasing")
+    values = _sweep_values(n_values)
     rho0 = check_density_matrix(rho0, bundle.dim, tol)
     limit = evolve_zeno_limit(rho0, bundle.H, bundle.res, t, samples=2,
                               tol=tol).final_state
-    dists = []
-    for v in values:
-        if v != int(v):
-            raise InvalidParameter(f"measurement count must be an integer, got {v!r}")
-        final = evolve_projective(rho0, bundle.H, bundle.res, t, int(v),
-                                  samples=2, tol=tol).final_state
-        dists.append(frobenius(final - limit))
-    dists = np.asarray(dists)
-    exact = bool(np.all(dists <= tol.exact_distance))
-    rate = float("nan") if exact else _fit_rate(values, dists)
-    return ConvergenceCurve(parameter_name="N", parameter_values=values,
-                            distances=dists, fitted_rate=rate, exact=exact)
+    return _curve("N", values, "measurement count", lambda n: frobenius(
+        evolve_projective(rho0, bundle.H, bundle.res, t, n, samples=2,
+                          tol=tol).final_state - limit), tol)
 
 
 def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,

@@ -46,7 +46,7 @@ from .engines import (
     kicked_propagator,
     zeno_propagators,
 )
-from .errors import SchemaViolation, ZenosimError
+from .errors import InvalidParameter, SchemaViolation, ZenosimError
 from .linalg import propagator
 
 __all__ = ["run_scenario", "main"]
@@ -166,10 +166,12 @@ def run_scenario(config: ScenarioConfig, output_dir: str | Path = ".",
             elif mech == "continuous":
                 u = continuous_propagator(bundle.H, bundle.H_c, values[-1],
                                           config.t)
-            else:
+            elif mech == "zeno-limit":
                 u = propagator(bundle.zeno_hamiltonian(), config.t)
                 for i, v in enumerate(zeno_propagators(bundle.H, res, config.t)):
                     files[f"{base}_sector{i + 1}_propagator.txt"] = _matrix_lines(v)
+            else:
+                raise InvalidParameter(f"mechanism {mech!r} has no propagator output")
             files[f"{base}_propagator.txt"] = _matrix_lines(u)
 
     out_dir = Path(output_dir)

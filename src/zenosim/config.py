@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidState, SchemaViolation
-from .linalg import check_density_matrix
+from .linalg import check_state_vector
 from .models import (
     decay_model,
     four_level_continuous,
@@ -316,8 +316,8 @@ def _validate_initial_state(doc, model_name, mechanism, err: _Collector):
                                      + (f"{dim} " if dim else "") + "[re, im] pairs")
             return None
         psi = np.array([complex(re, im) for re, im in raw])
-        try:  # the engines' own check, in its strictest form: trace of |psi><psi|
-            check_density_matrix(np.outer(psi, psi.conj()))
+        try:
+            check_state_vector(psi)
         except InvalidState:
             err.add("initial_state", f"must be normalized; got norm "
                                      f"{np.linalg.norm(psi):.12g}")

@@ -4,8 +4,8 @@ Three finite-parameter drives are implemented: repeated nonselective
 measurements (pinches), unitary kicks, and strong continuous coupling.  Each
 has an extracted-limit sequence that converges to the same block-diagonal
 propagator exp(-i H_Z t) built from the Zeno Hamiltonian, and an exact
-limit engine assembles that propagator directly from the sector evolutions
-V_n(t) = P_n exp(-i P_n H P_n t).
+limit engine evolves with that propagator directly.  Kick powers are
+evaluated from one Schur decomposition, so their cost does not grow with N.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import (
     InvalidParameter,
     InvalidState,
     NonHermitianDensityEvolution,
-    NotUnitary,
 )
 from .linalg import (
     as_square_matrix,
@@ -31,9 +30,9 @@ from .linalg import (
     hermiticity_defect,
     propagator,
     require_hermitian,
-    unitarity_defect,
+    unitary_powers,
 )
-from .spectral import ResolutionOfIdentity, pinch
+from .spectral import ResolutionOfIdentity, pinch, zeno_hamiltonian
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -52,7 +51,7 @@ __all__ = [
     "projective_survival",
 ]
 
-# trace drift in long pinch/kick sequences is checked this often at most
+# trace drift in long pinch sequences is checked this often at most
 _RENORM_INTERVAL = 10_000
 
 
@@ -63,8 +62,8 @@ class EvolutionRecord:
     ``times_or_steps`` holds real times for the projective, continuous and
     zeno-limit engines and integer step counts for the kicked engine;
     ``states`` is the matching list of state vectors or density matrices.
-    ``trace_corrections`` lists (step, drift) pairs where the engine
-    renormalized a density matrix to counter accumulated roundoff.
+    ``trace_corrections`` lists (step, drift) pairs where the projective
+    engine renormalized a density matrix to counter accumulated roundoff.
     """
 
     mechanism: str
@@ -104,43 +103,25 @@ def _validate_step_args(t: float, n: int) -> tuple[float, int]:
     return float(t), int(n)
 
 
-def _kick_step(h, u_kick, t: float, n: int,
-               tol: Tolerances) -> tuple[float, int, np.ndarray, np.ndarray]:
-    """Validate a kick schedule; return (t, N, U_kick, U_kick U(t/N))."""
+def _kick_step(h, u_kick, t: float, n: int, tol: Tolerances):
+    """Validate kicks; return (t, N, k -> U_kick^k, k -> [U_kick U(t/N)]^k)."""
     t, n = _validate_step_args(t, n)
     hm = require_hermitian(h, "H", tol)
     uk = as_square_matrix(u_kick, "U_kick")
-    d = unitarity_defect(uk)
-    if d > tol.unitarity:
-        raise NotUnitary(f"U_kick has unitarity defect {d:.3e}")
+    kick = unitary_powers(uk, "U_kick", tol)
     if uk.shape != hm.shape:
         raise DimensionMismatch("H and U_kick dimensions differ")
-    return t, n, uk, uk @ propagator(hm, t / n, tol)
+    step = unitary_powers(uk @ propagator(hm, t / n, tol), "U_kick U(t/N)", tol)
+    return t, n, kick, step
 
 
-def _sector_evolutions(h, res: ResolutionOfIdentity, tol: Tolerances) -> list:
-    """(P_n, tau -> exp(-i P_n H P_n tau)) per sector, one eigh each."""
-    hm = require_hermitian(h, "H", tol)
-    if hm.shape[0] != res.dim:
-        raise DimensionMismatch("H and resolution dimensions differ")
+def _sample(u_at, xs, state: np.ndarray) -> tuple[np.ndarray, ...]:
+    """u ψ for a state vector, u ρ u† for a density matrix, with u = u_at(x)."""
     out = []
-    for p in res.projectors:
-        h_n = p @ hm @ p
-        out.append((p, hermitian_evolution(0.5 * (h_n + dagger(h_n)), tol)))
-    return out
-
-
-def _maybe_renormalize(rho: np.ndarray, step: int,
-                       corrections: list[tuple[int, float]],
-                       tol: Tolerances) -> np.ndarray:
-    if step % _RENORM_INTERVAL != 0:
-        return rho
-    tr = float(np.trace(rho).real)
-    drift = abs(tr - 1.0)
-    if drift > tol.trace_drift:
-        corrections.append((step, drift))
-        return rho / tr
-    return rho
+    for x in xs:
+        u = u_at(x)
+        out.append(u @ state @ dagger(u) if state.ndim == 2 else u @ state)
+    return tuple(out)
 
 
 def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
@@ -168,12 +149,14 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
     corrections: list[tuple[int, float]] = []
 
     rho = pinch(rho, res)
-    states = []
-    if 0 in keep_set:
-        states.append(rho.copy())
+    states = [rho.copy()]  # step 0 is always a checkpoint
     for k in range(1, n + 1):
         rho = pinch(u @ rho @ ud, res)
-        rho = _maybe_renormalize(rho, k, corrections, tol)
+        if k % _RENORM_INTERVAL == 0:
+            tr = float(np.trace(rho).real)
+            if abs(tr - 1.0) > tol.trace_drift:
+                corrections.append((k, abs(tr - 1.0)))
+                rho = rho / tr
         if k in keep_set:
             states.append(rho.copy())
     return EvolutionRecord(
@@ -192,35 +175,18 @@ def evolve_kicked(state0, h, u_kick, t: float, n: int, samples: int = 50,
     Accepts a state vector or a density matrix.  The dynamics is unitary,
     so norm, trace and purity are conserved up to roundoff.
     """
-    t, n, _, step_op = _kick_step(h, u_kick, t, n, tol)
-    dim = step_op.shape[0]
-    is_density = np.asarray(state0).ndim == 2
-    if is_density:
+    t, n, _, step = _kick_step(h, u_kick, t, n, tol)
+    dim = np.asarray(u_kick).shape[0]
+    if np.asarray(state0).ndim == 2:
         state = check_density_matrix(state0, dim, tol)
     else:
         state = check_state_vector(state0, dim, tol=tol)
-
     keep = _checkpoints(n, samples)
-    keep_set = set(int(k) for k in keep)
-    corrections: list[tuple[int, float]] = []
-    states = []
-    if 0 in keep_set:
-        states.append(state.copy())
-    sd = dagger(step_op)
-    for k in range(1, n + 1):
-        if is_density:
-            state = step_op @ state @ sd
-            state = _maybe_renormalize(state, k, corrections, tol)
-        else:
-            state = step_op @ state
-        if k in keep_set:
-            states.append(state.copy())
     return EvolutionRecord(
         mechanism="kicked",
         times_or_steps=keep,
-        states=tuple(states),
+        states=_sample(step, keep, state),
         parameters={"t": t, "N": n, "dim": dim},
-        trace_corrections=tuple(corrections),
     )
 
 
@@ -254,71 +220,61 @@ def evolve_continuous(state0, h, h_c, coupling: float, t: float,
             "density-matrix input requires a Hermitian generator; "
             "propagate a state vector instead")
 
-    states = []
-    if hermitian:
-        if is_density:
-            rho0m = check_density_matrix(state0, dim, tol)
-        else:
-            psi0 = check_state_vector(state0, dim, tol=tol)
-        u_at = hermitian_evolution(h_k, tol)
-        for tau in times:
-            u = u_at(tau)
-            states.append(u @ rho0m @ dagger(u) if is_density else u @ psi0)
+    if is_density:
+        state = check_density_matrix(state0, dim, tol)
     else:
-        psi0 = check_state_vector(state0, dim, subnormalized=True, tol=tol)
-        for tau in times:
-            psi = expm(-1j * h_k * tau, tol.expm_accuracy) @ psi0
+        state = check_state_vector(state0, dim, subnormalized=not hermitian, tol=tol)
+    if hermitian:
+        states = _sample(hermitian_evolution(h_k, tol), times, state)
+    else:
+        states = _sample(lambda tau: expm(-1j * h_k * tau, tol.expm_accuracy),
+                         times, state)
+        for psi in states:
             nrm = float(np.linalg.norm(psi))
             if nrm > 1.0 + 1e-8:
                 raise InvalidState(
                     f"non-Hermitian generator amplified the state to norm "
                     f"{nrm:.6f}; only decaying models are supported")
-            states.append(psi)
     return EvolutionRecord(
         mechanism="continuous",
         times_or_steps=times,
-        states=tuple(states),
+        states=states,
         parameters={"t": t, "K": float(coupling), "dim": dim},
     )
 
 
 def zeno_propagators(h, res: ResolutionOfIdentity, t: float,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> list[np.ndarray]:
-    """Sector propagators V_n(t) = P_n exp(-i P_n H P_n t).
+    """Sector propagators V_n(t) = P_n exp(-i H_Z t) = P_n exp(-i P_n H P_n t).
 
-    Each V_n is unitary within its sector and vanishes outside it;
-    sum_n V_n† V_n = I.
+    H_Z commutes with every P_n, so each V_n is unitary within its sector
+    and vanishes outside it; sum_n V_n† V_n = I.
     """
-    return [p @ v_at(t) for p, v_at in _sector_evolutions(h, res, tol)]
+    u_z = propagator(zeno_hamiltonian(h, res, tol), t, tol)
+    return [p @ u_z for p in res.projectors]
 
 
 def evolve_zeno_limit(rho0, h, res: ResolutionOfIdentity, t: float,
                       samples: int = 50,
                       tol: Tolerances = DEFAULT_TOLERANCES) -> EvolutionRecord:
-    """Exact Zeno-limit dynamics rho(tau) = sum_n V_n(tau) rho0 V_n(tau)†.
+    """Exact Zeno-limit dynamics rho(tau) = U_Z(tau) pinch(rho0) U_Z(tau)†.
 
-    Subspace probabilities are constant for all times; cross-sector
-    coherences are removed at tau = 0+ (V_n(0) = P_n, so the first sample
-    is pinch(rho0)).  t = 0 is allowed and returns that single sample.
+    U_Z(tau) = exp(-i H_Z tau) is block diagonal, so this equals
+    sum_n V_n(tau) rho0 V_n(tau)†.  Subspace probabilities are constant for
+    all times; cross-sector coherences are removed at tau = 0+, so the first
+    sample is pinch(rho0).  t = 0 is allowed and returns that single sample.
     """
     if t < 0:
         raise InvalidParameter(f"t must be >= 0, got {t!r}")
     if samples < 2:
         raise InvalidParameter(f"samples must be >= 2, got {samples}")
     rho = check_density_matrix(rho0, res.dim, tol)
-    blocks = _sector_evolutions(h, res, tol)
+    u_z = hermitian_evolution(zeno_hamiltonian(h, res, tol), tol)
     times = np.array([0.0]) if t == 0 else np.linspace(0.0, t, samples)
-    states = []
-    for tau in times:
-        acc = np.zeros_like(rho)
-        for p, v_at in blocks:
-            v_n = p @ v_at(tau)
-            acc += v_n @ rho @ dagger(v_n)
-        states.append(acc)
     return EvolutionRecord(
         mechanism="zeno-limit",
         times_or_steps=times,
-        states=tuple(states),
+        states=_sample(u_z, times, pinch(rho, res)),
         parameters={"t": float(t), "dim": res.dim},
     )
 
@@ -355,7 +311,7 @@ def kicked_propagator(h, u_kick, t: float, n: int,
                       tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Lab-frame propagator after N kick cycles, U_N(t) = [U_kick U(t/N)]^N."""
     _, n, _, step = _kick_step(h, u_kick, t, n, tol)
-    return np.linalg.matrix_power(step, n)
+    return step(n)
 
 
 def continuous_propagator(h, h_c, coupling: float, t: float,
@@ -370,13 +326,13 @@ def continuous_propagator(h, h_c, coupling: float, t: float,
 
 def extracted_kick_limit(h, u_kick, t: float, n: int,
                          tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Kick-frame propagator V_N(t) = (U_kick†)^N [U_kick U(t/N)]^N.
+    """Kick-frame propagator V_N(t) = U_kick^{-N} [U_kick U(t/N)]^N.
 
     Converges to exp(-i H_Z t) at rate O(1/N), where H_Z is the pinching of
     H by the kick's spectral projectors.
     """
-    _, n, uk, step = _kick_step(h, u_kick, t, n, tol)
-    return np.linalg.matrix_power(dagger(uk), n) @ np.linalg.matrix_power(step, n)
+    _, n, kick, step = _kick_step(h, u_kick, t, n, tol)
+    return kick(-n) @ step(n)
 
 
 def extracted_continuous_limit(h, h_c, t: float, coupling: float,
@@ -388,11 +344,8 @@ def extracted_continuous_limit(h, h_c, t: float, coupling: float,
     """
     if not (t > 0):
         raise InvalidParameter(f"t must be positive, got {t!r}")
-    hm = require_hermitian(h, "H", tol)
-    hcm = require_hermitian(h_c, "H_c", tol)
-    if hm.shape != hcm.shape:
-        raise DimensionMismatch("H and H_c dimensions differ")
-    return propagator(hcm, -coupling * t, tol) @ propagator(hm + coupling * hcm, t, tol)
+    u_k = continuous_propagator(h, h_c, coupling, t, tol)
+    return propagator(h_c, -coupling * t, tol) @ u_k
 
 
 def projective_survival(state0, h, res: ResolutionOfIdentity, sector: int,

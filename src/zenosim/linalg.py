@@ -15,6 +15,7 @@ from .errors import (
     InvalidParameter,
     InvalidState,
     NotHermitian,
+    NotUnitary,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -27,8 +28,10 @@ __all__ = [
     "require_hermitian",
     "unitarity_defect",
     "eigh",
+    "unitary_eig",
     "expm",
     "hermitian_evolution",
+    "unitary_powers",
     "propagator",
     "check_state_vector",
     "check_density_matrix",
@@ -98,6 +101,21 @@ def eigh(h, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarra
     return w, v
 
 
+def unitary_eig(u, name: str = "unitary",
+                tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases lam and eigenvectors z with u = z diag(e^{-i lam}) z†.
+
+    One complex Schur, whose triangular factor is diagonal for a normal matrix.
+    """
+    m = as_square_matrix(u, name)
+    d = unitarity_defect(m)
+    if d > tol.unitarity:
+        raise NotUnitary(f"{name} has unitarity defect {d:.3e} "
+                         f"(tolerance {tol.unitarity:.1e})")
+    t, z = scipy.linalg.schur(m, output="complex")
+    return -np.angle(np.diag(t)), z
+
+
 def expm(a, accuracy: float = DEFAULT_TOLERANCES.expm_accuracy) -> np.ndarray:
     """Matrix exponential exp(A).
 
@@ -133,9 +151,22 @@ def hermitian_evolution(h, tol: Tolerances = DEFAULT_TOLERANCES):
     Every evaluation is V exp(-i w t) V†, exactly unitary up to roundoff for
     any real t, so sampling many times costs one eigh.
     """
-    w, v = eigh(h, tol)
+    return _spectral_evaluator(*eigh(h, tol))
+
+
+def unitary_powers(u, name: str = "unitary", tol: Tolerances = DEFAULT_TOLERANCES):
+    """Validate and Schur-decompose a unitary once; return k -> u^k.
+
+    Each Z diag(e^{-i k lam}) Z† is unitary up to roundoff at a cost
+    independent of the integer k, which may be negative.
+    """
+    return _spectral_evaluator(*unitary_eig(u, name, tol))
+
+
+def _spectral_evaluator(w: np.ndarray, v: np.ndarray):
+    """x -> v diag(e^{-i w x}) v†, for real w and unitary v."""
     vd = dagger(v)
-    return lambda t: (v * np.exp(-1j * w * t)) @ vd
+    return lambda x: (v * np.exp(-1j * w * x)) @ vd
 
 
 def propagator(h, t: float, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -147,6 +178,7 @@ def check_state_vector(psi, dim: int | None = None, *, subnormalized: bool = Fal
                        tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Validate a state vector: finite, right length, norm 1 (or ≤ 1).
 
+    Norm 1 means |‖psi‖² - 1| ≤ 10 tol.trace, the trace check on |psi><psi|.
     With ``subnormalized`` the norm may lie anywhere in (0, 1 + tol]; the
     deficit 1 - ||psi||² is then interpreted as probability leaked out of the
     modelled levels.
@@ -162,7 +194,7 @@ def check_state_vector(psi, dim: int | None = None, *, subnormalized: bool = Fal
     if subnormalized:
         if not (0.0 < n <= 1.0 + tol.trace):
             raise InvalidState(f"subnormalized state has norm {n:.6e}, expected in (0, 1]")
-    elif abs(n - 1.0) > tol.trace * 10:
+    elif abs(n * n - 1.0) > tol.trace * 10:
         raise InvalidState(f"state vector has norm {n:.12e}, expected 1")
     return v
 

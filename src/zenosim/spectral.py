@@ -12,21 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateClustering,
     DimensionMismatch,
     IndexOutOfRange,
     InvalidParameter,
-    NotUnitary,
 )
 from .linalg import (
     as_square_matrix,
     dagger,
+    eigh,
     frobenius,
     require_hermitian,
-    unitarity_defect,
+    unitary_eig,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -183,6 +182,22 @@ def _cluster_sorted(values: np.ndarray, width: float) -> list[np.ndarray]:
     return groups
 
 
+def _cluster_projectors(values: np.ndarray, vectors: np.ndarray, width: float,
+                        label) -> ResolutionOfIdentity:
+    """One projector per cluster of the ascending values, by ascending label.
+
+    Column i of ``vectors`` belongs to values[i]; a cluster is labelled
+    label(mean of its values).
+    """
+    pairs = []
+    for idx in _cluster_sorted(values, width):
+        cols = vectors[:, idx]
+        pairs.append((label(float(values[idx].mean())), cols @ dagger(cols)))
+    pairs.sort(key=lambda lp: lp[0])
+    return ResolutionOfIdentity.from_projectors(
+        [p for _, p in pairs], [l for l, _ in pairs])
+
+
 def projections_of_hermitian(h, cluster_tol: float | None = None,
                              tol: Tolerances = DEFAULT_TOLERANCES) -> ResolutionOfIdentity:
     """Spectral projectors of a Hermitian operator, one per eigenvalue cluster.
@@ -192,16 +207,9 @@ def projections_of_hermitian(h, cluster_tol: float | None = None,
     """
     if cluster_tol is None:
         cluster_tol = tol.cluster
-    m = require_hermitian(h, "projections_of_hermitian input", tol)
-    w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
+    w, v = eigh(h, tol)
     width = cluster_tol * max(1.0, float(np.abs(w).max()) if len(w) else 1.0)
-    groups = _cluster_sorted(w, width)
-    projs, labels = [], []
-    for idx in groups:
-        cols = v[:, idx]
-        projs.append(cols @ dagger(cols))
-        labels.append(float(w[idx].mean()))
-    return ResolutionOfIdentity.from_projectors(projs, labels)
+    return _cluster_projectors(w, v, width, float)
 
 
 def _wrap_phase(x: float) -> float:
@@ -220,13 +228,8 @@ def projections_of_unitary(u, cluster_tol: float | None = None,
     (-pi, pi]; clustering is circular, so phases hugging the +/-pi seam are
     grouped correctly.  Sectors are returned in ascending phase order.
     """
-    m = as_square_matrix(u, "projections_of_unitary input")
-    d = unitarity_defect(m)
-    if d > tol.unitarity:
-        raise NotUnitary(f"input has unitarity defect {d:.3e} "
-                         f"(tolerance {tol.unitarity:.1e})")
-    t, z = scipy.linalg.schur(m, output="complex")
-    phases = np.array([_wrap_phase(-np.angle(t[i, i])) for i in range(m.shape[0])])
+    lam, z = unitary_eig(u, "projections_of_unitary input", tol)
+    phases = np.array([_wrap_phase(x) for x in lam])
     order = np.argsort(phases, kind="stable")
     phases_sorted = phases[order]
     width = tol.cluster if cluster_tol is None else float(cluster_tol)
@@ -244,16 +247,7 @@ def projections_of_unitary(u, cluster_tol: float | None = None,
             rolled = np.concatenate([phases_sorted[k:] - 2.0 * np.pi, phases_sorted[:k]])
             order = np.concatenate([order[k:], order[:k]])
             phases_sorted = rolled
-    groups = _cluster_sorted(phases_sorted, width)
-
-    projs, labels = [], []
-    for idx in groups:
-        cols = z[:, order[idx]]
-        projs.append(cols @ dagger(cols))
-        labels.append(_wrap_phase(float(phases_sorted[idx].mean())))
-    pairs = sorted(zip(labels, projs), key=lambda lp: lp[0])
-    return ResolutionOfIdentity.from_projectors(
-        [p for _, p in pairs], [l for l, _ in pairs])
+    return _cluster_projectors(phases_sorted, z[:, order], width, _wrap_phase)
 
 
 def _first_interior_split(phases_sorted: np.ndarray, width: float) -> int:

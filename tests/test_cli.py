@@ -5,7 +5,7 @@ import pytest
 
 from zenosim.cli import main, run_scenario
 from zenosim.config import MECHANISMS, OUTPUT_KINDS, parse_config, validate_document
-from zenosim.errors import SchemaViolation
+from zenosim.errors import InvalidParameter, SchemaViolation
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -142,6 +142,19 @@ def test_schema_and_runner_agree(tmp_path, mechanism, kind):
     assert f"pair_{suffix}" in names
     # zeno-limit adds one propagator file per sector
     assert all(name.endswith(suffix) for name in names)
+
+
+def test_runner_refuses_unhandled_pair(tmp_path, monkeypatch):
+    """A pair the table allows but the runner does not handle fails unwritten."""
+    name, outputs = MECHANISMS["projective"]
+    monkeypatch.setitem(MECHANISMS, "projective", (name, outputs + ("propagator",)))
+    model, swept = _MECHANISM_SETUP["projective"]
+    doc = {"name": "pair", "model": {"name": model, "parameters": {}},
+           "mechanism": "projective", "schedule": {"t": 1.0, "samples": 3, **swept},
+           "outputs": ["probabilities", "propagator"]}
+    with pytest.raises(InvalidParameter, match="projective"):
+        run_scenario(validate_document(doc), output_dir=tmp_path, quiet=True)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestMain:

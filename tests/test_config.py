@@ -183,7 +183,7 @@ class TestInitialState:
                 [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                 # norm 1 + 1.7e-7: the engines refuse it, so the schema must too
                 [[1.0 + 1.7e-7, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
-                # norm 1 + 8e-10 passes the vector check, not the trace check
+                # norm 1 + 8e-10: |norm² - 1| exceeds the engines' 1e-9
                 [[1.0 + 8e-10, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]):
             with pytest.raises(SchemaViolation) as e:
                 validate_document(base_doc(initial_state=amps))

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from zenosim.errors import (
     NotUnitary,
 )
 from zenosim.linalg import dagger, frobenius, opnorm, propagator
+from zenosim.models import four_level_kicked
 from zenosim.spectral import ResolutionOfIdentity, pinch, zeno_hamiltonian
 
 CHAIN = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
@@ -174,6 +176,60 @@ class TestKicked:
         psi0 = random_state(rng, 3)
         rec = evolve_kicked(psi0, h, uk, t=1.0, n=20)
         assert abs(np.linalg.norm(rec.final_state) - 1.0) <= 1e-12
+
+
+_MP = mpmath.MPContext()
+_MP.dps = 40
+
+
+def _mp_lift(a):
+    """complex128 array -> mpmath matrix, exactly (a vector becomes a column)."""
+    rows = np.atleast_2d(a).T if np.ndim(a) == 1 else np.asarray(a)
+    return _MP.matrix([[_MP.mpc(z.real, z.imag) for z in row] for row in rows])
+
+
+def _mp_power(m, k: int):
+    out = _MP.eye(m.rows)
+    while k:
+        if k & 1:
+            out = out * m
+        m = m * m
+        k >>= 1
+    return out
+
+
+def _to_numpy(m) -> np.ndarray:
+    return np.array(m.tolist(), dtype=complex)
+
+
+@pytest.mark.parametrize("n", [1, 4096, 10**9])
+def test_kick_engine_matches_40_digit_oracle(n):
+    """Kick powers against a 40-digit power of the lifted step.
+
+    Tolerance 64 d eps (1 + k) after k steps; N = 10**9 also shows that the
+    cost no longer grows with N.
+    """
+    bundle = four_level_kicked(1.0, 1.0, 0.0, 1.0)
+    t, dim = 1.0, 4
+    psi0 = straddle_state(dim)
+    uk = _mp_lift(bundle.U_kick)
+    step = uk * _MP.expm(_mp_lift(-1j * bundle.H) * (_MP.mpf(t) / n))
+
+    def tol(k):
+        return 64 * dim * np.finfo(float).eps * (1 + k)
+
+    vec = evolve_kicked(psi0, bundle.H, bundle.U_kick, t, n, samples=5)
+    rho = evolve_kicked(np.outer(psi0, psi0.conj()), bundle.H, bundle.U_kick,
+                        t, n, samples=5)
+    for k, v, r in zip(vec.times_or_steps, vec.states, rho.states):
+        ref = _mp_power(step, int(k)) * _mp_lift(psi0)
+        assert np.abs(v - _to_numpy(ref)[:, 0]).max() <= tol(k)
+        assert np.abs(r - _to_numpy(ref * ref.H)).max() <= tol(k)
+    step_n = _mp_power(step, n)
+    assert np.abs(kicked_propagator(bundle.H, bundle.U_kick, t, n)
+                  - _to_numpy(step_n)).max() <= tol(n)
+    assert np.abs(extracted_kick_limit(bundle.H, bundle.U_kick, t, n)
+                  - _to_numpy(_mp_power(uk.H, n) * step_n)).max() <= tol(n)
 
 
 class TestContinuous:

@@ -158,6 +158,15 @@ class TestStateChecks:
         check_state_vector(np.array([1.0, 0.0], dtype=complex))
         with pytest.raises(InvalidState):
             check_state_vector(np.array([1.0, 1.0], dtype=complex))
+        # one verdict for psi and |psi><psi|: |norm² - 1| <= 1e-9 in both
+        ok = np.array([1 + 4e-10, 0.0], dtype=complex)
+        bad = np.array([1 + 8e-10, 0.0], dtype=complex)
+        check_state_vector(ok)
+        check_density_matrix(np.outer(ok, ok.conj()))
+        with pytest.raises(InvalidState):
+            check_state_vector(bad)
+        with pytest.raises(InvalidState):
+            check_density_matrix(np.outer(bad, bad.conj()))
 
     def test_subnormalized_allowed_for_decay(self):
         psi = np.array([0.5, 0.5], dtype=complex)
