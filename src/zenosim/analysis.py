@@ -25,7 +25,6 @@ from .errors import (
     InvalidState,
 )
 from .linalg import (
-    as_square_matrix,
     check_density_matrix,
     frobenius,
     opnorm,
@@ -100,7 +99,8 @@ class ObservableSeries:
     sector; ``coherence_blocks`` maps sector pairs (n, m), n < m, to the
     Frobenius norm of the cross block P_n rho P_m over time.  ``leakage``
     is 1 - sum_n p_n, nonzero only when amplitude has left the modelled
-    levels (the decay model).
+    levels (the decay model).  Every field is a float array with one entry
+    (or row) per sample, computed for all samples at once by ``observables``.
     """
 
     times: np.ndarray
@@ -124,27 +124,69 @@ class DecayProtectionResult:
         return [(float(k), float(s)) for k, s in zip(self.couplings, self.survivals)]
 
 
-def _real_part(value: complex, what: str, tol: Tolerances) -> float:
-    if abs(value.imag) > tol.imag_residue * max(1.0, abs(value)):
-        raise InvalidState(f"{what} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+def _checked(x: np.ndarray, dim: int) -> np.ndarray:
+    """A stack (S, d, d) of square, finite, dim×dim matrices, else the error."""
+    if x.ndim != 3 or x.shape[1] != x.shape[2]:
+        raise DimensionMismatch(f"rho must be square, got shape {x.shape[1:]}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameter("rho contains non-finite entries")
+    if x.shape[1] != dim:
+        raise DimensionMismatch(f"rho is {x.shape[1]}-dim, resolution is {dim}-dim")
+    return x
+
+
+def _densities(x: np.ndarray) -> np.ndarray:
+    """A stack of state vectors (S, d) becomes the projectors |psi><psi|."""
+    return x[:, :, None] * x[:, None, :].conj() if x.ndim == 2 else x
+
+
+def _probabilities(x: np.ndarray, res: ResolutionOfIdentity) -> np.ndarray:
+    """(S, sectors) complex tr(x_s P_n) = vec(x_s) . vec(P_n^T), one product."""
+    vec_pt = np.array([p.T.ravel() for p in res.projectors]).T
+    return x.reshape(-1, res.dim ** 2) @ vec_pt
+
+
+def _purities(x: np.ndarray) -> np.ndarray:
+    """(S,) complex tr(x_s x_s)."""
+    return np.einsum("sij,sji->s", x, x)
+
+
+def _coherences(x: np.ndarray, res: ResolutionOfIdentity, n: int, m: int) -> np.ndarray:
+    """(S,) Frobenius norms of P_n x_s P_m."""
+    # row-major vec(P_n X P_m) = kron(P_n, P_m^T) vec(X)
+    y = x.reshape(-1, res.dim ** 2) @ np.kron(res.projectors[n], res.projectors[m].T).T
+    r = y.view(float)
+    return np.sqrt(np.einsum("si,si->s", r, r))
+
+
+def _real_parts(values: np.ndarray, names: list[str], tol: Tolerances) -> np.ndarray:
+    """Real part of (S, k) values whose column j is called names[j].
+
+    The first value, in sample then column order, whose imaginary part
+    exceeds tol.imag_residue·max(1, |value|) raises InvalidState.
+    """
+    bad = np.abs(values.imag) > tol.imag_residue * np.maximum(1.0, np.abs(values))
+    if bad.any():
+        s, j = divmod(int(np.argmax(bad)), values.shape[1])
+        raise InvalidState(f"{names[j]} has imaginary residue {values[s, j].imag:.3e}")
+    return values.real
+
+
+def _sector_names(res: ResolutionOfIdentity) -> list[str]:
+    return [f"p_{i + 1}" for i in range(res.nsectors)]
 
 
 def subspace_probabilities(rho, res: ResolutionOfIdentity,
                            tol: Tolerances = DEFAULT_TOLERANCES) -> list[float]:
     """Sector populations p_n = trace(rho P_n); they sum to trace(rho)."""
-    m = as_square_matrix(rho, "rho")
-    if m.shape[0] != res.dim:
-        raise DimensionMismatch(
-            f"rho is {m.shape[0]}-dim, resolution is {res.dim}-dim")
-    return [_real_part(complex(np.trace(m @ p)), f"p_{i + 1}", tol)
-            for i, p in enumerate(res.projectors)]
+    x = _checked(np.asarray(rho, dtype=complex)[None], res.dim)
+    return _real_parts(_probabilities(x, res), _sector_names(res), tol)[0].tolist()
 
 
 def purity(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """trace(rho^2): 1 for pure states, 1/d for the maximally mixed state."""
-    m = check_density_matrix(rho, tol=tol)
-    return _real_part(complex(np.trace(m @ m)), "purity", tol)
+    x = check_density_matrix(rho, tol=tol)[None]
+    return float(_real_parts(_purities(x)[:, None], ["purity"], tol)[0, 0])
 
 
 def coherence_block_norm(rho, res: ResolutionOfIdentity, n: int, m: int) -> float:
@@ -154,17 +196,8 @@ def coherence_block_norm(rho, res: ResolutionOfIdentity, n: int, m: int) -> floa
     for idx in (n, m):
         if not 0 <= idx < res.nsectors:
             raise IndexOutOfRange(f"sector {idx} not in 0..{res.nsectors - 1}")
-    x = as_square_matrix(rho, "rho")
-    if x.shape[0] != res.dim:
-        raise DimensionMismatch(
-            f"rho is {x.shape[0]}-dim, resolution is {res.dim}-dim")
-    return frobenius(res.projectors[n] @ x @ res.projectors[m])
-
-
-def _as_density(state: np.ndarray) -> np.ndarray:
-    if state.ndim == 1:
-        return np.outer(state, state.conj())
-    return state
+    x = _checked(np.asarray(rho, dtype=complex)[None], res.dim)
+    return float(_coherences(x, res, n, m)[0])
 
 
 def observables(record, res: ResolutionOfIdentity,
@@ -172,26 +205,34 @@ def observables(record, res: ResolutionOfIdentity,
     """Evaluate probabilities, purity, coherences, and leakage on a record.
 
     State-vector samples are promoted to projectors; a subnormalized vector
-    (decay model) then shows up as leakage = 1 - ||psi||^2.
+    (decay model) then shows up as leakage = 1 - ||psi||^2.  The states are
+    stacked once into an (S, d, d) array and every observable is a batched
+    product over that stack, so the cost grows with S at a few matrix
+    products per record rather than several calls per sample.  The stack is
+    checked as a whole, with the errors and messages of the single-state
+    functions: shape, finite entries, dimension, then the imaginary residue
+    of each p_n and of the purity, first sample first.
     """
     times = np.asarray(record.times_or_steps, dtype=float)
-    pairs = [(n, m) for n in range(res.nsectors) for m in range(res.nsectors) if n < m]
-    probs, purs, leaks = [], [], []
-    coh = {pair: [] for pair in pairs}
-    for state in record.states:
-        rho = _as_density(np.asarray(state))
-        p = subspace_probabilities(rho, res, tol)
-        probs.append(p)
-        purs.append(_real_part(complex(np.trace(rho @ rho)), "purity", tol))
-        leaks.append(1.0 - sum(p))
-        for pair in pairs:
-            coh[pair].append(coherence_block_norm(rho, res, *pair))
+    try:
+        x = np.asarray(record.states, dtype=complex)
+    except ValueError:  # vectors mixed with matrices, or mixed sizes
+        x = np.concatenate([_checked(_densities(np.asarray(s, dtype=complex)[None]),
+                                     res.dim) for s in record.states])
+    if len(x) == 0:
+        x = x.reshape(0, res.dim, res.dim)
+    x = _checked(_densities(x), res.dim)
+    k = res.nsectors
+    values = _real_parts(np.column_stack([_probabilities(x, res), _purities(x)]),
+                         _sector_names(res) + ["purity"], tol)
+    probs = values[:, :k]
     return ObservableSeries(
         times=times,
-        subspace_probabilities=np.array(probs),
-        purity=np.array(purs),
-        coherence_blocks={k: np.array(v) for k, v in coh.items()},
-        leakage=np.array(leaks),
+        subspace_probabilities=probs,
+        purity=values[:, k],
+        coherence_blocks={(n, m): _coherences(x, res, n, m)
+                          for n in range(k) for m in range(n + 1, k)},
+        leakage=1.0 - probs.sum(axis=1),
     )
 
 
@@ -283,15 +324,14 @@ def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,
         raise InvalidParameter("need at least one coupling value")
     if np.any(np.diff(ks) <= 0):
         raise InvalidParameter("coupling values must be strictly increasing")
-    survivals = []
-    for k in ks:
-        bundle = decay_model(omega1, tau_z, gamma, float(k), omega_b)
-        psi0 = np.zeros(4, dtype=complex)
-        psi0[1] = 1.0
-        rec = evolve_continuous(psi0, bundle.H, bundle.H_c, float(k), t,
-                                samples=2, tol=tol)
-        survivals.append(float(abs(rec.final_state[1]) ** 2))
-    survivals = np.asarray(survivals)
+    # H and H_c do not depend on K: build them once, from the smallest K,
+    # which is the one a sweep with negative couplings is refused for
+    bundle = decay_model(omega1, tau_z, gamma, float(ks[0]), omega_b)
+    psi0 = np.zeros(4, dtype=complex)
+    psi0[1] = 1.0
+    survivals = np.array([
+        abs(evolve_continuous(psi0, bundle.H, bundle.H_c, float(k), t, samples=2,
+                              tol=tol).final_state[1]) ** 2 for k in ks])
     hit = np.nonzero(survivals >= threshold)[0]
     protective = float(ks[hit[0]]) if len(hit) else None
     return DecayProtectionResult(couplings=ks, survivals=survivals,

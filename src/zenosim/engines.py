@@ -5,7 +5,9 @@ measurements (pinches), unitary kicks, and strong continuous coupling.  Each
 has an extracted-limit sequence that converges to the same block-diagonal
 propagator exp(-i H_Z t) built from the Zeno Hamiltonian, and an exact
 limit engine evolves with that propagator directly.  Kick powers are
-evaluated from one Schur decomposition, so their cost does not grow with N.
+evaluated from one Schur decomposition, so their cost does not grow with N,
+and a sampled run rotates its state into the eigenbasis once, so each
+sample costs phases rather than a d×d propagator.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ class EvolutionRecord:
 
     ``times_or_steps`` holds real times for the projective, continuous and
     zeno-limit engines and integer step counts for the kicked engine;
-    ``states`` is the matching list of state vectors or density matrices.
+    ``states`` is the matching tuple of state vectors or density matrices
+    (for the spectral engines, the rows of one stacked array).
     ``trace_corrections`` lists (step, drift) pairs where the projective
     engine renormalized a density matrix to counter accumulated roundoff.
     """
@@ -113,15 +116,6 @@ def _kick_step(h, u_kick, t: float, n: int, tol: Tolerances):
         raise DimensionMismatch("H and U_kick dimensions differ")
     step = unitary_powers(uk @ propagator(hm, t / n, tol), "U_kick U(t/N)", tol)
     return t, n, kick, step
-
-
-def _sample(u_at, xs, state: np.ndarray) -> tuple[np.ndarray, ...]:
-    """u ψ for a state vector, u ρ u† for a density matrix, with u = u_at(x)."""
-    out = []
-    for x in xs:
-        u = u_at(x)
-        out.append(u @ state @ dagger(u) if state.ndim == 2 else u @ state)
-    return tuple(out)
 
 
 def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
@@ -185,7 +179,7 @@ def evolve_kicked(state0, h, u_kick, t: float, n: int, samples: int = 50,
     return EvolutionRecord(
         mechanism="kicked",
         times_or_steps=keep,
-        states=_sample(step, keep, state),
+        states=tuple(step.states(keep, state)),
         parameters={"t": t, "N": n, "dim": dim},
     )
 
@@ -225,10 +219,10 @@ def evolve_continuous(state0, h, h_c, coupling: float, t: float,
     else:
         state = check_state_vector(state0, dim, subnormalized=not hermitian, tol=tol)
     if hermitian:
-        states = _sample(hermitian_evolution(h_k, tol), times, state)
+        states = tuple(hermitian_evolution(h_k, tol).states(times, state))
     else:
-        states = _sample(lambda tau: expm(-1j * h_k * tau, tol.expm_accuracy),
-                         times, state)
+        states = tuple(expm(-1j * h_k * tau, tol.expm_accuracy) @ state
+                       for tau in times)
         for psi in states:
             nrm = float(np.linalg.norm(psi))
             if nrm > 1.0 + 1e-8:
@@ -274,7 +268,7 @@ def evolve_zeno_limit(rho0, h, res: ResolutionOfIdentity, t: float,
     return EvolutionRecord(
         mechanism="zeno-limit",
         times_or_steps=times,
-        states=_sample(u_z, times, pinch(rho, res)),
+        states=tuple(u_z.states(times, pinch(rho, res))),
         parameters={"t": float(t), "dim": res.dim},
     )
 

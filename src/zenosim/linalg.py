@@ -149,24 +149,44 @@ def hermitian_evolution(h, tol: Tolerances = DEFAULT_TOLERANCES):
     """Validate and eigendecompose Hermitian h once; return t -> exp(-i h t).
 
     Every evaluation is V exp(-i w t) V†, exactly unitary up to roundoff for
-    any real t, so sampling many times costs one eigh.
+    any real t, so sampling many times costs one eigh.  The returned
+    evaluator's ``states(ts, state)`` evolves one state to many times.
     """
-    return _spectral_evaluator(*eigh(h, tol))
+    return _SpectralEvaluator(*eigh(h, tol))
 
 
 def unitary_powers(u, name: str = "unitary", tol: Tolerances = DEFAULT_TOLERANCES):
     """Validate and Schur-decompose a unitary once; return k -> u^k.
 
     Each Z diag(e^{-i k lam}) Z† is unitary up to roundoff at a cost
-    independent of the integer k, which may be negative.
+    independent of the integer k, which may be negative.  The returned
+    evaluator's ``states(ks, state)`` applies many powers to one state.
     """
-    return _spectral_evaluator(*unitary_eig(u, name, tol))
+    return _SpectralEvaluator(*unitary_eig(u, name, tol))
 
 
-def _spectral_evaluator(w: np.ndarray, v: np.ndarray):
+class _SpectralEvaluator:
     """x -> v diag(e^{-i w x}) v†, for real w and unitary v."""
-    vd = dagger(v)
-    return lambda x: (v * np.exp(-1j * w * x)) @ vd
+
+    def __init__(self, w: np.ndarray, v: np.ndarray):
+        self.w, self.v, self._vd = w, v, dagger(v)
+
+    def __call__(self, x) -> np.ndarray:
+        return (self.v * np.exp(-1j * self.w * x)) @ self._vd
+
+    def states(self, xs, state: np.ndarray) -> np.ndarray:
+        """u(x) psi, or u(x) rho u(x)†, stacked over xs.
+
+        The state is rotated into the eigenbasis once and every x costs only
+        its phases e(x) = e^{-i w x} inside one batched product, not a d×d
+        propagator: psi(x) = v (e(x) ∘ v† psi) and
+        rho(x) = v ((e(x) e(x)†) ∘ v† rho v) v†.
+        """
+        e = np.exp(-1j * self.w * np.asarray(xs)[:, None])
+        if state.ndim == 1:
+            return (e * (self._vd @ state)) @ self.v.T
+        r = self._vd @ state @ self.v
+        return self.v @ (e[:, :, None] * r * e.conj()[:, None, :]) @ self._vd
 
 
 def propagator(h, t: float, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_two_block_resolution, straddle_state
+from conftest import (
+    random_density,
+    random_state,
+    random_two_block_resolution,
+    random_unitary,
+    straddle_state,
+)
 from zenosim.analysis import (
     ConvergenceCurve,
     DecayProtectionResult,
@@ -15,8 +21,18 @@ from zenosim.analysis import (
     purity,
     subspace_probabilities,
 )
-from zenosim.engines import evolve_continuous, evolve_kicked, evolve_zeno_limit
-from zenosim.errors import IndexOutOfRange, InvalidParameter
+from zenosim.engines import (
+    EvolutionRecord,
+    evolve_continuous,
+    evolve_kicked,
+    evolve_zeno_limit,
+)
+from zenosim.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidParameter,
+    InvalidState,
+)
 from zenosim.models import (
     four_level_continuous,
     four_level_kicked,
@@ -104,6 +120,129 @@ class TestObservableSeries:
         assert series.leakage[0] == pytest.approx(0.0, abs=1e-12)
         assert series.leakage[-1] > 0.1
         assert np.all(np.diff(series.leakage) >= -1e-12)
+
+
+def _random_resolution(rng, dim: int, nsectors: int) -> ResolutionOfIdentity:
+    """Split the columns of a random unitary into nsectors nonempty blocks."""
+    u = random_unitary(rng, dim)
+    cuts = np.sort(rng.choice(np.arange(1, dim), nsectors - 1, replace=False))
+    blocks = np.split(u, cuts, axis=1)
+    return ResolutionOfIdentity.from_projectors(
+        [b @ b.conj().T for b in blocks], list(range(nsectors)))
+
+
+def _per_sample_reference(states, res):
+    """Observables computed sample by sample, with the plain formulas."""
+    probs, purs, coh = [], [], {}
+    for state in states:
+        rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+        probs.append([np.trace(rho @ p).real for p in res.projectors])
+        purs.append(np.trace(rho @ rho).real)
+        for n in range(res.nsectors):
+            for m in range(n + 1, res.nsectors):
+                block = res.projectors[n] @ rho @ res.projectors[m]
+                coh.setdefault((n, m), []).append(np.linalg.norm(block))
+    return np.array(probs), np.array(purs), coh
+
+
+class TestStackedObservables:
+    @given(st.integers(0, 10_000), st.integers(1, 4),
+           st.sampled_from(["vector", "density", "subnormalized"]),
+           st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_sample_formulas(self, seed, nsectors, kind, samples):
+        rng = np.random.default_rng(seed)
+        dim = nsectors + int(rng.integers(0, 3))
+        res = _random_resolution(rng, dim, nsectors)
+        if kind == "density":
+            states = [random_density(rng, dim) for _ in range(samples)]
+        else:
+            states = [random_state(rng, dim) for _ in range(samples)]
+        if kind == "subnormalized":
+            states = [psi * rng.uniform(0.1, 1.0) for psi in states]
+        rec = EvolutionRecord("continuous", np.arange(samples, dtype=float),
+                              tuple(states))
+        series = observables(rec, res)
+        probs, purs, coh = _per_sample_reference(states, res)
+        assert np.max(np.abs(series.subspace_probabilities - probs)) <= 1e-14
+        assert np.max(np.abs(series.purity - purs)) <= 1e-14
+        assert np.max(np.abs(series.leakage - (1.0 - probs.sum(axis=1)))) <= 1e-14
+        assert sorted(series.coherence_blocks) == sorted(coh)
+        for pair, values in coh.items():
+            assert np.max(np.abs(series.coherence_blocks[pair] - values)) <= 1e-14
+        # the single-state functions are the same kernel
+        rho = states[-1] if kind == "density" else np.outer(states[-1], states[-1].conj())
+        assert np.max(np.abs(np.array(subspace_probabilities(rho, res))
+                             - series.subspace_probabilities[-1])) <= 1e-14
+
+    def test_imaginary_residue_names_the_sector(self):
+        rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        bad = rho.copy()
+        bad[2, 2] = 1e-3j
+        rec = EvolutionRecord("continuous", np.arange(3.0), (rho, bad, bad))
+        with pytest.raises(InvalidState, match=r"^p_2 has imaginary residue 1\.000e-03$"):
+            observables(rec, RES3)
+        with pytest.raises(InvalidState, match=r"^p_2 has imaginary residue"):
+            subspace_probabilities(bad, RES3)
+
+    def test_first_sample_with_a_residue_wins(self):
+        # sample 0: real probabilities but tr(rho^2) = 0.5 + 0.02i
+        skew = np.array([[0.5, 0.1, 0], [0.1j, 0.5, 0], [0, 0, 0]], dtype=complex)
+        bad_p1 = np.diag([1.0 + 1e-3j, 0.0, 0.0])
+        rec = EvolutionRecord("continuous", np.arange(2.0), (skew, bad_p1))
+        with pytest.raises(InvalidState, match=r"^purity has imaginary residue 2\.000e-02$"):
+            observables(rec, RES3)
+        rec = EvolutionRecord("continuous", np.arange(2.0), (bad_p1, skew))
+        with pytest.raises(InvalidState, match=r"^p_1 has imaginary residue"):
+            observables(rec, RES3)
+
+    def test_wrong_dimension(self):
+        rho4 = np.eye(4, dtype=complex) / 4.0
+        rec = EvolutionRecord("continuous", np.arange(2.0), (rho4, rho4))
+        message = r"^rho is 4-dim, resolution is 3-dim$"
+        with pytest.raises(DimensionMismatch, match=message):
+            observables(rec, RES3)
+        with pytest.raises(DimensionMismatch, match=message):
+            subspace_probabilities(rho4, RES3)
+        rec = EvolutionRecord("continuous", np.arange(2.0),
+                              (np.eye(3) / 3.0, rho4))
+        with pytest.raises(DimensionMismatch, match=message):
+            observables(rec, RES3)
+
+    def test_non_square_state(self):
+        rec = EvolutionRecord("continuous", np.arange(1.0), (np.ones((3, 2)),))
+        with pytest.raises(DimensionMismatch, match=r"^rho must be square"):
+            observables(rec, RES3)
+
+    @pytest.mark.parametrize("kind", ["vector", "density"])
+    def test_non_finite_state(self, kind):
+        good = straddle_state(3)
+        bad = good.copy()
+        bad[0] = np.nan
+        if kind == "density":
+            good, bad = np.outer(good, good.conj()), np.outer(bad, bad.conj())
+        rec = EvolutionRecord("continuous", np.arange(2.0), (good, bad))
+        message = r"^rho contains non-finite entries$"
+        with pytest.raises(InvalidParameter, match=message):
+            observables(rec, RES3)
+        with pytest.raises(InvalidParameter, match=message):
+            coherence_block_norm(np.outer(bad, bad.conj()) if kind == "vector" else bad,
+                                 RES3, 0, 1)
+
+    def test_empty_record(self):
+        series = observables(EvolutionRecord("continuous", np.array([]), ()), RES3)
+        assert series.subspace_probabilities.shape == (0, 2)
+        assert series.purity.shape == series.leakage.shape == (0,)
+        assert series.coherence_blocks[(0, 1)].shape == (0,)
+
+    def test_mixed_vectors_and_matrices(self):
+        psi = straddle_state(3)
+        rho = np.outer(psi, psi.conj())
+        mixed = EvolutionRecord("continuous", np.arange(2.0), (psi, rho))
+        same = EvolutionRecord("continuous", np.arange(2.0), (rho, rho))
+        a, b = observables(mixed, RES3), observables(same, RES3)
+        assert np.array_equal(a.subspace_probabilities, b.subspace_probabilities)
+        assert np.array_equal(a.purity, b.purity)
 
 
 class TestConvergenceCurve:

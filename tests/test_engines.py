@@ -46,6 +46,11 @@ RES3 = ResolutionOfIdentity.from_projectors(
      np.diag([0.0, 0.0, 1.0]).astype(complex)], [1.0, 2.0])
 
 
+RES4 = ResolutionOfIdentity.from_projectors(
+    [np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex),
+     np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)], [1.0, 2.0])
+
+
 def sector_probs(rho, res):
     return [float(np.trace(rho @ p).real) for p in res.projectors]
 
@@ -333,6 +338,30 @@ class TestZenoLimit:
         u_z = propagator(zeno_hamiltonian(CHAIN, RES3), t)
         expect = u_z @ rho0 @ dagger(u_z)
         assert frobenius(rec.final_state - expect) <= 1e-12
+
+
+@pytest.mark.parametrize("samples", [2, 33, 1000])
+def test_sampled_states_match_propagator(samples):
+    """States rotated once into the eigenbasis equal u(x) psi and u(x) rho u(x)†."""
+    rng = np.random.default_rng(samples)
+    bundle = four_level_kicked()
+    h_c = random_hermitian(rng, 4)
+    psi0, rho0 = random_state(rng, 4), random_density(rng, 4)
+    k, t, dim, eps = 50.0, 1.3, 4, np.finfo(float).eps
+    h_k = bundle.H + k * h_c
+    h_z = zeno_hamiltonian(bundle.H, RES4)
+    cases = [
+        (evolve_continuous(psi0, bundle.H, h_c, k, t, samples), h_k, psi0),
+        (evolve_continuous(rho0, bundle.H, h_c, k, t, samples), h_k, rho0),
+        (evolve_zeno_limit(rho0, bundle.H, RES4, t, samples), h_z, pinch(rho0, RES4)),
+    ]
+    for rec, gen, state in cases:
+        assert len(rec) == samples
+        bound = 64 * dim * eps * (1 + opnorm(gen) * t)
+        for x, got in zip(rec.times_or_steps, rec.states):
+            u = propagator(gen, x)
+            expect = u @ state @ dagger(u) if state.ndim == 2 else u @ state
+            assert np.max(np.abs(got - expect)) <= bound
 
 
 class TestAsymptoticPropagators:
