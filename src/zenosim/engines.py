@@ -30,6 +30,7 @@ from .linalg import (
     expm,
     hermitian_evolution,
     hermiticity_defect,
+    nonhermitian_evolution,
     propagator,
     require_hermitian,
     unitary_powers,
@@ -191,7 +192,8 @@ def evolve_continuous(state0, h, h_c, coupling: float, t: float,
 
     Hermitian generators take the spectral route (one eigh, exactly unitary
     at every sample).  A non-Hermitian H models decay at amplitude level and
-    is accepted for state vectors only; its norm must not grow.
+    is accepted for state vectors only; its norm must not grow.  It costs one
+    guarded eig, or one ``expm`` per sample near an exceptional point.
     """
     if not (t > 0):
         raise InvalidParameter(f"t must be positive, got {t!r}")
@@ -208,31 +210,29 @@ def evolve_continuous(state0, h, h_c, coupling: float, t: float,
     times = np.linspace(0.0, t, samples)
     hermitian = hermiticity_defect(h_k) <= tol.hermiticity
 
-    is_density = np.asarray(state0).ndim == 2
-    if is_density and not hermitian:
-        raise NonHermitianDensityEvolution(
-            "density-matrix input requires a Hermitian generator; "
-            "propagate a state vector instead")
-
-    if is_density:
+    if np.asarray(state0).ndim == 2:
+        if not hermitian:
+            raise NonHermitianDensityEvolution(
+                "density-matrix input requires a Hermitian generator; "
+                "propagate a state vector instead")
         state = check_density_matrix(state0, dim, tol)
     else:
         state = check_state_vector(state0, dim, subnormalized=not hermitian, tol=tol)
     if hermitian:
-        states = tuple(hermitian_evolution(h_k, tol).states(times, state))
-    else:
-        states = tuple(expm(-1j * h_k * tau, tol.expm_accuracy) @ state
-                       for tau in times)
-        for psi in states:
-            nrm = float(np.linalg.norm(psi))
-            if nrm > 1.0 + 1e-8:
-                raise InvalidState(
-                    f"non-Hermitian generator amplified the state to norm "
-                    f"{nrm:.6f}; only decaying models are supported")
+        states = hermitian_evolution(h_k, tol).states(times, state)
+    elif (spectral := nonhermitian_evolution(h_k)) is not None:
+        states = spectral.states(times, state)
+    else:  # near an exceptional point: one Padé expm per sample after tau = 0
+        states = np.array([state] + [expm(-1j * h_k * tau, tol.expm_accuracy) @ state
+                                     for tau in times[1:]])
+    if not hermitian and (nrm := np.linalg.norm(states, axis=1)).max() > 1.0 + 1e-8:
+        raise InvalidState(
+            f"non-Hermitian generator amplified the state to norm "
+            f"{nrm[nrm > 1.0 + 1e-8][0]:.6f}; only decaying models are supported")
     return EvolutionRecord(
         mechanism="continuous",
         times_or_steps=times,
-        states=states,
+        states=tuple(states),
         parameters={"t": t, "K": float(coupling), "dim": dim},
     )
 

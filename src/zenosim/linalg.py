@@ -1,13 +1,13 @@
 """Dense complex linear algebra kernels.
 
-Thin, validating wrappers around LAPACK via numpy/scipy.  All matrices are
-complex128 ndarrays; states are 1-D vectors or square density matrices.
+Thin, validating wrappers around LAPACK via numpy, and via scipy (imported on
+first use) for the complex Schur and the Padé exponential only.  Matrices are
+complex128; states are 1-D vectors or square density matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
@@ -18,6 +18,10 @@ from .errors import (
     NotUnitary,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+# largest cond(V) nonhermitian_evolution accepts, so its roundoff, about cond(V) eps,
+# stays below 1000 eps; the decay model passes it only within 2e-5 of its EP in K
+EIG_COND_LIMIT = 1e3
 
 __all__ = [
     "as_square_matrix",
@@ -32,6 +36,7 @@ __all__ = [
     "expm",
     "hermitian_evolution",
     "unitary_powers",
+    "nonhermitian_evolution",
     "propagator",
     "check_state_vector",
     "check_density_matrix",
@@ -112,6 +117,7 @@ def unitary_eig(u, name: str = "unitary",
     if d > tol.unitarity:
         raise NotUnitary(f"{name} has unitarity defect {d:.3e} "
                          f"(tolerance {tol.unitarity:.1e})")
+    import scipy.linalg
     t, z = scipy.linalg.schur(m, output="complex")
     return -np.angle(np.diag(t)), z
 
@@ -121,7 +127,7 @@ def expm(a, accuracy: float = DEFAULT_TOLERANCES.expm_accuracy) -> np.ndarray:
 
     Hermitian and anti-Hermitian inputs go through an eigendecomposition,
     which keeps exp(-iHt) unitary to machine precision for arbitrarily large
-    |t|.  Everything else uses scipy's scaling-and-squaring Padé routine.
+    |t|.  Everything else uses scipy's Padé routine, imported on first use.
     ``accuracy`` is the requested bound on the relative backward error and
     must lie in (0, 1e-6]; both paths deliver better than 1e-12 for the
     well-conditioned operators this package produces, so the parameter acts
@@ -139,6 +145,7 @@ def expm(a, accuracy: float = DEFAULT_TOLERANCES.expm_accuracy) -> np.ndarray:
     if frobenius(m + dagger(m)) <= accuracy * scale:
         # A = -iH, H = iA Hermitian to accuracy (x2: rounding of the same ratio)
         return hermitian_evolution(1j * m, Tolerances(hermiticity=2 * accuracy))(1.0)
+    import scipy.linalg
     out = scipy.linalg.expm(m)
     if not np.all(np.isfinite(out)):
         raise ConvergenceFailure("expm produced non-finite entries")
@@ -165,27 +172,40 @@ def unitary_powers(u, name: str = "unitary", tol: Tolerances = DEFAULT_TOLERANCE
     return _SpectralEvaluator(*unitary_eig(u, name, tol))
 
 
-class _SpectralEvaluator:
-    """x -> v diag(e^{-i w x}) v†, for real w and unitary v."""
+def nonhermitian_evolution(h):
+    """One eig of any square h: t -> V exp(-i w t) V⁻¹, or None if ill-conditioned.
 
-    def __init__(self, w: np.ndarray, v: np.ndarray):
+    Roundoff grows like cond(V) eps (Moler & Van Loan, SIAM Review 45, 2003) and V
+    is singular where eigenvalues coalesce, at an exceptional point (EP): above
+    EIG_COND_LIMIT this returns None and the caller falls back to ``expm``.
+    """
+    w, v = np.linalg.eig(as_square_matrix(h, "generator"))
+    return (_SpectralEvaluator(w, v, np.linalg.inv(v))
+            if np.linalg.cond(v) <= EIG_COND_LIMIT else None)
+
+
+class _SpectralEvaluator:
+    """x -> v diag(e^{-i w x}) v⁻¹; v⁻¹ defaults to v† (real w, unitary v)."""
+
+    def __init__(self, w: np.ndarray, v: np.ndarray, v_inv=None):
         self.w, self.v, self._vd = w, v, dagger(v)
+        self._vi, self._vid = (self._vd, v) if v_inv is None else (v_inv, dagger(v_inv))
 
     def __call__(self, x) -> np.ndarray:
-        return (self.v * np.exp(-1j * self.w * x)) @ self._vd
+        return (self.v * np.exp(-1j * self.w * x)) @ self._vi
 
     def states(self, xs, state: np.ndarray) -> np.ndarray:
         """u(x) psi, or u(x) rho u(x)†, stacked over xs.
 
         The state is rotated into the eigenbasis once and every x costs only
         its phases e(x) = e^{-i w x} inside one batched product, not a d×d
-        propagator: psi(x) = v (e(x) ∘ v† psi) and
-        rho(x) = v ((e(x) e(x)†) ∘ v† rho v) v†.
+        propagator: psi(x) = v (e(x) ∘ v⁻¹ psi) and
+        rho(x) = v ((e(x) e(x)†) ∘ v⁻¹ rho v⁻†) v†.
         """
         e = np.exp(-1j * self.w * np.asarray(xs)[:, None])
         if state.ndim == 1:
-            return (e * (self._vd @ state)) @ self.v.T
-        r = self._vd @ state @ self.v
+            return (e * (self._vi @ state)) @ self.v.T
+        r = self._vi @ state @ self._vid
         return self.v @ (e[:, :, None] * r * e.conj()[:, None, :]) @ self._vd
 
 

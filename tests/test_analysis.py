@@ -21,6 +21,7 @@ from zenosim.analysis import (
     purity,
     subspace_probabilities,
 )
+from zenosim import engines
 from zenosim.engines import (
     EvolutionRecord,
     evolve_continuous,
@@ -317,6 +318,15 @@ class TestDecayProtection:
         assert np.allclose(result.survivals, expect, atol=5e-5)
         assert result.protective_coupling == 10.0
         assert np.all(np.diff(result.survivals) > 0)
+
+    def test_sweep_pays_one_eig_per_coupling(self, monkeypatch):
+        # the shipped couplings stay far from the exceptional point at K ≈ 9.95,
+        # so no sample needs the expm fallback, not even tau = 0
+        calls = []
+        monkeypatch.setattr(engines, "expm", lambda *args, **kw: calls.append(args))
+        decay_protection_sweep(omega1=0.0, tau_z=1.0, gamma=0.1, omega_b=0.0,
+                               k_values=[0.0, 10.0, 20.0, 40.0, 80.0, 160.0], t=5.0)
+        assert calls == []
 
     def test_free_decay_baseline(self):
         result = decay_protection_sweep(

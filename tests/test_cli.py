@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zenosim
 from zenosim.cli import main, run_scenario
 from zenosim.config import MECHANISMS, OUTPUT_KINDS, parse_config, validate_document
 from zenosim.errors import InvalidParameter, SchemaViolation
@@ -212,3 +217,36 @@ class TestMain:
         path = write_config(tmp_path, zeno_limit_doc())
         main(["run", path, "--output-dir", str(tmp_path), "--quiet"])
         assert capsys.readouterr().out == ""
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _loads_scipy(code: str) -> bool:
+    """Run code in a fresh interpreter; report whether it imported scipy."""
+    src = str(Path(zenosim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = code + "\nimport sys\nprint('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.splitlines()[-1] == "True"
+
+
+class TestImportHygiene:
+    """scipy stays off the start-up path; only the complex Schur of a kicked
+    run (and the expm fallback near an exceptional point) imports it."""
+
+    @pytest.mark.parametrize("module", ["zenosim", "zenosim.cli"])
+    def test_import_leaves_scipy_out(self, module):
+        assert not _loads_scipy(f"import {module}")
+
+    @pytest.mark.parametrize("scenario, loads", [
+        ("decay_protection.json", False),
+        ("projective_series.json", False),
+        ("kicked_convergence.json", True),  # Schur of the kick cycle needs scipy
+    ])
+    def test_run_loads_scipy_only_for_schur(self, tmp_path, scenario, loads):
+        argv = ["run", str(SCENARIOS / scenario), "--output-dir", str(tmp_path), "--quiet"]
+        code = f"from zenosim.cli import main\nassert main({argv!r}) == 0"
+        assert _loads_scipy(code) is loads

@@ -13,6 +13,7 @@ from conftest import (
     random_unitary,
     straddle_state,
 )
+from zenosim import engines
 from zenosim.engines import (
     EvolutionRecord,
     asymptotic_continuous_propagator,
@@ -37,7 +38,7 @@ from zenosim.errors import (
     NotUnitary,
 )
 from zenosim.linalg import dagger, frobenius, opnorm, propagator
-from zenosim.models import four_level_kicked
+from zenosim.models import decay_model, four_level_kicked, three_level_projective
 from zenosim.spectral import ResolutionOfIdentity, pinch, zeno_hamiltonian
 
 CHAIN = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
@@ -237,6 +238,86 @@ def test_kick_engine_matches_40_digit_oracle(n):
                   - _to_numpy(_mp_power(uk.H, n) * step_n)).max() <= tol(n)
 
 
+@pytest.mark.parametrize("t", [0.5, 20.0, 1e3])
+def test_propagator_matches_40_digit_oracle(t):
+    """exp(-i h t) against a 40-digit exponential; tolerance 64 d eps (1 + ||h||_F t)."""
+    h, dim = random_hermitian(np.random.default_rng(5), 4), 4
+    ref = _MP.expm(_mp_lift(-1j * h) * _MP.mpf(t))
+    tol = 64 * dim * np.finfo(float).eps * (1 + frobenius(h) * t)
+    assert np.abs(propagator(h, t) - _to_numpy(ref)).max() <= tol
+
+
+@pytest.mark.parametrize("n", [1, 4096])
+def test_projective_survival_matches_40_digit_oracle(n):
+    """||[P U(t/N)]^N psi0||² against a 40-digit power; tolerance 64 d eps (1 + N)."""
+    bundle = three_level_projective(1.0, 1.0)
+    t, dim = 1.0, 3
+    psi0 = straddle_state(dim)
+    factor = (_mp_lift(bundle.res.projector(0))
+              * _MP.expm(_mp_lift(-1j * bundle.H) * (_MP.mpf(t) / n)))
+    ref = float(sum(abs(z) ** 2 for z in _mp_power(factor, n) * _mp_lift(psi0)))
+    tol = 64 * dim * np.finfo(float).eps * (1 + n)
+    for state in (psi0, np.outer(psi0, psi0.conj())):
+        assert abs(projective_survival(state, bundle.H, bundle.res, 0, t, n) - ref) <= tol
+
+
+# the decay scenario's model; H + K H_c has an exceptional point (EP), two
+# coalescing eigenvalues, at K = sqrt(99) ≈ 9.94987, near 1/(tau_Z² gamma) = 10
+DECAY = decay_model(0.0, 1.0, 0.1, 0.0)
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Count the engines' calls to expm, the fallback of the decay route."""
+    calls, expm = [], engines.expm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return expm(*args, **kwargs)
+
+    monkeypatch.setattr(engines, "expm", counted)
+    return calls
+
+
+def _assert_matches_exponential(rec, h_k, psi0):
+    """Every sample against exp(-i h_k tau) psi0 at 40 digits.
+
+    Tolerance 64 d eps (1 + ||h_k||_F t), the kick oracle's form with the
+    phase ||h_k|| t in place of the step count.
+    """
+    dim, t = len(psi0), rec.times_or_steps[-1]
+    tol = 64 * dim * np.finfo(float).eps * (1 + frobenius(h_k) * t)
+    gen = _mp_lift(-1j * h_k)
+    for tau, psi in zip(rec.times_or_steps, rec.states):
+        ref = _MP.expm(gen * _MP.mpf(tau)) * _mp_lift(psi0)
+        assert np.abs(psi - _to_numpy(ref)[:, 0]).max() <= tol
+
+
+@pytest.mark.parametrize("coupling, fallback", [
+    (0.0, False), (10.0, False), (40.0, False), (160.0, False),
+    (9.95, False),      # 1.3e-4 from the EP: cond(V) ≈ 400, still one eig
+    (9.949874, True),   # cond(V) ≈ 7e3 > EIG_COND_LIMIT: one expm per sample
+])
+def test_decay_route_matches_40_digit_oracle(coupling, fallback, expm_calls):
+    """Both decay routes, one eig or the expm fallback, at every sample."""
+    psi0, samples = basis_state(4, 1), 6
+    rec = evolve_continuous(psi0, DECAY.H, DECAY.H_c, coupling, t=5.0,
+                            samples=samples)
+    _assert_matches_exponential(rec, DECAY.H + coupling * DECAY.H_c, psi0)
+    # the fallback samples tau = 0 as the input state, without an expm
+    assert len(expm_calls) == (samples - 1 if fallback else 0)
+
+
+def test_defective_generator_takes_the_expm_fallback(expm_calls):
+    """A Jordan block has one eigenvector: eig's V is singular, so expm runs."""
+    h = np.array([[-1j, 1], [0, -1j]])
+    psi0, samples = basis_state(2, 1), 7
+    rec = evolve_continuous(psi0, h, np.zeros((2, 2)), 0.0, t=3.0, samples=samples)
+    assert len(expm_calls) == samples - 1
+    assert np.array_equal(rec.states[0], psi0)
+    _assert_matches_exponential(rec, h, psi0)
+
+
 class TestContinuous:
     def test_zero_coupling_is_free_evolution(self):
         psi0 = basis_state(3, 0)
@@ -282,11 +363,23 @@ class TestContinuous:
         assert norms[-1] < 1.0
         assert all(n <= 1.0 + 1e-8 for n in norms)
 
+    AMPLIFIED = ("^non-Hermitian generator amplified the state to norm {:.6f}; "
+                 "only decaying models are supported$")
+
     def test_amplifying_generator_rejected(self):
         h = 0.5j * np.eye(2)  # gain, not decay
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidState, match=self.AMPLIFIED.format(np.exp(0.5))):
             evolve_continuous(basis_state(2, 0), h, np.zeros((2, 2)), 0.0,
                               t=1.0, samples=2)
+
+    def test_amplifying_defective_generator_rejected(self, expm_calls):
+        # the expm fallback refuses gain alike, naming the first norm that grew
+        h = np.array([[0.5j, 1], [0, 0.5j]])
+        norm = np.exp(0.25) * np.sqrt(1.25)  # |psi(1/2)| from |b>
+        with pytest.raises(InvalidState, match=self.AMPLIFIED.format(norm)):
+            evolve_continuous(basis_state(2, 1), h, np.zeros((2, 2)), 0.0,
+                              t=1.0, samples=3)
+        assert len(expm_calls) == 2
 
     def test_negative_coupling_rejected(self):
         with pytest.raises(InvalidParameter):

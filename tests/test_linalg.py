@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian, random_unitary
+from conftest import random_density, random_hermitian, random_state, random_unitary
 from zenosim.errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -17,6 +17,7 @@ from zenosim.linalg import (
     eigh,
     expm,
     frobenius,
+    nonhermitian_evolution,
     opnorm,
     propagator,
 )
@@ -151,6 +152,25 @@ class TestPropagator:
         rng = np.random.default_rng(7)
         h = random_hermitian(rng, 4)
         assert np.allclose(propagator(h, 0.9), expm(-1j * h * 0.9), atol=1e-12)
+
+
+class TestNonhermitianEvolution:
+    def test_matches_pade_for_vectors_and_densities(self):
+        # v⁻¹ ≠ v†: states() must rotate rho by v⁻¹ on the left and v⁻† on the right
+        rng = np.random.default_rng(11)
+        h = random_hermitian(rng, 4) - 0.5j * np.diag(rng.uniform(0.0, 2.0, 4))
+        ev = nonhermitian_evolution(h)
+        psi, rho = random_state(rng, 4), random_density(rng, 4)
+        xs = np.array([0.0, 0.3, 1.7])
+        for x, p, r in zip(xs, ev.states(xs, psi), ev.states(xs, rho)):
+            u = expm(-1j * h * x)
+            assert np.abs(ev(x) - u).max() <= 1e-12
+            assert np.abs(p - u @ psi).max() <= 1e-12
+            assert np.abs(r - u @ rho @ u.conj().T).max() <= 1e-12
+
+    def test_refuses_a_jordan_block(self):
+        # one eigenvector for a double eigenvalue: eig's V is singular
+        assert nonhermitian_evolution(np.array([[-1j, 1], [0, -1j]])) is None
 
 
 class TestStateChecks:
