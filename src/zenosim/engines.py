@@ -5,9 +5,10 @@ measurements (pinches), unitary kicks, and strong continuous coupling.  Each
 has an extracted-limit sequence that converges to the same block-diagonal
 propagator exp(-i H_Z t) built from the Zeno Hamiltonian, and an exact
 limit engine evolves with that propagator directly.  Kick powers are
-evaluated from one Schur decomposition, so their cost does not grow with N,
-and a sampled run rotates its state into the eigenbasis once, so each
-sample costs phases rather than a d×d propagator.
+evaluated from one eigendecomposition, the Cayley-transform ``eigh`` of
+``linalg.unitary_eig``, so their cost does not grow with N, and a sampled
+run rotates its state into the eigenbasis once, so each sample costs phases
+rather than a d×d propagator.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .linalg import (
     nonhermitian_evolution,
     propagator,
     require_hermitian,
+    require_unitary,
     unitary_powers,
 )
 from .spectral import ResolutionOfIdentity, pinch, zeno_hamiltonian
@@ -108,15 +110,14 @@ def _validate_step_args(t: float, n: int) -> tuple[float, int]:
 
 
 def _kick_step(h, u_kick, t: float, n: int, tol: Tolerances):
-    """Validate kicks; return (t, N, k -> U_kick^k, k -> [U_kick U(t/N)]^k)."""
+    """Validate kicks; return (t, N, U_kick, k -> [U_kick U(t/N)]^k)."""
     t, n = _validate_step_args(t, n)
     hm = require_hermitian(h, "H", tol)
-    uk = as_square_matrix(u_kick, "U_kick")
-    kick = unitary_powers(uk, "U_kick", tol)
+    uk = require_unitary(u_kick, "U_kick", tol)
     if uk.shape != hm.shape:
         raise DimensionMismatch("H and U_kick dimensions differ")
     step = unitary_powers(uk @ propagator(hm, t / n, tol), "U_kick U(t/N)", tol)
-    return t, n, kick, step
+    return t, n, uk, step
 
 
 def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
@@ -325,8 +326,8 @@ def extracted_kick_limit(h, u_kick, t: float, n: int,
     Converges to exp(-i H_Z t) at rate O(1/N), where H_Z is the pinching of
     H by the kick's spectral projectors.
     """
-    _, n, kick, step = _kick_step(h, u_kick, t, n, tol)
-    return kick(-n) @ step(n)
+    _, n, uk, step = _kick_step(h, u_kick, t, n, tol)
+    return unitary_powers(uk, "U_kick", tol)(-n) @ step(n)
 
 
 def extracted_continuous_limit(h, h_c, t: float, coupling: float,

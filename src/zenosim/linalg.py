@@ -1,7 +1,8 @@
 """Dense complex linear algebra kernels.
 
-Thin, validating wrappers around LAPACK via numpy, and via scipy (imported on
-first use) for the complex Schur and the Padé exponential only.  Matrices are
+Thin, validating wrappers around LAPACK via numpy.  A unitary is diagonalised
+through the Hermitian Cayley transform of itself; scipy (imported on first use)
+serves only the Padé exponential of a non-normal matrix.  Matrices are
 complex128; states are 1-D vectors or square density matrices.
 """
 
@@ -30,7 +31,7 @@ __all__ = [
     "opnorm",
     "hermiticity_defect",
     "require_hermitian",
-    "unitarity_defect",
+    "require_unitary",
     "eigh",
     "unitary_eig",
     "expm",
@@ -84,9 +85,14 @@ def require_hermitian(a, name: str = "matrix",
     return m
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """||U†U - I||, Frobenius."""
-    return frobenius(dagger(u) @ u - np.eye(u.shape[0]))
+def require_unitary(u, name: str = "unitary",
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    m = as_square_matrix(u, name)
+    defect = frobenius(dagger(m) @ m - np.eye(m.shape[0]))  # ||U†U - I||
+    if defect > tol.unitarity:
+        raise NotUnitary(f"{name} has unitarity defect {defect:.3e} "
+                         f"(tolerance {tol.unitarity:.1e})")
+    return m
 
 
 def eigh(h, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
@@ -108,18 +114,32 @@ def eigh(h, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarra
 
 def unitary_eig(u, name: str = "unitary",
                 tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases lam and eigenvectors z with u = z diag(e^{-i lam}) z†.
+    """Eigenphases lam in [-pi, pi] and eigenvectors z with u = z diag(e^{-i lam}) z†.
 
-    One complex Schur, whose triangular factor is diagonal for a normal matrix.
+    One eigh of the Hermitian Cayley transform A = i(B - B†), B = (I + r u)⁻¹,
+    whose eigenvectors are u's and eigenvalues a = tan((arg r - lam)/2).  As
+    ||(A + i)⁻¹|| <= 1, the backward error in u is at most 2 ||δA||, O(eps)
+    while ||B|| is O(1).  The rotation r is 1 unless I + u is singular or
+    ||B||_F² = sum (1 + a²)/4 puts the rms of a above cot(pi/2d); then r turns
+    the middle of the widest gap between u's eigenphases, at least 2 pi/d
+    wide, onto -1, which bounds every |a| by cot(pi/2d).
     """
-    m = as_square_matrix(u, name)
-    d = unitarity_defect(m)
-    if d > tol.unitarity:
-        raise NotUnitary(f"{name} has unitarity defect {d:.3e} "
-                         f"(tolerance {tol.unitarity:.1e})")
-    import scipy.linalg
-    t, z = scipy.linalg.schur(m, output="complex")
-    return -np.angle(np.diag(t)), z
+    m = require_unitary(u, name, tol)
+    d, rot = m.shape[0], 0.0  # rot = arg r
+    try:
+        b = np.linalg.inv(np.eye(d) + m)
+    except np.linalg.LinAlgError:  # u has eigenvalue -1
+        b = np.full_like(m, np.nan)
+    if not np.vdot(b, b).real <= d / (2.0 * np.sin(np.pi / (2 * d))) ** 2:  # NaN fails
+        phi = np.sort(np.angle(np.linalg.eigvals(m)))
+        gaps = np.diff(phi, append=phi[0] + 2.0 * np.pi)
+        rot = np.pi - phi[np.argmax(gaps)] - 0.5 * gaps.max()
+        b = np.linalg.inv(np.eye(d) + np.exp(1j * rot) * m)
+    a, z = np.linalg.eigh(1j * (b - dagger(b)))
+    lam = rot - 2.0 * np.arctan(a)
+    if rot:  # wrap; unrotated phases already lie in (-pi, pi)
+        lam = (lam + np.pi) % (2.0 * np.pi) - np.pi
+    return lam, z
 
 
 def expm(a, accuracy: float = DEFAULT_TOLERANCES.expm_accuracy) -> np.ndarray:
@@ -163,7 +183,7 @@ def hermitian_evolution(h, tol: Tolerances = DEFAULT_TOLERANCES):
 
 
 def unitary_powers(u, name: str = "unitary", tol: Tolerances = DEFAULT_TOLERANCES):
-    """Validate and Schur-decompose a unitary once; return k -> u^k.
+    """Validate and diagonalise a unitary once (``unitary_eig``); return k -> u^k.
 
     Each Z diag(e^{-i k lam}) Z† is unitary up to roundoff at a cost
     independent of the integer k, which may be negative.  The returned

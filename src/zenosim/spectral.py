@@ -225,40 +225,26 @@ def projections_of_unitary(u, cluster_tol: float | None = None,
     """Spectral projectors of a unitary, one per eigenphase cluster.
 
     The eigenphase of an eigenvalue e^{-i lambda} is lambda, wrapped to
-    (-pi, pi]; clustering is circular, so phases hugging the +/-pi seam are
-    grouped correctly.  Sectors are returned in ascending phase order.
+    (-pi, pi]; clustering is circular: when the gap across the -pi/pi seam
+    is not a clear split, the circle is cut at its widest gap instead, so
+    phases hugging the seam are grouped correctly.  Sectors are returned in
+    ascending phase order.
     """
     lam, z = unitary_eig(u, "projections_of_unitary input", tol)
     phases = np.array([_wrap_phase(x) for x in lam])
     order = np.argsort(phases, kind="stable")
     phases_sorted = phases[order]
     width = tol.cluster if cluster_tol is None else float(cluster_tol)
-
-    n = len(phases_sorted)
-    if n > 1:
-        wrap_gap = (phases_sorted[0] + 2.0 * np.pi) - phases_sorted[-1]
-        if 0.5 * width <= wrap_gap <= 2.0 * width:
+    gaps = np.diff(phases_sorted, append=phases_sorted[0] + 2.0 * np.pi)
+    if len(gaps) > 1 and gaps[-1] <= 2.0 * width:
+        if gaps.max() <= 2.0 * width:
             raise DegenerateClustering(
-                f"eigenphase gap {wrap_gap:.3e} across the -pi/pi seam lies "
-                f"inside the clustering ambiguity band")
-        if wrap_gap < width:
-            # seam-straddling cluster: rotate so it is contiguous, unwrap
-            k = _first_interior_split(phases_sorted, width)
-            rolled = np.concatenate([phases_sorted[k:] - 2.0 * np.pi, phases_sorted[:k]])
-            order = np.concatenate([order[k:], order[:k]])
-            phases_sorted = rolled
+                "eigenphases cover the circle with no gap wider than the tolerance")
+        # seam-straddling cluster: rotate so it is contiguous, unwrap
+        k = int(np.argmax(gaps)) + 1
+        phases_sorted = np.concatenate([phases_sorted[k:] - 2.0 * np.pi, phases_sorted[:k]])
+        order = np.roll(order, -k)
     return _cluster_projectors(phases_sorted, z[:, order], width, _wrap_phase)
-
-
-def _first_interior_split(phases_sorted: np.ndarray, width: float) -> int:
-    """Index of the first gap wide enough to cut a circular sequence at."""
-    gaps = np.diff(phases_sorted)
-    for i, g in enumerate(gaps):
-        if g > 2.0 * width:
-            return i + 1
-    # every value is within one cluster wrapping the whole circle
-    raise DegenerateClustering(
-        "eigenphases cover the circle with no gap wider than the tolerance")
 
 
 def pinch(x, res: ResolutionOfIdentity) -> np.ndarray:

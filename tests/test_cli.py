@@ -234,19 +234,22 @@ def _loads_scipy(code: str) -> bool:
 
 
 class TestImportHygiene:
-    """scipy stays off the start-up path; only the complex Schur of a kicked
-    run (and the expm fallback near an exceptional point) imports it."""
+    """scipy stays off every shipped path; only the expm fallback near an
+    exceptional point imports it."""
 
     @pytest.mark.parametrize("module", ["zenosim", "zenosim.cli"])
     def test_import_leaves_scipy_out(self, module):
         assert not _loads_scipy(f"import {module}")
 
-    @pytest.mark.parametrize("scenario, loads", [
-        ("decay_protection.json", False),
-        ("projective_series.json", False),
-        ("kicked_convergence.json", True),  # Schur of the kick cycle needs scipy
-    ])
-    def test_run_loads_scipy_only_for_schur(self, tmp_path, scenario, loads):
+    @pytest.mark.parametrize("scenario", sorted(p.name for p in SCENARIOS.glob("*.json")))
+    def test_run_leaves_scipy_out(self, tmp_path, scenario):
         argv = ["run", str(SCENARIOS / scenario), "--output-dir", str(tmp_path), "--quiet"]
         code = f"from zenosim.cli import main\nassert main({argv!r}) == 0"
-        assert _loads_scipy(code) is loads
+        assert not _loads_scipy(code)
+
+    def test_kicked_resolution_and_convergence_leave_scipy_out(self):
+        assert not _loads_scipy(
+            "from zenosim import four_level_kicked, convergence_curve\n"
+            "b = four_level_kicked()\n"
+            "b.resolution()\n"
+            "convergence_curve(b, 1.0, [16, 32, 64])")

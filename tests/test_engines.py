@@ -169,9 +169,17 @@ class TestKicked:
             rec.final_state - kicked_propagator(CHAIN, uk, 1.0, 6) @ psi0) <= 1e-13
 
     def test_rejects_nonunitary_kick(self):
-        with pytest.raises(NotUnitary):
+        with pytest.raises(NotUnitary, match="U_kick has unitarity defect"):
             evolve_kicked(basis_state(3, 0), CHAIN, np.diag([1.0, 1.0, 2.0]),
                           t=1.0, n=2)
+
+    @pytest.mark.parametrize("engine", [kicked_propagator, extracted_kick_limit])
+    def test_kick_checks_keep_their_order(self, engine):
+        # unitarity is checked before the dimensions agree
+        with pytest.raises(NotUnitary, match="U_kick has unitarity defect"):
+            engine(CHAIN, np.diag([1.0, 2.0]), 1.0, 2)
+        with pytest.raises(DimensionMismatch, match="H and U_kick dimensions differ"):
+            engine(CHAIN, np.eye(2), 1.0, 2)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -208,14 +216,19 @@ def _to_numpy(m) -> np.ndarray:
     return np.array(m.tolist(), dtype=complex)
 
 
-@pytest.mark.parametrize("n", [1, 4096, 10**9])
-def test_kick_engine_matches_40_digit_oracle(n):
+@pytest.mark.parametrize("lambda1, n", [
+    *[pytest.param(0.0, n, id=f"{n}") for n in (1, 4096, 10**9)],
+    *[pytest.param(np.pi, n, id=f"pi-{n}") for n in (1, 4096, 10**9)],
+])
+def test_kick_engine_matches_40_digit_oracle(lambda1, n):
     """Kick powers against a 40-digit power of the lifted step.
 
     Tolerance 64 d eps (1 + k) after k steps; N = 10**9 also shows that the
-    cost no longer grows with N.
+    cost no longer grows with N.  lambda1 = pi puts a rank-2 kick eigenvalue
+    on -1 (to rounding), where I + U_kick is singular and ``unitary_eig``
+    must rotate.
     """
-    bundle = four_level_kicked(1.0, 1.0, 0.0, 1.0)
+    bundle = four_level_kicked(1.0, 1.0, lambda1, 1.0)
     t, dim = 1.0, 4
     psi0 = straddle_state(dim)
     uk = _mp_lift(bundle.U_kick)

@@ -10,6 +10,7 @@ from zenosim.errors import (
     InvalidParameter,
     InvalidState,
     NotHermitian,
+    NotUnitary,
 )
 from zenosim.linalg import (
     check_density_matrix,
@@ -20,6 +21,8 @@ from zenosim.linalg import (
     nonhermitian_evolution,
     opnorm,
     propagator,
+    require_unitary,
+    unitary_eig,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -145,6 +148,69 @@ class TestOpnorm:
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         assert opnorm(a) <= frobenius(a) + 1e-12
         assert frobenius(a) <= np.sqrt(3) * opnorm(a) + 1e-12
+
+
+def _circular_sorted(phases, ref):
+    """phases sorted around the circle, cut in the middle of ref's widest gap."""
+    r = np.sort(ref)
+    gaps = np.diff(r, append=r[0] + 2 * np.pi)
+    return np.sort((phases - r[np.argmax(gaps)] - gaps.max() / 2) % (2 * np.pi))
+
+
+def _shift(d):
+    """Cyclic shift: exact entries, eigenvalues the d-th roots of unity (-1 for even d)."""
+    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
+
+
+class TestUnitaryEig:
+    """Adversarial spectra for the Cayley route: -1 exactly, exact degeneracy,
+    clusters split down to 1e-12, evenly spaced phases (the narrowest widest gap)."""
+
+    @staticmethod
+    def check(u):
+        d = u.shape[0]
+        tol = 16 * d * np.finfo(float).eps
+        lam, z = unitary_eig(u)
+        assert np.abs((z * np.exp(-1j * lam)) @ z.conj().T - u).max() <= tol
+        assert np.abs(z.conj().T @ z - np.eye(d)).max() <= tol
+        assert np.all((-np.pi <= lam) & (lam <= np.pi))
+        ref = np.angle(np.linalg.eigvals(u))
+        assert np.abs(_circular_sorted(-lam, ref) - _circular_sorted(ref, ref)).max() <= tol
+
+    @pytest.mark.parametrize("u", [
+        np.eye(1, dtype=complex), -np.eye(1, dtype=complex), np.array([[1j]]),
+        -np.eye(3, dtype=complex), np.diag([-1, -1, 1j, 1]).astype(complex),
+        np.diag([1, 1, -1, -1, 1j, -1j]).astype(complex),
+        *[_shift(d) for d in range(1, 7)], *[-_shift(d) for d in range(1, 7)],
+    ])
+    def test_exact_inputs(self, u):
+        self.check(u)
+
+    @given(st.integers(1, 6),
+           st.sampled_from(["random", "minus-one", "degenerate", "split", "even"]),
+           st.sampled_from([0.0, 1e-6, 1e-9, 1e-12]), st.booleans(),
+           st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_adversarial_spectra(self, d, kind, split, rotate, seed):
+        rng = np.random.default_rng(seed)
+        ph = {"random": rng.uniform(-np.pi, np.pi, d),
+              "minus-one": np.where(rng.random(d) < 0.5, np.pi, rng.uniform(-np.pi, np.pi, d)),
+              "degenerate": np.full(d, rng.uniform(-np.pi, np.pi)),
+              "split": np.pi + split * rng.choice([-1.0, 0.0, 1.0], d),
+              "even": 2 * np.pi * np.arange(d) / d + rng.choice([0.0, np.pi / d])}[kind]
+        ph = ph + split * np.arange(d) * (kind != "split")
+        u = np.diag(np.where(ph == np.pi, -1.0, np.exp(-1j * ph)))
+        if rotate:
+            q = random_unitary(rng, d)
+            u = q @ u @ q.conj().T
+        self.check(u)
+
+    def test_rejects_non_unitary(self):
+        with pytest.raises(NotUnitary, match="kick has unitarity defect"):
+            unitary_eig(np.diag([1.0, 2.0]), "kick")
+        with pytest.raises(NotUnitary):
+            require_unitary(np.diag([1.0, 1.0 + 1e-6]))
+        assert np.array_equal(require_unitary(_shift(3)), _shift(3))
 
 
 class TestPropagator:
