@@ -70,6 +70,5 @@ from .spectral import (
     validate,
     zeno_hamiltonian,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __version__ = "0.1.0"

@@ -32,7 +32,11 @@ from .linalg import (
 )
 from .models import ModelBundle, decay_model
 from .spectral import ResolutionOfIdentity
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+# imaginary residue, relative to max(1, |value|), allowed on a real observable
+IMAG_RESIDUE = 1e-12
+# convergence distances at or below this are reported as exact (no rate fit)
+EXACT_DISTANCE = 1e-10
 
 __all__ = [
     "ConvergenceCurve",
@@ -159,13 +163,13 @@ def _coherences(x: np.ndarray, res: ResolutionOfIdentity, n: int, m: int) -> np.
     return np.sqrt(np.einsum("si,si->s", r, r))
 
 
-def _real_parts(values: np.ndarray, names: list[str], tol: Tolerances) -> np.ndarray:
+def _real_parts(values: np.ndarray, names: list[str]) -> np.ndarray:
     """Real part of (S, k) values whose column j is called names[j].
 
     The first value, in sample then column order, whose imaginary part
-    exceeds tol.imag_residue·max(1, |value|) raises InvalidState.
+    exceeds IMAG_RESIDUE·max(1, |value|) raises InvalidState.
     """
-    bad = np.abs(values.imag) > tol.imag_residue * np.maximum(1.0, np.abs(values))
+    bad = np.abs(values.imag) > IMAG_RESIDUE * np.maximum(1.0, np.abs(values))
     if bad.any():
         s, j = divmod(int(np.argmax(bad)), values.shape[1])
         raise InvalidState(f"{names[j]} has imaginary residue {values[s, j].imag:.3e}")
@@ -176,17 +180,16 @@ def _sector_names(res: ResolutionOfIdentity) -> list[str]:
     return [f"p_{i + 1}" for i in range(res.nsectors)]
 
 
-def subspace_probabilities(rho, res: ResolutionOfIdentity,
-                           tol: Tolerances = DEFAULT_TOLERANCES) -> list[float]:
+def subspace_probabilities(rho, res: ResolutionOfIdentity) -> list[float]:
     """Sector populations p_n = trace(rho P_n); they sum to trace(rho)."""
     x = _checked(np.asarray(rho, dtype=complex)[None], res.dim)
-    return _real_parts(_probabilities(x, res), _sector_names(res), tol)[0].tolist()
+    return _real_parts(_probabilities(x, res), _sector_names(res))[0].tolist()
 
 
-def purity(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def purity(rho) -> float:
     """trace(rho^2): 1 for pure states, 1/d for the maximally mixed state."""
-    x = check_density_matrix(rho, tol=tol)[None]
-    return float(_real_parts(_purities(x)[:, None], ["purity"], tol)[0, 0])
+    x = check_density_matrix(rho)[None]
+    return float(_real_parts(_purities(x)[:, None], ["purity"])[0, 0])
 
 
 def coherence_block_norm(rho, res: ResolutionOfIdentity, n: int, m: int) -> float:
@@ -200,8 +203,7 @@ def coherence_block_norm(rho, res: ResolutionOfIdentity, n: int, m: int) -> floa
     return float(_coherences(x, res, n, m)[0])
 
 
-def observables(record, res: ResolutionOfIdentity,
-                tol: Tolerances = DEFAULT_TOLERANCES) -> ObservableSeries:
+def observables(record, res: ResolutionOfIdentity) -> ObservableSeries:
     """Evaluate probabilities, purity, coherences, and leakage on a record.
 
     State-vector samples are promoted to projectors; a subnormalized vector
@@ -224,7 +226,7 @@ def observables(record, res: ResolutionOfIdentity,
     x = _checked(_densities(x), res.dim)
     k = res.nsectors
     values = _real_parts(np.column_stack([_probabilities(x, res), _purities(x)]),
-                         _sector_names(res) + ["purity"], tol)
+                         _sector_names(res) + ["purity"])
     probs = values[:, :k]
     return ObservableSeries(
         times=times,
@@ -254,8 +256,8 @@ def _sweep_values(parameter_values) -> np.ndarray:
     return values
 
 
-def _curve(name: str, values: np.ndarray, count: str | None, distance,
-           tol: Tolerances) -> ConvergenceCurve:
+def _curve(name: str, values: np.ndarray, count: str | None,
+           distance) -> ConvergenceCurve:
     """distance(v) over validated sweep values, and the fitted rate.
 
     ``count`` names an integer parameter such as "kick count"; None a real one.
@@ -266,14 +268,14 @@ def _curve(name: str, values: np.ndarray, count: str | None, distance,
             raise InvalidParameter(f"{count} must be an integer, got {v!r}")
         dists.append(distance(float(v) if count is None else int(v)))
     dists = np.asarray(dists)
-    exact = bool(np.all(dists <= tol.exact_distance))
+    exact = bool(np.all(dists <= EXACT_DISTANCE))
     rate = float("nan") if exact else _fit_rate(values, dists)
     return ConvergenceCurve(parameter_name=name, parameter_values=values,
                             distances=dists, fitted_rate=rate, exact=exact)
 
 
-def convergence_curve(bundle: ModelBundle, t: float, parameter_values,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> ConvergenceCurve:
+def convergence_curve(bundle: ModelBundle, t: float,
+                      parameter_values) -> ConvergenceCurve:
     """Operator-norm distance of the extracted limit to exp(-i H_Z t).
 
     Works on kicked bundles (parameter N, integer kick counts) and
@@ -285,34 +287,32 @@ def convergence_curve(bundle: ModelBundle, t: float, parameter_values,
             f"convergence_curve needs a kicked or continuous bundle, "
             f"got {bundle.mechanism!r}")
     values = _sweep_values(parameter_values)
-    u_z = propagator(bundle.zeno_hamiltonian(tol), t, tol)
+    u_z = propagator(bundle.zeno_hamiltonian(), t)
     if bundle.mechanism == "kicked":
         return _curve("N", values, "kick count", lambda n: opnorm(
-            extracted_kick_limit(bundle.H, bundle.U_kick, t, n, tol) - u_z), tol)
+            extracted_kick_limit(bundle.H, bundle.U_kick, t, n) - u_z))
     return _curve("K", values, None, lambda k: opnorm(
-        extracted_continuous_limit(bundle.H, bundle.H_c, t, k, tol) - u_z), tol)
+        extracted_continuous_limit(bundle.H, bundle.H_c, t, k) - u_z))
 
 
-def projective_convergence_curve(bundle: ModelBundle, rho0, t: float, n_values,
-                                 tol: Tolerances = DEFAULT_TOLERANCES) -> ConvergenceCurve:
+def projective_convergence_curve(bundle: ModelBundle, rho0, t: float,
+                                 n_values) -> ConvergenceCurve:
     """Frobenius distance of the finite-N measured state to the Zeno limit."""
     if bundle.mechanism != "projective":
         raise InvalidParameter(
             f"projective_convergence_curve needs a projective bundle, "
             f"got {bundle.mechanism!r}")
     values = _sweep_values(n_values)
-    rho0 = check_density_matrix(rho0, bundle.dim, tol)
-    limit = evolve_zeno_limit(rho0, bundle.H, bundle.res, t, samples=2,
-                              tol=tol).final_state
+    rho0 = check_density_matrix(rho0, bundle.dim)
+    limit = evolve_zeno_limit(rho0, bundle.H, bundle.res, t, samples=2).final_state
     return _curve("N", values, "measurement count", lambda n: frobenius(
-        evolve_projective(rho0, bundle.H, bundle.res, t, n, samples=2,
-                          tol=tol).final_state - limit), tol)
+        evolve_projective(rho0, bundle.H, bundle.res, t, n,
+                          samples=2).final_state - limit))
 
 
 def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,
                            omega_b: float, k_values, t: float,
-                           threshold: float = 0.9,
-                           tol: Tolerances = DEFAULT_TOLERANCES) -> DecayProtectionResult:
+                           threshold: float = 0.9) -> DecayProtectionResult:
     """Survival |<b|psi(t)>|^2 of the decaying level over a coupling sweep.
 
     The initial state is |b>.  Reports the sweep plus the smallest K whose
@@ -330,8 +330,8 @@ def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,
     psi0 = np.zeros(4, dtype=complex)
     psi0[1] = 1.0
     survivals = np.array([
-        abs(evolve_continuous(psi0, bundle.H, bundle.H_c, float(k), t, samples=2,
-                              tol=tol).final_state[1]) ** 2 for k in ks])
+        abs(evolve_continuous(psi0, bundle.H, bundle.H_c, float(k), t,
+                              samples=2).final_state[1]) ** 2 for k in ks])
     hit = np.nonzero(survivals >= threshold)[0]
     protective = float(ks[hit[0]]) if len(hit) else None
     return DecayProtectionResult(couplings=ks, survivals=survivals,

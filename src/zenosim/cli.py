@@ -190,18 +190,23 @@ def run_scenario(config: ScenarioConfig, output_dir: str | Path = ".",
     return written
 
 
+def _load_config(args) -> ScenarioConfig:
+    """Read the config file as UTF-8, apply --set overrides, validate."""
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaViolation([("$", f"not UTF-8 text: {exc}")]) from None
+    return validate_document(apply_overrides(load_document(text), args.set or []))
+
+
 def _cmd_run(args) -> int:
-    text = Path(args.config).read_text()
-    doc = apply_overrides(load_document(text), args.set or [])
-    config = validate_document(doc)
+    config = _load_config(args)
     run_scenario(config, output_dir=args.output_dir, quiet=args.quiet)
     return 0
 
 
 def _cmd_validate(args) -> int:
-    text = Path(args.config).read_text()
-    doc = apply_overrides(load_document(text), args.set or [])
-    config = validate_document(doc)
+    config = _load_config(args)
     if not args.quiet:
         print(f"OK: {config.name} ({config.mechanism} on {config.model_name})")
     return 0

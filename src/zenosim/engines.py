@@ -24,6 +24,7 @@ from .errors import (
     NonHermitianDensityEvolution,
 )
 from .linalg import (
+    HERMITICITY_TOL,
     as_square_matrix,
     check_density_matrix,
     check_state_vector,
@@ -38,7 +39,6 @@ from .linalg import (
     unitary_powers,
 )
 from .spectral import ResolutionOfIdentity, pinch, zeno_hamiltonian
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
     "EvolutionRecord",
@@ -58,6 +58,10 @@ __all__ = [
 
 # trace drift in long pinch sequences is checked this often at most
 _RENORM_INTERVAL = 10_000
+# trace drift that triggers renormalization in long step sequences
+TRACE_DRIFT = 1e-12
+# norm growth above 1 at which a non-Hermitian run is refused as amplifying
+NORM_GROWTH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -93,36 +97,43 @@ class EvolutionRecord:
         return len(self.states)
 
 
-def _checkpoints(n_steps: int, samples: int) -> np.ndarray:
-    """Step indices to record: ~samples points, always including 0 and N."""
+def _check_samples(samples: int) -> None:
     if samples < 2:
         raise InvalidParameter(f"samples must be >= 2, got {samples}")
+
+
+def _check_positive_t(t: float) -> None:
+    if not (t > 0):
+        raise InvalidParameter(f"t must be positive, got {t!r}")
+
+
+def _checkpoints(n_steps: int, samples: int) -> np.ndarray:
+    """Step indices to record: ~samples points, always including 0 and N."""
+    _check_samples(samples)
     return np.unique(np.round(
         np.linspace(0, n_steps, min(samples, n_steps + 1))).astype(int))
 
 
 def _validate_step_args(t: float, n: int) -> tuple[float, int]:
-    if not (t > 0):
-        raise InvalidParameter(f"t must be positive, got {t!r}")
+    _check_positive_t(t)
     if int(n) != n or n < 1:
         raise InvalidParameter(f"N must be a positive integer, got {n!r}")
     return float(t), int(n)
 
 
-def _kick_step(h, u_kick, t: float, n: int, tol: Tolerances):
+def _kick_step(h, u_kick, t: float, n: int):
     """Validate kicks; return (t, N, U_kick, k -> [U_kick U(t/N)]^k)."""
     t, n = _validate_step_args(t, n)
-    hm = require_hermitian(h, "H", tol)
-    uk = require_unitary(u_kick, "U_kick", tol)
+    hm = require_hermitian(h, "H")
+    uk = require_unitary(u_kick, "U_kick")
     if uk.shape != hm.shape:
         raise DimensionMismatch("H and U_kick dimensions differ")
-    step = unitary_powers(uk @ propagator(hm, t / n, tol), "U_kick U(t/N)", tol)
+    step = unitary_powers(uk @ propagator(hm, t / n), "U_kick U(t/N)")
     return t, n, uk, step
 
 
 def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
-                      samples: int = 50,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> EvolutionRecord:
+                      samples: int = 50) -> EvolutionRecord:
     """Evolve under N equally spaced nonselective measurements in time t.
 
     A preparatory pinch is applied first, then N rounds of free evolution
@@ -133,11 +144,11 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
     purity never increases along the sequence.
     """
     t, n = _validate_step_args(t, n)
-    hm = require_hermitian(h, "H", tol)
-    rho = check_density_matrix(rho0, res.dim, tol)
+    hm = require_hermitian(h, "H")
+    rho = check_density_matrix(rho0, res.dim)
     if hm.shape[0] != res.dim:
         raise DimensionMismatch("H and resolution dimensions differ")
-    u = propagator(hm, t / n, tol)
+    u = propagator(hm, t / n)
     ud = dagger(u)
 
     keep = _checkpoints(n, samples)
@@ -150,7 +161,7 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
         rho = pinch(u @ rho @ ud, res)
         if k % _RENORM_INTERVAL == 0:
             tr = float(np.trace(rho).real)
-            if abs(tr - 1.0) > tol.trace_drift:
+            if abs(tr - 1.0) > TRACE_DRIFT:
                 corrections.append((k, abs(tr - 1.0)))
                 rho = rho / tr
         if k in keep_set:
@@ -164,19 +175,19 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
     )
 
 
-def evolve_kicked(state0, h, u_kick, t: float, n: int, samples: int = 50,
-                  tol: Tolerances = DEFAULT_TOLERANCES) -> EvolutionRecord:
+def evolve_kicked(state0, h, u_kick, t: float, n: int,
+                  samples: int = 50) -> EvolutionRecord:
     """Evolve by N kick cycles: state after k steps is [U_kick U(t/N)]^k.
 
     Accepts a state vector or a density matrix.  The dynamics is unitary,
     so norm, trace and purity are conserved up to roundoff.
     """
-    t, n, _, step = _kick_step(h, u_kick, t, n, tol)
+    t, n, _, step = _kick_step(h, u_kick, t, n)
     dim = np.asarray(u_kick).shape[0]
     if np.asarray(state0).ndim == 2:
-        state = check_density_matrix(state0, dim, tol)
+        state = check_density_matrix(state0, dim)
     else:
-        state = check_state_vector(state0, dim, tol=tol)
+        state = check_state_vector(state0, dim)
     keep = _checkpoints(n, samples)
     return EvolutionRecord(
         mechanism="kicked",
@@ -187,8 +198,7 @@ def evolve_kicked(state0, h, u_kick, t: float, n: int, samples: int = 50,
 
 
 def evolve_continuous(state0, h, h_c, coupling: float, t: float,
-                      samples: int = 50,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> EvolutionRecord:
+                      samples: int = 50) -> EvolutionRecord:
     """Evolve under H + K*H_c, sampled on a uniform time grid up to t.
 
     Hermitian generators take the spectral route (one eigh, exactly unitary
@@ -196,40 +206,39 @@ def evolve_continuous(state0, h, h_c, coupling: float, t: float,
     is accepted for state vectors only; its norm must not grow.  It costs one
     guarded eig, or one ``expm`` per sample near an exceptional point.
     """
-    if not (t > 0):
-        raise InvalidParameter(f"t must be positive, got {t!r}")
+    _check_positive_t(t)
     if not (coupling >= 0) or not np.isfinite(coupling):
         raise InvalidParameter(f"K must be a finite real >= 0, got {coupling!r}")
-    if samples < 2:
-        raise InvalidParameter(f"samples must be >= 2, got {samples}")
+    _check_samples(samples)
     hm = as_square_matrix(h, "H")
-    hcm = require_hermitian(h_c, "H_c", tol)
+    hcm = require_hermitian(h_c, "H_c")
     if hm.shape != hcm.shape:
         raise DimensionMismatch("H and H_c dimensions differ")
     h_k = hm + coupling * hcm
     dim = hm.shape[0]
     times = np.linspace(0.0, t, samples)
-    hermitian = hermiticity_defect(h_k) <= tol.hermiticity
+    hermitian = hermiticity_defect(h_k) <= HERMITICITY_TOL
 
     if np.asarray(state0).ndim == 2:
         if not hermitian:
             raise NonHermitianDensityEvolution(
                 "density-matrix input requires a Hermitian generator; "
                 "propagate a state vector instead")
-        state = check_density_matrix(state0, dim, tol)
+        state = check_density_matrix(state0, dim)
     else:
-        state = check_state_vector(state0, dim, subnormalized=not hermitian, tol=tol)
+        state = check_state_vector(state0, dim, subnormalized=not hermitian)
     if hermitian:
-        states = hermitian_evolution(h_k, tol).states(times, state)
+        states = hermitian_evolution(h_k).states(times, state)
     elif (spectral := nonhermitian_evolution(h_k)) is not None:
         states = spectral.states(times, state)
     else:  # near an exceptional point: one Padé expm per sample after tau = 0
-        states = np.array([state] + [expm(-1j * h_k * tau, tol.expm_accuracy) @ state
+        states = np.array([state] + [expm(-1j * h_k * tau) @ state
                                      for tau in times[1:]])
-    if not hermitian and (nrm := np.linalg.norm(states, axis=1)).max() > 1.0 + 1e-8:
+    limit = 1.0 + NORM_GROWTH_TOL
+    if not hermitian and (nrm := np.linalg.norm(states, axis=1)).max() > limit:
         raise InvalidState(
             f"non-Hermitian generator amplified the state to norm "
-            f"{nrm[nrm > 1.0 + 1e-8][0]:.6f}; only decaying models are supported")
+            f"{nrm[nrm > limit][0]:.6f}; only decaying models are supported")
     return EvolutionRecord(
         mechanism="continuous",
         times_or_steps=times,
@@ -238,20 +247,18 @@ def evolve_continuous(state0, h, h_c, coupling: float, t: float,
     )
 
 
-def zeno_propagators(h, res: ResolutionOfIdentity, t: float,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> list[np.ndarray]:
+def zeno_propagators(h, res: ResolutionOfIdentity, t: float) -> list[np.ndarray]:
     """Sector propagators V_n(t) = P_n exp(-i H_Z t) = P_n exp(-i P_n H P_n t).
 
     H_Z commutes with every P_n, so each V_n is unitary within its sector
     and vanishes outside it; sum_n V_n† V_n = I.
     """
-    u_z = propagator(zeno_hamiltonian(h, res, tol), t, tol)
+    u_z = propagator(zeno_hamiltonian(h, res), t)
     return [p @ u_z for p in res.projectors]
 
 
 def evolve_zeno_limit(rho0, h, res: ResolutionOfIdentity, t: float,
-                      samples: int = 50,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> EvolutionRecord:
+                      samples: int = 50) -> EvolutionRecord:
     """Exact Zeno-limit dynamics rho(tau) = U_Z(tau) pinch(rho0) U_Z(tau)†.
 
     U_Z(tau) = exp(-i H_Z tau) is block diagonal, so this equals
@@ -261,10 +268,9 @@ def evolve_zeno_limit(rho0, h, res: ResolutionOfIdentity, t: float,
     """
     if t < 0:
         raise InvalidParameter(f"t must be >= 0, got {t!r}")
-    if samples < 2:
-        raise InvalidParameter(f"samples must be >= 2, got {samples}")
-    rho = check_density_matrix(rho0, res.dim, tol)
-    u_z = hermitian_evolution(zeno_hamiltonian(h, res, tol), tol)
+    _check_samples(samples)
+    rho = check_density_matrix(rho0, res.dim)
+    u_z = hermitian_evolution(zeno_hamiltonian(h, res))
     times = np.array([0.0]) if t == 0 else np.linspace(0.0, t, samples)
     return EvolutionRecord(
         mechanism="zeno-limit",
@@ -275,77 +281,68 @@ def evolve_zeno_limit(rho0, h, res: ResolutionOfIdentity, t: float,
 
 
 def asymptotic_kicked_propagator(h, res: ResolutionOfIdentity, t: float,
-                                 n: int,
-                                 tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+                                 n: int) -> np.ndarray:
     """Large-N form of the kicked propagator, sum_n e^{-i N λ_n} V_n(t).
 
     ``res`` must carry the kick eigenphases as labels.  Sector populations
     follow the Zeno dynamics; cross-sector phases advance by N λ_n.
     """
     t, n = _validate_step_args(t, n)
-    vs = zeno_propagators(h, res, t, tol)
+    vs = zeno_propagators(h, res, t)
     return sum(np.exp(-1j * n * lam) * v for lam, v in zip(res.labels, vs))
 
 
 def asymptotic_continuous_propagator(h, res: ResolutionOfIdentity, t: float,
-                                     coupling: float,
-                                     tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+                                     coupling: float) -> np.ndarray:
     """Large-K form of the coupled propagator, sum_n e^{-i K η_n t} V_n(t).
 
     ``res`` must carry the coupling eigenvalues as labels; K t plays the
     role the kick count N plays in the kicked mechanism.
     """
-    if not (t > 0):
-        raise InvalidParameter(f"t must be positive, got {t!r}")
-    vs = zeno_propagators(h, res, t, tol)
+    _check_positive_t(t)
+    vs = zeno_propagators(h, res, t)
     return sum(np.exp(-1j * coupling * eta * t) * v
                for eta, v in zip(res.labels, vs))
 
 
-def kicked_propagator(h, u_kick, t: float, n: int,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def kicked_propagator(h, u_kick, t: float, n: int) -> np.ndarray:
     """Lab-frame propagator after N kick cycles, U_N(t) = [U_kick U(t/N)]^N."""
-    _, n, _, step = _kick_step(h, u_kick, t, n, tol)
+    _, n, _, step = _kick_step(h, u_kick, t, n)
     return step(n)
 
 
-def continuous_propagator(h, h_c, coupling: float, t: float,
-                          tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def continuous_propagator(h, h_c, coupling: float, t: float) -> np.ndarray:
     """Lab-frame propagator U_K(t) = exp(-i (H + K H_c) t), Hermitian case."""
-    hm = require_hermitian(h, "H", tol)
-    hcm = require_hermitian(h_c, "H_c", tol)
+    hm = require_hermitian(h, "H")
+    hcm = require_hermitian(h_c, "H_c")
     if hm.shape != hcm.shape:
         raise DimensionMismatch("H and H_c dimensions differ")
-    return propagator(hm + coupling * hcm, t, tol)
+    return propagator(hm + coupling * hcm, t)
 
 
-def extracted_kick_limit(h, u_kick, t: float, n: int,
-                         tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def extracted_kick_limit(h, u_kick, t: float, n: int) -> np.ndarray:
     """Kick-frame propagator V_N(t) = U_kick^{-N} [U_kick U(t/N)]^N.
 
     Converges to exp(-i H_Z t) at rate O(1/N), where H_Z is the pinching of
     H by the kick's spectral projectors.
     """
-    _, n, uk, step = _kick_step(h, u_kick, t, n, tol)
-    return unitary_powers(uk, "U_kick", tol)(-n) @ step(n)
+    _, n, uk, step = _kick_step(h, u_kick, t, n)
+    return unitary_powers(uk, "U_kick")(-n) @ step(n)
 
 
-def extracted_continuous_limit(h, h_c, t: float, coupling: float,
-                               tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def extracted_continuous_limit(h, h_c, t: float, coupling: float) -> np.ndarray:
     """Coupling-frame propagator exp(i K H_c t) exp(-i (H + K H_c) t).
 
     Converges to exp(-i H_Z t) at rate O(1/K), where H_Z is the pinching of
     H by the eigenprojections of H_c.
     """
-    if not (t > 0):
-        raise InvalidParameter(f"t must be positive, got {t!r}")
-    u_k = continuous_propagator(h, h_c, coupling, t, tol)
-    return propagator(h_c, -coupling * t, tol) @ u_k
+    _check_positive_t(t)
+    u_k = continuous_propagator(h, h_c, coupling, t)
+    return propagator(h_c, -coupling * t) @ u_k
 
 
 def projective_survival(state0, h, res: ResolutionOfIdentity, sector: int,
-                        t: float, n: int,
-                        tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+                        t: float, n: int) -> float:
     """Probability of being found in one sector at every one of N measurements.
 
     This is the survival probability of the Zeno setup proper: the product
@@ -356,14 +353,14 @@ def projective_survival(state0, h, res: ResolutionOfIdentity, sector: int,
     classic cos^{2N}(Omega t / N).
     """
     t, n = _validate_step_args(t, n)
-    hm = require_hermitian(h, "H", tol)
+    hm = require_hermitian(h, "H")
     if hm.shape[0] != res.dim:
         raise DimensionMismatch("H and resolution dimensions differ")
     p = res.projector(sector)
-    factor = p @ propagator(hm, t / n, tol)
+    factor = p @ propagator(hm, t / n)
     v = np.linalg.matrix_power(factor, n)
     if np.asarray(state0).ndim == 2:
-        rho = check_density_matrix(state0, res.dim, tol)
+        rho = check_density_matrix(state0, res.dim)
         return float(np.trace(v @ rho @ dagger(v)).real)
-    psi = check_state_vector(state0, res.dim, tol=tol)
+    psi = check_state_vector(state0, res.dim)
     return float(np.linalg.norm(v @ psi) ** 2)

@@ -18,8 +18,17 @@ from .errors import (
     NotHermitian,
     NotUnitary,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
+# relative asymmetry ||A - A†|| / max(1, ||A||) of a required Hermitian input
+HERMITICITY_TOL = 1e-10
+# allowed ||U†U - I|| for a unitary input
+UNITARITY_TOL = 1e-10
+# trace unit: |tr rho - 1| and a state vector's |‖psi‖² - 1| may reach 10x this
+TRACE_TOL = 1e-10
+# magnitude of negative eigenvalues tolerated in a density matrix
+POSITIVITY_TOL = 1e-10
+# relative (anti-)Hermitian residue below which expm takes the spectral route
+EXPM_ACCURACY = 1e-12
 # largest cond(V) nonhermitian_evolution accepts, so its roundoff, about cond(V) eps,
 # stays below 1000 eps; the decay model passes it only within 2e-5 of its EP in K
 EIG_COND_LIMIT = 1e3
@@ -75,35 +84,33 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return frobenius(a - dagger(a)) / max(1.0, frobenius(a))
 
 
-def require_hermitian(a, name: str = "matrix",
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     m = as_square_matrix(a, name)
     defect = hermiticity_defect(m)
-    if defect > tol.hermiticity:
+    if defect > HERMITICITY_TOL:
         raise NotHermitian(f"{name} has relative asymmetry {defect:.3e} "
-                           f"(tolerance {tol.hermiticity:.1e})")
+                           f"(tolerance {HERMITICITY_TOL:.1e})")
     return m
 
 
-def require_unitary(u, name: str = "unitary",
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def require_unitary(u, name: str = "unitary") -> np.ndarray:
     m = as_square_matrix(u, name)
     defect = frobenius(dagger(m) @ m - np.eye(m.shape[0]))  # ||U†U - I||
-    if defect > tol.unitarity:
+    if defect > UNITARITY_TOL:
         raise NotUnitary(f"{name} has unitarity defect {defect:.3e} "
-                         f"(tolerance {tol.unitarity:.1e})")
+                         f"(tolerance {UNITARITY_TOL:.1e})")
     return m
 
 
-def eigh(h, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
+def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, v) with eigenvalues w ascending and orthonormal eigenvector
-    columns v, so h == v @ diag(w) @ v†.  The input is validated against the
-    hermiticity tolerance first and symmetrized before the LAPACK call so the
+    columns v, so h == v @ diag(w) @ v†.  The input is validated against
+    HERMITICITY_TOL first and symmetrized before the LAPACK call so the
     result is exactly consistent with a Hermitian operator.
     """
-    m = require_hermitian(h, "eigh input", tol)
+    m = require_hermitian(h, "eigh input")
     m = 0.5 * (m + dagger(m))
     try:
         w, v = np.linalg.eigh(m)
@@ -112,8 +119,7 @@ def eigh(h, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarra
     return w, v
 
 
-def unitary_eig(u, name: str = "unitary",
-                tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
+def unitary_eig(u, name: str = "unitary") -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases lam in [-pi, pi] and eigenvectors z with u = z diag(e^{-i lam}) z†.
 
     One eigh of the Hermitian Cayley transform A = i(B - B†), B = (I + r u)⁻¹,
@@ -124,7 +130,7 @@ def unitary_eig(u, name: str = "unitary",
     the middle of the widest gap between u's eigenphases, at least 2 pi/d
     wide, onto -1, which bounds every |a| by cot(pi/2d).
     """
-    m = require_unitary(u, name, tol)
+    m = require_unitary(u, name)
     d, rot = m.shape[0], 0.0  # rot = arg r
     try:
         b = np.linalg.inv(np.eye(d) + m)
@@ -142,29 +148,23 @@ def unitary_eig(u, name: str = "unitary",
     return lam, z
 
 
-def expm(a, accuracy: float = DEFAULT_TOLERANCES.expm_accuracy) -> np.ndarray:
+def expm(a) -> np.ndarray:
     """Matrix exponential exp(A).
 
-    Hermitian and anti-Hermitian inputs go through an eigendecomposition,
-    which keeps exp(-iHt) unitary to machine precision for arbitrarily large
-    |t|.  Everything else uses scipy's Padé routine, imported on first use.
-    ``accuracy`` is the requested bound on the relative backward error and
-    must lie in (0, 1e-6]; both paths deliver better than 1e-12 for the
-    well-conditioned operators this package produces, so the parameter acts
-    as a guard rather than a tuning knob.
+    Inputs Hermitian or anti-Hermitian to a relative EXPM_ACCURACY go through
+    an eigendecomposition, which keeps exp(-iHt) unitary to machine precision
+    for arbitrarily large |t|.  Everything else uses scipy's Padé routine,
+    imported on first use.
     """
-    if not (0.0 < accuracy <= 1e-6):
-        raise InvalidParameter(
-            f"expm accuracy must be in (0, 1e-6], got {accuracy!r}")
     m = as_square_matrix(a, "expm input")
     scale = max(1.0, frobenius(m))
-    if frobenius(m - dagger(m)) <= accuracy * scale:
+    if frobenius(m - dagger(m)) <= EXPM_ACCURACY * scale:
         # real exponent: the real np.exp, which rounds unlike exp(-i w t) at t = i
         w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
         return (v * np.exp(w)) @ dagger(v)
-    if frobenius(m + dagger(m)) <= accuracy * scale:
-        # A = -iH, H = iA Hermitian to accuracy (x2: rounding of the same ratio)
-        return hermitian_evolution(1j * m, Tolerances(hermiticity=2 * accuracy))(1.0)
+    if frobenius(m + dagger(m)) <= EXPM_ACCURACY * scale:
+        # A = -iH with H = iA Hermitian well inside HERMITICITY_TOL
+        return hermitian_evolution(1j * m)(1.0)
     import scipy.linalg
     out = scipy.linalg.expm(m)
     if not np.all(np.isfinite(out)):
@@ -172,24 +172,24 @@ def expm(a, accuracy: float = DEFAULT_TOLERANCES.expm_accuracy) -> np.ndarray:
     return out
 
 
-def hermitian_evolution(h, tol: Tolerances = DEFAULT_TOLERANCES):
+def hermitian_evolution(h):
     """Validate and eigendecompose Hermitian h once; return t -> exp(-i h t).
 
     Every evaluation is V exp(-i w t) V†, exactly unitary up to roundoff for
     any real t, so sampling many times costs one eigh.  The returned
     evaluator's ``states(ts, state)`` evolves one state to many times.
     """
-    return _SpectralEvaluator(*eigh(h, tol))
+    return _SpectralEvaluator(*eigh(h))
 
 
-def unitary_powers(u, name: str = "unitary", tol: Tolerances = DEFAULT_TOLERANCES):
+def unitary_powers(u, name: str = "unitary"):
     """Validate and diagonalise a unitary once (``unitary_eig``); return k -> u^k.
 
     Each Z diag(e^{-i k lam}) Z† is unitary up to roundoff at a cost
     independent of the integer k, which may be negative.  The returned
     evaluator's ``states(ks, state)`` applies many powers to one state.
     """
-    return _SpectralEvaluator(*unitary_eig(u, name, tol))
+    return _SpectralEvaluator(*unitary_eig(u, name))
 
 
 def nonhermitian_evolution(h):
@@ -229,17 +229,17 @@ class _SpectralEvaluator:
         return self.v @ (e[:, :, None] * r * e.conj()[:, None, :]) @ self._vd
 
 
-def propagator(h, t: float, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def propagator(h, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, exactly unitary up to roundoff."""
-    return hermitian_evolution(h, tol)(t)
+    return hermitian_evolution(h)(t)
 
 
-def check_state_vector(psi, dim: int | None = None, *, subnormalized: bool = False,
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def check_state_vector(psi, dim: int | None = None, *,
+                       subnormalized: bool = False) -> np.ndarray:
     """Validate a state vector: finite, right length, norm 1 (or ≤ 1).
 
-    Norm 1 means |‖psi‖² - 1| ≤ 10 tol.trace, the trace check on |psi><psi|.
-    With ``subnormalized`` the norm may lie anywhere in (0, 1 + tol]; the
+    Norm 1 means |‖psi‖² - 1| ≤ 10 TRACE_TOL, the trace check on |psi><psi|.
+    With ``subnormalized`` the norm may lie anywhere in (0, 1 + TRACE_TOL]; the
     deficit 1 - ||psi||² is then interpreted as probability leaked out of the
     modelled levels.
     """
@@ -252,25 +252,24 @@ def check_state_vector(psi, dim: int | None = None, *, subnormalized: bool = Fal
         raise InvalidState("state vector contains non-finite entries")
     n = float(np.linalg.norm(v))
     if subnormalized:
-        if not (0.0 < n <= 1.0 + tol.trace):
+        if not (0.0 < n <= 1.0 + TRACE_TOL):
             raise InvalidState(f"subnormalized state has norm {n:.6e}, expected in (0, 1]")
-    elif abs(n * n - 1.0) > tol.trace * 10:
+    elif abs(n * n - 1.0) > TRACE_TOL * 10:
         raise InvalidState(f"state vector has norm {n:.12e}, expected 1")
     return v
 
 
-def check_density_matrix(rho, dim: int | None = None,
-                         tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, positive semidefinite."""
     m = as_square_matrix(rho, "density matrix")
     if dim is not None and m.shape[0] != dim:
         raise DimensionMismatch(f"density matrix is {m.shape[0]}-dim, expected {dim}")
-    if hermiticity_defect(m) > tol.hermiticity:
+    if hermiticity_defect(m) > HERMITICITY_TOL:
         raise InvalidState("density matrix is not Hermitian")
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > tol.trace * 10:
+    if abs(tr - 1.0) > TRACE_TOL * 10:
         raise InvalidState(f"density matrix has trace {tr:.12e}, expected 1")
     w = np.linalg.eigvalsh(0.5 * (m + dagger(m)))
-    if w.min() < -tol.positivity:
+    if w.min() < -POSITIVITY_TOL:
         raise InvalidState(f"density matrix has negative eigenvalue {w.min():.3e}")
     return m

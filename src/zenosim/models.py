@@ -16,7 +16,7 @@ K * H_c.  The decay variant replaces |c> with a continuum level of width
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,12 +29,12 @@ from .errors import (
 )
 from .linalg import as_square_matrix, dagger, frobenius
 from .spectral import (
+    CLUSTER_WIDTH,
     ResolutionOfIdentity,
     projections_of_hermitian,
     projections_of_unitary,
     zeno_hamiltonian,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
     "ModelBundle",
@@ -55,9 +55,8 @@ class ModelBundle:
 
     The payload determines the mechanism: ``res`` for projective
     measurements, ``U_kick`` for kicks, ``(H_c, K)`` for continuous
-    coupling.  ``protected_subspace_index`` is the sector of the derived
-    resolution that contains level |a> (the "open system" whose dynamics
-    survives the limit).
+    coupling.  The Zeno sectors the payload induces are derived once, at
+    construction, and returned by ``resolution()``.
     """
 
     name: str
@@ -67,9 +66,9 @@ class ModelBundle:
     U_kick: np.ndarray | None = None
     H_c: np.ndarray | None = None
     K: float | None = None
-    protected_subspace_index: int = 0
     non_hermitian: bool = False
     metadata: dict = field(default_factory=dict)
+    _resolution: ResolutionOfIdentity = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         payload = {
@@ -94,6 +93,13 @@ class ModelBundle:
         if not self.non_hermitian and frobenius(h - dagger(h)) > _HERMITIAN_BUNDLE_TOL:
             raise NotHermitian(f"bundle {self.name!r} has non-Hermitian H "
                                "without the non_hermitian flag")
+        if self.mechanism == "projective":
+            res = self.res
+        elif self.mechanism == "kicked":
+            res = projections_of_unitary(self.U_kick)
+        else:
+            res = projections_of_hermitian(self.H_c)
+        object.__setattr__(self, "_resolution", res)
 
     @property
     def dim(self) -> int:
@@ -106,16 +112,20 @@ class ModelBundle:
             raise InvalidParameter(f"bundle {self.name!r} has no coupling payload")
         return self.H + self.K * self.H_c
 
-    def resolution(self, tol: Tolerances = DEFAULT_TOLERANCES) -> ResolutionOfIdentity:
+    def resolution(self) -> ResolutionOfIdentity:
         """Zeno sectors induced by this bundle's disturbance."""
-        if self.mechanism == "projective":
-            return self.res
-        if self.mechanism == "kicked":
-            return projections_of_unitary(self.U_kick, tol=tol)
-        return projections_of_hermitian(self.H_c, tol=tol)
+        return self._resolution
 
-    def zeno_hamiltonian(self, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-        return zeno_hamiltonian(self.H, self.resolution(tol), tol)
+    @property
+    def protected_subspace_index(self) -> int:
+        """Sector of the resolution that contains level |a>.
+
+        That sector is the "open system" whose dynamics survives the limit.
+        """
+        return int(np.argmax([float(p[0, 0].real) for p in self._resolution.projectors]))
+
+    def zeno_hamiltonian(self) -> np.ndarray:
+        return zeno_hamiltonian(self.H, self._resolution)
 
 
 def _chain_hamiltonian(omega1: float, omega2: float, dim: int) -> np.ndarray:
@@ -129,11 +139,6 @@ def _two_block_resolution() -> ResolutionOfIdentity:
     p1 = np.diag([1.0, 1.0, 0.0]).astype(complex)
     p2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
     return ResolutionOfIdentity.from_projectors([p1, p2], [1.0, 2.0])
-
-
-def _protected_index(res: ResolutionOfIdentity) -> int:
-    overlaps = [float(p[0, 0].real) for p in res.projectors]
-    return int(np.argmax(overlaps))
 
 
 def _circular_gap(x: float, y: float) -> float:
@@ -151,13 +156,11 @@ def three_level_projective(omega1: float = 1.0, omega2: float = 1.0) -> ModelBun
     res = _two_block_resolution()
     return ModelBundle(
         name="three-level-projective", mechanism="projective", H=h, res=res,
-        protected_subspace_index=0,
         metadata={"omega1": float(omega1), "omega2": float(omega2)})
 
 
 def four_level_kicked(omega1: float = 1.0, omega2: float = 1.0,
-                      lambda1: float = 0.0, lambda2: float = 1.0,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> ModelBundle:
+                      lambda1: float = 0.0, lambda2: float = 1.0) -> ModelBundle:
     """3-level chain plus an ancilla M kicked against |c>.
 
     The kick acts as e^{-i lambda1} on span{a, b} and rotates the {c, M}
@@ -169,7 +172,7 @@ def four_level_kicked(omega1: float = 1.0, omega2: float = 1.0,
     names = list(phases)
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            if _circular_gap(phases[names[i]], phases[names[j]]) <= tol.cluster:
+            if _circular_gap(phases[names[i]], phases[names[j]]) <= CLUSTER_WIDTH:
                 raise DegenerateKickPhases(
                     f"kick eigenphases {names[i]} and {names[j]} coincide "
                     f"modulo 2*pi; pick lambda1, lambda2 with distinct "
@@ -179,11 +182,10 @@ def four_level_kicked(omega1: float = 1.0, omega2: float = 1.0,
     u[0, 0] = u[1, 1] = np.exp(-1j * lambda1)
     u[2, 2] = u[3, 3] = np.cos(lambda2)
     u[2, 3] = u[3, 2] = -1j * np.sin(lambda2)
-    bundle = ModelBundle(
+    return ModelBundle(
         name="four-level-kicked", mechanism="kicked", H=h, U_kick=u,
         metadata={"omega1": float(omega1), "omega2": float(omega2),
                   "lambda1": float(lambda1), "lambda2": float(lambda2)})
-    return _with_protected_index(bundle)
 
 
 def four_level_continuous(omega1: float = 1.0, omega2: float = 1.0,
@@ -199,24 +201,22 @@ def four_level_continuous(omega1: float = 1.0, omega2: float = 1.0,
     h = _chain_hamiltonian(omega1, omega2, 4)
     h_c = np.zeros((4, 4), dtype=complex)
     h_c[2, 3] = h_c[3, 2] = 1.0
-    bundle = ModelBundle(
+    return ModelBundle(
         name="four-level-continuous", mechanism="continuous", H=h, H_c=h_c,
         K=float(coupling),
         metadata={"omega1": float(omega1), "omega2": float(omega2),
                   "K": float(coupling)})
-    return _with_protected_index(bundle)
 
 
 def simplified_kicked(omega1: float = 1.0, omega2: float = 1.0,
-                      lambda1: float = 0.0, lambda2: float = 1.0,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> ModelBundle:
+                      lambda1: float = 0.0, lambda2: float = 1.0) -> ModelBundle:
     """Kicks acting in the original 3-level space, no ancilla.
 
     U_kick' = e^{-i lambda1} P_1 + e^{-i lambda2} P_2 with the projective
     model's two sectors.  For lambda1 = 0, lambda2 = 1 this is exactly
     exp(-i |c><c|).
     """
-    if _circular_gap(lambda1, lambda2) <= tol.cluster:
+    if _circular_gap(lambda1, lambda2) <= CLUSTER_WIDTH:
         raise DegenerateKickPhases(
             "lambda1 and lambda2 coincide modulo 2*pi; the kick cannot "
             "distinguish the two sectors")
@@ -224,23 +224,21 @@ def simplified_kicked(omega1: float = 1.0, omega2: float = 1.0,
     res = _two_block_resolution()
     u = (np.exp(-1j * lambda1) * res.projectors[0]
          + np.exp(-1j * lambda2) * res.projectors[1])
-    bundle = ModelBundle(
+    return ModelBundle(
         name="simplified-kicked", mechanism="kicked", H=h, U_kick=u,
         metadata={"omega1": float(omega1), "omega2": float(omega2),
                   "lambda1": float(lambda1), "lambda2": float(lambda2)})
-    return _with_protected_index(bundle)
 
 
 def simplified_continuous(omega1: float = 1.0, omega2: float = 1.0,
                           eta1: float = 0.0, eta2: float = 1.0,
-                          coupling: float = 1.0,
-                          tol: Tolerances = DEFAULT_TOLERANCES) -> ModelBundle:
+                          coupling: float = 1.0) -> ModelBundle:
     """Continuous coupling acting in the original 3-level space.
 
     H_c' = eta1 P_1 + eta2 P_2; for eta1 = 0, eta2 = 1 this is |c><c|.
     """
     scale = max(1.0, abs(eta1), abs(eta2))
-    if abs(eta1 - eta2) <= tol.cluster * scale:
+    if abs(eta1 - eta2) <= CLUSTER_WIDTH * scale:
         raise DegenerateCouplingLevels(
             "eta1 and eta2 coincide; the coupling cannot distinguish "
             "the two sectors")
@@ -249,12 +247,11 @@ def simplified_continuous(omega1: float = 1.0, omega2: float = 1.0,
     h = _chain_hamiltonian(omega1, omega2, 3)
     res = _two_block_resolution()
     h_c = eta1 * res.projectors[0] + eta2 * res.projectors[1]
-    bundle = ModelBundle(
+    return ModelBundle(
         name="simplified-continuous", mechanism="continuous", H=h, H_c=h_c,
         K=float(coupling),
         metadata={"omega1": float(omega1), "omega2": float(omega2),
                   "eta1": float(eta1), "eta2": float(eta2), "K": float(coupling)})
-    return _with_protected_index(bundle)
 
 
 def decay_model(omega1: float, tau_z: float, gamma: float, coupling: float,
@@ -288,12 +285,6 @@ def decay_model(omega1: float, tau_z: float, gamma: float, coupling: float,
                 "omega_b": float(omega_b)}
     if omega_b != 0.0:
         metadata["omega_b_placement"] = "b-diagonal (interpretation)"
-    bundle = ModelBundle(
+    return ModelBundle(
         name="decay", mechanism="continuous", H=h, H_c=h_c, K=float(coupling),
         non_hermitian=True, metadata=metadata)
-    return _with_protected_index(bundle)
-
-
-def _with_protected_index(bundle: ModelBundle) -> ModelBundle:
-    idx = _protected_index(bundle.resolution())
-    return replace(bundle, protected_subspace_index=idx)

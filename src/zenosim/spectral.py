@@ -27,7 +27,14 @@ from .linalg import (
     require_hermitian,
     unitary_eig,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+# eigenvalue clustering width, scaled by max(1, largest |eigenvalue|) for a
+# Hermitian operator; gaps within [width/2, 2 width] are ambiguous and raise
+CLUSTER_WIDTH = 1e-8
+# idempotence / orthogonality / completeness slack for projectors
+PROJECTOR_TOL = 1e-10
+# slack when rounding trace(P) to an integer rank; beyond this is an error
+RANK_ROUND = 1e-6
 
 __all__ = [
     "ResolutionOfIdentity",
@@ -59,7 +66,7 @@ class ResolutionOfIdentity:
     Labels are the spectral values the projectors came from: eigenvalues for
     a Hermitian disturbance, eigenphases in (-pi, pi] for a unitary kick.
     Ranks are trace(P_n) rounded to the nearest integer; a trace further than
-    ``rank_round`` from an integer is rejected at construction.
+    RANK_ROUND from an integer is rejected at construction.
     """
 
     dim: int
@@ -96,27 +103,27 @@ class ResolutionOfIdentity:
         return self.projectors[n]
 
 
-def _ranks_from_traces(projectors, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[int, ...]:
+def _ranks_from_traces(projectors) -> tuple[int, ...]:
     ranks = []
     for i, p in enumerate(projectors):
         tr = complex(np.trace(p))
         r = round(tr.real)
-        if abs(tr - r) > tol.rank_round:
+        if abs(tr - r) > RANK_ROUND:
             raise InvalidParameter(
                 f"projector {i} has trace {tr:.8g}, not within "
-                f"{tol.rank_round:.0e} of an integer rank")
+                f"{RANK_ROUND:.0e} of an integer rank")
         ranks.append(int(r))
     return tuple(ranks)
 
 
-def validate(res: ResolutionOfIdentity,
-             tol: Tolerances = DEFAULT_TOLERANCES) -> list[Violation]:
+def validate(res: ResolutionOfIdentity) -> list[Violation]:
     """Check every invariant of a resolution; return the violations found.
 
     An empty list means the resolution is sound.  Checked: each projector is
     Hermitian and idempotent, distinct projectors are mutually orthogonal,
     the family sums to the identity, ranks match traces and sum to dim, and
-    labels are pairwise distinct beyond the clustering tolerance.
+    labels are pairwise distinct beyond CLUSTER_WIDTH.  Projector identities
+    are held to PROJECTOR_TOL and traces to RANK_ROUND.
     """
     out: list[Violation] = []
     eye = np.eye(res.dim)
@@ -125,22 +132,22 @@ def validate(res: ResolutionOfIdentity,
             out.append(Violation("shape", 0.0, f"P_{i} has shape {p.shape}"))
             continue
         d = frobenius(p - dagger(p))
-        if d > tol.projector:
+        if d > PROJECTOR_TOL:
             out.append(Violation("hermiticity", d, f"P_{i} is not Hermitian"))
         d = frobenius(p @ p - p)
-        if d > tol.projector:
+        if d > PROJECTOR_TOL:
             out.append(Violation("idempotence", d, f"P_{i}² differs from P_{i}"))
     for i in range(res.nsectors):
         for j in range(i + 1, res.nsectors):
             d = frobenius(res.projectors[i] @ res.projectors[j])
-            if d > tol.projector:
+            if d > PROJECTOR_TOL:
                 out.append(Violation("orthogonality", d, f"P_{i} P_{j} is nonzero"))
     d = frobenius(sum(res.projectors) - eye)
-    if d > tol.projector:
+    if d > PROJECTOR_TOL:
         out.append(Violation("completeness", d, "projectors do not sum to identity"))
     for i, (p, r) in enumerate(zip(res.projectors, res.ranks)):
         d = abs(complex(np.trace(p)) - r)
-        if d > tol.rank_round:
+        if d > RANK_ROUND:
             out.append(Violation("rank", d, f"trace(P_{i}) is far from rank {r}"))
     if sum(res.ranks) != res.dim:
         out.append(Violation("rank-sum", float(abs(sum(res.ranks) - res.dim)),
@@ -149,7 +156,7 @@ def validate(res: ResolutionOfIdentity,
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
             gap = abs(labels[i] - labels[j])
-            if gap <= tol.cluster:
+            if gap <= CLUSTER_WIDTH:
                 out.append(Violation("label-distinctness", gap,
                                      f"labels {i} and {j} coincide"))
     return out
@@ -198,17 +205,14 @@ def _cluster_projectors(values: np.ndarray, vectors: np.ndarray, width: float,
         [p for _, p in pairs], [l for l, _ in pairs])
 
 
-def projections_of_hermitian(h, cluster_tol: float | None = None,
-                             tol: Tolerances = DEFAULT_TOLERANCES) -> ResolutionOfIdentity:
+def projections_of_hermitian(h) -> ResolutionOfIdentity:
     """Spectral projectors of a Hermitian operator, one per eigenvalue cluster.
 
-    Eigenvalues closer than cluster_tol * max(1, ||h||) are merged into one
+    Eigenvalues closer than CLUSTER_WIDTH * max(1, ||h||) are merged into one
     degenerate sector.  Labels are the cluster means, ascending.
     """
-    if cluster_tol is None:
-        cluster_tol = tol.cluster
-    w, v = eigh(h, tol)
-    width = cluster_tol * max(1.0, float(np.abs(w).max()) if len(w) else 1.0)
+    w, v = eigh(h)
+    width = CLUSTER_WIDTH * max(1.0, float(np.abs(w).max()) if len(w) else 1.0)
     return _cluster_projectors(w, v, width, float)
 
 
@@ -220,8 +224,7 @@ def _wrap_phase(x: float) -> float:
     return float(y)
 
 
-def projections_of_unitary(u, cluster_tol: float | None = None,
-                           tol: Tolerances = DEFAULT_TOLERANCES) -> ResolutionOfIdentity:
+def projections_of_unitary(u) -> ResolutionOfIdentity:
     """Spectral projectors of a unitary, one per eigenphase cluster.
 
     The eigenphase of an eigenvalue e^{-i lambda} is lambda, wrapped to
@@ -230,21 +233,18 @@ def projections_of_unitary(u, cluster_tol: float | None = None,
     phases hugging the seam are grouped correctly.  Sectors are returned in
     ascending phase order.
     """
-    lam, z = unitary_eig(u, "projections_of_unitary input", tol)
+    lam, z = unitary_eig(u, "projections_of_unitary input")
     phases = np.array([_wrap_phase(x) for x in lam])
     order = np.argsort(phases, kind="stable")
     phases_sorted = phases[order]
-    width = tol.cluster if cluster_tol is None else float(cluster_tol)
     gaps = np.diff(phases_sorted, append=phases_sorted[0] + 2.0 * np.pi)
-    if len(gaps) > 1 and gaps[-1] <= 2.0 * width:
-        if gaps.max() <= 2.0 * width:
-            raise DegenerateClustering(
-                "eigenphases cover the circle with no gap wider than the tolerance")
-        # seam-straddling cluster: rotate so it is contiguous, unwrap
+    if len(gaps) > 1 and gaps[-1] <= 2.0 * CLUSTER_WIDTH:
+        # seam-straddling cluster: cut the circle at its widest gap, at least
+        # 2 pi/d and so a clear split, to make the cluster contiguous; unwrap
         k = int(np.argmax(gaps)) + 1
         phases_sorted = np.concatenate([phases_sorted[k:] - 2.0 * np.pi, phases_sorted[:k]])
         order = np.roll(order, -k)
-    return _cluster_projectors(phases_sorted, z[:, order], width, _wrap_phase)
+    return _cluster_projectors(phases_sorted, z[:, order], CLUSTER_WIDTH, _wrap_phase)
 
 
 def pinch(x, res: ResolutionOfIdentity) -> np.ndarray:
@@ -263,9 +263,8 @@ def pinch(x, res: ResolutionOfIdentity) -> np.ndarray:
     return out
 
 
-def zeno_hamiltonian(h, res: ResolutionOfIdentity,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def zeno_hamiltonian(h, res: ResolutionOfIdentity) -> np.ndarray:
     """Pinched Hamiltonian sum_n P_n h P_n; commutes with every P_n."""
-    m = require_hermitian(h, "zeno_hamiltonian input", tol)
+    m = require_hermitian(h, "zeno_hamiltonian input")
     hz = pinch(m, res)
     return 0.5 * (hz + dagger(hz))

@@ -180,6 +180,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert "schema error at schedule.t" in err
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_non_utf8_file_exit_two(self, tmp_path, capsys, command):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(bytes.fromhex("fffe00626164"))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error at $: not UTF-8 text")
+
     def test_missing_file_exit_four(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 4
         assert "i/o error" in capsys.readouterr().err

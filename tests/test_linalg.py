@@ -89,17 +89,12 @@ class TestExpm:
         expect[0, 1] = expect[1, 0] = -1j * np.sin(t)
         assert np.allclose(u, expect, atol=1e-12)
 
-    def test_accuracy_guard(self):
-        for bad in (0.0, -1e-9, 1e-5, 2.0):
-            with pytest.raises(InvalidParameter):
-                expm(np.zeros((2, 2)), accuracy=bad)
-
     def test_loose_accuracy_keeps_spectral_route(self):
-        # asymmetry ~1e-8: inside accuracy=1e-6, outside tol.hermiticity
+        # relative asymmetry ~9e-14: inside EXPM_ACCURACY, far above roundoff
         h = random_hermitian(np.random.default_rng(3), 4)
-        u = expm(-1j * (h + 1e-8 * np.triu(np.ones((4, 4)), 1)), accuracy=1e-6)
-        # the spectral route is unitary to roundoff; Padé would be off by ~1e-8
-        assert frobenius(u.conj().T @ u - np.eye(4)) <= 1e-12
+        u = expm(-1j * (h + 1e-13 * np.triu(np.ones((4, 4)), 1)))
+        # the spectral route is unitary to roundoff (~2e-15); Padé is off by ~3e-13
+        assert frobenius(u.conj().T @ u - np.eye(4)) <= 1e-14
 
     def test_general_path_matches_series(self):
         a = np.array([[0, 1], [0, 0]], dtype=complex)  # nilpotent

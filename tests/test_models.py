@@ -194,18 +194,18 @@ class TestModelBundle:
         with pytest.raises(NotHermitian):
             ModelBundle(name="x", mechanism="projective", H=h,
                         res=res, U_kick=None, H_c=None, K=0.0,
-                        protected_subspace_index=0, non_hermitian=False)
+                        non_hermitian=False)
 
     def test_payload_must_match_mechanism(self):
         b = three_level_projective()
         with pytest.raises(InvalidParameter):
             ModelBundle(name="x", mechanism="kicked", H=b.H, res=b.res,
                         U_kick=None, H_c=None, K=0.0,
-                        protected_subspace_index=0, non_hermitian=False)
+                        non_hermitian=False)
 
     def test_unknown_mechanism_rejected(self):
         b = three_level_projective()
         with pytest.raises(InvalidParameter):
             ModelBundle(name="x", mechanism="teleport", H=b.H, res=b.res,
                         U_kick=None, H_c=None, K=0.0,
-                        protected_subspace_index=0, non_hermitian=False)
+                        non_hermitian=False)
