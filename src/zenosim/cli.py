@@ -29,7 +29,6 @@ from .analysis import (
     projective_convergence_curve,
 )
 from .config import (
-    MECHANISMS,
     MODEL_REGISTRY,
     SERIES_OUTPUTS,
     ScenarioConfig,
@@ -104,13 +103,14 @@ def run_scenario(config: ScenarioConfig, output_dir: str | Path = ".",
     base = config.output_path
     mech = config.mechanism
     params = config.model_parameters
+    values = config.values  # swept N or K; None for zeno-limit
     notes: list[str] = []
     files: dict[str, list[str]] = {}
 
     if mech == "decay-sweep":
         result = decay_protection_sweep(
             params["omega1"], params["tau_z"], params["gamma"],
-            params["omega_b"], list(config.k_values), config.t)
+            params["omega_b"], list(values), config.t)
         lines = ["K,survival"]
         lines += [f"{_fmt(k)},{_fmt(s)}" for k, s in result.points]
         files[f"{base}_survival.csv"] = lines
@@ -124,9 +124,6 @@ def run_scenario(config: ScenarioConfig, output_dir: str | Path = ".",
         res = bundle.resolution()
         psi0 = config.resolve_initial_state()
         rho0 = np.outer(psi0, psi0.conj())
-        # the swept N or K values; None for zeno-limit
-        values = {"N": config.n_values, "K": config.k_values}.get(
-            MECHANISMS[mech][0])
         series_outputs = [k for k in config.outputs if k in SERIES_OUTPUTS]
 
         if series_outputs:

@@ -90,8 +90,8 @@ MODEL_REGISTRY: dict[str, ModelSpec] = {
                                         p["lambda1"], p["lambda2"])),
         ModelSpec(
             "four-level-continuous", "continuous", 4,
-            {"omega1": 1.0, "omega2": 1.0, "K": 1.0},
-            lambda p: four_level_continuous(p["omega1"], p["omega2"], p["K"])),
+            {"omega1": 1.0, "omega2": 1.0},
+            lambda p: four_level_continuous(p["omega1"], p["omega2"])),
         ModelSpec(
             "simplified-kicked", "kicked", 3,
             {"omega1": 1.0, "omega2": 1.0, "lambda1": 0.0, "lambda2": 1.0},
@@ -99,14 +99,14 @@ MODEL_REGISTRY: dict[str, ModelSpec] = {
                                         p["lambda1"], p["lambda2"])),
         ModelSpec(
             "simplified-continuous", "continuous", 3,
-            {"omega1": 1.0, "omega2": 1.0, "eta1": 0.0, "eta2": 1.0, "K": 1.0},
+            {"omega1": 1.0, "omega2": 1.0, "eta1": 0.0, "eta2": 1.0},
             lambda p: simplified_continuous(p["omega1"], p["omega2"],
-                                            p["eta1"], p["eta2"], p["K"])),
+                                            p["eta1"], p["eta2"])),
         ModelSpec(
             "decay", "continuous", 4,
-            {"omega1": 0.0, "tau_z": 1.0, "gamma": 0.1, "K": 0.0, "omega_b": 0.0},
+            {"omega1": 0.0, "tau_z": 1.0, "gamma": 0.1, "omega_b": 0.0},
             lambda p: decay_model(p["omega1"], p["tau_z"], p["gamma"],
-                                  p["K"], p["omega_b"])),
+                                  coupling=0.0, omega_b=p["omega_b"])),
     ]
 }
 
@@ -120,13 +120,11 @@ class ScenarioConfig:
     model_parameters: dict
     mechanism: str
     t: float
-    n_values: tuple[int, ...] | None
-    k_values: tuple[float, ...] | None
+    values: tuple | None  # swept schedule: N ints or K floats; None for zeno-limit
     samples: int
     initial_state: tuple[complex, ...] | None  # None = default state
     outputs: tuple[str, ...]
     output_path: str
-    output_format: str
 
     @property
     def model_spec(self) -> ModelSpec:
@@ -241,11 +239,11 @@ def _validate_model(doc, err: _Collector) -> tuple[str | None, dict]:
 
 
 def _validate_schedule(doc, mechanism, err: _Collector):
-    t, n_values, k_values, samples = None, None, None, 50
+    t, values, samples = None, None, 50
     sched = doc.get("schedule")
     if not isinstance(sched, dict):
         err.add("schedule", "required object with key t (and N or K)")
-        return t, n_values, k_values, samples
+        return t, values, samples
     _check_unknown_keys(sched, ("t", "N", "K", "samples"), "schedule", err)
 
     raw_t = sched.get("t")
@@ -274,7 +272,6 @@ def _validate_schedule(doc, mechanism, err: _Collector):
             err.add(f"schedule.{key}", "list must be strictly increasing")
         else:
             swept[key] = tuple(cast(v) for v in vals)
-    n_values, k_values = swept.get("N"), swept.get("K")
 
     if mechanism is not None:
         key = MECHANISMS[mechanism][0]
@@ -284,7 +281,8 @@ def _validate_schedule(doc, mechanism, err: _Collector):
             if other != key and other in sched:
                 err.add(f"schedule.{other}",
                         f"not applicable to mechanism {mechanism}")
-    return t, n_values, k_values, samples
+        values = swept.get(key)
+    return t, values, samples
 
 
 def _validate_initial_state(doc, model_name, mechanism, err: _Collector):
@@ -327,7 +325,7 @@ def _validate_initial_state(doc, model_name, mechanism, err: _Collector):
     return None
 
 
-def _validate_outputs(doc, mechanism, n_values, k_values, err: _Collector):
+def _validate_outputs(doc, mechanism, values, err: _Collector):
     raw = doc.get("outputs")
     if not isinstance(raw, list) or not raw:
         err.add("outputs", "required non-empty list")
@@ -341,8 +339,7 @@ def _validate_outputs(doc, mechanism, n_values, k_values, err: _Collector):
         else:
             outputs.append(item)
     if mechanism is not None:
-        key, allowed = MECHANISMS[mechanism]
-        values = {"N": n_values, "K": k_values}.get(key)
+        allowed = MECHANISMS[mechanism][1]
         for kind in outputs:
             if kind not in allowed:
                 err.add("outputs", f"{kind} not available for mechanism "
@@ -379,16 +376,16 @@ def validate_document(doc: dict) -> ScenarioConfig:
                     f"model {model_name} carries a {spec.mechanism} payload, "
                     f"not {mechanism}")
 
-    t, n_values, k_values, samples = _validate_schedule(doc, mechanism, err)
+    t, values, samples = _validate_schedule(doc, mechanism, err)
     initial_state = _validate_initial_state(doc, model_name, mechanism, err)
-    outputs = _validate_outputs(doc, mechanism, n_values, k_values, err)
+    outputs = _validate_outputs(doc, mechanism, values, err)
 
     name = doc.get("name", model_name or "scenario")
     if not isinstance(name, str) or not name:
         err.add("name", "must be a non-empty string")
         name = "scenario"
 
-    output_path, output_format = name, "csv"
+    output_path = name
     out = doc.get("output")
     if out is not None:
         if not isinstance(out, dict):
@@ -400,18 +397,14 @@ def validate_document(doc: dict) -> ScenarioConfig:
                 err.add("output.path", "must be a non-empty string")
             else:
                 output_path = raw_path
-            raw_fmt = out.get("format", "csv")
-            if raw_fmt != "csv":
+            if out.get("format", "csv") != "csv":
                 err.add("output.format", "only 'csv' is supported")
-            else:
-                output_format = raw_fmt
 
     err.raise_if_any()
     return ScenarioConfig(
         name=name, model_name=model_name, model_parameters=params,
-        mechanism=mechanism, t=t, n_values=n_values, k_values=k_values,
-        samples=samples, initial_state=initial_state, outputs=outputs,
-        output_path=output_path, output_format=output_format)
+        mechanism=mechanism, t=t, values=values, samples=samples,
+        initial_state=initial_state, outputs=outputs, output_path=output_path)
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -103,8 +103,13 @@ def _check_samples(samples: int) -> None:
 
 
 def _check_positive_t(t: float) -> None:
-    if not (t > 0):
-        raise InvalidParameter(f"t must be positive, got {t!r}")
+    if not (0 < t < np.inf):
+        raise InvalidParameter(f"t must be positive and finite, got {t!r}")
+
+
+def _check_coupling(coupling: float) -> None:
+    if not (0 <= coupling < np.inf):
+        raise InvalidParameter(f"K must be a finite real >= 0, got {coupling!r}")
 
 
 def _checkpoints(n_steps: int, samples: int) -> np.ndarray:
@@ -207,8 +212,7 @@ def evolve_continuous(state0, h, h_c, coupling: float, t: float,
     guarded eig, or one ``expm`` per sample near an exceptional point.
     """
     _check_positive_t(t)
-    if not (coupling >= 0) or not np.isfinite(coupling):
-        raise InvalidParameter(f"K must be a finite real >= 0, got {coupling!r}")
+    _check_coupling(coupling)
     _check_samples(samples)
     hm = as_square_matrix(h, "H")
     hcm = require_hermitian(h_c, "H_c")
@@ -266,8 +270,8 @@ def evolve_zeno_limit(rho0, h, res: ResolutionOfIdentity, t: float,
     all times; cross-sector coherences are removed at tau = 0+, so the first
     sample is pinch(rho0).  t = 0 is allowed and returns that single sample.
     """
-    if t < 0:
-        raise InvalidParameter(f"t must be >= 0, got {t!r}")
+    if not (0 <= t < np.inf):
+        raise InvalidParameter(f"t must be finite and >= 0, got {t!r}")
     _check_samples(samples)
     rho = check_density_matrix(rho0, res.dim)
     u_z = hermitian_evolution(zeno_hamiltonian(h, res))
@@ -300,6 +304,7 @@ def asymptotic_continuous_propagator(h, res: ResolutionOfIdentity, t: float,
     role the kick count N plays in the kicked mechanism.
     """
     _check_positive_t(t)
+    _check_coupling(coupling)
     vs = zeno_propagators(h, res, t)
     return sum(np.exp(-1j * coupling * eta * t) * v
                for eta, v in zip(res.labels, vs))

@@ -230,7 +230,9 @@ class _SpectralEvaluator:
 
 
 def propagator(h, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, exactly unitary up to roundoff."""
+    """exp(-i h t) for Hermitian h and finite t, exactly unitary up to roundoff."""
+    if not (-np.inf < t < np.inf):
+        raise InvalidParameter(f"t must be finite, got {t!r}")
     return hermitian_evolution(h)(t)
 
 

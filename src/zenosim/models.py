@@ -60,28 +60,20 @@ class ModelBundle:
     """
 
     name: str
-    mechanism: str
     H: np.ndarray
     res: ResolutionOfIdentity | None = None
     U_kick: np.ndarray | None = None
     H_c: np.ndarray | None = None
     K: float | None = None
     non_hermitian: bool = False
-    metadata: dict = field(default_factory=dict)
     _resolution: ResolutionOfIdentity = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        payload = {
-            "projective": self.res is not None and self.U_kick is None and self.H_c is None,
-            "kicked": self.U_kick is not None and self.res is None and self.H_c is None,
-            "continuous": self.H_c is not None and self.K is not None
-                          and self.res is None and self.U_kick is None,
-        }
-        if self.mechanism not in payload:
-            raise InvalidParameter(f"unknown mechanism tag {self.mechanism!r}")
-        if not payload[self.mechanism]:
+        present = [x is not None for x in (self.res, self.U_kick, self.H_c)]
+        if sum(present) != 1 or (self.H_c is not None and self.K is None):
             raise InvalidParameter(
-                f"payload inconsistent with mechanism {self.mechanism!r}")
+                f"bundle {self.name!r} must carry exactly one payload: "
+                "res, U_kick, or H_c with K")
         h = as_square_matrix(self.H, "H")
         object.__setattr__(self, "H", h)
         dim = h.shape[0]
@@ -100,6 +92,13 @@ class ModelBundle:
         else:
             res = projections_of_hermitian(self.H_c)
         object.__setattr__(self, "_resolution", res)
+
+    @property
+    def mechanism(self) -> str:
+        """``projective``, ``kicked`` or ``continuous``, from the payload present."""
+        if self.res is not None:
+            return "projective"
+        return "kicked" if self.U_kick is not None else "continuous"
 
     @property
     def dim(self) -> int:
@@ -154,9 +153,7 @@ def three_level_projective(omega1: float = 1.0, omega2: float = 1.0) -> ModelBun
     """
     h = _chain_hamiltonian(omega1, omega2, 3)
     res = _two_block_resolution()
-    return ModelBundle(
-        name="three-level-projective", mechanism="projective", H=h, res=res,
-        metadata={"omega1": float(omega1), "omega2": float(omega2)})
+    return ModelBundle(name="three-level-projective", H=h, res=res)
 
 
 def four_level_kicked(omega1: float = 1.0, omega2: float = 1.0,
@@ -182,10 +179,7 @@ def four_level_kicked(omega1: float = 1.0, omega2: float = 1.0,
     u[0, 0] = u[1, 1] = np.exp(-1j * lambda1)
     u[2, 2] = u[3, 3] = np.cos(lambda2)
     u[2, 3] = u[3, 2] = -1j * np.sin(lambda2)
-    return ModelBundle(
-        name="four-level-kicked", mechanism="kicked", H=h, U_kick=u,
-        metadata={"omega1": float(omega1), "omega2": float(omega2),
-                  "lambda1": float(lambda1), "lambda2": float(lambda2)})
+    return ModelBundle(name="four-level-kicked", H=h, U_kick=u)
 
 
 def four_level_continuous(omega1: float = 1.0, omega2: float = 1.0,
@@ -201,11 +195,7 @@ def four_level_continuous(omega1: float = 1.0, omega2: float = 1.0,
     h = _chain_hamiltonian(omega1, omega2, 4)
     h_c = np.zeros((4, 4), dtype=complex)
     h_c[2, 3] = h_c[3, 2] = 1.0
-    return ModelBundle(
-        name="four-level-continuous", mechanism="continuous", H=h, H_c=h_c,
-        K=float(coupling),
-        metadata={"omega1": float(omega1), "omega2": float(omega2),
-                  "K": float(coupling)})
+    return ModelBundle(name="four-level-continuous", H=h, H_c=h_c, K=float(coupling))
 
 
 def simplified_kicked(omega1: float = 1.0, omega2: float = 1.0,
@@ -224,10 +214,7 @@ def simplified_kicked(omega1: float = 1.0, omega2: float = 1.0,
     res = _two_block_resolution()
     u = (np.exp(-1j * lambda1) * res.projectors[0]
          + np.exp(-1j * lambda2) * res.projectors[1])
-    return ModelBundle(
-        name="simplified-kicked", mechanism="kicked", H=h, U_kick=u,
-        metadata={"omega1": float(omega1), "omega2": float(omega2),
-                  "lambda1": float(lambda1), "lambda2": float(lambda2)})
+    return ModelBundle(name="simplified-kicked", H=h, U_kick=u)
 
 
 def simplified_continuous(omega1: float = 1.0, omega2: float = 1.0,
@@ -247,11 +234,7 @@ def simplified_continuous(omega1: float = 1.0, omega2: float = 1.0,
     h = _chain_hamiltonian(omega1, omega2, 3)
     res = _two_block_resolution()
     h_c = eta1 * res.projectors[0] + eta2 * res.projectors[1]
-    return ModelBundle(
-        name="simplified-continuous", mechanism="continuous", H=h, H_c=h_c,
-        K=float(coupling),
-        metadata={"omega1": float(omega1), "omega2": float(omega2),
-                  "eta1": float(eta1), "eta2": float(eta2), "K": float(coupling)})
+    return ModelBundle(name="simplified-continuous", H=h, H_c=h_c, K=float(coupling))
 
 
 def decay_model(omega1: float, tau_z: float, gamma: float, coupling: float,
@@ -263,6 +246,9 @@ def decay_model(omega1: float, tau_z: float, gamma: float, coupling: float,
     level), reached from |b> at rate 1/tau_Z.  Coupling the continuum level
     to a probe M with strength K >> 1/(tau_Z^2 gamma) closes the decay
     channel.  The generator is non-Hermitian; propagate state vectors only.
+
+    The printed model has no detuning.  An off-resonant decaying level is
+    our interpretation: ``omega_b`` sits on the |b> diagonal, H[1, 1].
     """
     if not (tau_z > 0):
         raise InvalidParameter(f"tau_Z must be positive, got {tau_z!r}")
@@ -272,19 +258,10 @@ def decay_model(omega1: float, tau_z: float, gamma: float, coupling: float,
         raise InvalidParameter(f"K must be >= 0, got {coupling!r}")
     h = np.zeros((4, 4), dtype=complex)
     h[0, 1] = h[1, 0] = omega1
-    # omega_b placement: the printed matrix has no omega_b; when the
-    # decaying level is off resonance we put it on the |b> diagonal and
-    # flag the choice in metadata.
     h[1, 1] = omega_b
     h[1, 2] = h[2, 1] = 1.0 / tau_z
     h[2, 2] = -2j / (tau_z ** 2 * gamma)
     h_c = np.zeros((4, 4), dtype=complex)
     h_c[2, 3] = h_c[3, 2] = 1.0
-    metadata = {"omega1": float(omega1), "tau_z": float(tau_z),
-                "gamma": float(gamma), "K": float(coupling),
-                "omega_b": float(omega_b)}
-    if omega_b != 0.0:
-        metadata["omega_b_placement"] = "b-diagonal (interpretation)"
-    return ModelBundle(
-        name="decay", mechanism="continuous", H=h, H_c=h_c, K=float(coupling),
-        non_hermitian=True, metadata=metadata)
+    return ModelBundle(name="decay", H=h, H_c=h_c, K=float(coupling),
+                       non_hermitian=True)

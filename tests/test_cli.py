@@ -188,6 +188,25 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("schema error at $: not UTF-8 text")
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("model, mechanism, output", [
+        ("four-level-continuous", "continuous", "probabilities"),
+        ("simplified-continuous", "continuous", "probabilities"),
+        ("decay", "decay-sweep", "survival"),
+    ])
+    def test_model_coupling_is_a_schema_error(self, tmp_path, capsys, command,
+                                              model, mechanism, output):
+        doc = {"name": "k", "model": {"name": model, "parameters": {}},
+               "mechanism": mechanism, "schedule": {"t": 1.0, "K": [1.0, 2.0, 4.0]},
+               "outputs": [output]}
+        path = write_config(tmp_path, doc)
+        args = [command, path, "--set", "model.parameters.K=7.5"]
+        if command == "run":
+            args += ["--output-dir", str(tmp_path)]
+        assert main(args) == 2
+        assert "schema error at model.parameters.K" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
     def test_missing_file_exit_four(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 4
         assert "i/o error" in capsys.readouterr().err

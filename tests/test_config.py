@@ -29,6 +29,13 @@ def violation_paths(excinfo):
     return [path for path, _ in excinfo.value.violations]
 
 
+def _run_inputs(bundle):
+    """The arrays a run reads from a bundle: H, its payload, the sector projectors."""
+    payload = bundle.U_kick if bundle.U_kick is not None else bundle.H_c
+    arrays = [bundle.H, *bundle.resolution().projectors]
+    return arrays if payload is None else arrays + [payload]
+
+
 class TestLoadDocument:
     def test_valid_json(self):
         assert load_document('{"a": 1}') == {"a": 1}
@@ -49,12 +56,10 @@ class TestValidateDocument:
         assert cfg.model_name == "four-level-kicked"
         assert cfg.mechanism == "kicked"
         assert cfg.t == 1.0
-        assert cfg.n_values == (4, 8, 16)
-        assert cfg.k_values is None
+        assert cfg.values == (4, 8, 16)
         assert cfg.samples == 50
         assert cfg.outputs == ("probabilities",)
         assert cfg.output_path == "demo"
-        assert cfg.output_format == "csv"
 
     def test_defaults_merged_with_parameters(self):
         doc = base_doc()
@@ -67,7 +72,7 @@ class TestValidateDocument:
         doc = base_doc(mechanism="zeno-limit", schedule={"t": 1.0})
         cfg = validate_document(doc)
         assert cfg.mechanism == "zeno-limit"
-        assert cfg.n_values is None
+        assert cfg.values is None
 
     def test_negative_t(self):
         doc = base_doc(schedule={"t": -1.0, "N": [4]})
@@ -102,11 +107,13 @@ class TestValidateDocument:
         assert violation_paths(e) == ["model.name"]
 
     def test_unknown_model_parameter(self):
-        doc = base_doc()
-        doc["model"]["parameters"] = {"omega3": 1.0}
-        with pytest.raises(SchemaViolation) as e:
-            validate_document(doc)
-        assert "model.parameters.omega3" in violation_paths(e)
+        # the coupling K is swept by the schedule, never a model parameter
+        for model, key in (("four-level-kicked", "omega3"),
+                           ("four-level-continuous", "K")):
+            doc = base_doc(model={"name": model, "parameters": {key: 1.0}})
+            with pytest.raises(SchemaViolation) as e:
+                validate_document(doc)
+            assert f"model.parameters.{key}" in violation_paths(e)
 
     def test_mechanism_payload_mismatch(self):
         doc = base_doc(model={"name": "three-level-projective",
@@ -137,7 +144,7 @@ class TestValidateDocument:
                        schedule={"t": 5.0, "K": [10.0, 20.0, 40.0]},
                        outputs=["survival"])
         cfg = validate_document(doc)
-        assert cfg.k_values == (10.0, 20.0, 40.0)
+        assert cfg.values == (10.0, 20.0, 40.0)
         assert cfg.outputs == ("survival",)
 
     def test_multiple_violations_collected(self):
@@ -291,6 +298,17 @@ class TestRegistry:
         for name, spec in MODEL_REGISTRY.items():
             bundle = spec.build(dict(spec.defaults))
             assert bundle.dim == spec.dim, name
+            assert bundle.mechanism == spec.mechanism, name
+
+    @pytest.mark.parametrize("name, key", [
+        (name, key) for name, spec in MODEL_REGISTRY.items() for key in spec.defaults])
+    def test_every_parameter_reaches_the_run(self, name, key):
+        """Moving any registry parameter changes H, the payload or the sectors."""
+        spec = MODEL_REGISTRY[name]
+        before = _run_inputs(spec.build(dict(spec.defaults)))
+        after = _run_inputs(spec.build({**spec.defaults, key: spec.defaults[key] + 0.375}))
+        assert len(before) != len(after) or any(
+            not np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_parse_config_end_to_end(self):
         cfg = parse_config(json.dumps(base_doc()))

@@ -446,6 +446,29 @@ class TestZenoLimit:
         assert frobenius(rec.final_state - expect) <= 1e-12
 
 
+_HC4 = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
+_PSI3, _PSI4 = basis_state(3, 0), basis_state(4, 0)
+# each call takes the non-finite value as its t, or as K where named
+_NON_FINITE_CALLS = {
+    "evolve_zeno_limit": lambda t: evolve_zeno_limit(np.outer(_PSI3, _PSI3), CHAIN, RES3, t),
+    "evolve_continuous": lambda t: evolve_continuous(_PSI4, np.eye(4), _HC4, 2.0, t),
+    "projective_survival": lambda t: projective_survival(_PSI3, CHAIN, RES3, 0, t, 4),
+    "extracted_continuous_limit": lambda t: extracted_continuous_limit(np.eye(4), _HC4, t, 2.0),
+    "asymptotic_kicked_propagator": lambda t: asymptotic_kicked_propagator(CHAIN, RES3, t, 4),
+    "propagator": lambda t: propagator(CHAIN, t),
+    "zeno_propagators": lambda t: zeno_propagators(CHAIN, RES3, t),
+    "asymptotic_continuous_propagator-K":
+        lambda k: asymptotic_continuous_propagator(CHAIN, RES3, 1.0, k),
+}
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("call", sorted(_NON_FINITE_CALLS))
+def test_non_finite_time_or_coupling_refused(call, value):
+    with pytest.raises(InvalidParameter):
+        _NON_FINITE_CALLS[call](value)
+
+
 @pytest.mark.parametrize("samples", [2, 33, 1000])
 def test_sampled_states_match_propagator(samples):
     """States rotated once into the eigenbasis equal u(x) psi and u(x) rho u(x)†."""

@@ -167,9 +167,6 @@ class TestDecayModel:
         b = decay_model(omega1=0.0, tau_z=1.0, gamma=0.1, coupling=0.0,
                         omega_b=0.4)
         assert abs(b.H[1, 1] - 0.4) <= 1e-15
-        assert "omega_b_placement" in b.metadata
-        b0 = decay_model(omega1=0.0, tau_z=1.0, gamma=0.1, coupling=0.0)
-        assert "omega_b_placement" not in b0.metadata
 
     def test_parameter_guards(self):
         with pytest.raises(InvalidParameter):
@@ -192,20 +189,17 @@ class TestModelBundle:
         h = np.array([[0, 1, 0], [1, 0, 1], [0, 1, -1j]], dtype=complex)
         res = three_level_projective().res
         with pytest.raises(NotHermitian):
-            ModelBundle(name="x", mechanism="projective", H=h,
-                        res=res, U_kick=None, H_c=None, K=0.0,
+            ModelBundle(name="x", H=h, res=res, U_kick=None, H_c=None, K=0.0,
                         non_hermitian=False)
 
-    def test_payload_must_match_mechanism(self):
-        b = three_level_projective()
-        with pytest.raises(InvalidParameter):
-            ModelBundle(name="x", mechanism="kicked", H=b.H, res=b.res,
-                        U_kick=None, H_c=None, K=0.0,
-                        non_hermitian=False)
+    @pytest.mark.parametrize("keys", [(), ("res", "U_kick"), ("H_c",)],
+                             ids=["none", "res-and-U_kick", "H_c-without-K"])
+    def test_bundle_needs_exactly_one_payload(self, keys):
+        p, k, c = three_level_projective(), simplified_kicked(), simplified_continuous()
+        parts = {"res": p.res, "U_kick": k.U_kick, "H_c": c.H_c}
+        with pytest.raises(InvalidParameter, match="exactly one payload"):
+            ModelBundle(name="x", H=p.H, **{key: parts[key] for key in keys})
 
-    def test_unknown_mechanism_rejected(self):
+    def test_projective_bundle_accepts_k(self):
         b = three_level_projective()
-        with pytest.raises(InvalidParameter):
-            ModelBundle(name="x", mechanism="teleport", H=b.H, res=b.res,
-                        U_kick=None, H_c=None, K=0.0,
-                        non_hermitian=False)
+        assert ModelBundle(name="x", H=b.H, res=b.res, K=2.0).mechanism == "projective"
