@@ -102,15 +102,13 @@ def run_scenario(config: ScenarioConfig, output_dir: str | Path = ".",
     """
     base = config.output_path
     mech = config.mechanism
-    params = config.model_parameters
     values = config.values  # swept N or K; None for zeno-limit
     notes: list[str] = []
     files: dict[str, list[str]] = {}
 
     if mech == "decay-sweep":
-        result = decay_protection_sweep(
-            params["omega1"], params["tau_z"], params["gamma"],
-            params["omega_b"], list(values), config.t)
+        result = decay_protection_sweep(k_values=list(values), t=config.t,
+                                        **config.model_parameters)
         lines = ["K,survival"]
         lines += [f"{_fmt(k)},{_fmt(s)}" for k, s in result.points]
         files[f"{base}_survival.csv"] = lines

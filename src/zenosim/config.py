@@ -18,7 +18,9 @@ is reported with its dotted path, all at once, via SchemaViolation.
 
 from __future__ import annotations
 
+import inspect
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,7 @@ import numpy as np
 from .errors import InvalidState, SchemaViolation
 from .linalg import check_state_vector
 from .models import (
+    ModelBundle,
     decay_model,
     four_level_continuous,
     four_level_kicked,
@@ -65,48 +68,28 @@ _BASIS_LABELS = {3: ("a", "b", "c"), 4: ("a", "b", "c", "M")}
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Registry entry: how to build a bundle and what parameters it takes."""
+    """Registry entry: a model's builder and the mechanism and size it yields."""
 
     name: str
     mechanism: str
     dim: int
-    defaults: dict
-    builder: object  # callable(dict) -> ModelBundle
+    build: Callable[..., ModelBundle]
 
-    def build(self, parameters: dict):
-        return self.builder(parameters)
+    @property
+    def defaults(self) -> dict:
+        """The builder's keyword defaults; a run takes ``coupling`` from schedule.K."""
+        params = inspect.signature(self.build).parameters
+        return {key: p.default for key, p in params.items() if key != "coupling"}
 
 
 MODEL_REGISTRY: dict[str, ModelSpec] = {
     spec.name: spec for spec in [
-        ModelSpec(
-            "three-level-projective", "projective", 3,
-            {"omega1": 1.0, "omega2": 1.0},
-            lambda p: three_level_projective(p["omega1"], p["omega2"])),
-        ModelSpec(
-            "four-level-kicked", "kicked", 4,
-            {"omega1": 1.0, "omega2": 1.0, "lambda1": 0.0, "lambda2": 1.0},
-            lambda p: four_level_kicked(p["omega1"], p["omega2"],
-                                        p["lambda1"], p["lambda2"])),
-        ModelSpec(
-            "four-level-continuous", "continuous", 4,
-            {"omega1": 1.0, "omega2": 1.0},
-            lambda p: four_level_continuous(p["omega1"], p["omega2"])),
-        ModelSpec(
-            "simplified-kicked", "kicked", 3,
-            {"omega1": 1.0, "omega2": 1.0, "lambda1": 0.0, "lambda2": 1.0},
-            lambda p: simplified_kicked(p["omega1"], p["omega2"],
-                                        p["lambda1"], p["lambda2"])),
-        ModelSpec(
-            "simplified-continuous", "continuous", 3,
-            {"omega1": 1.0, "omega2": 1.0, "eta1": 0.0, "eta2": 1.0},
-            lambda p: simplified_continuous(p["omega1"], p["omega2"],
-                                            p["eta1"], p["eta2"])),
-        ModelSpec(
-            "decay", "continuous", 4,
-            {"omega1": 0.0, "tau_z": 1.0, "gamma": 0.1, "omega_b": 0.0},
-            lambda p: decay_model(p["omega1"], p["tau_z"], p["gamma"],
-                                  coupling=0.0, omega_b=p["omega_b"])),
+        ModelSpec("three-level-projective", "projective", 3, three_level_projective),
+        ModelSpec("four-level-kicked", "kicked", 4, four_level_kicked),
+        ModelSpec("four-level-continuous", "continuous", 4, four_level_continuous),
+        ModelSpec("simplified-kicked", "kicked", 3, simplified_kicked),
+        ModelSpec("simplified-continuous", "continuous", 3, simplified_continuous),
+        ModelSpec("decay", "continuous", 4, decay_model),
     ]
 }
 
@@ -131,7 +114,7 @@ class ScenarioConfig:
         return MODEL_REGISTRY[self.model_name]
 
     def build_bundle(self):
-        return self.model_spec.build(self.model_parameters)
+        return self.model_spec.build(**self.model_parameters)
 
     def resolve_initial_state(self) -> np.ndarray:
         """Amplitude vector to start from; defaults to (|b> + |c>)/sqrt(2)."""
@@ -221,16 +204,15 @@ def _validate_model(doc, err: _Collector) -> tuple[str | None, dict]:
     if not isinstance(name, str) or name not in MODEL_REGISTRY:
         err.add("model.name", f"must be one of {sorted(MODEL_REGISTRY)}")
         return None, {}
-    spec = MODEL_REGISTRY[name]
-    params = dict(spec.defaults)
+    params = MODEL_REGISTRY[name].defaults
     raw = model.get("parameters", {})
     if not isinstance(raw, dict):
         err.add("model.parameters", "must be an object")
     else:
         for key, value in raw.items():
-            if key not in spec.defaults:
+            if key not in params:
                 err.add(f"model.parameters.{key}",
-                        f"unknown parameter; {name} takes {sorted(spec.defaults)}")
+                        f"unknown parameter; {name} takes {sorted(params)}")
             elif not _is_number(value):
                 err.add(f"model.parameters.{key}", "must be a finite number")
             else:

@@ -13,7 +13,7 @@ rather than a d×d propagator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,12 +74,11 @@ class EvolutionRecord:
     (for the spectral engines, the rows of one stacked array).
     ``trace_corrections`` lists (step, drift) pairs where the projective
     engine renormalized a density matrix to counter accumulated roundoff.
+    The mechanism and run parameters stay with the caller that chose them.
     """
 
-    mechanism: str
     times_or_steps: np.ndarray
     states: tuple[np.ndarray, ...]
-    parameters: dict = field(default_factory=dict)
     trace_corrections: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
@@ -171,13 +170,8 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
                 rho = rho / tr
         if k in keep_set:
             states.append(rho.copy())
-    return EvolutionRecord(
-        mechanism="projective",
-        times_or_steps=keep.astype(float) * (t / n),
-        states=tuple(states),
-        parameters={"t": t, "N": n, "dim": res.dim},
-        trace_corrections=tuple(corrections),
-    )
+    return EvolutionRecord(keep.astype(float) * (t / n), tuple(states),
+                           trace_corrections=tuple(corrections))
 
 
 def evolve_kicked(state0, h, u_kick, t: float, n: int,
@@ -187,19 +181,14 @@ def evolve_kicked(state0, h, u_kick, t: float, n: int,
     Accepts a state vector or a density matrix.  The dynamics is unitary,
     so norm, trace and purity are conserved up to roundoff.
     """
-    t, n, _, step = _kick_step(h, u_kick, t, n)
+    _, n, _, step = _kick_step(h, u_kick, t, n)
     dim = np.asarray(u_kick).shape[0]
     if np.asarray(state0).ndim == 2:
         state = check_density_matrix(state0, dim)
     else:
         state = check_state_vector(state0, dim)
     keep = _checkpoints(n, samples)
-    return EvolutionRecord(
-        mechanism="kicked",
-        times_or_steps=keep,
-        states=tuple(step.states(keep, state)),
-        parameters={"t": t, "N": n, "dim": dim},
-    )
+    return EvolutionRecord(keep, tuple(step.states(keep, state)))
 
 
 def evolve_continuous(state0, h, h_c, coupling: float, t: float,
@@ -243,12 +232,7 @@ def evolve_continuous(state0, h, h_c, coupling: float, t: float,
         raise InvalidState(
             f"non-Hermitian generator amplified the state to norm "
             f"{nrm[nrm > limit][0]:.6f}; only decaying models are supported")
-    return EvolutionRecord(
-        mechanism="continuous",
-        times_or_steps=times,
-        states=tuple(states),
-        parameters={"t": t, "K": float(coupling), "dim": dim},
-    )
+    return EvolutionRecord(times, tuple(states))
 
 
 def zeno_propagators(h, res: ResolutionOfIdentity, t: float) -> list[np.ndarray]:
@@ -276,12 +260,7 @@ def evolve_zeno_limit(rho0, h, res: ResolutionOfIdentity, t: float,
     rho = check_density_matrix(rho0, res.dim)
     u_z = hermitian_evolution(zeno_hamiltonian(h, res))
     times = np.array([0.0]) if t == 0 else np.linspace(0.0, t, samples)
-    return EvolutionRecord(
-        mechanism="zeno-limit",
-        times_or_steps=times,
-        states=tuple(u_z.states(times, pinch(rho, res))),
-        parameters={"t": float(t), "dim": res.dim},
-    )
+    return EvolutionRecord(times, tuple(u_z.states(times, pinch(rho, res))))
 
 
 def asymptotic_kicked_propagator(h, res: ResolutionOfIdentity, t: float,
@@ -318,6 +297,8 @@ def kicked_propagator(h, u_kick, t: float, n: int) -> np.ndarray:
 
 def continuous_propagator(h, h_c, coupling: float, t: float) -> np.ndarray:
     """Lab-frame propagator U_K(t) = exp(-i (H + K H_c) t), Hermitian case."""
+    _check_positive_t(t)
+    _check_coupling(coupling)
     hm = require_hermitian(h, "H")
     hcm = require_hermitian(h_c, "H_c")
     if hm.shape != hcm.shape:
@@ -341,7 +322,6 @@ def extracted_continuous_limit(h, h_c, t: float, coupling: float) -> np.ndarray:
     Converges to exp(-i H_Z t) at rate O(1/K), where H_Z is the pinching of
     H by the eigenprojections of H_c.
     """
-    _check_positive_t(t)
     u_k = continuous_propagator(h, h_c, coupling, t)
     return propagator(h_c, -coupling * t) @ u_k
 

@@ -27,8 +27,6 @@ UNITARITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 # magnitude of negative eigenvalues tolerated in a density matrix
 POSITIVITY_TOL = 1e-10
-# relative (anti-)Hermitian residue below which expm takes the spectral route
-EXPM_ACCURACY = 1e-12
 # largest cond(V) nonhermitian_evolution accepts, so its roundoff, about cond(V) eps,
 # stays below 1000 eps; the decay model passes it only within 2e-5 of its EP in K
 EIG_COND_LIMIT = 1e3
@@ -149,22 +147,14 @@ def unitary_eig(u, name: str = "unitary") -> tuple[np.ndarray, np.ndarray]:
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential exp(A).
+    """Matrix exponential exp(A) by scipy's Padé routine, imported on first use.
 
-    Inputs Hermitian or anti-Hermitian to a relative EXPM_ACCURACY go through
-    an eigendecomposition, which keeps exp(-iHt) unitary to machine precision
-    for arbitrarily large |t|.  Everything else uses scipy's Padé routine,
-    imported on first use.
+    Each generator has one route: a Hermitian one ``hermitian_evolution``, a
+    unitary ``unitary_powers``, any other diagonalisable one
+    ``nonhermitian_evolution``.  This is the fallback for a defective (or
+    nearly defective) generator, whose eigenvectors that route refuses.
     """
     m = as_square_matrix(a, "expm input")
-    scale = max(1.0, frobenius(m))
-    if frobenius(m - dagger(m)) <= EXPM_ACCURACY * scale:
-        # real exponent: the real np.exp, which rounds unlike exp(-i w t) at t = i
-        w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
-        return (v * np.exp(w)) @ dagger(v)
-    if frobenius(m + dagger(m)) <= EXPM_ACCURACY * scale:
-        # A = -iH with H = iA Hermitian well inside HERMITICITY_TOL
-        return hermitian_evolution(1j * m)(1.0)
     import scipy.linalg
     out = scipy.linalg.expm(m)
     if not np.all(np.isfinite(out)):

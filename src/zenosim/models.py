@@ -27,6 +27,7 @@ from .errors import (
     InvalidParameter,
     NotHermitian,
 )
+from .engines import _check_coupling
 from .linalg import as_square_matrix, dagger, frobenius
 from .spectral import (
     CLUSTER_WIDTH,
@@ -54,9 +55,9 @@ class ModelBundle:
     """A system Hamiltonian plus exactly one disturbance payload.
 
     The payload determines the mechanism: ``res`` for projective
-    measurements, ``U_kick`` for kicks, ``(H_c, K)`` for continuous
-    coupling.  The Zeno sectors the payload induces are derived once, at
-    construction, and returned by ``resolution()``.
+    measurements, ``U_kick`` for kicks, ``(H_c, K)`` with a finite K >= 0
+    for continuous coupling.  The Zeno sectors the payload induces are
+    derived once, at construction, and returned by ``resolution()``.
     """
 
     name: str
@@ -74,6 +75,8 @@ class ModelBundle:
             raise InvalidParameter(
                 f"bundle {self.name!r} must carry exactly one payload: "
                 "res, U_kick, or H_c with K")
+        if self.K is not None:
+            _check_coupling(self.K)
         h = as_square_matrix(self.H, "H")
         object.__setattr__(self, "H", h)
         dim = h.shape[0]
@@ -190,8 +193,6 @@ def four_level_continuous(omega1: float = 1.0, omega2: float = 1.0,
     as the kicked variant, so the K -> infinity limit pins the identical
     Zeno Hamiltonian.
     """
-    if not (coupling >= 0):
-        raise InvalidParameter(f"K must be >= 0, got {coupling!r}")
     h = _chain_hamiltonian(omega1, omega2, 4)
     h_c = np.zeros((4, 4), dtype=complex)
     h_c[2, 3] = h_c[3, 2] = 1.0
@@ -229,16 +230,14 @@ def simplified_continuous(omega1: float = 1.0, omega2: float = 1.0,
         raise DegenerateCouplingLevels(
             "eta1 and eta2 coincide; the coupling cannot distinguish "
             "the two sectors")
-    if not (coupling >= 0):
-        raise InvalidParameter(f"K must be >= 0, got {coupling!r}")
     h = _chain_hamiltonian(omega1, omega2, 3)
     res = _two_block_resolution()
     h_c = eta1 * res.projectors[0] + eta2 * res.projectors[1]
     return ModelBundle(name="simplified-continuous", H=h, H_c=h_c, K=float(coupling))
 
 
-def decay_model(omega1: float, tau_z: float, gamma: float, coupling: float,
-                omega_b: float = 0.0) -> ModelBundle:
+def decay_model(omega1: float = 0.0, tau_z: float = 1.0, gamma: float = 0.1,
+                coupling: float = 0.0, omega_b: float = 0.0) -> ModelBundle:
     """Decaying |b> protected by watching its decay product.
 
     |c> is replaced by a single continuum level of half-width
@@ -254,8 +253,6 @@ def decay_model(omega1: float, tau_z: float, gamma: float, coupling: float,
         raise InvalidParameter(f"tau_Z must be positive, got {tau_z!r}")
     if not (gamma > 0):
         raise InvalidParameter(f"gamma must be positive, got {gamma!r}")
-    if not (coupling >= 0):
-        raise InvalidParameter(f"K must be >= 0, got {coupling!r}")
     h = np.zeros((4, 4), dtype=complex)
     h[0, 1] = h[1, 0] = omega1
     h[1, 1] = omega_b

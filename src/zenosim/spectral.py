@@ -55,9 +55,6 @@ class Violation:
     magnitude: float
     detail: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.invariant}: {self.detail} (magnitude {self.magnitude:.3e})"
-
 
 @dataclass(frozen=True)
 class ResolutionOfIdentity:
@@ -65,24 +62,21 @@ class ResolutionOfIdentity:
 
     Labels are the spectral values the projectors came from: eigenvalues for
     a Hermitian disturbance, eigenphases in (-pi, pi] for a unitary kick.
-    Ranks are trace(P_n) rounded to the nearest integer; a trace further than
-    RANK_ROUND from an integer is rejected at construction.
+    Ranks are derived at construction as trace(P_n) rounded to the nearest
+    integer; a trace further than RANK_ROUND from an integer is rejected.
     """
 
     dim: int
     projectors: tuple[np.ndarray, ...]
     labels: tuple[float, ...]
-    ranks: tuple[int, ...] = field(default=())
+    ranks: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if len(self.projectors) == 0:
             raise InvalidParameter("resolution needs at least one projector")
         if len(self.projectors) != len(self.labels):
             raise DimensionMismatch("projector and label counts differ")
-        if not self.ranks:
-            object.__setattr__(self, "ranks", _ranks_from_traces(self.projectors))
-        elif len(self.ranks) != len(self.projectors):
-            raise DimensionMismatch("projector and rank counts differ")
+        object.__setattr__(self, "ranks", _ranks_from_traces(self.projectors))
 
     @classmethod
     def from_projectors(cls, projectors, labels) -> "ResolutionOfIdentity":

@@ -161,8 +161,7 @@ class TestStackedObservables:
             states = [random_state(rng, dim) for _ in range(samples)]
         if kind == "subnormalized":
             states = [psi * rng.uniform(0.1, 1.0) for psi in states]
-        rec = EvolutionRecord("continuous", np.arange(samples, dtype=float),
-                              tuple(states))
+        rec = EvolutionRecord(np.arange(samples, dtype=float), tuple(states))
         series = observables(rec, res)
         probs, purs, coh = _per_sample_reference(states, res)
         assert np.max(np.abs(series.subspace_probabilities - probs)) <= 1e-14
@@ -180,7 +179,7 @@ class TestStackedObservables:
         rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
         bad = rho.copy()
         bad[2, 2] = 1e-3j
-        rec = EvolutionRecord("continuous", np.arange(3.0), (rho, bad, bad))
+        rec = EvolutionRecord(np.arange(3.0), (rho, bad, bad))
         with pytest.raises(InvalidState, match=r"^p_2 has imaginary residue 1\.000e-03$"):
             observables(rec, RES3)
         with pytest.raises(InvalidState, match=r"^p_2 has imaginary residue"):
@@ -190,28 +189,27 @@ class TestStackedObservables:
         # sample 0: real probabilities but tr(rho^2) = 0.5 + 0.02i
         skew = np.array([[0.5, 0.1, 0], [0.1j, 0.5, 0], [0, 0, 0]], dtype=complex)
         bad_p1 = np.diag([1.0 + 1e-3j, 0.0, 0.0])
-        rec = EvolutionRecord("continuous", np.arange(2.0), (skew, bad_p1))
+        rec = EvolutionRecord(np.arange(2.0), (skew, bad_p1))
         with pytest.raises(InvalidState, match=r"^purity has imaginary residue 2\.000e-02$"):
             observables(rec, RES3)
-        rec = EvolutionRecord("continuous", np.arange(2.0), (bad_p1, skew))
+        rec = EvolutionRecord(np.arange(2.0), (bad_p1, skew))
         with pytest.raises(InvalidState, match=r"^p_1 has imaginary residue"):
             observables(rec, RES3)
 
     def test_wrong_dimension(self):
         rho4 = np.eye(4, dtype=complex) / 4.0
-        rec = EvolutionRecord("continuous", np.arange(2.0), (rho4, rho4))
+        rec = EvolutionRecord(np.arange(2.0), (rho4, rho4))
         message = r"^rho is 4-dim, resolution is 3-dim$"
         with pytest.raises(DimensionMismatch, match=message):
             observables(rec, RES3)
         with pytest.raises(DimensionMismatch, match=message):
             subspace_probabilities(rho4, RES3)
-        rec = EvolutionRecord("continuous", np.arange(2.0),
-                              (np.eye(3) / 3.0, rho4))
+        rec = EvolutionRecord(np.arange(2.0), (np.eye(3) / 3.0, rho4))
         with pytest.raises(DimensionMismatch, match=message):
             observables(rec, RES3)
 
     def test_non_square_state(self):
-        rec = EvolutionRecord("continuous", np.arange(1.0), (np.ones((3, 2)),))
+        rec = EvolutionRecord(np.arange(1.0), (np.ones((3, 2)),))
         with pytest.raises(DimensionMismatch, match=r"^rho must be square"):
             observables(rec, RES3)
 
@@ -222,7 +220,7 @@ class TestStackedObservables:
         bad[0] = np.nan
         if kind == "density":
             good, bad = np.outer(good, good.conj()), np.outer(bad, bad.conj())
-        rec = EvolutionRecord("continuous", np.arange(2.0), (good, bad))
+        rec = EvolutionRecord(np.arange(2.0), (good, bad))
         message = r"^rho contains non-finite entries$"
         with pytest.raises(InvalidParameter, match=message):
             observables(rec, RES3)
@@ -231,7 +229,7 @@ class TestStackedObservables:
                                  RES3, 0, 1)
 
     def test_empty_record(self):
-        series = observables(EvolutionRecord("continuous", np.array([]), ()), RES3)
+        series = observables(EvolutionRecord(np.array([]), ()), RES3)
         assert series.subspace_probabilities.shape == (0, 2)
         assert series.purity.shape == series.leakage.shape == (0,)
         assert series.coherence_blocks[(0, 1)].shape == (0,)
@@ -239,8 +237,8 @@ class TestStackedObservables:
     def test_mixed_vectors_and_matrices(self):
         psi = straddle_state(3)
         rho = np.outer(psi, psi.conj())
-        mixed = EvolutionRecord("continuous", np.arange(2.0), (psi, rho))
-        same = EvolutionRecord("continuous", np.arange(2.0), (rho, rho))
+        mixed = EvolutionRecord(np.arange(2.0), (psi, rho))
+        same = EvolutionRecord(np.arange(2.0), (rho, rho))
         a, b = observables(mixed, RES3), observables(same, RES3)
         assert np.array_equal(a.subspace_probabilities, b.subspace_probabilities)
         assert np.array_equal(a.purity, b.purity)

@@ -235,10 +235,14 @@ class TestMain:
     def test_list_models(self, capsys):
         assert main(["list-models"]) == 0
         out = capsys.readouterr().out
-        lines = out.strip().splitlines()
-        assert len(lines) == 6
-        assert lines == sorted(lines)
-        assert any(line.startswith("decay") for line in lines)
+        assert out.splitlines() == [
+            "decay                    continuous  dim 4  gamma=0.1 omega1=0 omega_b=0 tau_z=1",
+            "four-level-continuous    continuous  dim 4  omega1=1 omega2=1",
+            "four-level-kicked        kicked      dim 4  lambda1=0 lambda2=1 omega1=1 omega2=1",
+            "simplified-continuous    continuous  dim 3  eta1=0 eta2=1 omega1=1 omega2=1",
+            "simplified-kicked        kicked      dim 3  lambda1=0 lambda2=1 omega1=1 omega2=1",
+            "three-level-projective   projective  dim 3  omega1=1 omega2=1",
+        ]
 
     def test_quiet_run_prints_nothing(self, tmp_path, capsys):
         path = write_config(tmp_path, zeno_limit_doc())

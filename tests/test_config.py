@@ -296,7 +296,7 @@ class TestOverrides:
 class TestRegistry:
     def test_every_model_builds_from_defaults(self):
         for name, spec in MODEL_REGISTRY.items():
-            bundle = spec.build(dict(spec.defaults))
+            bundle = spec.build(**spec.defaults)
             assert bundle.dim == spec.dim, name
             assert bundle.mechanism == spec.mechanism, name
 
@@ -305,8 +305,8 @@ class TestRegistry:
     def test_every_parameter_reaches_the_run(self, name, key):
         """Moving any registry parameter changes H, the payload or the sectors."""
         spec = MODEL_REGISTRY[name]
-        before = _run_inputs(spec.build(dict(spec.defaults)))
-        after = _run_inputs(spec.build({**spec.defaults, key: spec.defaults[key] + 0.375}))
+        before = _run_inputs(spec.build(**spec.defaults))
+        after = _run_inputs(spec.build(**{**spec.defaults, key: spec.defaults[key] + 0.375}))
         assert len(before) != len(after) or any(
             not np.array_equal(a, b) for a, b in zip(before, after))
 

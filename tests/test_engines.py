@@ -38,7 +38,12 @@ from zenosim.errors import (
     NotUnitary,
 )
 from zenosim.linalg import dagger, frobenius, opnorm, propagator
-from zenosim.models import decay_model, four_level_kicked, three_level_projective
+from zenosim.models import (
+    decay_model,
+    four_level_continuous,
+    four_level_kicked,
+    three_level_projective,
+)
 from zenosim.spectral import ResolutionOfIdentity, pinch, zeno_hamiltonian
 
 CHAIN = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
@@ -59,15 +64,14 @@ def sector_probs(rho, res):
 class TestEvolutionRecord:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            EvolutionRecord("kicked", np.array([0, 1]), (np.eye(2),))
+            EvolutionRecord(np.array([0, 1]), (np.eye(2),))
 
     def test_nonincreasing_times(self):
         with pytest.raises(InvalidParameter):
-            EvolutionRecord("kicked", np.array([0, 0]), (np.eye(2), np.eye(2)))
+            EvolutionRecord(np.array([0, 0]), (np.eye(2), np.eye(2)))
 
     def test_final_state_and_len(self):
-        rec = EvolutionRecord("kicked", np.array([0, 1]),
-                              (np.zeros((2, 2)), np.eye(2)))
+        rec = EvolutionRecord(np.array([0, 1]), (np.zeros((2, 2)), np.eye(2)))
         assert len(rec) == 2
         assert np.array_equal(rec.final_state, np.eye(2))
 
@@ -119,7 +123,6 @@ class TestProjective:
         assert rec.times_or_steps[0] == 0.0
         assert abs(rec.times_or_steps[-1] - 2.0) <= 1e-15
         assert len(rec) == 11
-        assert rec.mechanism == "projective"
 
     def test_bad_args(self):
         rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
@@ -399,6 +402,13 @@ class TestContinuous:
             evolve_continuous(basis_state(3, 0), CHAIN, np.zeros((3, 3)),
                               -1.0, t=1.0)
 
+    def test_propagator_refuses_negative_coupling_or_time(self):
+        b = four_level_continuous()
+        with pytest.raises(InvalidParameter, match="K must be"):
+            continuous_propagator(b.H, b.H_c, -3.0, 1.0)
+        with pytest.raises(InvalidParameter, match="t must be"):
+            continuous_propagator(b.H, b.H_c, 2.0, -1.0)
+
 
 class TestZenoLimit:
     def test_sector_propagator_structure(self):
@@ -451,6 +461,8 @@ _PSI3, _PSI4 = basis_state(3, 0), basis_state(4, 0)
 # each call takes the non-finite value as its t, or as K where named
 _NON_FINITE_CALLS = {
     "evolve_zeno_limit": lambda t: evolve_zeno_limit(np.outer(_PSI3, _PSI3), CHAIN, RES3, t),
+    "continuous_propagator": lambda t: continuous_propagator(np.eye(4), _HC4, 2.0, t),
+    "continuous_propagator-K": lambda k: continuous_propagator(np.eye(4), _HC4, k, 1.0),
     "evolve_continuous": lambda t: evolve_continuous(_PSI4, np.eye(4), _HC4, 2.0, t),
     "projective_survival": lambda t: projective_survival(_PSI3, CHAIN, RES3, 0, t, 4),
     "extracted_continuous_limit": lambda t: extracted_continuous_limit(np.eye(4), _HC4, t, 2.0),

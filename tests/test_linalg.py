@@ -89,13 +89,6 @@ class TestExpm:
         expect[0, 1] = expect[1, 0] = -1j * np.sin(t)
         assert np.allclose(u, expect, atol=1e-12)
 
-    def test_loose_accuracy_keeps_spectral_route(self):
-        # relative asymmetry ~9e-14: inside EXPM_ACCURACY, far above roundoff
-        h = random_hermitian(np.random.default_rng(3), 4)
-        u = expm(-1j * (h + 1e-13 * np.triu(np.ones((4, 4)), 1)))
-        # the spectral route is unitary to roundoff (~2e-15); Padé is off by ~3e-13
-        assert frobenius(u.conj().T @ u - np.eye(4)) <= 1e-14
-
     def test_general_path_matches_series(self):
         a = np.array([[0, 1], [0, 0]], dtype=complex)  # nilpotent
         assert np.allclose(expm(a), np.eye(2) + a, atol=1e-14)

@@ -103,8 +103,9 @@ class TestFourLevelContinuous:
         assert frobenius(bc.zeno_hamiltonian() - bk.zeno_hamiltonian()) <= 1e-12
 
     def test_negative_coupling_rejected(self):
-        with pytest.raises(InvalidParameter):
-            four_level_continuous(coupling=-1.0)
+        for coupling in (-1.0, np.inf, np.nan):
+            with pytest.raises(InvalidParameter):
+                four_level_continuous(coupling=coupling)
 
 
 class TestSimplifiedModels:
@@ -127,6 +128,11 @@ class TestSimplifiedModels:
         res = b.resolution()
         assert np.allclose(res.labels, (-0.5, 2.0), atol=1e-12)
         assert res.ranks == (2, 1)
+
+    @pytest.mark.parametrize("coupling", [-1.0, np.inf, np.nan])
+    def test_continuous_bad_coupling_rejected(self, coupling):
+        with pytest.raises(InvalidParameter):
+            simplified_continuous(coupling=coupling)
 
     def test_continuous_equal_levels_rejected(self):
         with pytest.raises(DegenerateCouplingLevels):
@@ -173,8 +179,9 @@ class TestDecayModel:
             decay_model(omega1=0.0, tau_z=0.0, gamma=0.1, coupling=0.0)
         with pytest.raises(InvalidParameter):
             decay_model(omega1=0.0, tau_z=1.0, gamma=-0.1, coupling=0.0)
-        with pytest.raises(InvalidParameter):
-            decay_model(omega1=0.0, tau_z=1.0, gamma=0.1, coupling=-1.0)
+        for coupling in (-1.0, np.inf, np.nan):
+            with pytest.raises(InvalidParameter):
+                decay_model(omega1=0.0, tau_z=1.0, gamma=0.1, coupling=coupling)
 
 
 class TestModelBundle:
