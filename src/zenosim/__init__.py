@@ -63,11 +63,9 @@ from .models import (
 )
 from .spectral import (
     ResolutionOfIdentity,
-    Violation,
     pinch,
     projections_of_hermitian,
     projections_of_unitary,
-    validate,
     zeno_hamiltonian,
 )
 

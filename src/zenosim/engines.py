@@ -97,8 +97,8 @@ class EvolutionRecord:
 
 
 def _check_samples(samples: int) -> None:
-    if samples < 2:
-        raise InvalidParameter(f"samples must be >= 2, got {samples}")
+    if not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise InvalidParameter(f"samples must be an integer >= 2, got {samples!r}")
 
 
 def _check_positive_t(t: float) -> None:

@@ -107,24 +107,9 @@ class ModelBundle:
     def dim(self) -> int:
         return self.H.shape[0]
 
-    @property
-    def H_K(self) -> np.ndarray:
-        """Full generator H + K*H_c for a continuous-coupling bundle."""
-        if self.H_c is None:
-            raise InvalidParameter(f"bundle {self.name!r} has no coupling payload")
-        return self.H + self.K * self.H_c
-
     def resolution(self) -> ResolutionOfIdentity:
         """Zeno sectors induced by this bundle's disturbance."""
         return self._resolution
-
-    @property
-    def protected_subspace_index(self) -> int:
-        """Sector of the resolution that contains level |a>.
-
-        That sector is the "open system" whose dynamics survives the limit.
-        """
-        return int(np.argmax([float(p[0, 0].real) for p in self._resolution.projectors]))
 
     def zeno_hamiltonian(self) -> np.ndarray:
         return zeno_hamiltonian(self.H, self._resolution)
@@ -140,7 +125,7 @@ def _chain_hamiltonian(omega1: float, omega2: float, dim: int) -> np.ndarray:
 def _two_block_resolution() -> ResolutionOfIdentity:
     p1 = np.diag([1.0, 1.0, 0.0]).astype(complex)
     p2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    return ResolutionOfIdentity.from_projectors([p1, p2], [1.0, 2.0])
+    return ResolutionOfIdentity([p1, p2], [1.0, 2.0])
 
 
 def _circular_gap(x: float, y: float) -> float:

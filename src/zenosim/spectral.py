@@ -3,8 +3,10 @@
 A disturbance (measurement, kick unitary, or strong coupling Hamiltonian)
 defines a family of orthogonal projectors P_n summing to the identity; the
 Zeno dynamics it induces lives inside those sectors and is generated by the
-pinched Hamiltonian sum_n P_n H P_n.  This module builds and validates such
-resolutions of identity from Hermitian or unitary operators.
+pinched Hamiltonian sum_n P_n H P_n.  This module builds such resolutions
+of identity from Hermitian or unitary operators.  A ResolutionOfIdentity
+checks its invariants when it is built, so one that exists is sound and
+every engine and observable can take it as given.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .linalg import (
     as_square_matrix,
     dagger,
     eigh,
-    frobenius,
     require_hermitian,
     unitary_eig,
 )
@@ -38,8 +39,6 @@ RANK_ROUND = 1e-6
 
 __all__ = [
     "ResolutionOfIdentity",
-    "Violation",
-    "validate",
     "projections_of_hermitian",
     "projections_of_unitary",
     "pinch",
@@ -48,112 +47,87 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Violation:
-    """One failed invariant of a resolution of identity."""
-
-    invariant: str
-    magnitude: float
-    detail: str
-
-
-@dataclass(frozen=True)
 class ResolutionOfIdentity:
     """Orthogonal projectors P_n with sum_n P_n = I, each tagged by a label.
 
     Labels are the spectral values the projectors came from: eigenvalues for
     a Hermitian disturbance, eigenphases in (-pi, pi] for a unitary kick.
-    Ranks are derived at construction as trace(P_n) rounded to the nearest
-    integer; a trace further than RANK_ROUND from an integer is rejected.
+    Construction coerces the projectors to square complex matrices, derives
+    ``dim`` and the ranks (trace(P_n) rounded to an integer), and refuses a
+    family that is not a resolution with InvalidParameter, naming the first
+    invariant that fails: each P_n Hermitian and idempotent, its trace within
+    RANK_ROUND of an integer, distinct P_n mutually orthogonal, the family
+    summing to the identity (each to PROJECTOR_TOL, Frobenius), and labels
+    pairwise further apart than CLUSTER_WIDTH.
     """
 
-    dim: int
     projectors: tuple[np.ndarray, ...]
     labels: tuple[float, ...]
+    dim: int = field(init=False)
     ranks: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if len(self.projectors) == 0:
+        projs = tuple(as_square_matrix(p, "projector") for p in self.projectors)
+        labels = tuple(float(x) for x in self.labels)
+        if not projs:
             raise InvalidParameter("resolution needs at least one projector")
-        if len(self.projectors) != len(self.labels):
+        if len(projs) != len(labels):
             raise DimensionMismatch("projector and label counts differ")
-        object.__setattr__(self, "ranks", _ranks_from_traces(self.projectors))
-
-    @classmethod
-    def from_projectors(cls, projectors, labels) -> "ResolutionOfIdentity":
-        projs = tuple(as_square_matrix(p, "projector") for p in projectors)
-        dims = {p.shape[0] for p in projs}
+        dims = sorted({p.shape[0] for p in projs})
         if len(dims) != 1:
-            raise DimensionMismatch(f"projectors have mixed dimensions {sorted(dims)}")
-        return cls(dim=dims.pop(), projectors=projs,
-                   labels=tuple(float(x) for x in labels))
+            raise DimensionMismatch(f"projectors have mixed dimensions {dims}")
+        object.__setattr__(self, "projectors", projs)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dim", dims[0])
+        object.__setattr__(self, "ranks", _checked_ranks(np.stack(projs), labels))
 
     @property
     def nsectors(self) -> int:
         return len(self.projectors)
 
     def projector(self, n: int) -> np.ndarray:
-        if not 0 <= n < self.nsectors:
-            raise IndexOutOfRange(f"sector {n} not in 0..{self.nsectors - 1}")
+        if not isinstance(n, (int, np.integer)) or not 0 <= n < self.nsectors:
+            raise IndexOutOfRange(f"sector {n!r} not in 0..{self.nsectors - 1}")
         return self.projectors[n]
 
 
-def _ranks_from_traces(projectors) -> tuple[int, ...]:
-    ranks = []
-    for i, p in enumerate(projectors):
-        tr = complex(np.trace(p))
-        r = round(tr.real)
-        if abs(tr - r) > RANK_ROUND:
+def _refuse_above(invariant: str, sizes, tol: float, name="P_{}".format) -> None:
+    """Raise on the first of ``sizes`` above ``tol``; name(k) says whose it is."""
+    for k, size in enumerate(np.ravel(sizes).tolist()):
+        if size > tol:
             raise InvalidParameter(
-                f"projector {i} has trace {tr:.8g}, not within "
-                f"{RANK_ROUND:.0e} of an integer rank")
-        ranks.append(int(r))
-    return tuple(ranks)
+                f"not a resolution of identity: {invariant} fails for {name(k)}, "
+                f"defect {size:.3e} exceeds tolerance {tol:.0e}")
 
 
-def validate(res: ResolutionOfIdentity) -> list[Violation]:
-    """Check every invariant of a resolution; return the violations found.
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in a stack."""
+    return np.sqrt(np.einsum("...ij,...ij->...", x.conj(), x).real)
 
-    An empty list means the resolution is sound.  Checked: each projector is
-    Hermitian and idempotent, distinct projectors are mutually orthogonal,
-    the family sums to the identity, ranks match traces and sum to dim, and
-    labels are pairwise distinct beyond CLUSTER_WIDTH.  Projector identities
-    are held to PROJECTOR_TOL and traces to RANK_ROUND.
-    """
-    out: list[Violation] = []
-    eye = np.eye(res.dim)
-    for i, p in enumerate(res.projectors):
-        if p.shape != (res.dim, res.dim):
-            out.append(Violation("shape", 0.0, f"P_{i} has shape {p.shape}"))
-            continue
-        d = frobenius(p - dagger(p))
-        if d > PROJECTOR_TOL:
-            out.append(Violation("hermiticity", d, f"P_{i} is not Hermitian"))
-        d = frobenius(p @ p - p)
-        if d > PROJECTOR_TOL:
-            out.append(Violation("idempotence", d, f"P_{i}² differs from P_{i}"))
-    for i in range(res.nsectors):
-        for j in range(i + 1, res.nsectors):
-            d = frobenius(res.projectors[i] @ res.projectors[j])
-            if d > PROJECTOR_TOL:
-                out.append(Violation("orthogonality", d, f"P_{i} P_{j} is nonzero"))
-    d = frobenius(sum(res.projectors) - eye)
-    if d > PROJECTOR_TOL:
-        out.append(Violation("completeness", d, "projectors do not sum to identity"))
-    for i, (p, r) in enumerate(zip(res.projectors, res.ranks)):
-        d = abs(complex(np.trace(p)) - r)
-        if d > RANK_ROUND:
-            out.append(Violation("rank", d, f"trace(P_{i}) is far from rank {r}"))
-    if sum(res.ranks) != res.dim:
-        out.append(Violation("rank-sum", float(abs(sum(res.ranks) - res.dim)),
-                             f"ranks {res.ranks} do not sum to dim {res.dim}"))
-    labels = np.asarray(res.labels)
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            gap = abs(labels[i] - labels[j])
-            if gap <= CLUSTER_WIDTH:
-                out.append(Violation("label-distinctness", gap,
-                                     f"labels {i} and {j} coincide"))
-    return out
+
+def _checked_ranks(p: np.ndarray, labels: tuple[float, ...]) -> tuple[int, ...]:
+    """Integer ranks of the stacked projectors p[n], once every invariant holds."""
+    n, dim, _ = p.shape
+    _refuse_above("hermiticity", _norms(p - p.conj().swapaxes(1, 2)), PROJECTOR_TOL)
+    _refuse_above("idempotence", _norms(p @ p - p), PROJECTOR_TOL)
+    traces = np.trace(p, axis1=1, axis2=2)
+    ranks = np.round(traces.real)
+    _refuse_above("rank", np.abs(traces - ranks), RANK_ROUND)
+    overlaps = _norms(p[:, None] @ p)  # ||P_i P_j||; the diagonal is not an overlap
+    np.fill_diagonal(overlaps, 0.0)
+    _refuse_above("orthogonality", overlaps, PROJECTOR_TOL,
+                  lambda k: "P_{} P_{}".format(*divmod(k, n)))
+    # no rank-sum check: completeness implies it, each rank is within RANK_ROUND of its trace
+    _refuse_above("completeness", _norms(p.sum(axis=0) - np.eye(dim)), PROJECTOR_TOL,
+                  lambda k: "sum_n P_n - I")
+    order = sorted(range(n), key=labels.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if labels[j] - labels[i] <= CLUSTER_WIDTH:
+            raise InvalidParameter(
+                f"not a resolution of identity: label distinctness fails for labels "
+                f"{min(i, j)} and {max(i, j)}, gap {labels[j] - labels[i]:.3e} "
+                f"within CLUSTER_WIDTH {CLUSTER_WIDTH:.0e}")
+    return tuple(int(r) for r in ranks)
 
 
 def _cluster_sorted(values: np.ndarray, width: float) -> list[np.ndarray]:
@@ -195,8 +169,7 @@ def _cluster_projectors(values: np.ndarray, vectors: np.ndarray, width: float,
         cols = vectors[:, idx]
         pairs.append((label(float(values[idx].mean())), cols @ dagger(cols)))
     pairs.sort(key=lambda lp: lp[0])
-    return ResolutionOfIdentity.from_projectors(
-        [p for _, p in pairs], [l for l, _ in pairs])
+    return ResolutionOfIdentity([p for _, p in pairs], [l for l, _ in pairs])
 
 
 def projections_of_hermitian(h) -> ResolutionOfIdentity:

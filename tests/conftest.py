@@ -35,7 +35,7 @@ def random_two_block_resolution(rng: np.random.Generator, dim: int,
     u = random_unitary(rng, dim)
     p1 = u[:, :rank1] @ u[:, :rank1].conj().T
     p2 = u[:, rank1:] @ u[:, rank1:].conj().T
-    return ResolutionOfIdentity.from_projectors([p1, p2], [1.0, 2.0])
+    return ResolutionOfIdentity([p1, p2], [1.0, 2.0])
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:

@@ -232,7 +232,7 @@ def test_criterion_5_superoperator_oracle(report):
 def test_criterion_6_closed_form_survival(report):
     start = time.perf_counter()
     h = np.array([[0, 1], [1, 0]], dtype=complex)  # Omega = 1, Omega t = 1
-    res = ResolutionOfIdentity.from_projectors(
+    res = ResolutionOfIdentity(
         [np.diag([1.0, 0.0]).astype(complex),
          np.diag([0.0, 1.0]).astype(complex)], [1.0, 2.0])
     psi0 = basis_state(2, 0)

@@ -42,7 +42,7 @@ from zenosim.models import (
 )
 from zenosim.spectral import ResolutionOfIdentity, pinch
 
-RES3 = ResolutionOfIdentity.from_projectors(
+RES3 = ResolutionOfIdentity(
     [np.diag([1.0, 1.0, 0.0]).astype(complex),
      np.diag([0.0, 0.0, 1.0]).astype(complex)], [1.0, 2.0])
 
@@ -128,7 +128,7 @@ def _random_resolution(rng, dim: int, nsectors: int) -> ResolutionOfIdentity:
     u = random_unitary(rng, dim)
     cuts = np.sort(rng.choice(np.arange(1, dim), nsectors - 1, replace=False))
     blocks = np.split(u, cuts, axis=1)
-    return ResolutionOfIdentity.from_projectors(
+    return ResolutionOfIdentity(
         [b @ b.conj().T for b in blocks], list(range(nsectors)))
 
 

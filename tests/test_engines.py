@@ -47,12 +47,12 @@ from zenosim.models import (
 from zenosim.spectral import ResolutionOfIdentity, pinch, zeno_hamiltonian
 
 CHAIN = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-RES3 = ResolutionOfIdentity.from_projectors(
+RES3 = ResolutionOfIdentity(
     [np.diag([1.0, 1.0, 0.0]).astype(complex),
      np.diag([0.0, 0.0, 1.0]).astype(complex)], [1.0, 2.0])
 
 
-RES4 = ResolutionOfIdentity.from_projectors(
+RES4 = ResolutionOfIdentity(
     [np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex),
      np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)], [1.0, 2.0])
 
@@ -481,6 +481,25 @@ def test_non_finite_time_or_coupling_refused(call, value):
         _NON_FINITE_CALLS[call](value)
 
 
+_SAMPLED_CALLS = {
+    "evolve_projective": lambda s: evolve_projective(np.outer(_PSI3, _PSI3), CHAIN, RES3,
+                                                     1.0, 8, samples=s),
+    "evolve_kicked": lambda s: evolve_kicked(_PSI3, CHAIN, np.eye(3), 1.0, 8, samples=s),
+    "evolve_continuous": lambda s: evolve_continuous(_PSI4, np.eye(4), _HC4, 2.0, 1.0,
+                                                     samples=s),
+    "evolve_zeno_limit": lambda s: evolve_zeno_limit(np.outer(_PSI3, _PSI3), CHAIN, RES3,
+                                                     1.0, samples=s),
+}
+
+
+@pytest.mark.parametrize("samples", [2.5, 2.0])
+@pytest.mark.parametrize("call", sorted(_SAMPLED_CALLS))
+def test_non_integer_samples_refused(call, samples):
+    with pytest.raises(InvalidParameter, match="samples must be an integer"):
+        _SAMPLED_CALLS[call](samples)
+    assert len(_SAMPLED_CALLS[call](np.int64(3))) == 3
+
+
 @pytest.mark.parametrize("samples", [2, 33, 1000])
 def test_sampled_states_match_propagator(samples):
     """States rotated once into the eigenbasis equal u(x) psi and u(x) rho u(x)†."""
@@ -595,7 +614,7 @@ class TestExtractedLimits:
 
 
 class TestProjectiveSurvival:
-    RES2 = ResolutionOfIdentity.from_projectors(
+    RES2 = ResolutionOfIdentity(
         [np.diag([1.0, 0.0]).astype(complex),
          np.diag([0.0, 1.0]).astype(complex)], [1.0, 2.0])
     H2 = np.array([[0, 1], [1, 0]], dtype=complex)  # Omega = 1
@@ -626,6 +645,9 @@ class TestProjectiveSurvival:
         assert abs(a - b) <= 1e-13
 
     def test_sector_bounds(self):
-        with pytest.raises(IndexOutOfRange):
-            projective_survival(basis_state(2, 0), self.H2, self.RES2,
-                                sector=2, t=1.0, n=2)
+        for sector in (2, 0.5):
+            with pytest.raises(IndexOutOfRange):
+                projective_survival(basis_state(2, 0), self.H2, self.RES2,
+                                    sector=sector, t=1.0, n=2)
+        assert projective_survival(basis_state(2, 0), self.H2, self.RES2,
+                                   sector=np.int64(0), t=1.0, n=2) > 0.0

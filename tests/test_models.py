@@ -19,6 +19,11 @@ from zenosim.models import (
 )
 
 
+def sectors_holding_a(res):
+    """Indices of the sectors whose projector keeps |a> = (1, 0, ...) fixed."""
+    return [n for n, p in enumerate(res.projectors) if abs(p[0, 0] - 1.0) <= 1e-12]
+
+
 class TestThreeLevelProjective:
     def test_hamiltonian_entries(self):
         b = three_level_projective(omega1=1.0, omega2=2.0)
@@ -38,9 +43,7 @@ class TestThreeLevelProjective:
         assert frobenius(b.zeno_hamiltonian() - expect) <= 1e-15
 
     def test_protected_index(self):
-        b = three_level_projective()
-        p = b.resolution().projector(b.protected_subspace_index)
-        assert p[0, 0].real == 1.0  # the sector holding |a>
+        assert sectors_holding_a(three_level_projective().resolution()) == [0]
 
 
 class TestFourLevelKicked:
@@ -58,7 +61,7 @@ class TestFourLevelKicked:
         res = b.resolution()
         assert np.allclose(res.labels, (-1.0, 0.0, 1.0), atol=1e-12)
         assert res.ranks == (1, 2, 1)
-        assert b.protected_subspace_index == 1
+        assert sectors_holding_a(res) == [1]
 
     def test_zeno_hamiltonian_matches_projective_model(self):
         bk = four_level_kicked(omega1=0.9, omega2=1.3)
@@ -87,10 +90,6 @@ class TestFourLevelContinuous:
         h_c[2, 3] = h_c[3, 2] = 1.0
         assert frobenius(b.H_c - h_c) == 0.0
         assert b.K == 3.0
-
-    def test_h_k_combines_terms(self):
-        b = four_level_continuous(omega1=1.0, omega2=1.0, coupling=2.5)
-        assert frobenius(b.H_K - (b.H + 2.5 * b.H_c)) == 0.0
 
     def test_coupling_eigensectors(self):
         res = four_level_continuous().resolution()
@@ -163,8 +162,9 @@ class TestDecayModel:
 
     def test_protective_coupling_bridges_to_probe(self):
         b = decay_model(omega1=0.0, tau_z=1.0, gamma=0.1, coupling=7.0)
-        assert abs(b.H_K[2, 3] - 7.0) <= 1e-14
-        assert abs(b.H_K[2, 2] - (-20.0j)) <= 1e-14
+        h_k = b.H + b.K * b.H_c
+        assert abs(h_k[2, 3] - 7.0) <= 1e-14
+        assert abs(h_k[2, 2] - (-20.0j)) <= 1e-14
         h_c = np.zeros((4, 4), dtype=complex)
         h_c[2, 3] = h_c[3, 2] = 1.0
         assert frobenius(b.H_c - h_c) == 0.0

@@ -1,9 +1,16 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_hermitian, random_two_block_resolution
+from conftest import (
+    random_density,
+    random_hermitian,
+    random_two_block_resolution,
+    random_unitary,
+)
 from zenosim.errors import (
     DegenerateClustering,
     DimensionMismatch,
@@ -17,7 +24,6 @@ from zenosim.spectral import (
     pinch,
     projections_of_hermitian,
     projections_of_unitary,
-    validate,
     zeno_hamiltonian,
 )
 
@@ -26,7 +32,7 @@ P2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
 
 
 def two_block():
-    return ResolutionOfIdentity.from_projectors([P1, P2], [1.0, 2.0])
+    return ResolutionOfIdentity([P1, P2], [1.0, 2.0])
 
 
 def coupling_4level():
@@ -53,32 +59,94 @@ def plus_minus_projectors():
 
 
 class TestValidate:
+    """A resolution checks its invariants when built and refuses a non-resolution."""
+
     def test_two_block_clean(self):
-        assert validate(two_block()) == []
+        res = two_block()
+        assert (res.dim, res.ranks, res.labels) == (3, (2, 1), (1.0, 2.0))
+        assert all(p.dtype == complex for p in res.projectors)
 
     def test_trivial_resolution(self):
-        res = ResolutionOfIdentity.from_projectors([np.eye(3, dtype=complex)], [0.0])
-        assert validate(res) == []
+        res = ResolutionOfIdentity([np.eye(3, dtype=complex)], [0.0])
+        assert (res.dim, res.ranks) == (3, (3,))
+
+    def test_init_fields_are_projectors_and_labels(self):
+        assert [f.name for f in fields(ResolutionOfIdentity) if f.init] == [
+            "projectors", "labels"]
 
     def test_duplicated_projector_reported(self):
-        res = ResolutionOfIdentity.from_projectors([P1, P1], [1.0, 2.0])
-        names = {v.invariant for v in validate(res)}
-        assert "orthogonality" in names
-        assert "completeness" in names
+        with pytest.raises(InvalidParameter, match="orthogonality fails for P_0 P_1"):
+            ResolutionOfIdentity([P1, P1], [1.0, 2.0])
 
     def test_rank_sum_reported(self):
-        res = ResolutionOfIdentity.from_projectors([P1], [1.0])
-        names = {v.invariant for v in validate(res)}
-        assert "completeness" in names
+        with pytest.raises(InvalidParameter, match="completeness"):
+            ResolutionOfIdentity([P1], [1.0])
 
     def test_close_labels_reported(self):
-        res = ResolutionOfIdentity.from_projectors([P1, P2], [1.0, 1.0 + 1e-12])
-        assert any(v.invariant == "label-distinctness" for v in validate(res))
+        with pytest.raises(InvalidParameter, match="label distinctness fails for labels 0 and 1"):
+            ResolutionOfIdentity([P1, P2], [1.0, 1.0 + 1e-12])
+
+    def test_non_hermitian_reported(self):
+        p = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)  # idempotent, oblique
+        with pytest.raises(InvalidParameter, match="hermiticity fails for P_0"):
+            ResolutionOfIdentity([p, np.eye(2) - p], [0.0, 1.0])
+
+    def test_leaky_projector_reported(self):
+        # Hermitian with trace 1 but not idempotent: measured with it,
+        # evolve_projective at N=100 returns a "density matrix" of trace 5e5
+        p2 = P2.copy()
+        p2[0, 2] = p2[2, 0] = 0.3
+        with pytest.raises(InvalidParameter, match="idempotence fails for P_1"):
+            ResolutionOfIdentity([P1, p2], [1.0, 2.0])
 
     def test_fractional_trace_is_hard_error(self):
         with pytest.raises(InvalidParameter):
-            ResolutionOfIdentity.from_projectors(
+            ResolutionOfIdentity(
                 [np.diag([0.7, 0.0]).astype(complex)], [0.0])
+
+    @pytest.mark.parametrize("projectors", [
+        [np.ones((3, 2)), np.eye(3)], [np.eye(2), np.eye(3)], [np.ones(3)]],
+        ids=["non-square", "mixed-dimensions", "vector"])
+    def test_wrong_shape_reported(self, projectors):
+        with pytest.raises(DimensionMismatch):
+            ResolutionOfIdentity(projectors, [float(k) for k in range(len(projectors))])
+
+
+def _random_clusters(rng, d):
+    """Cluster count m and each of d eigenvalues' cluster, every cluster used."""
+    m = int(rng.integers(1, d + 1))
+    return m, rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, d - m)]))
+
+
+class TestBuiltResolutionsAreSound:
+    """Spectral resolutions of random operators pass their own checks."""
+
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(-3.0, 8.0))
+    @settings(max_examples=300, deadline=None)
+    def test_hermitian(self, d, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        m, which = _random_clusters(rng, d)
+        centres = scale * (np.arange(m) + rng.uniform(-0.3, 0.3, m) - rng.uniform(0, m))
+        w = centres[which] + 1e-13 * max(1.0, scale) * rng.standard_normal(d)
+        v = random_unitary(rng, d)
+        res = projections_of_hermitian((v * w) @ v.conj().T)
+        assert res.ranks == tuple(np.bincount(which)[np.argsort(centres)])
+
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_unitary(self, d, seed, at_seam):
+        rng = np.random.default_rng(seed)
+        m, which = _random_clusters(rng, d)
+        offsets = rng.uniform(-0.2, 0.2, m)
+        if at_seam:
+            offsets[0] = 0.0  # cluster 0 straddles the -pi/pi seam
+        start = np.pi if at_seam else rng.uniform(-np.pi, np.pi)
+        centres = start + 2.0 * np.pi * (np.arange(m) + offsets) / m
+        phases = centres[which] + 1e-13 * rng.standard_normal(d)
+        v = random_unitary(rng, d)
+        res = projections_of_unitary((v * np.exp(-1j * phases)) @ v.conj().T)
+        assert sorted(res.ranks) == sorted(np.bincount(which))
 
 
 class TestProjectionsOfHermitian:
@@ -89,7 +157,6 @@ class TestProjectionsOfHermitian:
         p_plus, p_minus = plus_minus_projectors()
         assert frobenius(res.projectors[0] - p_minus) <= 1e-12
         assert frobenius(res.projectors[2] - p_plus) <= 1e-12
-        assert validate(res) == []
 
     def test_projector_coupling(self):
         res = projections_of_hermitian(P2)  # |c><c|
@@ -123,7 +190,6 @@ class TestProjectionsOfUnitary:
         p_plus, p_minus = plus_minus_projectors()
         assert frobenius(res.projectors[0] - p_minus) <= 1e-10
         assert frobenius(res.projectors[2] - p_plus) <= 1e-10
-        assert validate(res) == []
 
     def test_identity(self):
         res = projections_of_unitary(np.eye(3))
@@ -220,7 +286,7 @@ class TestZenoHamiltonian:
     def test_trivial_resolution_returns_h(self):
         rng = np.random.default_rng(3)
         h = random_hermitian(rng, 3)
-        res = ResolutionOfIdentity.from_projectors([np.eye(3, dtype=complex)], [0.0])
+        res = ResolutionOfIdentity([np.eye(3, dtype=complex)], [0.0])
         assert frobenius(zeno_hamiltonian(h, res) - h) <= 1e-12
 
     def test_own_eigenprojections_identity(self):
