@@ -256,18 +256,9 @@ def _sweep_values(parameter_values) -> np.ndarray:
     return values
 
 
-def _curve(name: str, values: np.ndarray, count: str | None,
-           distance) -> ConvergenceCurve:
-    """distance(v) over validated sweep values, and the fitted rate.
-
-    ``count`` names an integer parameter such as "kick count"; None a real one.
-    """
-    dists = []
-    for v in values:
-        if count is not None and v != int(v):
-            raise InvalidParameter(f"{count} must be an integer, got {v!r}")
-        dists.append(distance(float(v) if count is None else int(v)))
-    dists = np.asarray(dists)
+def _curve(name: str, values: np.ndarray, distance) -> ConvergenceCurve:
+    """distance(v) over validated sweep values (an engine checks N), and the rate."""
+    dists = np.array([distance(float(v)) for v in values])
     exact = bool(np.all(dists <= EXACT_DISTANCE))
     rate = float("nan") if exact else _fit_rate(values, dists)
     return ConvergenceCurve(parameter_name=name, parameter_values=values,
@@ -289,9 +280,9 @@ def convergence_curve(bundle: ModelBundle, t: float,
     values = _sweep_values(parameter_values)
     u_z = propagator(bundle.zeno_hamiltonian(), t)
     if bundle.mechanism == "kicked":
-        return _curve("N", values, "kick count", lambda n: opnorm(
+        return _curve("N", values, lambda n: opnorm(
             extracted_kick_limit(bundle.H, bundle.U_kick, t, n) - u_z))
-    return _curve("K", values, None, lambda k: opnorm(
+    return _curve("K", values, lambda k: opnorm(
         extracted_continuous_limit(bundle.H, bundle.H_c, t, k) - u_z))
 
 
@@ -305,7 +296,7 @@ def projective_convergence_curve(bundle: ModelBundle, rho0, t: float,
     values = _sweep_values(n_values)
     rho0 = check_density_matrix(rho0, bundle.dim)
     limit = evolve_zeno_limit(rho0, bundle.H, bundle.res, t, samples=2).final_state
-    return _curve("N", values, "measurement count", lambda n: frobenius(
+    return _curve("N", values, lambda n: frobenius(
         evolve_projective(rho0, bundle.H, bundle.res, t, n,
                           samples=2).final_state - limit))
 

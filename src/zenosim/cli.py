@@ -22,13 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    convergence_curve,
-    decay_protection_sweep,
-    observables,
-    projective_convergence_curve,
-)
+from .analysis import observables
 from .config import (
+    MECHANISMS,
     MODEL_REGISTRY,
     SERIES_OUTPUTS,
     ScenarioConfig,
@@ -36,17 +32,7 @@ from .config import (
     load_document,
     validate_document,
 )
-from .engines import (
-    continuous_propagator,
-    evolve_continuous,
-    evolve_kicked,
-    evolve_projective,
-    evolve_zeno_limit,
-    kicked_propagator,
-    zeno_propagators,
-)
-from .errors import InvalidParameter, SchemaViolation, ZenosimError
-from .linalg import propagator
+from .errors import SchemaViolation, ZenosimError
 
 __all__ = ["run_scenario", "main"]
 
@@ -62,8 +48,10 @@ def _matrix_lines(m: np.ndarray) -> list[str]:
     return lines
 
 
-def _series_lines(record, res, outputs, stepped: bool) -> list[str]:
+def _series_lines(record, res, outputs) -> list[str]:
+    """One row per sample; integer times_or_steps (kick counts) print as steps."""
     obs = observables(record, res)
+    stepped = np.issubdtype(record.times_or_steps.dtype, np.integer)
     header = ["step" if stepped else "t"]
     if "probabilities" in outputs:
         header += [f"p_{n + 1}" for n in range(res.nsectors)]
@@ -101,14 +89,37 @@ def run_scenario(config: ScenarioConfig, output_dir: str | Path = ".",
     first write, so a numeric failure leaves no partial output behind.
     """
     base = config.output_path
-    mech = config.mechanism
-    values = config.values  # swept N or K; None for zeno-limit
+    mech = MECHANISMS[config.mechanism]
+    x = config.values[-1] if config.values else None  # last swept N or K, if any
     notes: list[str] = []
     files: dict[str, list[str]] = {}
 
-    if mech == "decay-sweep":
-        result = decay_protection_sweep(k_values=list(values), t=config.t,
-                                        **config.model_parameters)
+    if mech.survival is None:  # a survival sweep builds its own bundles
+        bundle = config.build_bundle()
+        psi0 = config.resolve_initial_state()
+
+    series_outputs = [k for k in config.outputs if k in SERIES_OUTPUTS]
+    if series_outputs:
+        record = mech.series(bundle, psi0, config.t, x, config.samples)
+        files[f"{base}_series.csv"] = _series_lines(
+            record, bundle.resolution(), series_outputs)
+
+    if "convergence" in config.outputs:
+        curve = mech.curve(bundle, psi0, config.t, config.values)
+        files[f"{base}_convergence.csv"] = _curve_lines(curve)
+        if curve.exact:
+            notes.append("convergence: exact (distances at roundoff)")
+        else:
+            notes.append(f"convergence: fitted rate {curve.fitted_rate:.4f}, "
+                         f"mean factor per doubling "
+                         f"{curve.doubling_factor:.4f}")
+
+    if "propagator" in config.outputs:
+        for infix, u in mech.propagators(bundle, config.t, x).items():
+            files[f"{base}{infix}_propagator.txt"] = _matrix_lines(u)
+
+    if "survival" in config.outputs:
+        result = mech.survival(config)
         lines = ["K,survival"]
         lines += [f"{_fmt(k)},{_fmt(s)}" for k, s in result.points]
         files[f"{base}_survival.csv"] = lines
@@ -117,57 +128,6 @@ def run_scenario(config: ScenarioConfig, output_dir: str | Path = ".",
         else:
             notes.append(f"smallest K with survival >= {result.threshold}: "
                          f"{_fmt(result.protective_coupling)}")
-    else:
-        bundle = config.build_bundle()
-        res = bundle.resolution()
-        psi0 = config.resolve_initial_state()
-        rho0 = np.outer(psi0, psi0.conj())
-        series_outputs = [k for k in config.outputs if k in SERIES_OUTPUTS]
-
-        if series_outputs:
-            if mech == "projective":
-                record = evolve_projective(rho0, bundle.H, res, config.t,
-                                           values[-1], config.samples)
-            elif mech == "kicked":
-                record = evolve_kicked(psi0, bundle.H, bundle.U_kick, config.t,
-                                       values[-1], config.samples)
-            elif mech == "continuous":
-                record = evolve_continuous(psi0, bundle.H, bundle.H_c,
-                                           values[-1], config.t, config.samples)
-            else:
-                record = evolve_zeno_limit(rho0, bundle.H, res, config.t,
-                                           config.samples)
-            files[f"{base}_series.csv"] = _series_lines(
-                record, res, series_outputs, stepped=(mech == "kicked"))
-
-        if "convergence" in config.outputs:
-            if mech == "projective":
-                curve = projective_convergence_curve(
-                    bundle, rho0, config.t, list(values))
-            else:
-                curve = convergence_curve(bundle, config.t, list(values))
-            files[f"{base}_convergence.csv"] = _curve_lines(curve)
-            if curve.exact:
-                notes.append("convergence: exact (distances at roundoff)")
-            else:
-                notes.append(f"convergence: fitted rate {curve.fitted_rate:.4f}, "
-                             f"mean factor per doubling "
-                             f"{curve.doubling_factor:.4f}")
-
-        if "propagator" in config.outputs:
-            if mech == "kicked":
-                u = kicked_propagator(bundle.H, bundle.U_kick, config.t,
-                                      values[-1])
-            elif mech == "continuous":
-                u = continuous_propagator(bundle.H, bundle.H_c, values[-1],
-                                          config.t)
-            elif mech == "zeno-limit":
-                u = propagator(bundle.zeno_hamiltonian(), config.t)
-                for i, v in enumerate(zeno_propagators(bundle.H, res, config.t)):
-                    files[f"{base}_sector{i + 1}_propagator.txt"] = _matrix_lines(v)
-            else:
-                raise InvalidParameter(f"mechanism {mech!r} has no propagator output")
-            files[f"{base}_propagator.txt"] = _matrix_lines(u)
 
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

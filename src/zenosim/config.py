@@ -9,7 +9,7 @@ A scenario is one JSON object per file:
       "schedule": {"t": 1.0, "N": [16, 32, 64], "samples": 50},
       "initial_state": "b",
       "outputs": ["probabilities", "purity", "convergence"],
-      "output": {"path": "demo", "format": "csv"}
+      "output": {"path": "demo"}
     }
 
 Validation is strict: unknown keys anywhere are rejected, and every problem
@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import analysis, engines
 from .errors import InvalidState, SchemaViolation
-from .linalg import check_state_vector
+from .linalg import check_state_vector, propagator
 from .models import (
     ModelBundle,
     decay_model,
@@ -51,16 +52,63 @@ __all__ = [
 ]
 
 SERIES_OUTPUTS = ("probabilities", "purity", "coherence")
-OUTPUT_KINDS = SERIES_OUTPUTS + ("convergence", "propagator", "survival")
+# output kind -> the Mechanism maker that computes it
+_MAKERS = {**dict.fromkeys(SERIES_OUTPUTS, "series"), "convergence": "curve",
+           "propagator": "propagators", "survival": "survival"}
+OUTPUT_KINDS = tuple(_MAKERS)
 
-# mechanism -> (schedule key it sweeps: "N" step counts, "K" couplings or
-# None, outputs it can produce)
+
+@dataclass(frozen=True)
+class Mechanism:
+    """A mechanism's swept schedule key ("N", "K" or None) and output makers.
+
+    One maker per output group it produces, x the last swept value or None:
+    series(bundle, psi0, t, x, samples), curve(bundle, psi0, t, values),
+    propagators(bundle, t, x) -> {file infix: matrix}, survival(config).
+    """
+
+    key: str | None
+    series: Callable | None = None
+    curve: Callable | None = None
+    propagators: Callable | None = None
+    survival: Callable | None = None
+
+    @property
+    def outputs(self) -> tuple[str, ...]:
+        return tuple(kind for kind, maker in _MAKERS.items() if getattr(self, maker))
+
+
 MECHANISMS = {
-    "projective": ("N", SERIES_OUTPUTS + ("convergence",)),
-    "kicked": ("N", SERIES_OUTPUTS + ("convergence", "propagator")),
-    "continuous": ("K", SERIES_OUTPUTS + ("convergence", "propagator")),
-    "zeno-limit": (None, SERIES_OUTPUTS + ("propagator",)),
-    "decay-sweep": ("K", ("survival",)),
+    "projective": Mechanism(
+        "N",
+        series=lambda b, psi0, t, n, samples: engines.evolve_projective(
+            np.outer(psi0, psi0.conj()), b.H, b.res, t, n, samples),
+        curve=lambda b, psi0, t, ns: analysis.projective_convergence_curve(
+            b, np.outer(psi0, psi0.conj()), t, ns)),
+    "kicked": Mechanism(
+        "N",
+        series=lambda b, psi0, t, n, samples: engines.evolve_kicked(
+            psi0, b.H, b.U_kick, t, n, samples),
+        curve=lambda b, psi0, t, ns: analysis.convergence_curve(b, t, ns),
+        propagators=lambda b, t, n: {
+            "": engines.kicked_propagator(b.H, b.U_kick, t, n)}),
+    "continuous": Mechanism(
+        "K",
+        series=lambda b, psi0, t, k, samples: engines.evolve_continuous(
+            psi0, b.H, b.H_c, k, t, samples),
+        curve=lambda b, psi0, t, ks: analysis.convergence_curve(b, t, ks),
+        propagators=lambda b, t, k: {
+            "": engines.continuous_propagator(b.H, b.H_c, k, t)}),
+    "zeno-limit": Mechanism(
+        None,
+        series=lambda b, psi0, t, _, samples: engines.evolve_zeno_limit(
+            np.outer(psi0, psi0.conj()), b.H, b.resolution(), t, samples),
+        propagators=lambda b, t, _: {
+            **{f"_sector{i + 1}": v for i, v in
+               enumerate(engines.zeno_propagators(b.H, b.resolution(), t))},
+            "": propagator(b.zeno_hamiltonian(), t)}),
+    "decay-sweep": Mechanism("K", survival=lambda cfg: analysis.decay_protection_sweep(
+        k_values=cfg.values, t=cfg.t, **cfg.model_parameters)),
 }
 
 _BASIS_LABELS = {3: ("a", "b", "c"), 4: ("a", "b", "c", "M")}
@@ -256,7 +304,7 @@ def _validate_schedule(doc, mechanism, err: _Collector):
             swept[key] = tuple(cast(v) for v in vals)
 
     if mechanism is not None:
-        key = MECHANISMS[mechanism][0]
+        key = MECHANISMS[mechanism].key
         if key is not None and key not in sched:
             err.add(f"schedule.{key}", f"required for mechanism {mechanism}")
         for other in ("N", "K"):
@@ -321,7 +369,7 @@ def _validate_outputs(doc, mechanism, values, err: _Collector):
         else:
             outputs.append(item)
     if mechanism is not None:
-        allowed = MECHANISMS[mechanism][1]
+        allowed = MECHANISMS[mechanism].outputs
         for kind in outputs:
             if kind not in allowed:
                 err.add("outputs", f"{kind} not available for mechanism "
@@ -351,9 +399,7 @@ def validate_document(doc: dict) -> ScenarioConfig:
                 err.add("mechanism", "decay-sweep requires the decay model")
         elif model_name == "decay":
             err.add("mechanism", "the decay model only runs under decay-sweep")
-        elif mechanism == "zeno-limit":
-            pass  # any Hermitian model
-        elif mechanism != spec.mechanism:
+        elif mechanism not in ("zeno-limit", spec.mechanism):  # zeno-limit: any model
             err.add("mechanism",
                     f"model {model_name} carries a {spec.mechanism} payload, "
                     f"not {mechanism}")
@@ -371,16 +417,14 @@ def validate_document(doc: dict) -> ScenarioConfig:
     out = doc.get("output")
     if out is not None:
         if not isinstance(out, dict):
-            err.add("output", "must be an object with keys path, format")
+            err.add("output", "must be an object with key path")
         else:
-            _check_unknown_keys(out, ("path", "format"), "output", err)
+            _check_unknown_keys(out, ("path",), "output", err)
             raw_path = out.get("path", name)
             if not isinstance(raw_path, str) or not raw_path:
                 err.add("output.path", "must be a non-empty string")
             else:
                 output_path = raw_path
-            if out.get("format", "csv") != "csv":
-                err.add("output.format", "only 'csv' is supported")
 
     err.raise_if_any()
     return ScenarioConfig(

@@ -25,12 +25,10 @@ from .errors import (
     DegenerateKickPhases,
     DimensionMismatch,
     InvalidParameter,
-    NotHermitian,
 )
 from .engines import _check_coupling
-from .linalg import as_square_matrix, dagger, frobenius
+from .linalg import as_square_matrix, require_hermitian
 from .spectral import (
-    CLUSTER_WIDTH,
     ResolutionOfIdentity,
     projections_of_hermitian,
     projections_of_unitary,
@@ -46,9 +44,6 @@ __all__ = [
     "simplified_continuous",
     "decay_model",
 ]
-
-_HERMITIAN_BUNDLE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ModelBundle:
@@ -85,9 +80,8 @@ class ModelBundle:
                              (self.H_c.shape[0] if self.H_c is not None else None, "H_c")):
             if other is not None and other != dim:
                 raise DimensionMismatch(f"{label} dimension {other} != H dimension {dim}")
-        if not self.non_hermitian and frobenius(h - dagger(h)) > _HERMITIAN_BUNDLE_TOL:
-            raise NotHermitian(f"bundle {self.name!r} has non-Hermitian H "
-                               "without the non_hermitian flag")
+        if not self.non_hermitian:  # the engines' own test
+            require_hermitian(h, f"H of bundle {self.name!r} (not flagged non_hermitian)")
         if self.mechanism == "projective":
             res = self.res
         elif self.mechanism == "kicked":
@@ -128,9 +122,12 @@ def _two_block_resolution() -> ResolutionOfIdentity:
     return ResolutionOfIdentity([p1, p2], [1.0, 2.0])
 
 
-def _circular_gap(x: float, y: float) -> float:
-    d = abs(x - y) % (2.0 * np.pi)
-    return min(d, 2.0 * np.pi - d)
+def _with_sectors(bundle: ModelBundle, count: int, error, what: str) -> ModelBundle:
+    """The bundle, if its disturbance splits the space into ``count`` Zeno sectors."""
+    if (found := bundle.resolution().nsectors) != count:
+        raise error(f"{what}: the {bundle.mechanism} disturbance has Zeno "
+                    f"sector count {found}, not {count}")
+    return bundle
 
 
 def three_level_projective(omega1: float = 1.0, omega2: float = 1.0) -> ModelBundle:
@@ -153,21 +150,14 @@ def four_level_kicked(omega1: float = 1.0, omega2: float = 1.0,
     sectors (span{a,b}, (|c>+|M>)/sqrt2, (|c>-|M>)/sqrt2).  All three
     phases must be distinct modulo 2 pi or the sectors merge.
     """
-    phases = {"lambda1": lambda1, "+lambda2": lambda2, "-lambda2": -lambda2}
-    names = list(phases)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            if _circular_gap(phases[names[i]], phases[names[j]]) <= CLUSTER_WIDTH:
-                raise DegenerateKickPhases(
-                    f"kick eigenphases {names[i]} and {names[j]} coincide "
-                    f"modulo 2*pi; pick lambda1, lambda2 with distinct "
-                    f"(lambda1, +lambda2, -lambda2)")
     h = _chain_hamiltonian(omega1, omega2, 4)
     u = np.zeros((4, 4), dtype=complex)
     u[0, 0] = u[1, 1] = np.exp(-1j * lambda1)
     u[2, 2] = u[3, 3] = np.cos(lambda2)
     u[2, 3] = u[3, 2] = -1j * np.sin(lambda2)
-    return ModelBundle(name="four-level-kicked", H=h, U_kick=u)
+    return _with_sectors(ModelBundle(name="four-level-kicked", H=h, U_kick=u), 3,
+                         DegenerateKickPhases, "kick eigenphases lambda1, +lambda2 "
+                         "and -lambda2 are not distinct modulo 2*pi")
 
 
 def four_level_continuous(omega1: float = 1.0, omega2: float = 1.0,
@@ -192,15 +182,13 @@ def simplified_kicked(omega1: float = 1.0, omega2: float = 1.0,
     model's two sectors.  For lambda1 = 0, lambda2 = 1 this is exactly
     exp(-i |c><c|).
     """
-    if _circular_gap(lambda1, lambda2) <= CLUSTER_WIDTH:
-        raise DegenerateKickPhases(
-            "lambda1 and lambda2 coincide modulo 2*pi; the kick cannot "
-            "distinguish the two sectors")
     h = _chain_hamiltonian(omega1, omega2, 3)
     res = _two_block_resolution()
     u = (np.exp(-1j * lambda1) * res.projectors[0]
          + np.exp(-1j * lambda2) * res.projectors[1])
-    return ModelBundle(name="simplified-kicked", H=h, U_kick=u)
+    return _with_sectors(ModelBundle(name="simplified-kicked", H=h, U_kick=u), 2,
+                         DegenerateKickPhases,
+                         "lambda1 and lambda2 coincide modulo 2*pi")
 
 
 def simplified_continuous(omega1: float = 1.0, omega2: float = 1.0,
@@ -210,15 +198,11 @@ def simplified_continuous(omega1: float = 1.0, omega2: float = 1.0,
 
     H_c' = eta1 P_1 + eta2 P_2; for eta1 = 0, eta2 = 1 this is |c><c|.
     """
-    scale = max(1.0, abs(eta1), abs(eta2))
-    if abs(eta1 - eta2) <= CLUSTER_WIDTH * scale:
-        raise DegenerateCouplingLevels(
-            "eta1 and eta2 coincide; the coupling cannot distinguish "
-            "the two sectors")
     h = _chain_hamiltonian(omega1, omega2, 3)
     res = _two_block_resolution()
     h_c = eta1 * res.projectors[0] + eta2 * res.projectors[1]
-    return ModelBundle(name="simplified-continuous", H=h, H_c=h_c, K=float(coupling))
+    bundle = ModelBundle(name="simplified-continuous", H=h, H_c=h_c, K=float(coupling))
+    return _with_sectors(bundle, 2, DegenerateCouplingLevels, "eta1 and eta2 coincide")
 
 
 def decay_model(omega1: float = 0.0, tau_z: float = 1.0, gamma: float = 0.1,

@@ -34,8 +34,6 @@ from .linalg import (
 CLUSTER_WIDTH = 1e-8
 # idempotence / orthogonality / completeness slack for projectors
 PROJECTOR_TOL = 1e-10
-# slack when rounding trace(P) to an integer rank; beyond this is an error
-RANK_ROUND = 1e-6
 
 __all__ = [
     "ResolutionOfIdentity",
@@ -55,10 +53,10 @@ class ResolutionOfIdentity:
     Construction coerces the projectors to square complex matrices, derives
     ``dim`` and the ranks (trace(P_n) rounded to an integer), and refuses a
     family that is not a resolution with InvalidParameter, naming the first
-    invariant that fails: each P_n Hermitian and idempotent, its trace within
-    RANK_ROUND of an integer, distinct P_n mutually orthogonal, the family
-    summing to the identity (each to PROJECTOR_TOL, Frobenius), and labels
-    pairwise further apart than CLUSTER_WIDTH.
+    invariant that fails: each P_n Hermitian and idempotent, distinct P_n
+    mutually orthogonal, the family summing to the identity (each to
+    PROJECTOR_TOL, Frobenius), and labels finite and pairwise further apart
+    than CLUSTER_WIDTH.
     """
 
     projectors: tuple[np.ndarray, ...]
@@ -110,16 +108,16 @@ def _checked_ranks(p: np.ndarray, labels: tuple[float, ...]) -> tuple[int, ...]:
     n, dim, _ = p.shape
     _refuse_above("hermiticity", _norms(p - p.conj().swapaxes(1, 2)), PROJECTOR_TOL)
     _refuse_above("idempotence", _norms(p @ p - p), PROJECTOR_TOL)
-    traces = np.trace(p, axis1=1, axis2=2)
-    ranks = np.round(traces.real)
-    _refuse_above("rank", np.abs(traces - ranks), RANK_ROUND)
     overlaps = _norms(p[:, None] @ p)  # ||P_i P_j||; the diagonal is not an overlap
     np.fill_diagonal(overlaps, 0.0)
     _refuse_above("orthogonality", overlaps, PROJECTOR_TOL,
                   lambda k: "P_{} P_{}".format(*divmod(k, n)))
-    # no rank-sum check: completeness implies it, each rank is within RANK_ROUND of its trace
     _refuse_above("completeness", _norms(p.sum(axis=0) - np.eye(dim)), PROJECTOR_TOL,
                   lambda k: "sum_n P_n - I")
+    for k, label in enumerate(labels):
+        if not np.isfinite(label):
+            raise InvalidParameter(f"not a resolution of identity: label finiteness "
+                                   f"fails for label {k}, value {label}")
     order = sorted(range(n), key=labels.__getitem__)
     for i, j in zip(order, order[1:]):
         if labels[j] - labels[i] <= CLUSTER_WIDTH:
@@ -127,7 +125,8 @@ def _checked_ranks(p: np.ndarray, labels: tuple[float, ...]) -> tuple[int, ...]:
                 f"not a resolution of identity: label distinctness fails for labels "
                 f"{min(i, j)} and {max(i, j)}, gap {labels[j] - labels[i]:.3e} "
                 f"within CLUSTER_WIDTH {CLUSTER_WIDTH:.0e}")
-    return tuple(int(r) for r in ranks)
+    # a Hermitian idempotent's trace is its rank to within d * PROJECTOR_TOL
+    return tuple(int(r) for r in np.round(np.trace(p, axis1=1, axis2=2).real))
 
 
 def _cluster_sorted(values: np.ndarray, width: float) -> list[np.ndarray]:
@@ -137,9 +136,6 @@ def _cluster_sorted(values: np.ndarray, width: float) -> list[np.ndarray]:
     2*width] is ambiguous and raises, since nudging the tolerance would
     change the grouping.
     """
-    n = len(values)
-    if n == 1:
-        return [np.array([0])]
     gaps = np.diff(values)
     ambiguous = (gaps >= 0.5 * width) & (gaps <= 2.0 * width)
     if np.any(ambiguous):
@@ -153,7 +149,7 @@ def _cluster_sorted(values: np.ndarray, width: float) -> list[np.ndarray]:
         if g > width:
             groups.append(np.arange(start, i + 1))
             start = i + 1
-    groups.append(np.arange(start, n))
+    groups.append(np.arange(start, len(values)))
     return groups
 
 

@@ -274,6 +274,14 @@ class TestConvergenceCurve:
         with pytest.raises(InvalidParameter):
             convergence_curve(four_level_kicked(), 1.0, [4, 8.5, 16])
 
+    def test_engine_refuses_non_integer_count(self):
+        b = three_level_projective()
+        rho0 = np.diag([0.0, 1.0, 0.0]).astype(complex)
+        for curve in (lambda ns: convergence_curve(four_level_kicked(), 1.0, ns),
+                      lambda ns: projective_convergence_curve(b, rho0, 1.0, ns)):
+            with pytest.raises(InvalidParameter, match="N must be a positive integer"):
+                curve([4, 8.5, 16])
+
     def test_needs_three_ascending_values(self):
         with pytest.raises(InvalidParameter):
             convergence_curve(four_level_kicked(), 1.0, [4, 8])

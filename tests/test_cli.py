@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import zenosim
 from zenosim.cli import main, run_scenario
 from zenosim.config import MECHANISMS, OUTPUT_KINDS, parse_config, validate_document
-from zenosim.errors import InvalidParameter, SchemaViolation
+from zenosim.errors import SchemaViolation
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -136,7 +137,7 @@ def test_schema_and_runner_agree(tmp_path, mechanism, kind):
     doc = {"name": "pair", "model": {"name": model, "parameters": {}},
            "mechanism": mechanism, "schedule": {"t": 1.0, "samples": 3, **swept},
            "outputs": [kind]}
-    if kind not in MECHANISMS[mechanism][1]:
+    if kind not in MECHANISMS[mechanism].outputs:
         with pytest.raises(SchemaViolation) as e:
             validate_document(doc)
         assert [path for path, _ in e.value.violations] == ["outputs"]
@@ -149,17 +150,12 @@ def test_schema_and_runner_agree(tmp_path, mechanism, kind):
     assert all(name.endswith(suffix) for name in names)
 
 
-def test_runner_refuses_unhandled_pair(tmp_path, monkeypatch):
-    """A pair the table allows but the runner does not handle fails unwritten."""
-    name, outputs = MECHANISMS["projective"]
-    monkeypatch.setitem(MECHANISMS, "projective", (name, outputs + ("propagator",)))
-    model, swept = _MECHANISM_SETUP["projective"]
-    doc = {"name": "pair", "model": {"name": model, "parameters": {}},
-           "mechanism": "projective", "schedule": {"t": 1.0, "samples": 3, **swept},
-           "outputs": ["probabilities", "propagator"]}
-    with pytest.raises(InvalidParameter, match="projective"):
-        run_scenario(validate_document(doc), output_dir=tmp_path, quiet=True)
-    assert list(tmp_path.iterdir()) == []
+def test_runner_names_no_mechanism():
+    """run_scenario reads the table: no mechanism name appears in cli.py."""
+    tree = ast.parse(Path(zenosim.cli.__file__).read_text(encoding="utf-8"))
+    named = {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in MECHANISMS}
+    assert named == set()
 
 
 class TestMain:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenosim.errors import (
     DegenerateCouplingLevels,
     DegenerateKickPhases,
     InvalidParameter,
     NotHermitian,
+    ZenosimError,
 )
 from zenosim.linalg import expm, frobenius, hermiticity_defect
 from zenosim.models import (
@@ -192,6 +195,19 @@ class TestModelBundle:
             assert hermiticity_defect(b.H) <= 1e-12
             assert b.dim == b.H.shape[0]
 
+    @pytest.mark.parametrize("asymmetry, builds", [(5e-11, True), (1e-9, False)])
+    def test_hermiticity_is_the_engines_relative_test(self, asymmetry, builds):
+        """H is Hermitian to a bundle exactly when it is to every engine."""
+        b = three_level_projective()
+        h = b.H.copy()
+        h[0, 2] = asymmetry * np.sqrt(2.0)  # ||H - H†|| / ||H|| with ||H|| = 2
+        assert hermiticity_defect(h) == pytest.approx(asymmetry, rel=1e-6)
+        if builds:
+            assert ModelBundle(name="x", H=h, res=b.res).mechanism == "projective"
+        else:
+            with pytest.raises(NotHermitian):
+                ModelBundle(name="x", H=h, res=b.res)
+
     def test_nonhermitian_h_requires_flag(self):
         h = np.array([[0, 1, 0], [1, 0, 1], [0, 1, -1j]], dtype=complex)
         res = three_level_projective().res
@@ -210,3 +226,32 @@ class TestModelBundle:
     def test_projective_bundle_accepts_k(self):
         b = three_level_projective()
         assert ModelBundle(name="x", H=b.H, res=b.res, K=2.0).mechanism == "projective"
+
+
+# builder -> (Zeno sector count, the keyword pair whose coincidence merges sectors)
+_SPLIT_BUILDERS = {
+    "four-level-kicked": (four_level_kicked, 3, ("lambda1", "lambda2")),
+    "simplified-kicked": (simplified_kicked, 2, ("lambda1", "lambda2")),
+    "simplified-continuous": (simplified_continuous, 2, ("eta1", "eta2")),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_SPLIT_BUILDERS)))
+def test_builders_never_merge_sectors(data, name):
+    """Levels or phases drawn near coincidence: the full sector count, or an error.
+
+    The second parameter sits within 1e-7 of +-first (of 0 or pi too, where
+    +lambda2 meets -lambda2), shifted by 0 or +-2 pi.
+    """
+    build, count, (key1, key2) = _SPLIT_BUILDERS[name]
+    near = st.floats(0.0, 1e-7) | st.just(0.0)
+    x1 = data.draw(st.floats(-4.0, 4.0) | st.sampled_from([0.0, np.pi, -np.pi]), key1)
+    anchor = data.draw(st.sampled_from([x1, -x1, 0.0, np.pi]), "anchor")
+    x2 = (anchor + data.draw(st.sampled_from([-1.0, 1.0]), "sign") * data.draw(near, "gap")
+          + 2.0 * np.pi * data.draw(st.sampled_from([-1, 0, 1]), "turns"))
+    try:
+        bundle = build(**{key1: x1, key2: x2})
+    except ZenosimError:
+        return
+    assert bundle.resolution().nsectors == count

@@ -86,6 +86,12 @@ class TestValidate:
         with pytest.raises(InvalidParameter, match="label distinctness fails for labels 0 and 1"):
             ResolutionOfIdentity([P1, P2], [1.0, 1.0 + 1e-12])
 
+    @pytest.mark.parametrize("label", [np.nan, np.inf, -np.inf])
+    def test_non_finite_label_reported(self, label):
+        # every distinctness comparison with NaN is false, so check finiteness first
+        with pytest.raises(InvalidParameter, match="label finiteness fails for label 0"):
+            ResolutionOfIdentity([P1, P2], [label, 1.0])
+
     def test_non_hermitian_reported(self):
         p = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)  # idempotent, oblique
         with pytest.raises(InvalidParameter, match="hermiticity fails for P_0"):
