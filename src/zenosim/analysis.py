@@ -12,6 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engines import (
+    NORM_GROWTH_TOL,
+    _check_coupling,
+    _check_positive_t,
     evolve_continuous,
     evolve_projective,
     evolve_zeno_limit,
@@ -25,8 +28,11 @@ from .errors import (
     InvalidState,
 )
 from .linalg import (
+    HERMITICITY_TOL,
     check_density_matrix,
     frobenius,
+    hermiticity_defect,
+    nonhermitian_evolution,
     opnorm,
     propagator,
 )
@@ -251,14 +257,14 @@ def _sweep_values(parameter_values) -> np.ndarray:
     values = np.asarray(parameter_values, dtype=float)
     if len(values) < 3:
         raise InvalidParameter("need at least 3 parameter values")
-    if np.any(np.diff(values) <= 0):
+    if np.any(values[1:] <= values[:-1]):  # compared, not np.diff: inf - inf warns
         raise InvalidParameter("parameter values must be strictly increasing")
     return values
 
 
-def _curve(name: str, values: np.ndarray, distance) -> ConvergenceCurve:
-    """distance(v) over validated sweep values (an engine checks N), and the rate."""
-    dists = np.array([distance(float(v)) for v in values])
+def _curve(name: str, values: np.ndarray, dists) -> ConvergenceCurve:
+    """Distances over validated sweep values (an engine checks each), and the rate."""
+    dists = np.asarray(dists, dtype=float)
     exact = bool(np.all(dists <= EXACT_DISTANCE))
     rate = float("nan") if exact else _fit_rate(values, dists)
     return ConvergenceCurve(parameter_name=name, parameter_values=values,
@@ -270,8 +276,8 @@ def convergence_curve(bundle: ModelBundle, t: float,
     """Operator-norm distance of the extracted limit to exp(-i H_Z t).
 
     Works on kicked bundles (parameter N, integer kick counts) and
-    continuous bundles (parameter K).  First-order convergence shows up as
-    fitted_rate near -1 and a doubling_factor near 2.
+    continuous bundles (parameter K, all in one stacked eigh).  First-order
+    convergence shows up as fitted_rate near -1 and a doubling_factor near 2.
     """
     if bundle.mechanism not in ("kicked", "continuous"):
         raise InvalidParameter(
@@ -280,10 +286,10 @@ def convergence_curve(bundle: ModelBundle, t: float,
     values = _sweep_values(parameter_values)
     u_z = propagator(bundle.zeno_hamiltonian(), t)
     if bundle.mechanism == "kicked":
-        return _curve("N", values, lambda n: opnorm(
-            extracted_kick_limit(bundle.H, bundle.U_kick, t, n) - u_z))
-    return _curve("K", values, lambda k: opnorm(
-        extracted_continuous_limit(bundle.H, bundle.H_c, t, k) - u_z))
+        return _curve("N", values, [opnorm(extracted_kick_limit(
+            bundle.H, bundle.U_kick, t, n) - u_z) for n in values.tolist()])
+    return _curve("K", values, np.linalg.norm(extracted_continuous_limit(
+        bundle.H, bundle.H_c, t, values) - u_z, 2, axis=(1, 2)))
 
 
 def projective_convergence_curve(bundle: ModelBundle, rho0, t: float,
@@ -296,9 +302,9 @@ def projective_convergence_curve(bundle: ModelBundle, rho0, t: float,
     values = _sweep_values(n_values)
     rho0 = check_density_matrix(rho0, bundle.dim)
     limit = evolve_zeno_limit(rho0, bundle.H, bundle.res, t, samples=2).final_state
-    return _curve("N", values, lambda n: frobenius(
-        evolve_projective(rho0, bundle.H, bundle.res, t, n,
-                          samples=2).final_state - limit))
+    return _curve("N", values, [frobenius(evolve_projective(
+        rho0, bundle.H, bundle.res, t, n, samples=2).final_state - limit)
+        for n in values.tolist()])
 
 
 def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,
@@ -309,20 +315,29 @@ def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,
     The initial state is |b>.  Reports the sweep plus the smallest K whose
     survival reaches ``threshold`` (None if none does).  Only the tail
     (large K) is guaranteed monotone; weak coupling can accelerate decay.
+    All couplings share one stacked ``nonhermitian_evolution``, with the checks
+    ``evolve_continuous`` makes of each K; a slice it would not take that route
+    for (Hermitian, ill-conditioned near the EP, or amplified) gets that call.
     """
     ks = np.asarray(k_values, dtype=float)
     if len(ks) == 0:
         raise InvalidParameter("need at least one coupling value")
-    if np.any(np.diff(ks) <= 0):
+    if np.any(ks[1:] <= ks[:-1]):
         raise InvalidParameter("coupling values must be strictly increasing")
     # H and H_c do not depend on K: build them once, from the smallest K,
     # which is the one a sweep with negative couplings is refused for
     bundle = decay_model(omega1, tau_z, gamma, float(ks[0]), omega_b)
-    psi0 = np.zeros(4, dtype=complex)
-    psi0[1] = 1.0
-    survivals = np.array([
-        abs(evolve_continuous(psi0, bundle.H, bundle.H_c, float(k), t,
-                              samples=2).final_state[1]) ** 2 for k in ks])
+    psi0 = np.eye(4, dtype=complex)[1]
+    _check_positive_t(t)
+    _check_coupling(ks)
+    h_k = bundle.H + np.multiply.outer(ks, bundle.H_c)
+    spectral = nonhermitian_evolution(h_k)
+    states = spectral.states([0.0, t], psi0)
+    batched = (spectral.ok & (hermiticity_defect(h_k) > HERMITICITY_TOL)
+               & (np.linalg.norm(states, axis=-1).max(axis=-1) <= 1.0 + NORM_GROWTH_TOL))
+    survivals = np.array([abs(amp if ok else evolve_continuous(
+        psi0, bundle.H, bundle.H_c, k, t, samples=2).final_state[1]) ** 2
+        for amp, ok, k in zip(states[:, -1, 1], batched, ks.tolist())])
     hit = np.nonzero(survivals >= threshold)[0]
     protective = float(ks[hit[0]]) if len(hit) else None
     return DecayProtectionResult(couplings=ks, survivals=survivals,

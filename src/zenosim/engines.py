@@ -25,6 +25,8 @@ from .errors import (
 )
 from .linalg import (
     HERMITICITY_TOL,
+    _cayley_eig,
+    _SpectralEvaluator,
     as_square_matrix,
     check_density_matrix,
     check_state_vector,
@@ -36,7 +38,6 @@ from .linalg import (
     propagator,
     require_hermitian,
     require_unitary,
-    unitary_powers,
 )
 from .spectral import ResolutionOfIdentity, pinch, zeno_hamiltonian
 
@@ -106,9 +107,10 @@ def _check_positive_t(t: float) -> None:
         raise InvalidParameter(f"t must be positive and finite, got {t!r}")
 
 
-def _check_coupling(coupling: float) -> None:
-    if not (0 <= coupling < np.inf):
-        raise InvalidParameter(f"K must be a finite real >= 0, got {coupling!r}")
+def _check_coupling(coupling) -> None:
+    for k in np.ravel(coupling).tolist():  # one K or an array of them
+        if not (0 <= k < np.inf):
+            raise InvalidParameter(f"K must be a finite real >= 0, got {k!r}")
 
 
 def _checkpoints(n_steps: int, samples: int) -> np.ndarray:
@@ -120,7 +122,7 @@ def _checkpoints(n_steps: int, samples: int) -> np.ndarray:
 
 def _validate_step_args(t: float, n: int) -> tuple[float, int]:
     _check_positive_t(t)
-    if int(n) != n or n < 1:
+    if not 1 <= n < np.inf or int(n) != n:  # NaN fails the first test
         raise InvalidParameter(f"N must be a positive integer, got {n!r}")
     return float(t), int(n)
 
@@ -132,7 +134,8 @@ def _kick_step(h, u_kick, t: float, n: int):
     uk = require_unitary(u_kick, "U_kick")
     if uk.shape != hm.shape:
         raise DimensionMismatch("H and U_kick dimensions differ")
-    step = unitary_powers(uk @ propagator(hm, t / n), "U_kick U(t/N)")
+    # U(t/N) is unitary to roundoff, so the cycle is as unitary as the checked uk
+    step = _SpectralEvaluator(*_cayley_eig(uk @ propagator(hm, t / n)))
     return t, n, uk, step
 
 
@@ -296,14 +299,17 @@ def kicked_propagator(h, u_kick, t: float, n: int) -> np.ndarray:
 
 
 def continuous_propagator(h, h_c, coupling: float, t: float) -> np.ndarray:
-    """Lab-frame propagator U_K(t) = exp(-i (H + K H_c) t), Hermitian case."""
+    """Lab-frame propagator U_K(t) = exp(-i (H + K H_c) t), Hermitian case.
+
+    Couplings K (B,) give the stack (B, d, d), from one stacked eigh.
+    """
     _check_positive_t(t)
     _check_coupling(coupling)
     hm = require_hermitian(h, "H")
     hcm = require_hermitian(h_c, "H_c")
     if hm.shape != hcm.shape:
         raise DimensionMismatch("H and H_c dimensions differ")
-    return propagator(hm + coupling * hcm, t)
+    return propagator(hm + np.multiply.outer(coupling, hcm), t)
 
 
 def extracted_kick_limit(h, u_kick, t: float, n: int) -> np.ndarray:
@@ -313,17 +319,18 @@ def extracted_kick_limit(h, u_kick, t: float, n: int) -> np.ndarray:
     H by the kick's spectral projectors.
     """
     _, n, uk, step = _kick_step(h, u_kick, t, n)
-    return unitary_powers(uk, "U_kick")(-n) @ step(n)
+    return _SpectralEvaluator(*_cayley_eig(uk))(-n) @ step(n)  # _kick_step checked uk
 
 
 def extracted_continuous_limit(h, h_c, t: float, coupling: float) -> np.ndarray:
     """Coupling-frame propagator exp(i K H_c t) exp(-i (H + K H_c) t).
 
     Converges to exp(-i H_Z t) at rate O(1/K), where H_Z is the pinching of
-    H by the eigenprojections of H_c.
+    H by the eigenprojections of H_c.  An array of couplings (B,) gives the
+    stack (B, d, d) from one stacked eigh and one eigh of H_c.
     """
     u_k = continuous_propagator(h, h_c, coupling, t)
-    return propagator(h_c, -coupling * t) @ u_k
+    return propagator(h_c, -np.asarray(coupling) * t) @ u_k
 
 
 def projective_survival(state0, h, res: ResolutionOfIdentity, sector: int,

@@ -43,7 +43,6 @@ __all__ = [
     "unitary_eig",
     "expm",
     "hermitian_evolution",
-    "unitary_powers",
     "nonhermitian_evolution",
     "propagator",
     "check_state_vector",
@@ -62,8 +61,8 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose, of each matrix in a stack (B, d, d) too."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -77,9 +76,12 @@ def opnorm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Relative asymmetry ||A - A†|| / max(1, ||A||), Frobenius."""
-    return frobenius(a - dagger(a)) / max(1.0, frobenius(a))
+def hermiticity_defect(a: np.ndarray):
+    """Relative asymmetry ||A - A†|| / max(1, ||A||), Frobenius; (B,) for a stack."""
+    if a.ndim == 2:
+        return frobenius(a - dagger(a)) / max(1.0, frobenius(a))
+    norms = np.linalg.norm([a - dagger(a), a], axis=(2, 3))
+    return norms[0] / np.maximum(1.0, norms[1])
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -106,9 +108,11 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     Returns (w, v) with eigenvalues w ascending and orthonormal eigenvector
     columns v, so h == v @ diag(w) @ v†.  The input is validated against
     HERMITICITY_TOL first and symmetrized before the LAPACK call so the
-    result is exactly consistent with a Hermitian operator.
+    result is exactly consistent with a Hermitian operator.  A stack (B, d, d)
+    is checked slice by slice and decomposed in one call: w (B, d), v (B, d, d).
     """
-    m = require_hermitian(h, "eigh input")
+    m = (np.array([require_hermitian(s, "eigh input") for s in h]) if np.ndim(h) == 3
+         else require_hermitian(h, "eigh input"))
     m = 0.5 * (m + dagger(m))
     try:
         w, v = np.linalg.eigh(m)
@@ -128,7 +132,11 @@ def unitary_eig(u, name: str = "unitary") -> tuple[np.ndarray, np.ndarray]:
     the middle of the widest gap between u's eigenphases, at least 2 pi/d
     wide, onto -1, which bounds every |a| by cot(pi/2d).
     """
-    m = require_unitary(u, name)
+    return _cayley_eig(require_unitary(u, name))
+
+
+def _cayley_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``unitary_eig`` of a unitary that has passed ``require_unitary``."""
     d, rot = m.shape[0], 0.0  # rot = arg r
     try:
         b = np.linalg.inv(np.eye(d) + m)
@@ -150,7 +158,7 @@ def expm(a) -> np.ndarray:
     """Matrix exponential exp(A) by scipy's Padé routine, imported on first use.
 
     Each generator has one route: a Hermitian one ``hermitian_evolution``, a
-    unitary ``unitary_powers``, any other diagonalisable one
+    unitary's powers ``unitary_eig``, any other diagonalisable one
     ``nonhermitian_evolution``.  This is the fallback for a defective (or
     nearly defective) generator, whose eigenvectors that route refuses.
     """
@@ -172,56 +180,61 @@ def hermitian_evolution(h):
     return _SpectralEvaluator(*eigh(h))
 
 
-def unitary_powers(u, name: str = "unitary"):
-    """Validate and diagonalise a unitary once (``unitary_eig``); return k -> u^k.
-
-    Each Z diag(e^{-i k lam}) Z† is unitary up to roundoff at a cost
-    independent of the integer k, which may be negative.  The returned
-    evaluator's ``states(ks, state)`` applies many powers to one state.
-    """
-    return _SpectralEvaluator(*unitary_eig(u, name))
-
-
 def nonhermitian_evolution(h):
     """One eig of any square h: t -> V exp(-i w t) V⁻¹, or None if ill-conditioned.
 
     Roundoff grows like cond(V) eps (Moler & Van Loan, SIAM Review 45, 2003) and V
     is singular where eigenvalues coalesce, at an exceptional point (EP): above
-    EIG_COND_LIMIT this returns None and the caller falls back to ``expm``.
+    EIG_COND_LIMIT this returns None and the caller falls back to ``expm``.  A
+    finite stack (B, d, d) always gets one batched evaluator, from one eig, cond
+    and inv; its ``ok`` marks the slices within the limit, the rest take V = I.
     """
-    w, v = np.linalg.eig(as_square_matrix(h, "generator"))
-    return (_SpectralEvaluator(w, v, np.linalg.inv(v))
-            if np.linalg.cond(v) <= EIG_COND_LIMIT else None)
+    m = np.asarray(h, dtype=complex)
+    w, v = np.linalg.eig(m if m.ndim == 3 else as_square_matrix(m, "generator"))
+    ok = np.linalg.cond(v) <= EIG_COND_LIMIT
+    if m.ndim == 2:
+        return _SpectralEvaluator(w, v, np.linalg.inv(v)) if ok else None
+    v = np.where(ok[:, None, None], v, np.eye(m.shape[-1]))
+    return _SpectralEvaluator(w, v, np.linalg.inv(v), ok)
 
 
 class _SpectralEvaluator:
-    """x -> v diag(e^{-i w x}) v⁻¹; v⁻¹ defaults to v† (real w, unitary v)."""
+    """x -> v diag(e^{-i w x}) v⁻¹; v⁻¹ defaults to v† (real w, unitary v).
 
-    def __init__(self, w: np.ndarray, v: np.ndarray, v_inv=None):
-        self.w, self.v, self._vd = w, v, dagger(v)
+    An array x (B,) gives the stack (B, d, d) of u(x[b]).  So does a batch axis,
+    w (B, d) and v, v⁻¹ (B, d, d): slice b is a generator of its own.
+    """
+
+    def __init__(self, w: np.ndarray, v: np.ndarray, v_inv=None, ok=True):
+        self.w, self.v, self._vd, self.ok = w, v, dagger(v), ok
         self._vi, self._vid = (self._vd, v) if v_inv is None else (v_inv, dagger(v_inv))
 
     def __call__(self, x) -> np.ndarray:
-        return (self.v * np.exp(-1j * self.w * x)) @ self._vi
+        e = np.exp(-1j * self.w * np.asarray(x)[..., None])[..., None, :]
+        return (self.v * e) @ self._vi
 
     def states(self, xs, state: np.ndarray) -> np.ndarray:
-        """u(x) psi, or u(x) rho u(x)†, stacked over xs.
+        """u(x) psi, or u(x) rho u(x)†, stacked over xs (after any batch axis).
 
         The state is rotated into the eigenbasis once and every x costs only
         its phases e(x) = e^{-i w x} inside one batched product, not a d×d
         propagator: psi(x) = v (e(x) ∘ v⁻¹ psi) and
         rho(x) = v ((e(x) e(x)†) ∘ v⁻¹ rho v⁻†) v†.
         """
-        e = np.exp(-1j * self.w * np.asarray(xs)[:, None])
+        e = np.exp(-1j * self.w[..., None, :] * np.asarray(xs)[:, None])
         if state.ndim == 1:
-            return (e * (self._vi @ state)) @ self.v.T
-        r = self._vi @ state @ self._vid
-        return self.v @ (e[:, :, None] * r * e.conj()[:, None, :]) @ self._vd
+            return (e * (self._vi @ state)[..., None, :]) @ self.v.swapaxes(-1, -2)
+        r = (self._vi @ state @ self._vid)[..., None, :, :]
+        return (self.v[..., None, :, :] @ (e[..., :, None] * r * e.conj()[..., None, :])
+                @ self._vd[..., None, :, :])
 
 
 def propagator(h, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h and finite t, exactly unitary up to roundoff."""
-    if not (-np.inf < t < np.inf):
+    """exp(-i h t) for Hermitian h and finite t, exactly unitary up to roundoff.
+
+    A stack h (B, d, d) or an array t (B,) gives a stack (B, d, d).
+    """
+    if not (-np.inf < t < np.inf if np.isscalar(t) else np.isfinite(t).all()):
         raise InvalidParameter(f"t must be finite, got {t!r}")
     return hermitian_evolution(h)(t)
 

@@ -109,6 +109,14 @@ class ModelBundle:
         return zeno_hamiltonian(self.H, self._resolution)
 
 
+def _check_finite(params: dict, positive: tuple[str, ...] = ()) -> None:
+    """Refuse a non-finite parameter, or a non-positive one named in ``positive``."""
+    for name, x in params.items():
+        if not (-np.inf < x < np.inf and (x > 0 or name not in positive)):
+            raise InvalidParameter(f"{name} must be finite"
+                                   f"{' and positive' * (name in positive)}, got {x!r}")
+
+
 def _chain_hamiltonian(omega1: float, omega2: float, dim: int) -> np.ndarray:
     h = np.zeros((dim, dim), dtype=complex)
     h[0, 1] = h[1, 0] = omega1
@@ -136,6 +144,7 @@ def three_level_projective(omega1: float = 1.0, omega2: float = 1.0) -> ModelBun
     The measurement pins the dynamics inside the rank-2 sector, where only
     the a--b coupling survives: H_Z = [[0, O1, 0], [O1, 0, 0], [0, 0, 0]].
     """
+    _check_finite(locals())
     h = _chain_hamiltonian(omega1, omega2, 3)
     res = _two_block_resolution()
     return ModelBundle(name="three-level-projective", H=h, res=res)
@@ -150,6 +159,7 @@ def four_level_kicked(omega1: float = 1.0, omega2: float = 1.0,
     sectors (span{a,b}, (|c>+|M>)/sqrt2, (|c>-|M>)/sqrt2).  All three
     phases must be distinct modulo 2 pi or the sectors merge.
     """
+    _check_finite(locals())
     h = _chain_hamiltonian(omega1, omega2, 4)
     u = np.zeros((4, 4), dtype=complex)
     u[0, 0] = u[1, 1] = np.exp(-1j * lambda1)
@@ -168,6 +178,7 @@ def four_level_continuous(omega1: float = 1.0, omega2: float = 1.0,
     as the kicked variant, so the K -> infinity limit pins the identical
     Zeno Hamiltonian.
     """
+    _check_finite(locals())
     h = _chain_hamiltonian(omega1, omega2, 4)
     h_c = np.zeros((4, 4), dtype=complex)
     h_c[2, 3] = h_c[3, 2] = 1.0
@@ -182,6 +193,7 @@ def simplified_kicked(omega1: float = 1.0, omega2: float = 1.0,
     model's two sectors.  For lambda1 = 0, lambda2 = 1 this is exactly
     exp(-i |c><c|).
     """
+    _check_finite(locals())
     h = _chain_hamiltonian(omega1, omega2, 3)
     res = _two_block_resolution()
     u = (np.exp(-1j * lambda1) * res.projectors[0]
@@ -198,6 +210,7 @@ def simplified_continuous(omega1: float = 1.0, omega2: float = 1.0,
 
     H_c' = eta1 P_1 + eta2 P_2; for eta1 = 0, eta2 = 1 this is |c><c|.
     """
+    _check_finite(locals())
     h = _chain_hamiltonian(omega1, omega2, 3)
     res = _two_block_resolution()
     h_c = eta1 * res.projectors[0] + eta2 * res.projectors[1]
@@ -218,10 +231,7 @@ def decay_model(omega1: float = 0.0, tau_z: float = 1.0, gamma: float = 0.1,
     The printed model has no detuning.  An off-resonant decaying level is
     our interpretation: ``omega_b`` sits on the |b> diagonal, H[1, 1].
     """
-    if not (tau_z > 0):
-        raise InvalidParameter(f"tau_Z must be positive, got {tau_z!r}")
-    if not (gamma > 0):
-        raise InvalidParameter(f"gamma must be positive, got {gamma!r}")
+    _check_finite(locals(), positive=("tau_z", "gamma"))
     h = np.zeros((4, 4), dtype=complex)
     h[0, 1] = h[1, 0] = omega1
     h[1, 1] = omega_b

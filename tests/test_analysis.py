@@ -27,6 +27,7 @@ from zenosim.engines import (
     evolve_continuous,
     evolve_kicked,
     evolve_zeno_limit,
+    extracted_continuous_limit,
 )
 from zenosim.errors import (
     DimensionMismatch,
@@ -34,9 +35,12 @@ from zenosim.errors import (
     InvalidParameter,
     InvalidState,
 )
+from zenosim.linalg import opnorm, propagator
 from zenosim.models import (
+    decay_model,
     four_level_continuous,
     four_level_kicked,
+    simplified_continuous,
     simplified_kicked,
     three_level_projective,
 )
@@ -282,11 +286,39 @@ class TestConvergenceCurve:
             with pytest.raises(InvalidParameter, match="N must be a positive integer"):
                 curve([4, 8.5, 16])
 
+    @pytest.mark.parametrize("n", [np.inf, np.nan])
+    def test_non_finite_count_refused(self, n):
+        with pytest.raises(InvalidParameter, match="N must be a positive integer"):
+            convergence_curve(four_level_kicked(), 1.0, [4, 8, n])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stacked_continuous_curve_matches_each_coupling(self, seed):
+        # one stacked eigh for the sweep gives each K's extracted limit exactly
+        rng = np.random.default_rng(seed)
+        b = (four_level_continuous(*rng.uniform(0.2, 2.0, 2)) if seed % 2 else
+             simplified_continuous(*rng.uniform(0.2, 2.0, 2), eta1=rng.uniform(-1, 0)))
+        ks, t = np.sort(rng.uniform(0.0, 500.0, 9)), rng.uniform(0.2, 3.0)
+        curve = convergence_curve(b, t, ks)
+        u_z = propagator(b.zeno_hamiltonian(), t)
+        per_k = [opnorm(extracted_continuous_limit(b.H, b.H_c, t, k) - u_z)
+                 for k in ks.tolist()]
+        np.testing.assert_array_equal(curve.distances, per_k)
+
+    @pytest.mark.parametrize("ks", [[-1.0, 1.0, 2.0], [1.0, 2.0, np.inf],
+                                    [1.0, 2.0, np.nan]])
+    def test_stacked_curve_checks_every_coupling(self, ks):
+        with pytest.raises(InvalidParameter, match="K must be a finite real >= 0"):
+            convergence_curve(four_level_continuous(), 1.0, ks)
+
     def test_needs_three_ascending_values(self):
         with pytest.raises(InvalidParameter):
             convergence_curve(four_level_kicked(), 1.0, [4, 8])
         with pytest.raises(InvalidParameter):
             convergence_curve(four_level_kicked(), 1.0, [8, 4, 16])
+        # two equal infinities are refused as not increasing, without an inf - inf
+        for b in (four_level_kicked(), four_level_continuous()):
+            with pytest.raises(InvalidParameter, match="strictly increasing"):
+                convergence_curve(b, 1.0, [2, np.inf, np.inf])
 
     def test_projective_bundle_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -334,6 +366,41 @@ class TestDecayProtection:
                                k_values=[0.0, 10.0, 20.0, 40.0, 80.0, 160.0], t=5.0)
         assert calls == []
 
+    def test_stacked_sweep_matches_each_coupling_across_the_ep(self, monkeypatch):
+        # K crosses the exceptional point at sqrt(99); only the slice 1e-5 from
+        # it has cond(V) > EIG_COND_LIMIT, and only it takes the expm fallback
+        ep, t = np.sqrt(99.0), 5.0
+        ks = np.concatenate([np.linspace(0.0, 9.9, 12), [ep - 1e-4, ep + 1e-5, ep + 1e-4],
+                             np.linspace(10.0, 40.0, 12), [1e12]])
+        b, psi0 = decay_model(0.0, 1.0, 0.1, 0.0), np.eye(4, dtype=complex)[1]
+        calls, expm = [], engines.expm
+        monkeypatch.setattr(engines, "expm", lambda a: calls.append(a) or expm(a))
+        result = decay_protection_sweep(0.0, 1.0, 0.1, 0.0, ks, t)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], -1j * (b.H + (ep + 1e-5) * b.H_c) * t)
+        monkeypatch.undo()
+        # K = 1e12 makes H + K H_c Hermitian to HERMITICITY_TOL: the Hermitian route
+        per_k = [abs(evolve_continuous(psi0, b.H, b.H_c, k, t, samples=2)
+                     .final_state[1]) ** 2 for k in ks.tolist()]
+        np.testing.assert_array_equal(result.survivals, per_k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_sweep_matches_each_coupling(self, seed):
+        rng = np.random.default_rng(seed)
+        omega1, tau_z, gamma, omega_b = rng.uniform([0, 0.5, 0.05, -1], [1, 2, 1, 1])
+        ks, t = np.sort(rng.uniform(0.0, 200.0, 40)), rng.uniform(0.5, 8.0)
+        b, psi0 = decay_model(omega1, tau_z, gamma, 0.0, omega_b), np.eye(4, dtype=complex)[1]
+        result = decay_protection_sweep(omega1, tau_z, gamma, omega_b, ks, t)
+        per_k = [abs(evolve_continuous(psi0, b.H, b.H_c, k, t, samples=2)
+                     .final_state[1]) ** 2 for k in ks.tolist()]
+        np.testing.assert_array_equal(result.survivals, per_k)
+
+    @pytest.mark.parametrize("k, t", [(np.inf, 5.0), (np.nan, 5.0), (20.0, 0.0),
+                                      (20.0, np.inf)])
+    def test_sweep_checks_every_coupling_and_t(self, k, t):
+        with pytest.raises(InvalidParameter):
+            decay_protection_sweep(0.0, 1.0, 0.1, 0.0, [10.0, k], t)
+
     def test_free_decay_baseline(self):
         result = decay_protection_sweep(
             omega1=0.0, tau_z=1.0, gamma=0.1, omega_b=0.0,
@@ -350,6 +417,8 @@ class TestDecayProtection:
     def test_monotone_couplings_required(self):
         with pytest.raises(InvalidParameter):
             decay_protection_sweep(0.0, 1.0, 0.1, 0.0, [10.0, 5.0], t=5.0)
+        with pytest.raises(InvalidParameter, match="strictly increasing"):
+            decay_protection_sweep(0.0, 1.0, 0.1, 0.0, [1.0, np.inf, np.inf], t=5.0)
 
     def test_strong_coupling_beats_weak(self):
         result = decay_protection_sweep(

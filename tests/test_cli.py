@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import json
+import re
 import os
 import subprocess
 import sys
@@ -247,6 +249,31 @@ class TestMain:
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+# "name.csv <sha256>", or "name.csv <old sha256> → <new sha256>" when a change moves it
+_HASH_ENTRY = re.compile(r"([\w.-]+\.(?:csv|txt))`?:?\s+([0-9a-f]{64})"
+                         r"(?:\s*(?:→|->)\s*([0-9a-f]{64}))?")
+
+
+def _recorded_hashes() -> dict[str, str]:
+    """sha256 per scenario output file, from the latest CHANGES.md entry listing them."""
+    changes = SCENARIOS.parent / "CHANGES.md"
+    for line in reversed(changes.read_text(encoding="utf-8").splitlines()):
+        found = {name: new or old for name, old, new in _HASH_ENTRY.findall(line)}
+        if len(found) >= 12:
+            return found
+    raise AssertionError("no CHANGES.md entry lists the scenario output hashes")
+
+
+def test_scenario_outputs_match_the_recorded_hashes(tmp_path):
+    """The shipped scenarios write exactly the bytes the latest entry records."""
+    for scenario in sorted(SCENARIOS.glob("*.json")):
+        assert main(["run", str(scenario), "--output-dir", str(tmp_path), "--quiet"]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert len(written) == 12
+    assert written == _recorded_hashes()
 
 
 def _loads_scipy(code: str) -> bool:

@@ -13,7 +13,7 @@ from conftest import (
     random_unitary,
     straddle_state,
 )
-from zenosim import engines
+from zenosim import engines, linalg
 from zenosim.engines import (
     EvolutionRecord,
     asymptotic_continuous_propagator,
@@ -183,6 +183,27 @@ class TestKicked:
             engine(CHAIN, np.diag([1.0, 2.0]), 1.0, 2)
         with pytest.raises(DimensionMismatch, match="H and U_kick dimensions differ"):
             engine(CHAIN, np.eye(2), 1.0, 2)
+
+    @pytest.mark.parametrize("n", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("engine", [kicked_propagator, extracted_kick_limit])
+    def test_non_finite_step_count_refused(self, engine, n):
+        with pytest.raises(InvalidParameter, match="N must be a positive integer"):
+            engine(CHAIN, np.eye(3), 1.0, n)
+
+    @pytest.mark.parametrize("engine", [
+        kicked_propagator, extracted_kick_limit,
+        lambda h, u, t, n: evolve_kicked(basis_state(3, 0), h, u, t, n)])
+    def test_kick_engines_check_the_kick_once(self, monkeypatch, engine):
+        names, require_unitary = [], linalg.require_unitary
+
+        def counted(u, name="unitary"):
+            names.append(name)
+            return require_unitary(u, name)
+
+        for module in (engines, linalg):
+            monkeypatch.setattr(module, "require_unitary", counted)
+        engine(CHAIN, np.diag([1.0, 1.0, -1j]), 1.0, 8)
+        assert names == ["U_kick"]  # neither U_kick nor the kick cycle again
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)

@@ -18,6 +18,8 @@ from zenosim.linalg import (
     eigh,
     expm,
     frobenius,
+    hermitian_evolution,
+    hermiticity_defect,
     nonhermitian_evolution,
     opnorm,
     propagator,
@@ -225,6 +227,46 @@ class TestNonhermitianEvolution:
     def test_refuses_a_jordan_block(self):
         # one eigenvector for a double eigenvalue: eig's V is singular
         assert nonhermitian_evolution(np.array([[-1j, 1], [0, -1j]])) is None
+
+
+class TestStacks:
+    """A stack (B, d, d) is one LAPACK call, with each slice as if alone."""
+
+    def test_stacked_eigh_checks_and_matches_each_slice(self):
+        rng = np.random.default_rng(5)
+        hs = np.array([random_hermitian(rng, 4) for _ in range(5)])
+        ev = hermitian_evolution(hs)
+        xs = np.array([0.0, 0.4, 2.5])
+        psi, rho = random_state(rng, 4), random_density(rng, 4)
+        us, vecs, dens = ev(1.3), ev.states(xs, psi), ev.states(xs, rho)
+        for b, h in enumerate(hs):
+            one = hermitian_evolution(h)
+            assert np.array_equal(us[b], one(1.3))
+            assert np.array_equal(vecs[b], one.states(xs, psi))
+            assert np.array_equal(dens[b], one.states(xs, rho))
+        assert np.array_equal(hermitian_evolution(hs[0])(xs), [ev(x)[0] for x in xs])
+        assert np.array_equal(propagator(hs[0], xs), [propagator(hs[0], x) for x in xs])
+        bad = hs.copy()
+        bad[3, 0, 1] += 1e-6
+        with pytest.raises(NotHermitian, match="eigh input has relative asymmetry"):
+            eigh(bad)
+        assert np.allclose(hermiticity_defect(bad), [hermiticity_defect(h) for h in bad],
+                           rtol=1e-12, atol=0)
+
+    def test_stacked_eig_guards_each_slice(self):
+        rng = np.random.default_rng(6)
+        jordan = np.zeros((3, 3), dtype=complex)
+        jordan[:2, :2] = [[-1j, 1], [0, -1j]]
+        hs = np.array([random_hermitian(rng, 3) - 0.3j * np.eye(3), jordan,
+                       random_hermitian(rng, 3) - 0.1j * np.diag([0, 1, 2])])
+        ev = nonhermitian_evolution(hs)
+        assert ev.ok.tolist() == [True, False, True]
+        psi, xs = random_state(rng, 3), np.array([0.0, 0.7])
+        for b in (0, 2):
+            one = nonhermitian_evolution(hs[b])
+            assert np.array_equal(ev(0.7)[b], one(0.7))
+            assert np.array_equal(ev.states(xs, psi)[b], one.states(xs, psi))
+        assert nonhermitian_evolution(hs[1]) is None
 
 
 class TestStateChecks:

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,3 +257,18 @@ def test_builders_never_merge_sectors(data, name):
     except ZenosimError:
         return
     assert bundle.resolution().nsectors == count
+
+
+_BUILDERS = [three_level_projective, four_level_kicked, four_level_continuous,
+             simplified_kicked, simplified_continuous, decay_model]
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("builder, param", [
+    (builder, param) for builder in _BUILDERS
+    for param in inspect.signature(builder).parameters],
+    ids=lambda x: getattr(x, "__name__", x))
+def test_non_finite_parameter_refused(builder, param, value):
+    # refused before any arithmetic: the suite turns numpy's warnings into errors
+    with pytest.raises(InvalidParameter, match=f"^{param} must be finite"):
+        builder(**{param: value})
