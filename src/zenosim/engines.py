@@ -148,7 +148,9 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
     Callers who want no preparatory measurement can pass an already pinched
     state; the pinch is idempotent.  Cross-sector coherences die, sector
     probabilities drift only through the unitary factors (O(1/N)), and
-    purity never increases along the sequence.
+    purity never increases along the sequence.  On the row-major vec(rho)
+    a round is two d²×d² products: U ⊗ U* for the free evolution, then the
+    resolution's pinching map inside ``pinch``.
     """
     t, n = _validate_step_args(t, n)
     hm = require_hermitian(h, "H")
@@ -156,7 +158,7 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
     if hm.shape[0] != res.dim:
         raise DimensionMismatch("H and resolution dimensions differ")
     u = propagator(hm, t / n)
-    ud = dagger(u)
+    uu = np.kron(u, u.conj())  # vec(U rho U†) = (U ⊗ U*) vec(rho)
 
     keep = _checkpoints(n, samples)
     keep_set = set(int(k) for k in keep)
@@ -165,14 +167,14 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
     rho = pinch(rho, res)
     states = [rho.copy()]  # step 0 is always a checkpoint
     for k in range(1, n + 1):
-        rho = pinch(u @ rho @ ud, res)
+        rho = pinch((uu @ rho.reshape(-1)).reshape(rho.shape), res)
         if k % _RENORM_INTERVAL == 0:
             tr = float(np.trace(rho).real)
             if abs(tr - 1.0) > TRACE_DRIFT:
                 corrections.append((k, abs(tr - 1.0)))
                 rho = rho / tr
         if k in keep_set:
-            states.append(rho.copy())
+            states.append(rho.copy())  # owns its data, unlike pinch's reshaped view
     return EvolutionRecord(keep.astype(float) * (t / n), tuple(states),
                            trace_corrections=tuple(corrections))
 

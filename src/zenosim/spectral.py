@@ -51,7 +51,9 @@ class ResolutionOfIdentity:
     Labels are the spectral values the projectors came from: eigenvalues for
     a Hermitian disturbance, eigenphases in (-pi, pi] for a unitary kick.
     Construction coerces the projectors to square complex matrices, derives
-    ``dim`` and the ranks (trace(P_n) rounded to an integer), and refuses a
+    ``dim``, the ranks (trace(P_n) rounded to an integer) and ``pinching``,
+    the d²×d² map sum_n P_n ⊗ P_nᵀ that takes the row-major vec(x) to
+    vec(pinch(x)) (16·d⁴ bytes), and refuses a
     family that is not a resolution with InvalidParameter, naming the first
     invariant that fails: each P_n Hermitian and idempotent, distinct P_n
     mutually orthogonal, the family summing to the identity (each to
@@ -63,6 +65,7 @@ class ResolutionOfIdentity:
     labels: tuple[float, ...]
     dim: int = field(init=False)
     ranks: tuple[int, ...] = field(init=False)
+    pinching: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         projs = tuple(as_square_matrix(p, "projector") for p in self.projectors)
@@ -76,8 +79,11 @@ class ResolutionOfIdentity:
             raise DimensionMismatch(f"projectors have mixed dimensions {dims}")
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "dim", dims[0])
-        object.__setattr__(self, "ranks", _checked_ranks(np.stack(projs), labels))
+        d, p = dims[0], np.stack(projs)
+        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "ranks", _checked_ranks(p, labels))
+        object.__setattr__(self, "pinching",
+                           np.einsum("nij,nlk->ikjl", p, p).reshape(d * d, d * d))
 
     @property
     def nsectors(self) -> int:
@@ -211,7 +217,7 @@ def projections_of_unitary(u) -> ResolutionOfIdentity:
 
 
 def pinch(x, res: ResolutionOfIdentity) -> np.ndarray:
-    """Block-diagonal part sum_n P_n x P_n.
+    """Block-diagonal part sum_n P_n x P_n, one product with ``res.pinching``.
 
     Models a nonselective measurement: trace is preserved, cross-sector
     coherences are erased, purity cannot increase.
@@ -220,10 +226,7 @@ def pinch(x, res: ResolutionOfIdentity) -> np.ndarray:
     if m.shape[0] != res.dim:
         raise DimensionMismatch(
             f"pinch input is {m.shape[0]}-dim, resolution is {res.dim}-dim")
-    out = np.zeros_like(m)
-    for p in res.projectors:
-        out += p @ m @ p
-    return out
+    return (res.pinching @ m.reshape(-1)).reshape(m.shape)
 
 
 def zeno_hamiltonian(h, res: ResolutionOfIdentity) -> np.ndarray:

@@ -99,6 +99,17 @@ class TestProjective:
         assert all(abs(np.trace(s).real - 1.0) <= 1e-12 for s in rec.states)
         assert rec.trace_corrections == ()
 
+    def test_long_run_renormalizes_trace(self):
+        """The drift check fires at steps 10000 and 20000 and restores the trace."""
+        bundle = three_level_projective(1.0, 1.0)
+        psi0 = np.array([1.0, 1j, 1.0]) / np.sqrt(3.0)
+        rec = evolve_projective(np.outer(psi0, psi0.conj()), bundle.H, bundle.res,
+                                t=1.0, n=20_000)
+        assert [k for k, _ in rec.trace_corrections] == [10_000, 20_000]
+        assert all(engines.TRACE_DRIFT < drift < linalg.TRACE_TOL
+                   for _, drift in rec.trace_corrections)
+        assert abs(np.trace(rec.final_state).real - 1.0) <= engines.TRACE_DRIFT
+
     def test_approaches_zeno_limit(self):
         rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         exact = evolve_zeno_limit(rho0, CHAIN, RES3, t=1.0, samples=2).final_state
@@ -240,6 +251,11 @@ def _to_numpy(m) -> np.ndarray:
     return np.array(m.tolist(), dtype=complex)
 
 
+def _mp_kron(a, b):
+    return _MP.matrix([[a[i, j] * b[k, l] for j in range(a.cols) for l in range(b.cols)]
+                       for i in range(a.rows) for k in range(b.rows)])
+
+
 @pytest.mark.parametrize("lambda1, n", [
     *[pytest.param(0.0, n, id=f"{n}") for n in (1, 4096, 10**9)],
     *[pytest.param(np.pi, n, id=f"pi-{n}") for n in (1, 4096, 10**9)],
@@ -296,6 +312,36 @@ def test_projective_survival_matches_40_digit_oracle(n):
     tol = 64 * dim * np.finfo(float).eps * (1 + n)
     for state in (psi0, np.outer(psi0, psi0.conj())):
         assert abs(projective_survival(state, bundle.H, bundle.res, 0, t, n) - ref) <= tol
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+@pytest.mark.parametrize("n", [1, 4096])
+def test_projective_engine_matches_40_digit_oracle(n, rotated):
+    """Every checkpoint against a 40-digit power of the lifted round pinch ∘ U(t/N).
+
+    With row-major vec, one round is sum_n (P_n U) ⊗ (U† P_n)ᵀ; tolerance
+    64 d eps (1 + k) after k rounds.  The rotated resolution, a rank-2 and a
+    rank-1 sector turned by a seeded random unitary, has no zero entries, so
+    the pinching map is exercised on general projectors.
+    """
+    bundle = three_level_projective(1.0, 1.0)
+    res = (random_two_block_resolution(np.random.default_rng(11), 3, 2) if rotated
+           else bundle.res)
+    t, dim = 1.0, 3
+    psi0 = straddle_state(dim)
+    rho0 = np.outer(psi0, psi0.conj())
+    u = _MP.expm(_mp_lift(-1j * bundle.H) * (_MP.mpf(t) / n))
+    ps = [_mp_lift(p) for p in res.projectors]
+    step = sum((_mp_kron(p * u, (u.H * p).T) for p in ps), _MP.zeros(dim * dim))
+    pinched = sum((p * _mp_lift(rho0) * p for p in ps), _MP.zeros(dim))
+    vec0 = _MP.matrix([pinched[i, j] for i in range(dim) for j in range(dim)])
+
+    rec = evolve_projective(rho0, bundle.H, res, t, n, samples=5)
+    assert len(rec) == min(5, n + 1)
+    for time, state in zip(rec.times_or_steps, rec.states):
+        k = int(round(time * n / t))
+        ref = _to_numpy(_mp_power(step, k) * vec0).reshape(dim, dim)
+        assert np.abs(state - ref).max() <= 64 * dim * np.finfo(float).eps * (1 + k)
 
 
 # the decay scenario's model; H + K H_c has an exceptional point (EP), two

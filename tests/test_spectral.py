@@ -258,6 +258,24 @@ class TestPinch:
         with pytest.raises(DimensionMismatch):
             pinch(np.eye(4), two_block())
 
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sum_of_sector_products(self, d, seed):
+        """pinch(x) = sum_n P_n x P_n to 8 d eps ||x||_F on random mixed-rank resolutions."""
+        rng = np.random.default_rng(seed)
+        m, which = _random_clusters(rng, d)
+        v = random_unitary(rng, d)
+        res = ResolutionOfIdentity(
+            [v[:, which == k] @ v[:, which == k].conj().T for k in range(m)], range(m))
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        ref = sum(p @ x @ p for p in res.projectors)
+        assert frobenius(pinch(x, res) - ref) <= 8 * d * np.finfo(float).eps * frobenius(x)
+        x[rng.integers(d), rng.integers(d)] = rng.choice([np.nan, np.inf])
+        with pytest.raises(InvalidParameter, match="pinch input contains non-finite"):
+            pinch(x, res)
+        with pytest.raises(DimensionMismatch, match=f"{d + 1}-dim, resolution is {d}-dim"):
+            pinch(np.eye(d + 1), res)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_idempotent_trace_preserving(self, seed):
