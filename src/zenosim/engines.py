@@ -65,7 +65,7 @@ TRACE_DRIFT = 1e-12
 NORM_GROWTH_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionRecord:
     """Sampled trajectory of one evolution run.
 
@@ -196,6 +196,49 @@ def evolve_kicked(state0, h, u_kick, t: float, n: int,
     return EvolutionRecord(keep, tuple(step.states(keep, state)))
 
 
+def _continuous_generator(h, h_c, coupling, t: float) -> np.ndarray:
+    """Checked H + K H_c: (d, d) for one K, (B, d, d) for an array of them."""
+    _check_positive_t(t)
+    _check_coupling(coupling)
+    hm = as_square_matrix(h, "H")
+    hcm = require_hermitian(h_c, "H_c")
+    if hm.shape != hcm.shape:
+        raise DimensionMismatch("H and H_c dimensions differ")
+    return hm + np.multiply.outer(coupling, hcm)
+
+
+def _sample_continuous(gens: np.ndarray, state0, times: np.ndarray) -> np.ndarray:
+    """exp(-i G_b tau) state0 for each slice G_b and time tau, stacked (B, S, ...).
+
+    Each slice takes the route ``evolve_continuous`` describes, and its checks.
+    """
+    hermitian = hermiticity_defect(gens) <= HERMITICITY_TOL
+    dim = gens.shape[-1]
+    if np.asarray(state0).ndim == 2:
+        if not hermitian.all():
+            raise NonHermitianDensityEvolution(
+                "density-matrix input requires a Hermitian generator; "
+                "propagate a state vector instead")
+        state = check_density_matrix(state0, dim)
+    else:
+        state = check_state_vector(state0, dim, subnormalized=not hermitian.all())
+    if hermitian.all():
+        return hermitian_evolution(gens).states(times, state)
+    spectral = nonhermitian_evolution(gens)
+    states = spectral.states(times, state)
+    if hermitian.any():
+        states[hermitian] = hermitian_evolution(gens[hermitian]).states(times, state)
+    for b in np.flatnonzero(~(spectral.ok | hermitian)):
+        # near an exceptional point: one Padé expm per sample after tau = 0
+        states[b] = [state] + [expm(-1j * gens[b] * tau) @ state for tau in times[1:]]
+    limit = 1.0 + NORM_GROWTH_TOL
+    if (nrm := np.linalg.norm(states[~hermitian], axis=-1)).max() > limit:
+        raise InvalidState(
+            f"non-Hermitian generator amplified the state to norm "
+            f"{nrm[nrm > limit][0]:.6f}; only decaying models are supported")
+    return states
+
+
 def evolve_continuous(state0, h, h_c, coupling: float, t: float,
                       samples: int = 50) -> EvolutionRecord:
     """Evolve under H + K*H_c, sampled on a uniform time grid up to t.
@@ -205,39 +248,10 @@ def evolve_continuous(state0, h, h_c, coupling: float, t: float,
     is accepted for state vectors only; its norm must not grow.  It costs one
     guarded eig, or one ``expm`` per sample near an exceptional point.
     """
-    _check_positive_t(t)
-    _check_coupling(coupling)
+    h_k = _continuous_generator(h, h_c, coupling, t)
     _check_samples(samples)
-    hm = as_square_matrix(h, "H")
-    hcm = require_hermitian(h_c, "H_c")
-    if hm.shape != hcm.shape:
-        raise DimensionMismatch("H and H_c dimensions differ")
-    h_k = hm + coupling * hcm
-    dim = hm.shape[0]
     times = np.linspace(0.0, t, samples)
-    hermitian = hermiticity_defect(h_k) <= HERMITICITY_TOL
-
-    if np.asarray(state0).ndim == 2:
-        if not hermitian:
-            raise NonHermitianDensityEvolution(
-                "density-matrix input requires a Hermitian generator; "
-                "propagate a state vector instead")
-        state = check_density_matrix(state0, dim)
-    else:
-        state = check_state_vector(state0, dim, subnormalized=not hermitian)
-    if hermitian:
-        states = hermitian_evolution(h_k).states(times, state)
-    elif (spectral := nonhermitian_evolution(h_k)) is not None:
-        states = spectral.states(times, state)
-    else:  # near an exceptional point: one Padé expm per sample after tau = 0
-        states = np.array([state] + [expm(-1j * h_k * tau) @ state
-                                     for tau in times[1:]])
-    limit = 1.0 + NORM_GROWTH_TOL
-    if not hermitian and (nrm := np.linalg.norm(states, axis=1)).max() > limit:
-        raise InvalidState(
-            f"non-Hermitian generator amplified the state to norm "
-            f"{nrm[nrm > limit][0]:.6f}; only decaying models are supported")
-    return EvolutionRecord(times, tuple(states))
+    return EvolutionRecord(times, tuple(_sample_continuous(h_k[None], state0, times)[0]))
 
 
 def zeno_propagators(h, res: ResolutionOfIdentity, t: float) -> list[np.ndarray]:
@@ -305,13 +319,9 @@ def continuous_propagator(h, h_c, coupling: float, t: float) -> np.ndarray:
 
     Couplings K (B,) give the stack (B, d, d), from one stacked eigh.
     """
-    _check_positive_t(t)
-    _check_coupling(coupling)
-    hm = require_hermitian(h, "H")
-    hcm = require_hermitian(h_c, "H_c")
-    if hm.shape != hcm.shape:
-        raise DimensionMismatch("H and H_c dimensions differ")
-    return propagator(hm + np.multiply.outer(coupling, hcm), t)
+    h_k = _continuous_generator(h, h_c, coupling, t)
+    require_hermitian(h, "H")
+    return propagator(h_k, t)
 
 
 def extracted_kick_limit(h, u_kick, t: float, n: int) -> np.ndarray:

@@ -160,7 +160,7 @@ def expm(a) -> np.ndarray:
     Each generator has one route: a Hermitian one ``hermitian_evolution``, a
     unitary's powers ``unitary_eig``, any other diagonalisable one
     ``nonhermitian_evolution``.  This is the fallback for a defective (or
-    nearly defective) generator, whose eigenvectors that route refuses.
+    nearly defective) generator, a slice that route's ``ok`` marks False.
     """
     m = as_square_matrix(a, "expm input")
     import scipy.linalg
@@ -181,19 +181,19 @@ def hermitian_evolution(h):
 
 
 def nonhermitian_evolution(h):
-    """One eig of any square h: t -> V exp(-i w t) V⁻¹, or None if ill-conditioned.
+    """One batched eig of a stack h (B, d, d): slice b gives t -> V exp(-i w t) V⁻¹.
 
     Roundoff grows like cond(V) eps (Moler & Van Loan, SIAM Review 45, 2003) and V
-    is singular where eigenvalues coalesce, at an exceptional point (EP): above
-    EIG_COND_LIMIT this returns None and the caller falls back to ``expm``.  A
-    finite stack (B, d, d) always gets one batched evaluator, from one eig, cond
-    and inv; its ``ok`` marks the slices within the limit, the rest take V = I.
+    is singular where eigenvalues coalesce, at an exceptional point (EP).  One eig,
+    cond and inv serve the stack; the evaluator's ``ok`` marks the slices with
+    cond(V) within EIG_COND_LIMIT, the rest take V = I and the caller falls back
+    to ``expm`` for them.
     """
     m = np.asarray(h, dtype=complex)
-    w, v = np.linalg.eig(m if m.ndim == 3 else as_square_matrix(m, "generator"))
+    if m.ndim != 3:
+        raise DimensionMismatch(f"generator stack must be (B, d, d), got shape {m.shape}")
+    w, v = np.linalg.eig(m)
     ok = np.linalg.cond(v) <= EIG_COND_LIMIT
-    if m.ndim == 2:
-        return _SpectralEvaluator(w, v, np.linalg.inv(v)) if ok else None
     v = np.where(ok[:, None, None], v, np.eye(m.shape[-1]))
     return _SpectralEvaluator(w, v, np.linalg.inv(v), ok)
 

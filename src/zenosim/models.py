@@ -45,7 +45,7 @@ __all__ = [
     "decay_model",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelBundle:
     """A system Hamiltonian plus exactly one disturbance payload.
 
@@ -62,7 +62,7 @@ class ModelBundle:
     H_c: np.ndarray | None = None
     K: float | None = None
     non_hermitian: bool = False
-    _resolution: ResolutionOfIdentity = field(init=False, repr=False, compare=False)
+    _resolution: ResolutionOfIdentity = field(init=False, repr=False)
 
     def __post_init__(self):
         present = [x is not None for x in (self.res, self.U_kick, self.H_c)]

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolutionOfIdentity:
     """Orthogonal projectors P_n with sum_n P_n = I, each tagged by a label.
 
@@ -65,7 +65,7 @@ class ResolutionOfIdentity:
     labels: tuple[float, ...]
     dim: int = field(init=False)
     ranks: tuple[int, ...] = field(init=False)
-    pinching: np.ndarray = field(init=False, repr=False, compare=False)
+    pinching: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         projs = tuple(as_square_matrix(p, "projector") for p in self.projectors)

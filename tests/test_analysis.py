@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -425,3 +427,25 @@ class TestDecayProtection:
             omega1=0.0, tau_z=1.0, gamma=0.1, omega_b=0.0,
             k_values=[0.0, 100.0], t=5.0)
         assert result.survivals[1] > result.survivals[0]
+
+
+_ARRAY_RECORDS = {
+    "ResolutionOfIdentity": lambda: three_level_projective().res,
+    "ModelBundle": three_level_projective,
+    "EvolutionRecord": lambda: evolve_zeno_limit(np.eye(3) / 3.0, np.eye(3), RES3, 1.0, 3),
+    "ObservableSeries": lambda: observables(
+        evolve_zeno_limit(np.eye(3) / 3.0, np.eye(3), RES3, 1.0, 3), RES3),
+    "ConvergenceCurve": lambda: ConvergenceCurve(
+        "N", np.array([1.0, 2.0]), np.array([0.2, 0.1]), fitted_rate=-1.0),
+    "DecayProtectionResult": lambda: DecayProtectionResult(
+        np.array([1.0, 2.0]), np.array([0.5, 0.9]), 2.0, 0.9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_RECORDS))
+def test_array_records_compare_by_identity(name):
+    # arrays have no single truth value, so these records compare by identity
+    x = _ARRAY_RECORDS[name]()
+    assert x == x
+    assert x != copy.copy(x)
+    assert hash(x) == hash(x)

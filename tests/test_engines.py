@@ -14,6 +14,7 @@ from conftest import (
     straddle_state,
 )
 from zenosim import engines, linalg
+from zenosim.analysis import decay_protection_sweep
 from zenosim.engines import (
     EvolutionRecord,
     asymptotic_continuous_propagator,
@@ -531,8 +532,14 @@ _NON_FINITE_CALLS = {
     "continuous_propagator": lambda t: continuous_propagator(np.eye(4), _HC4, 2.0, t),
     "continuous_propagator-K": lambda k: continuous_propagator(np.eye(4), _HC4, k, 1.0),
     "evolve_continuous": lambda t: evolve_continuous(_PSI4, np.eye(4), _HC4, 2.0, t),
+    "evolve_continuous-K": lambda k: evolve_continuous(_PSI4, np.eye(4), _HC4, k, 1.0),
+    "decay_protection_sweep": lambda t: decay_protection_sweep(0.0, 1.0, 0.1, 0.0, [10.0], t),
+    "decay_protection_sweep-K":
+        lambda k: decay_protection_sweep(0.0, 1.0, 0.1, 0.0, [10.0, k], 5.0),
     "projective_survival": lambda t: projective_survival(_PSI3, CHAIN, RES3, 0, t, 4),
     "extracted_continuous_limit": lambda t: extracted_continuous_limit(np.eye(4), _HC4, t, 2.0),
+    "extracted_continuous_limit-K":
+        lambda k: extracted_continuous_limit(np.eye(4), _HC4, 1.0, k),
     "asymptotic_kicked_propagator": lambda t: asymptotic_kicked_propagator(CHAIN, RES3, t, 4),
     "propagator": lambda t: propagator(CHAIN, t),
     "zeno_propagators": lambda t: zeno_propagators(CHAIN, RES3, t),

@@ -215,18 +215,23 @@ class TestNonhermitianEvolution:
         # v⁻¹ ≠ v†: states() must rotate rho by v⁻¹ on the left and v⁻† on the right
         rng = np.random.default_rng(11)
         h = random_hermitian(rng, 4) - 0.5j * np.diag(rng.uniform(0.0, 2.0, 4))
-        ev = nonhermitian_evolution(h)
+        ev = nonhermitian_evolution(h[None])
+        assert ev.ok.tolist() == [True]
         psi, rho = random_state(rng, 4), random_density(rng, 4)
         xs = np.array([0.0, 0.3, 1.7])
-        for x, p, r in zip(xs, ev.states(xs, psi), ev.states(xs, rho)):
+        for x, p, r in zip(xs, ev.states(xs, psi)[0], ev.states(xs, rho)[0]):
             u = expm(-1j * h * x)
-            assert np.abs(ev(x) - u).max() <= 1e-12
+            assert np.abs(ev(x)[0] - u).max() <= 1e-12
             assert np.abs(p - u @ psi).max() <= 1e-12
             assert np.abs(r - u @ rho @ u.conj().T).max() <= 1e-12
 
     def test_refuses_a_jordan_block(self):
         # one eigenvector for a double eigenvalue: eig's V is singular
-        assert nonhermitian_evolution(np.array([[-1j, 1], [0, -1j]])) is None
+        assert nonhermitian_evolution(np.array([[[-1j, 1], [0, -1j]]])).ok.tolist() == [False]
+
+    def test_takes_only_a_stack(self):
+        with pytest.raises(DimensionMismatch, match="generator stack must be"):
+            nonhermitian_evolution(-1j * np.eye(2))
 
 
 class TestStacks:
@@ -263,10 +268,10 @@ class TestStacks:
         assert ev.ok.tolist() == [True, False, True]
         psi, xs = random_state(rng, 3), np.array([0.0, 0.7])
         for b in (0, 2):
-            one = nonhermitian_evolution(hs[b])
-            assert np.array_equal(ev(0.7)[b], one(0.7))
-            assert np.array_equal(ev.states(xs, psi)[b], one.states(xs, psi))
-        assert nonhermitian_evolution(hs[1]) is None
+            one = nonhermitian_evolution(hs[b:b + 1])
+            assert np.array_equal(ev(0.7)[b], one(0.7)[0])
+            assert np.array_equal(ev.states(xs, psi)[b], one.states(xs, psi)[0])
+        assert nonhermitian_evolution(hs[1:2]).ok.tolist() == [False]
 
 
 class TestStateChecks:

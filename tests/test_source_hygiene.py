@@ -1,0 +1,36 @@
+"""Code nothing calls gets deleted: each module uses every name it imports, and
+every private top-level name is referenced somewhere in the package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+TREES = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+         for p in sorted((Path(__file__).parents[1] / "src" / "zenosim").glob("*.py"))}
+
+
+def _loaded(tree) -> set[str]:
+    """Names read in tree, as variables or as attributes."""
+    return ({n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}))
+def test_imports_are_used_and_private_names_referenced(module):
+    tree = TREES[module]
+    imported = {(a.asname or a.name).split(".")[0] for n in ast.walk(tree)
+                if isinstance(n, (ast.Import, ast.ImportFrom))
+                and getattr(n, "module", None) != "__future__"
+                for a in n.names}
+    assert sorted(imported - _loaded(tree)) == []
+    defined = {t.id for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+               for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+               if isinstance(t, ast.Name)}
+    defined |= {n.name for n in tree.body
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    everywhere = set().union(*map(_loaded, TREES.values()))
+    assert sorted(name for name in defined
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in everywhere) == []
