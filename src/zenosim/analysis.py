@@ -13,11 +13,11 @@ import numpy as np
 
 from .engines import (
     _continuous_generator,
+    _kick_limits,
+    _measured_finals,
     _sample_continuous,
-    evolve_projective,
     evolve_zeno_limit,
     extracted_continuous_limit,
-    extracted_kick_limit,
 )
 from .errors import (
     DimensionMismatch,
@@ -25,7 +25,7 @@ from .errors import (
     InvalidParameter,
     InvalidState,
 )
-from .linalg import check_density_matrix, frobenius, opnorm, propagator
+from .linalg import check_density_matrix, propagator
 from .models import ModelBundle, decay_model
 from .spectral import ResolutionOfIdentity
 
@@ -265,8 +265,8 @@ def convergence_curve(bundle: ModelBundle, t: float,
                       parameter_values) -> ConvergenceCurve:
     """Operator-norm distance of the extracted limit to exp(-i H_Z t).
 
-    Works on kicked bundles (parameter N, integer kick counts) and
-    continuous bundles (parameter K, all in one stacked eigh).  First-order
+    Works on kicked bundles (parameter N, integer kick counts) and continuous
+    bundles (parameter K); either sweep is one stacked call.  First-order
     convergence shows up as fitted_rate near -1 and a doubling_factor near 2.
     """
     if bundle.mechanism not in ("kicked", "continuous"):
@@ -276,25 +276,23 @@ def convergence_curve(bundle: ModelBundle, t: float,
     values = _sweep_values(parameter_values)
     u_z = propagator(bundle.zeno_hamiltonian(), t)
     if bundle.mechanism == "kicked":
-        return _curve("N", values, [opnorm(extracted_kick_limit(
-            bundle.H, bundle.U_kick, t, n) - u_z) for n in values.tolist()])
-    return _curve("K", values, np.linalg.norm(extracted_continuous_limit(
-        bundle.H, bundle.H_c, t, values) - u_z, 2, axis=(1, 2)))
+        name, limits = "N", _kick_limits(bundle.H, bundle.U_kick, t, values)
+    else:
+        name, limits = "K", extracted_continuous_limit(bundle.H, bundle.H_c, t, values)
+    return _curve(name, values, np.linalg.norm(limits - u_z, 2, axis=(1, 2)))
 
 
 def projective_convergence_curve(bundle: ModelBundle, rho0, t: float,
                                  n_values) -> ConvergenceCurve:
-    """Frobenius distance of the finite-N measured state to the Zeno limit."""
+    """Frobenius distance of the finite-N measured state to the Zeno limit, O(log N) per N."""
     if bundle.mechanism != "projective":
         raise InvalidParameter(
             f"projective_convergence_curve needs a projective bundle, "
             f"got {bundle.mechanism!r}")
     values = _sweep_values(n_values)
-    rho0 = check_density_matrix(rho0, bundle.dim)
+    finals = _measured_finals(rho0, bundle.H, bundle.res, t, values)
     limit = evolve_zeno_limit(rho0, bundle.H, bundle.res, t, samples=2).final_state
-    return _curve("N", values, [frobenius(evolve_projective(
-        rho0, bundle.H, bundle.res, t, n, samples=2).final_state - limit)
-        for n in values.tolist()])
+    return _curve("N", values, np.linalg.norm(finals - limit, axis=(1, 2)))
 
 
 def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,

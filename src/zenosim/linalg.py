@@ -8,6 +8,8 @@ complex128; states are 1-D vectors or square density matrices.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -55,7 +57,8 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    # a finite sum of |m_ij|² clears every entry; else (inf, NaN or overflow) look
+    if not math.isfinite(np.vdot(m, m).real) and not np.isfinite(m).all():
         raise InvalidParameter(f"{name} contains non-finite entries")
     return m
 

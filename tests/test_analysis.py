@@ -30,6 +30,7 @@ from zenosim.engines import (
     evolve_kicked,
     evolve_zeno_limit,
     extracted_continuous_limit,
+    extracted_kick_limit,
 )
 from zenosim.errors import (
     DimensionMismatch,
@@ -305,6 +306,21 @@ class TestConvergenceCurve:
         per_k = [opnorm(extracted_continuous_limit(b.H, b.H_c, t, k) - u_z)
                  for k in ks.tolist()]
         np.testing.assert_array_equal(curve.distances, per_k)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stacked_kicked_curve_matches_each_count(self, seed):
+        # one eigh of H for the sweep, one Cayley eig per cycle: each N exactly
+        rng = np.random.default_rng(seed)
+        # lambda1 = pi puts a rank-2 kick eigenvalue on -1, where the Cayley eig rotates
+        lam1 = np.pi if seed % 2 else rng.uniform(-1.0, 1.0)
+        b = (four_level_kicked(*rng.uniform(0.2, 2.0, 2), lambda1=lam1) if seed < 4 else
+             simplified_kicked(*rng.uniform(0.2, 2.0, 2)))
+        ns, t = np.unique(rng.integers(1, 5000, 9)), rng.uniform(0.2, 3.0)
+        curve = convergence_curve(b, t, ns)
+        u_z = propagator(b.zeno_hamiltonian(), t)
+        per_n = [extracted_kick_limit(b.H, b.U_kick, t, n) for n in ns.tolist()]
+        np.testing.assert_array_equal(extracted_kick_limit(b.H, b.U_kick, t, ns), per_n)
+        np.testing.assert_array_equal(curve.distances, [opnorm(v - u_z) for v in per_n])
 
     @pytest.mark.parametrize("ks", [[-1.0, 1.0, 2.0], [1.0, 2.0, np.inf],
                                     [1.0, 2.0, np.nan]])

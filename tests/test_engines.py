@@ -14,7 +14,11 @@ from conftest import (
     straddle_state,
 )
 from zenosim import engines, linalg
-from zenosim.analysis import decay_protection_sweep
+from zenosim.analysis import (
+    convergence_curve,
+    decay_protection_sweep,
+    projective_convergence_curve,
+)
 from zenosim.engines import (
     EvolutionRecord,
     asymptotic_continuous_propagator,
@@ -345,6 +349,53 @@ def test_projective_engine_matches_40_digit_oracle(n, rotated):
         assert np.abs(state - ref).max() <= 64 * dim * np.finfo(float).eps * (1 + k)
 
 
+@pytest.mark.parametrize("n", [16, 4096, 2**20, 2**30])
+def test_projective_curve_matches_40_digit_oracle(n):
+    """Each curve distance against a 40-digit one; tolerance 64 d eps (1 + N).
+
+    The oracle powers the lifted round of ``test_projective_engine_matches_40_digit_oracle``
+    and takes the distance to U_Z pinch(rho0) U_Z†, with U_Z = exp(-i H_Z t) to 40
+    digits as well.
+    """
+    bundle = three_level_projective(1.0, 1.0)
+    t, dim = 1.0, 3
+    psi0 = straddle_state(dim)
+    rho0 = np.outer(psi0, psi0.conj())
+    ps = [_mp_lift(p) for p in bundle.res.projectors]
+    pinched = sum((p * _mp_lift(rho0) * p for p in ps), _MP.zeros(dim))
+    h = _mp_lift(bundle.H)
+    u_z = _MP.expm(-1j * sum((p * h * p for p in ps), _MP.zeros(dim)) * _MP.mpf(t))
+    limit = u_z * pinched * u_z.H
+    u = _MP.expm(-1j * h * (_MP.mpf(t) / n))
+    step = sum((_mp_kron(p * u, (u.H * p).T) for p in ps), _MP.zeros(dim * dim))
+    vec0 = _MP.matrix([pinched[i, j] for i in range(dim) for j in range(dim)])
+    final = _mp_power(step, n) * vec0
+    ref = _MP.sqrt(sum(abs(final[i * dim + j] - limit[i, j]) ** 2
+                       for i in range(dim) for j in range(dim)))
+    # the curve needs three values; the oracle checks the one at n
+    curve = projective_convergence_curve(bundle, rho0, t, [n, 2 * n, 4 * n])
+    assert abs(curve.distances[0] - float(ref)) <= 64 * dim * np.finfo(float).eps * (1 + n)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_measured_finals_match_the_step_loop(seed):
+    """The powered finals against ``evolve_projective``'s last state, N by N.
+
+    A rank-2 + rank-1 resolution turned by a seeded random unitary, a random H
+    and a random mixed state; the two routes may differ by their roundoff,
+    64 d eps (1 + N) each.
+    """
+    rng = np.random.default_rng(seed)
+    res = random_two_block_resolution(rng, 3, 2)
+    h, rho0 = random_hermitian(rng, 3), random_density(rng, 3)
+    ns, t = [1, 2, 3, 7, 64, 1000, 1023], rng.uniform(0.2, 3.0)
+    finals = engines._measured_finals(rho0, h, res, t, ns)
+    assert finals.shape == (len(ns), 3, 3)
+    for n, final in zip(ns, finals):
+        loop = evolve_projective(rho0, h, res, t, n, samples=2).final_state
+        assert np.abs(final - loop).max() <= 2 * 64 * 3 * np.finfo(float).eps * (1 + n)
+
+
 # the decay scenario's model; H + K H_c has an exceptional point (EP), two
 # coalescing eigenvalues, at K = sqrt(99) ≈ 9.94987, near 1/(tau_Z² gamma) = 10
 DECAY = decay_model(0.0, 1.0, 0.1, 0.0)
@@ -548,6 +599,37 @@ _NON_FINITE_CALLS = {
 }
 
 
+# each call takes the step count N
+_STEP_COUNT_CALLS = {
+    "evolve_projective": lambda n: evolve_projective(np.outer(_PSI3, _PSI3), CHAIN, RES3,
+                                                     1.0, n),
+    "evolve_kicked": lambda n: evolve_kicked(_PSI3, CHAIN, np.eye(3), 1.0, n),
+    "kicked_propagator": lambda n: kicked_propagator(CHAIN, np.eye(3), 1.0, n),
+    "extracted_kick_limit": lambda n: extracted_kick_limit(CHAIN, np.eye(3), 1.0, n),
+    "extracted_kick_limit-array":
+        lambda n: extracted_kick_limit(CHAIN, np.eye(3), 1.0, [4, n]),
+    "asymptotic_kicked_propagator": lambda n: asymptotic_kicked_propagator(CHAIN, RES3,
+                                                                           1.0, n),
+    "projective_survival": lambda n: projective_survival(_PSI3, CHAIN, RES3, 0, 1.0, n),
+    "convergence_curve": lambda n: convergence_curve(four_level_kicked(), 1.0, [4, 8, n]),
+    "projective_convergence_curve": lambda n: projective_convergence_curve(
+        three_level_projective(), np.outer(_PSI3, _PSI3), 1.0, [4, 8, n]),
+}
+
+
+@pytest.mark.parametrize("n", [2**63, 10**20, np.uint64(2**63), np.float64(2.0**63)],
+                         ids=["2**63", "10**20", "uint64", "float64"])
+@pytest.mark.parametrize("call", sorted(_STEP_COUNT_CALLS))
+def test_step_count_beyond_int64_refused(call, n):
+    with pytest.raises(InvalidParameter, match="N must be a positive integer"):
+        _STEP_COUNT_CALLS[call](n)
+
+
+def test_largest_int64_step_count_accepted():
+    u = kicked_propagator(CHAIN, np.diag([1.0, 1.0, -1.0]), 1.0, 2**63 - 1)
+    assert np.abs(dagger(u) @ u - np.eye(3)).max() <= 1e-14
+
+
 @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize("call", sorted(_NON_FINITE_CALLS))
 def test_non_finite_time_or_coupling_refused(call, value):
@@ -615,6 +697,14 @@ class TestAsymptoticPropagators:
         asym = asymptotic_kicked_propagator(h, res, 1.0, n)
         assert opnorm(exact - asym) <= 0.02
         assert opnorm(dagger(asym) @ asym - np.eye(4)) <= 1e-12
+
+    def test_kicked_asymptotic_stacks_an_array_of_counts(self):
+        # three counts on a 3-level model: a stack, not a broadcast over columns
+        ns = [4, 64, 1024]
+        res = ResolutionOfIdentity(RES3.projectors, [0.3, 1.7])
+        np.testing.assert_array_equal(
+            asymptotic_kicked_propagator(CHAIN, res, 1.0, ns),
+            [asymptotic_kicked_propagator(CHAIN, res, 1.0, n) for n in ns])
 
     def test_continuous_asymptotic_close_at_large_k(self):
         h = np.zeros((4, 4), dtype=complex)

@@ -13,6 +13,7 @@ from zenosim.errors import (
     NotUnitary,
 )
 from zenosim.linalg import (
+    as_square_matrix,
     check_density_matrix,
     check_state_vector,
     eigh,
@@ -35,6 +36,21 @@ def chain_h(o1, o2, dim=3):
     h[0, 1] = h[1, 0] = o1
     h[1, 2] = h[2, 1] = o2
     return h
+
+
+class TestAsSquareMatrix:
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_refused(self, bad, part):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = complex(bad, 0.5) if part == "real" else complex(0.5, bad)
+        with pytest.raises(InvalidParameter, match="^H contains non-finite entries$"):
+            as_square_matrix(m, "H")
+
+    def test_overflowing_sum_of_squares_passes(self):
+        # |1e200|² overflows the sum the fast check takes; the entries are finite
+        m = np.full((3, 3), 1e200 - 1e200j)
+        np.testing.assert_array_equal(as_square_matrix(m, "H"), m)
 
 
 class TestEigh:
