@@ -128,7 +128,7 @@ def _checked(x: np.ndarray, dim: int) -> np.ndarray:
     """A stack (S, d, d) of square, finite, dim×dim matrices, else the error."""
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
         raise DimensionMismatch(f"rho must be square, got shape {x.shape[1:]}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(np.vdot(x, x).real) and not np.isfinite(x).all():
         raise InvalidParameter("rho contains non-finite entries")
     if x.shape[1] != dim:
         raise DimensionMismatch(f"rho is {x.shape[1]}-dim, resolution is {dim}-dim")

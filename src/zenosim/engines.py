@@ -26,6 +26,7 @@ from .errors import (
 from .linalg import (
     HERMITICITY_TOL,
     _cayley_eig,
+    _lift,
     _SpectralEvaluator,
     as_square_matrix,
     check_density_matrix,
@@ -114,10 +115,14 @@ def _check_coupling(coupling) -> None:
 
 
 def _checkpoints(n_steps: int, samples: int) -> np.ndarray:
-    """Step indices to record: ~samples points, always including 0 and N."""
+    """Steps k N / D rounded, k = 0..D = min(samples, N + 1) - 1, exact in int64 for any
+    N < 2**63; a tie goes the way np.rint takes the float k (N / D), as in np.linspace."""
     _check_samples(samples)
-    return np.unique(np.round(
-        np.linspace(0, n_steps, min(samples, n_steps + 1))).astype(int))
+    d = min(samples, n_steps + 1) - 1
+    k = np.arange(d + 1, dtype=np.int64)
+    steps, rem = np.divmod(2 * k * (n_steps % d) + d, 2 * d)  # half up; rem 0: a tie
+    steps += k * (n_steps // d)
+    return steps - ((rem == 0) & (np.rint(k * (n_steps / d)) < steps))
 
 
 def _validate_step_args(t: float, n):
@@ -150,10 +155,7 @@ def _projective_round(rho0, h, res: ResolutionOfIdentity, t: float, n):
     rho = check_density_matrix(rho0, res.dim)
     if hm.shape[0] != res.dim:
         raise DimensionMismatch("H and resolution dimensions differ")
-    u, d2 = propagator(hm, t / n), res.dim ** 2
-    # vec(U rho U†) = (U ⊗ U*) vec(rho): entry (i d + k, j d + l) is U_ij U*_kl
-    uu = u[..., :, None, :, None] * u.conj()[..., None, :, None, :]
-    return t, n, rho, uu.reshape(*u.shape[:-2], d2, d2)
+    return t, n, rho, _lift(propagator(hm, t / n))
 
 
 def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
@@ -314,7 +316,7 @@ def asymptotic_kicked_propagator(h, res: ResolutionOfIdentity, t: float,
 
 def asymptotic_continuous_propagator(h, res: ResolutionOfIdentity, t: float,
                                      coupling: float) -> np.ndarray:
-    """Large-K form of the coupled propagator, sum_n e^{-i K η_n t} V_n(t).
+    """Large-K form of the coupled propagator, sum_n e^{-i K η_n t} V_n(t); K (B,) stacks.
 
     ``res`` must carry the coupling eigenvalues as labels; K t plays the
     role the kick count N plays in the kicked mechanism.
@@ -322,7 +324,7 @@ def asymptotic_continuous_propagator(h, res: ResolutionOfIdentity, t: float,
     _check_positive_t(t)
     _check_coupling(coupling)
     vs = zeno_propagators(h, res, t)
-    return sum(np.exp(-1j * coupling * eta * t) * v
+    return sum(np.multiply.outer(np.exp(-1j * coupling * eta * t), v)
                for eta, v in zip(res.labels, vs))
 
 

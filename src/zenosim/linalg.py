@@ -29,8 +29,8 @@ UNITARITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 # magnitude of negative eigenvalues tolerated in a density matrix
 POSITIVITY_TOL = 1e-10
-# largest cond(V) nonhermitian_evolution accepts, so its roundoff, about cond(V) eps,
-# stays below 1000 eps; the decay model passes it only within 2e-5 of its EP in K
+# largest ‖V‖_F ‖V⁻¹‖_F >= cond₂(V) nonhermitian_evolution accepts, so its roundoff,
+# about cond(V) eps, stays below 1000 eps; the decay model passes it within 4e-5 of its EP
 EIG_COND_LIMIT = 1e3
 
 __all__ = [
@@ -187,18 +187,27 @@ def nonhermitian_evolution(h):
     """One batched eig of a stack h (B, d, d): slice b gives t -> V exp(-i w t) V⁻¹.
 
     Roundoff grows like cond(V) eps (Moler & Van Loan, SIAM Review 45, 2003) and V
-    is singular where eigenvalues coalesce, at an exceptional point (EP).  One eig,
-    cond and inv serve the stack; the evaluator's ``ok`` marks the slices with
-    cond(V) within EIG_COND_LIMIT, the rest take V = I and the caller falls back
-    to ``expm`` for them.
+    is singular where eigenvalues coalesce, at an exceptional point (EP).  One eig
+    and inv serve the stack; ``ok`` marks the slices whose ‖V‖_F ‖V⁻¹‖_F >= cond₂(V)
+    is within EIG_COND_LIMIT, the rest take V = I and the caller's ``expm``.
     """
     m = np.asarray(h, dtype=complex)
     if m.ndim != 3:
         raise DimensionMismatch(f"generator stack must be (B, d, d), got shape {m.shape}")
     w, v = np.linalg.eig(m)
-    ok = np.linalg.cond(v) <= EIG_COND_LIMIT
-    v = np.where(ok[:, None, None], v, np.eye(m.shape[-1]))
-    return _SpectralEvaluator(w, v, np.linalg.inv(v), ok)
+    eye = np.eye(m.shape[-1])
+    # unit columns make cond₂(V) >= |det V|^(-1/d): I replaces such a V, lest inv raise
+    ok = np.linalg.slogdet(v)[1] >= -m.shape[-1] * np.log(EIG_COND_LIMIT)
+    v_inv = np.linalg.inv(np.where(ok[:, None, None], v, eye))
+    ok &= np.linalg.norm([v, v_inv], axis=(2, 3)).prod(axis=0) <= EIG_COND_LIMIT
+    v, v_inv = (np.where(ok[:, None, None], x, eye) for x in (v, v_inv))
+    return _SpectralEvaluator(w, v, v_inv, ok)
+
+
+def _lift(u: np.ndarray) -> np.ndarray:
+    """u ⊗ u*, entry (i d + k, j d + l) u_ij u*_kl: row-major vec(u x u†), stacks too."""
+    uu = u[..., :, None, :, None] * u.conj()[..., None, :, None, :]
+    return uu.reshape(*u.shape[:-2], u.shape[-1] ** 2, -1)
 
 
 class _SpectralEvaluator:
@@ -209,8 +218,8 @@ class _SpectralEvaluator:
     """
 
     def __init__(self, w: np.ndarray, v: np.ndarray, v_inv=None, ok=True):
-        self.w, self.v, self._vd, self.ok = w, v, dagger(v), ok
-        self._vi, self._vid = (self._vd, v) if v_inv is None else (v_inv, dagger(v_inv))
+        self.w, self.v, self.ok = w, v, ok
+        self._vi, self._vid = (dagger(v), v) if v_inv is None else (v_inv, dagger(v_inv))
 
     def __call__(self, x) -> np.ndarray:
         e = np.exp(-1j * self.w * np.asarray(x)[..., None])[..., None, :]
@@ -219,17 +228,16 @@ class _SpectralEvaluator:
     def states(self, xs, state: np.ndarray) -> np.ndarray:
         """u(x) psi, or u(x) rho u(x)†, stacked over xs (after any batch axis).
 
-        The state is rotated into the eigenbasis once and every x costs only
-        its phases e(x) = e^{-i w x} inside one batched product, not a d×d
-        propagator: psi(x) = v (e(x) ∘ v⁻¹ psi) and
-        rho(x) = v ((e(x) e(x)†) ∘ v⁻¹ rho v⁻†) v†.
+        The state is rotated into the eigenbasis once, so each x costs its phases
+        e(x) = e^{-i w x}: psi(x) = v (e(x) ∘ v⁻¹ psi), and on the row-major vec each
+        rho(x) = (v ⊗ v*) (vec(e(x) e(x)†) ∘ vec(v⁻¹ rho v⁻†)) is one row of one GEMM.
         """
         e = np.exp(-1j * self.w[..., None, :] * np.asarray(xs)[:, None])
         if state.ndim == 1:
             return (e * (self._vi @ state)[..., None, :]) @ self.v.swapaxes(-1, -2)
-        r = (self._vi @ state @ self._vid)[..., None, :, :]
-        return (self.v[..., None, :, :] @ (e[..., :, None] * r * e.conj()[..., None, :])
-                @ self._vd[..., None, :, :])
+        r = (self._vi @ state @ self._vid).reshape(*self.w.shape[:-1], -1, 1)
+        ee = (e[..., :, None] * e.conj()[..., None, :]).reshape(*e.shape[:-1], -1)
+        return (ee @ (r * _lift(self.v).swapaxes(-1, -2))).reshape(*e.shape, -1)
 
 
 def propagator(h, t: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,30 @@ class TestObservableSeries:
         assert series.leakage[0] == pytest.approx(0.0, abs=1e-12)
         assert series.leakage[-1] > 0.1
         assert np.all(np.diff(series.leakage) >= -1e-12)
+
+
+def test_dense_density_record_memory_peak():
+    """Traced peak of a 2001-sample 4×4 density record and its observables.
+
+    The former route, two batched d×d products per sample, peaked at 2,036,256
+    bytes (tracemalloc, numpy 2.4, x86-64 Linux); the bound is 1.1× that.  A
+    per-sample intermediate that grows, such as every coherence pair held in one
+    array (another 1.5 MB here), fails here, not only in the benchmark's peak RSS.
+    """
+    bundle = four_level_kicked()
+    res, rho = bundle.resolution(), random_density(np.random.default_rng(4), 4)
+
+    def run():
+        return observables(evolve_kicked(rho, bundle.H, bundle.U_kick, 1.0, 2000, 2001),
+                           res)
+    run()  # first-call allocations are not per sample
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2_036_256
 
 
 def _random_resolution(rng, dim: int, nsectors: int) -> ResolutionOfIdentity:

@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
@@ -169,6 +172,31 @@ class TestKicked:
         psi0 = basis_state(3, 0)
         rec = evolve_kicked(psi0, CHAIN, np.eye(3), t=1.0, n=8, samples=9)
         assert list(rec.times_or_steps) == list(range(9))
+
+    def test_checkpoints_match_rounded_linspace(self):
+        # the steps np.unique(np.round(np.linspace(0, N, min(samples, N + 1)))) gave,
+        # which every record was written with: 0..N while N + 1 <= samples, else
+        # one linspace per N, all at once, where no step repeats
+        for samples in range(2, 71):
+            few, many = range(1, samples), np.arange(samples, 4097)
+            ref = [np.arange(n + 1) for n in few]
+            ref += list(np.round(np.linspace(0, many, samples)).astype(int).T)
+            got = [engines._checkpoints(n, samples) for n in (*few, *many.tolist())]
+            assert [len(g) for g in got] == [len(r) for r in ref]
+            np.testing.assert_array_equal(np.concatenate(got), np.concatenate(ref))
+
+    def test_checkpoints_exact_at_the_largest_step_count(self):
+        # float steps round N up to 2.0**63, which overflowed the int cast
+        n = 2**63 - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = evolve_kicked(basis_state(3, 0), CHAIN, np.eye(3), 1.0, n, 5)
+            counts = {s: engines._checkpoints(n, s) for s in (2, 3, 7, 64, 1000)}
+        counts[5] = rec.times_or_steps
+        for samples, steps in counts.items():
+            assert steps[0] == 0 and steps[-1] == n and len(steps) == samples
+            for k, step in enumerate(steps.tolist()):  # nearest step; either at a tie
+                assert abs(step - Fraction(k * n, samples - 1)) <= Fraction(1, 2)
 
     def test_density_purity_conserved(self):
         rng = np.random.default_rng(12)
@@ -705,6 +733,13 @@ class TestAsymptoticPropagators:
         np.testing.assert_array_equal(
             asymptotic_kicked_propagator(CHAIN, res, 1.0, ns),
             [asymptotic_kicked_propagator(CHAIN, res, 1.0, n) for n in ns])
+
+    def test_continuous_asymptotic_stacks_an_array_of_couplings(self):
+        # three couplings on a 3-level model: a stack, not a broadcast over columns
+        ks = np.array([4.0, 8.0, 16.0])
+        np.testing.assert_array_equal(
+            asymptotic_continuous_propagator(CHAIN, RES3, 1.0, ks),
+            [asymptotic_continuous_propagator(CHAIN, RES3, 1.0, k) for k in ks])
 
     def test_continuous_asymptotic_close_at_large_k(self):
         h = np.zeros((4, 4), dtype=complex)

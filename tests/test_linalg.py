@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from zenosim.linalg import (
     as_square_matrix,
     check_density_matrix,
     check_state_vector,
+    dagger,
     eigh,
     expm,
     frobenius,
@@ -288,6 +290,52 @@ class TestStacks:
             assert np.array_equal(ev(0.7)[b], one(0.7)[0])
             assert np.array_equal(ev.states(xs, psi)[b], one.states(xs, psi)[0])
         assert nonhermitian_evolution(hs[1:2]).ok.tolist() == [False]
+
+
+def _mp_evolved(h, rho, x) -> np.ndarray:
+    """exp(-i h x) rho exp(-i h x)† at 40 digits, from the exact float inputs."""
+    with mpmath.workdps(40):
+        u = mpmath.expm(mpmath.matrix(h.tolist()) * mpmath.mpc(0, -x))
+        return np.array((u * mpmath.matrix(rho.tolist()) * u.H).tolist(), dtype=complex)
+
+
+class TestDensityRoute:
+    """states() on a density matrix: each x one row of one GEMM over v ⊗ v*."""
+
+    XS = np.array([0.0, 0.3, 1.7, 6.0])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_propagator_and_40_digits(self, d):
+        rng = np.random.default_rng(30 + d)
+        hs = np.array([random_hermitian(rng, d) for _ in range(3)])
+        rho, eps = random_density(rng, d), np.finfo(float).eps
+        stacked = hermitian_evolution(hs).states(self.XS, rho)
+        for b, h in enumerate(hs):
+            one = hermitian_evolution(h).states(self.XS, rho)
+            assert np.array_equal(stacked[b], one)
+            for x, got in zip(self.XS, one):
+                u = propagator(h, x)
+                bound = 64 * d * eps * (1 + opnorm(h) * x)
+                assert np.abs(got - u @ rho @ dagger(u)).max() <= bound
+                if b == 0 and x:
+                    assert np.abs(got - _mp_evolved(h, rho, x)).max() <= bound
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_nonhermitian_stack_matches_each_slice(self, d):
+        # v⁻¹ ≠ v†: the lift is v ⊗ v*, the state is rotated by v⁻¹ and v⁻†
+        rng = np.random.default_rng(50 + d)
+        hs = np.array([random_hermitian(rng, d) - 0.4j * np.diag(rng.uniform(0, 1, d))
+                       for _ in range(3)])
+        rho = random_density(rng, d)
+        ev = nonhermitian_evolution(hs)
+        assert ev.ok.all()
+        stacked = ev.states(self.XS, rho)
+        for b, h in enumerate(hs):
+            assert np.array_equal(stacked[b], nonhermitian_evolution(h[None]).states(
+                self.XS, rho)[0])
+            for x, got in zip(self.XS, stacked[b]):
+                u = expm(-1j * h * x)
+                assert np.abs(got - u @ rho @ dagger(u)).max() <= 1e-12
 
 
 class TestStateChecks:
