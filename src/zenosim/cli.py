@@ -52,24 +52,17 @@ def _series_lines(record, res, outputs) -> list[str]:
     """One row per sample; integer times_or_steps (kick counts) print as steps."""
     obs = observables(record, res)
     stepped = np.issubdtype(record.times_or_steps.dtype, np.integer)
-    header = ["step" if stepped else "t"]
+    columns = {"step" if stepped else "t": record.times_or_steps}  # header -> column
     if "probabilities" in outputs:
-        header += [f"p_{n + 1}" for n in range(res.nsectors)]
+        columns |= {f"p_{n + 1}": p for n, p in enumerate(obs.subspace_probabilities.T)}
     if "purity" in outputs:
-        header.append("purity")
+        columns["purity"] = obs.purity
     if "coherence" in outputs:
-        header += [f"coh_{n + 1}_{m + 1}" for (n, m) in sorted(obs.coherence_blocks)]
-    lines = [",".join(header)]
-    for i, x in enumerate(record.times_or_steps):
-        row = [str(int(x)) if stepped else _fmt(x)]
-        if "probabilities" in outputs:
-            row += [_fmt(p) for p in obs.subspace_probabilities[i]]
-        if "purity" in outputs:
-            row.append(_fmt(obs.purity[i]))
-        if "coherence" in outputs:
-            row += [_fmt(obs.coherence_blocks[key][i])
-                    for key in sorted(obs.coherence_blocks)]
-        lines.append(",".join(row))
+        columns |= {f"coh_{n + 1}_{m + 1}": c
+                    for (n, m), c in sorted(obs.coherence_blocks.items())}
+    lines = [",".join(columns)]
+    for x, *values in zip(*columns.values()):
+        lines.append(",".join([str(int(x)) if stepped else _fmt(x), *map(_fmt, values)]))
     return lines
 
 
@@ -182,18 +175,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "continuous coupling, and their common limit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a scenario config and write outputs")
-    run.add_argument("config", help="path to a scenario JSON file")
-    run.add_argument("--output-dir", default=".", help="directory for output files")
-    run.add_argument("--set", action="append", metavar="KEY=VALUE",
-                     help="override a config entry (dotted path, JSON value)")
-    run.add_argument("--quiet", action="store_true", help="suppress progress notes")
-    run.set_defaults(func=_cmd_run)
+    scenario = argparse.ArgumentParser(add_help=False)  # what run and validate share
+    scenario.add_argument("config", help="path to a scenario JSON file")
+    scenario.add_argument("--set", action="append", metavar="KEY=VALUE",
+                          help="override a config entry (dotted path, JSON value)")
+    scenario.add_argument("--quiet", action="store_true", help="print nothing on success")
 
-    val = sub.add_parser("validate", help="check a scenario config against the schema")
-    val.add_argument("config", help="path to a scenario JSON file")
-    val.add_argument("--set", action="append", metavar="KEY=VALUE")
-    val.add_argument("--quiet", action="store_true")
+    run = sub.add_parser("run", parents=[scenario],
+                         help="run a scenario config and write outputs")
+    run.add_argument("--output-dir", default=".", help="directory for output files")
+    run.set_defaults(func=_cmd_run)
+    val = sub.add_parser("validate", parents=[scenario],
+                         help="check a scenario config against the schema")
     val.set_defaults(func=_cmd_validate)
 
     lst = sub.add_parser("list-models", help="list available models and parameters")

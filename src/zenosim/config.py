@@ -153,7 +153,7 @@ class ScenarioConfig:
     t: float
     values: tuple | None  # swept schedule: N ints or K floats; None for zeno-limit
     samples: int
-    initial_state: tuple[complex, ...] | None  # None = default state
+    initial_state: tuple[complex, ...] | None  # amplitudes; None only for decay-sweep
     outputs: tuple[str, ...]
     output_path: str
 
@@ -165,12 +165,7 @@ class ScenarioConfig:
         return self.model_spec.build(**self.model_parameters)
 
     def resolve_initial_state(self) -> np.ndarray:
-        """Amplitude vector to start from; defaults to (|b> + |c>)/sqrt(2)."""
-        dim = self.model_spec.dim
-        if self.initial_state is None:
-            psi = np.zeros(dim, dtype=complex)
-            psi[1] = psi[2] = 1.0 / np.sqrt(2.0)
-            return psi
+        """Amplitude vector to start from, as validation resolved it."""
         return np.asarray(self.initial_state, dtype=complex)
 
 
@@ -182,23 +177,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-class _Collector:
-    def __init__(self):
-        self.violations: list[tuple[str, str]] = []
-
-    def add(self, path: str, reason: str):
-        self.violations.append((path, reason))
-
-    def raise_if_any(self):
-        if self.violations:
-            raise SchemaViolation(self.violations)
-
-
-def _check_unknown_keys(obj: dict, allowed: tuple[str, ...], path: str,
-                        err: _Collector):
-    for key in obj:
-        if key not in allowed:
-            err.add(f"{path}.{key}" if path else key, "unknown key")
+def _check_unknown_keys(obj: dict, allowed: tuple[str, ...], path: str, err: list):
+    err.extend((f"{path}.{key}" if path else key, "unknown key")
+               for key in obj if key not in allowed)
 
 
 def load_document(text: str) -> dict:
@@ -242,95 +223,100 @@ def apply_overrides(doc: dict, assignments: list[str]) -> dict:
     return doc
 
 
-def _validate_model(doc, err: _Collector) -> tuple[str | None, dict]:
+def _validate_model(doc, err: list) -> tuple[str | None, dict]:
     model = doc.get("model")
     if not isinstance(model, dict):
-        err.add("model", "required object with keys name, parameters")
+        err.append(("model", "required object with keys name, parameters"))
         return None, {}
     _check_unknown_keys(model, ("name", "parameters"), "model", err)
     name = model.get("name")
     if not isinstance(name, str) or name not in MODEL_REGISTRY:
-        err.add("model.name", f"must be one of {sorted(MODEL_REGISTRY)}")
+        err.append(("model.name", f"must be one of {sorted(MODEL_REGISTRY)}"))
         return None, {}
     params = MODEL_REGISTRY[name].defaults
     raw = model.get("parameters", {})
     if not isinstance(raw, dict):
-        err.add("model.parameters", "must be an object")
+        err.append(("model.parameters", "must be an object"))
     else:
         for key, value in raw.items():
             if key not in params:
-                err.add(f"model.parameters.{key}",
-                        f"unknown parameter; {name} takes {sorted(params)}")
+                err.append((f"model.parameters.{key}",
+                            f"unknown parameter; {name} takes {sorted(params)}"))
             elif not _is_number(value):
-                err.add(f"model.parameters.{key}", "must be a finite number")
+                err.append((f"model.parameters.{key}", "must be a finite number"))
             else:
                 params[key] = float(value)
     return name, params
 
 
-def _validate_schedule(doc, mechanism, err: _Collector):
+def _validate_schedule(doc, mechanism, err: list):
     t, values, samples = None, None, 50
     sched = doc.get("schedule")
     if not isinstance(sched, dict):
-        err.add("schedule", "required object with key t (and N or K)")
+        err.append(("schedule", "required object with key t (and N or K)"))
         return t, values, samples
     _check_unknown_keys(sched, ("t", "N", "K", "samples"), "schedule", err)
 
     raw_t = sched.get("t")
     if not _is_number(raw_t) or raw_t <= 0:
-        err.add("schedule.t", "must be a positive number")
+        err.append(("schedule.t", "must be a positive number"))
     else:
         t = float(raw_t)
 
     if "samples" in sched:
         raw_s = sched["samples"]
         if not _is_int(raw_s) or raw_s < 2:
-            err.add("schedule.samples", "must be an integer >= 2")
+            err.append(("schedule.samples", "must be an integer >= 2"))
         else:
             samples = raw_s
 
     swept = {}
     for key, cast, ok, what in (
-            ("N", int, lambda v: _is_int(v) and v >= 1, "a positive integer"),
+            ("N", int, lambda v: _is_int(v) and 1 <= v < 2**63,
+             "a positive integer below 2**63"),
             ("K", float, lambda v: _is_number(v) and v >= 0, "a number >= 0")):
         if key not in sched:
             continue
         vals = sched[key] if isinstance(sched[key], list) else [sched[key]]
         if not vals or not all(ok(v) for v in vals):
-            err.add(f"schedule.{key}", f"must be {what} or list of them")
+            err.append((f"schedule.{key}", f"must be {what} or list of them"))
         elif any(b <= a for a, b in zip(vals, vals[1:])):
-            err.add(f"schedule.{key}", "list must be strictly increasing")
+            err.append((f"schedule.{key}", "list must be strictly increasing"))
         else:
             swept[key] = tuple(cast(v) for v in vals)
 
     if mechanism is not None:
         key = MECHANISMS[mechanism].key
         if key is not None and key not in sched:
-            err.add(f"schedule.{key}", f"required for mechanism {mechanism}")
+            err.append((f"schedule.{key}", f"required for mechanism {mechanism}"))
         for other in ("N", "K"):
             if other != key and other in sched:
-                err.add(f"schedule.{other}",
-                        f"not applicable to mechanism {mechanism}")
+                err.append((f"schedule.{other}",
+                            f"not applicable to mechanism {mechanism}"))
         values = swept.get(key)
     return t, values, samples
 
 
-def _validate_initial_state(doc, model_name, mechanism, err: _Collector):
+def _validate_initial_state(doc, model_name, mechanism, err: list):
+    dim = MODEL_REGISTRY[model_name].dim if model_name else None
     if "initial_state" not in doc:
-        return None
+        if dim is None or mechanism == "decay-sweep":
+            return None  # decay-sweep starts from |b>; an unknown model is reported
+        psi = np.zeros(dim, dtype=complex)
+        psi[1] = psi[2] = 1.0 / np.sqrt(2.0)  # the default (|b> + |c>)/sqrt(2)
+        return tuple(psi)
     if mechanism == "decay-sweep":
-        err.add("initial_state", "decay-sweep always starts from |b>")
+        err.append(("initial_state", "decay-sweep always starts from |b>"))
         return None
     raw = doc["initial_state"]
-    dim = MODEL_REGISTRY[model_name].dim if model_name else None
     if isinstance(raw, str):
         if dim is None:
             return None  # labels depend on the model, which is reported
         labels = _BASIS_LABELS.get(dim, ())
         matches = [i for i, lab in enumerate(labels) if lab.lower() == raw.lower()]
         if not matches:
-            err.add("initial_state", f"unknown basis label {raw!r}; "
-                                     f"expected one of {list(labels)}")
+            err.append(("initial_state", f"unknown basis label {raw!r}; "
+                                         f"expected one of {list(labels)}"))
             return None
         psi = np.zeros(dim, dtype=complex)
         psi[matches[0]] = 1.0
@@ -340,48 +326,48 @@ def _validate_initial_state(doc, model_name, mechanism, err: _Collector):
               and all(isinstance(entry, list) and len(entry) == 2
                       and all(_is_number(x) for x in entry) for entry in raw))
         if not ok:
-            err.add("initial_state", "must be a basis label or a list of "
-                                     + (f"{dim} " if dim else "") + "[re, im] pairs")
+            err.append(("initial_state", "must be a basis label or a list of "
+                                         + (f"{dim} " if dim else "") + "[re, im] pairs"))
             return None
         psi = np.array([complex(re, im) for re, im in raw])
         try:
             check_state_vector(psi)
         except InvalidState:
-            err.add("initial_state", f"must be normalized; got norm "
-                                     f"{np.linalg.norm(psi):.12g}")
+            err.append(("initial_state", f"must be normalized; got norm "
+                                         f"{np.linalg.norm(psi):.12g}"))
             return None
         return tuple(psi)
-    err.add("initial_state", "must be a basis label string or amplitude list")
+    err.append(("initial_state", "must be a basis label string or amplitude list"))
     return None
 
 
-def _validate_outputs(doc, mechanism, values, err: _Collector):
+def _validate_outputs(doc, mechanism, values, err: list):
     raw = doc.get("outputs")
     if not isinstance(raw, list) or not raw:
-        err.add("outputs", "required non-empty list")
+        err.append(("outputs", "required non-empty list"))
         return ()
     outputs = []
     for i, item in enumerate(raw):
         if item not in OUTPUT_KINDS:
-            err.add(f"outputs[{i}]", f"must be one of {list(OUTPUT_KINDS)}")
+            err.append((f"outputs[{i}]", f"must be one of {list(OUTPUT_KINDS)}"))
         elif item in outputs:
-            err.add(f"outputs[{i}]", f"duplicate output {item!r}")
+            err.append((f"outputs[{i}]", f"duplicate output {item!r}"))
         else:
             outputs.append(item)
     if mechanism is not None:
         allowed = MECHANISMS[mechanism].outputs
         for kind in outputs:
             if kind not in allowed:
-                err.add("outputs", f"{kind} not available for mechanism "
-                                   f"{mechanism}; it produces {list(allowed)}")
+                err.append(("outputs", f"{kind} not available for mechanism "
+                                       f"{mechanism}; it produces {list(allowed)}"))
             elif kind == "convergence" and values is not None and len(values) < 3:
-                err.add("outputs", "convergence needs at least 3 schedule values")
+                err.append(("outputs", "convergence needs at least 3 schedule values"))
     return tuple(outputs)
 
 
 def validate_document(doc: dict) -> ScenarioConfig:
     """Validate a parsed document against the schema; all errors at once."""
-    err = _Collector()
+    err: list[tuple[str, str]] = []
     _check_unknown_keys(doc, ("name", "model", "mechanism", "schedule",
                               "initial_state", "outputs", "output"), "", err)
 
@@ -389,20 +375,20 @@ def validate_document(doc: dict) -> ScenarioConfig:
 
     mechanism = doc.get("mechanism")
     if not isinstance(mechanism, str) or mechanism not in MECHANISMS:
-        err.add("mechanism", f"must be one of {list(MECHANISMS)}")
+        err.append(("mechanism", f"must be one of {list(MECHANISMS)}"))
         mechanism = None
 
     if model_name is not None and mechanism is not None:
         spec = MODEL_REGISTRY[model_name]
         if mechanism == "decay-sweep":
             if model_name != "decay":
-                err.add("mechanism", "decay-sweep requires the decay model")
+                err.append(("mechanism", "decay-sweep requires the decay model"))
         elif model_name == "decay":
-            err.add("mechanism", "the decay model only runs under decay-sweep")
+            err.append(("mechanism", "the decay model only runs under decay-sweep"))
         elif mechanism not in ("zeno-limit", spec.mechanism):  # zeno-limit: any model
-            err.add("mechanism",
-                    f"model {model_name} carries a {spec.mechanism} payload, "
-                    f"not {mechanism}")
+            err.append(("mechanism",
+                        f"model {model_name} carries a {spec.mechanism} payload, "
+                        f"not {mechanism}"))
 
     t, values, samples = _validate_schedule(doc, mechanism, err)
     initial_state = _validate_initial_state(doc, model_name, mechanism, err)
@@ -410,23 +396,24 @@ def validate_document(doc: dict) -> ScenarioConfig:
 
     name = doc.get("name", model_name or "scenario")
     if not isinstance(name, str) or not name:
-        err.add("name", "must be a non-empty string")
+        err.append(("name", "must be a non-empty string"))
         name = "scenario"
 
     output_path = name
     out = doc.get("output")
     if out is not None:
         if not isinstance(out, dict):
-            err.add("output", "must be an object with key path")
+            err.append(("output", "must be an object with key path"))
         else:
             _check_unknown_keys(out, ("path",), "output", err)
             raw_path = out.get("path", name)
             if not isinstance(raw_path, str) or not raw_path:
-                err.add("output.path", "must be a non-empty string")
+                err.append(("output.path", "must be a non-empty string"))
             else:
                 output_path = raw_path
 
-    err.raise_if_any()
+    if err:
+        raise SchemaViolation(err)
     return ScenarioConfig(
         name=name, model_name=model_name, model_parameters=params,
         mechanism=mechanism, t=t, values=values, samples=samples,

@@ -148,14 +148,13 @@ def _kick_step(h, u_kick, t: float, n):
     return n, uk, _SpectralEvaluator(np.array(w), np.array(z))
 
 
-def _projective_round(rho0, h, res: ResolutionOfIdentity, t: float, n):
-    """Checked (t, N, rho0, U ⊗ U*) with U = U(t/N); N (B,) stacks the lifts."""
+def _measured_step(h, res: ResolutionOfIdentity, t: float, n):
+    """Checked (t, N, U(t/N)) between measurements; N (B,) stacks the U."""
     t, n = _validate_step_args(t, n)
     hm = require_hermitian(h, "H")
-    rho = check_density_matrix(rho0, res.dim)
     if hm.shape[0] != res.dim:
         raise DimensionMismatch("H and resolution dimensions differ")
-    return t, n, rho, _lift(propagator(hm, t / n))
+    return t, n, propagator(hm, t / n)
 
 
 def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
@@ -171,7 +170,8 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
     a round is two d²×d² products: U ⊗ U* for the free evolution, then the
     resolution's pinching map inside ``pinch``.
     """
-    t, n, rho, uu = _projective_round(rho0, h, res, t, n)
+    t, n, u = _measured_step(h, res, t, n)
+    rho, uu = check_density_matrix(rho0, res.dim), _lift(u)
     keep = _checkpoints(n, samples)
     states = np.empty((len(keep), *rho.shape), dtype=complex)
     corrections: list[tuple[int, float]] = []
@@ -192,10 +192,11 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
 def _measured_finals(rho0, h, res: ResolutionOfIdentity, t: float, ns) -> np.ndarray:
     """Final states (B, d, d) of ``evolve_projective`` for N (B,): S_b = Π (U_b ⊗ U_b*) to
     the N_b in log2(max N) stacked products, unguarded (a contraction), not renormalised."""
-    _, ns, rho, uu = _projective_round(rho0, h, res, t, ns)
+    _, ns, u = _measured_step(h, res, t, ns)
+    rho = check_density_matrix(rho0, res.dim)
     x = res.pinching @ rho.reshape(-1)  # vec(pinch rho0)
     for j in range(int(ns.max()).bit_length()):
-        s = s @ s if j else res.pinching @ uu  # S^(2^j)
+        s = s @ s if j else res.pinching @ _lift(u)  # S^(2^j)
         x = np.where((ns >> j & 1)[:, None], (s @ x[..., None])[..., 0], x)
     return x.reshape(-1, *rho.shape)
 
@@ -382,13 +383,8 @@ def projective_survival(state0, h, res: ResolutionOfIdentity, sector: int,
     sector and a 2-level Hamiltonian Omega sigma_x it reduces to the
     classic cos^{2N}(Omega t / N).
     """
-    t, n = _validate_step_args(t, n)
-    hm = require_hermitian(h, "H")
-    if hm.shape[0] != res.dim:
-        raise DimensionMismatch("H and resolution dimensions differ")
-    p = res.projector(sector)
-    factor = p @ propagator(hm, t / n)
-    v = np.linalg.matrix_power(factor, n)
+    _, n, u = _measured_step(h, res, t, n)
+    v = np.linalg.matrix_power(res.projector(sector) @ u, n)
     if np.asarray(state0).ndim == 2:
         rho = check_density_matrix(state0, res.dim)
         return float(np.trace(v @ rho @ dagger(v)).real)

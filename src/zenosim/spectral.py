@@ -149,14 +149,7 @@ def _cluster_sorted(values: np.ndarray, width: float) -> list[np.ndarray]:
         raise DegenerateClustering(
             f"eigenvalue gap {gaps[k]:.3e} lies inside the ambiguity band "
             f"[{0.5 * width:.3e}, {2.0 * width:.3e}] of the clustering tolerance")
-    groups: list[np.ndarray] = []
-    start = 0
-    for i, g in enumerate(gaps):
-        if g > width:
-            groups.append(np.arange(start, i + 1))
-            start = i + 1
-    groups.append(np.arange(start, len(values)))
-    return groups
+    return np.split(np.arange(len(values)), np.flatnonzero(gaps > width) + 1)
 
 
 def _cluster_projectors(values: np.ndarray, vectors: np.ndarray, width: float,
@@ -185,12 +178,10 @@ def projections_of_hermitian(h) -> ResolutionOfIdentity:
     return _cluster_projectors(w, v, width, float)
 
 
-def _wrap_phase(x: float) -> float:
-    """Map to (-pi, pi]."""
+def _wrap_phase(x):
+    """Map each phase to (-pi, pi]."""
     y = (x + np.pi) % (2.0 * np.pi) - np.pi
-    if y <= -np.pi:
-        y += 2.0 * np.pi
-    return float(y)
+    return np.where(y <= -np.pi, y + 2.0 * np.pi, y)
 
 
 def projections_of_unitary(u) -> ResolutionOfIdentity:
@@ -203,7 +194,7 @@ def projections_of_unitary(u) -> ResolutionOfIdentity:
     ascending phase order.
     """
     lam, z = unitary_eig(u, "projections_of_unitary input")
-    phases = np.array([_wrap_phase(x) for x in lam])
+    phases = _wrap_phase(lam)
     order = np.argsort(phases, kind="stable")
     phases_sorted = phases[order]
     gaps = np.diff(phases_sorted, append=phases_sorted[0] + 2.0 * np.pi)

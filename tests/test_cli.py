@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import json
 import re
 import os
@@ -11,8 +12,15 @@ import numpy as np
 import pytest
 
 import zenosim
+from zenosim.analysis import observables
 from zenosim.cli import main, run_scenario
-from zenosim.config import MECHANISMS, OUTPUT_KINDS, parse_config, validate_document
+from zenosim.config import (
+    MECHANISMS,
+    OUTPUT_KINDS,
+    SERIES_OUTPUTS,
+    parse_config,
+    validate_document,
+)
 from zenosim.errors import SchemaViolation
 
 
@@ -44,6 +52,57 @@ def kicked_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def continuous_doc(**overrides):
+    doc = {
+        "name": "cont-demo",
+        "model": {"name": "four-level-continuous", "parameters": {}},
+        "mechanism": "continuous",
+        "schedule": {"t": 1.0, "K": [2.0, 4.0, 8.0], "samples": 5},
+        "outputs": ["probabilities"],
+    }
+    doc.update(overrides)
+    return doc
+
+
+# the columns each series output adds, for the three sectors of both four-level models
+_SERIES_COLUMNS = {"probabilities": ["p_1", "p_2", "p_3"], "purity": ["purity"],
+                   "coherence": ["coh_1_2", "coh_1_3", "coh_2_3"]}
+
+
+@pytest.mark.parametrize("outputs", [subset for r in range(1, 4)
+                                     for subset in itertools.combinations(SERIES_OUTPUTS, r)])
+@pytest.mark.parametrize("make_doc, first", [(kicked_doc, "step"), (continuous_doc, "t")])
+def test_series_columns_follow_the_requested_outputs(tmp_path, outputs, make_doc, first):
+    """Header, cell count and every cell of the series file, for each output subset.
+
+    The columns come in the fixed order probabilities, purity, coherence,
+    whatever order the outputs are listed in; every cell is the 17-digit
+    value of the matching observable.
+    """
+    cfg = parse_config(json.dumps(make_doc(outputs=list(reversed(outputs)))))
+    run_scenario(cfg, output_dir=tmp_path, quiet=True)
+    lines = (tmp_path / f"{cfg.output_path}_series.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+
+    bundle = cfg.build_bundle()
+    record = MECHANISMS[cfg.mechanism].series(
+        bundle, cfg.resolve_initial_state(), cfg.t, cfg.values[-1], cfg.samples)
+    obs = observables(record, bundle.resolution())
+    values = {"purity": obs.purity}
+    values.update({f"p_{n + 1}": obs.subspace_probabilities[:, n] for n in range(3)})
+    values.update({f"coh_{n + 1}_{m + 1}": c for (n, m), c in obs.coherence_blocks.items()})
+
+    names = [name for kind in SERIES_OUTPUTS if kind in outputs
+             for name in _SERIES_COLUMNS[kind]]
+    assert rows[0] == [first, *names]
+    assert len(rows) == 1 + len(record) == 1 + cfg.samples
+    for i, row in enumerate(rows[1:]):
+        assert len(row) == 1 + len(names)
+        x = record.times_or_steps[i]
+        assert row[0] == (str(int(x)) if first == "step" else format(x, ".17g"))
+        assert row[1:] == [format(values[name][i], ".17g") for name in names]
 
 
 class TestRunScenario:
@@ -241,6 +300,23 @@ class TestMain:
             "simplified-kicked        kicked      dim 3  lambda1=0 lambda2=1 omega1=1 omega2=1",
             "three-level-projective   projective  dim 3  omega1=1 omega2=1",
         ]
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_run_and_validate_take_set_and_quiet(self, capsys, command):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--help"])
+        assert e.value.code == 0
+        out = capsys.readouterr().out
+        assert "--set KEY=VALUE" in out and "--quiet" in out
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_n_at_2_63_is_a_schema_error(self, tmp_path, capsys, command):
+        # every engine refuses N >= 2**63, so the schema refuses it as well
+        path = write_config(tmp_path, kicked_doc(), name="kicked.json")
+        args = [command, path, "--set", "schedule.N=[64,128,9223372036854775808]"]
+        assert main(args + (["--output-dir", str(tmp_path)] if command == "run" else [])) == 2
+        assert "schema error at schedule.N" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["kicked.json"]
 
     def test_quiet_run_prints_nothing(self, tmp_path, capsys):
         path = write_config(tmp_path, zeno_limit_doc())

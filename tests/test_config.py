@@ -166,6 +166,15 @@ class TestValidateDocument:
             validate_document(doc)
         assert "schedule.N" in violation_paths(e)
 
+    def test_n_below_2_63(self):
+        # the engines take N up to 2**63 - 1 and refuse anything larger
+        cfg = validate_document(base_doc(schedule={"t": 1.0, "N": [64, 2**63 - 1]}))
+        assert cfg.values == (64, 2**63 - 1)
+        for n in (2**63, 2**64):
+            with pytest.raises(SchemaViolation) as e:
+                validate_document(base_doc(schedule={"t": 1.0, "N": [64, 128, n]}))
+            assert violation_paths(e) == ["schedule.N"]
+
 
 class TestInitialState:
     def test_basis_label(self):
@@ -178,6 +187,21 @@ class TestInitialState:
         psi = cfg.resolve_initial_state()
         assert abs(psi[1] - 1 / np.sqrt(2)) <= 1e-15
         assert abs(psi[2] - 1 / np.sqrt(2)) <= 1e-15
+
+    def test_default_resolved_at_validation(self):
+        for model, mechanism, schedule in (
+                ("four-level-kicked", "kicked", {"t": 1.0, "N": [4]}),
+                ("three-level-projective", "zeno-limit", {"t": 1.0})):
+            cfg = validate_document(base_doc(model={"name": model, "parameters": {}},
+                                             mechanism=mechanism, schedule=schedule))
+            expected = np.zeros(MODEL_REGISTRY[model].dim, dtype=complex)
+            expected[1] = expected[2] = 1.0 / np.sqrt(2.0)
+            assert np.asarray(cfg.initial_state).tobytes() == expected.tobytes()
+        sweep = validate_document(base_doc(model={"name": "decay", "parameters": {}},
+                                           mechanism="decay-sweep",
+                                           schedule={"t": 5.0, "K": [10.0]},
+                                           outputs=["survival"]))
+        assert sweep.initial_state is None
 
     def test_amplitude_list(self):
         amps = [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0], [0.0, 0.0]]

@@ -18,9 +18,10 @@ from zenosim.errors import (
     NotHermitian,
     NotUnitary,
 )
-from zenosim.linalg import expm, frobenius, propagator
+from zenosim.linalg import expm, frobenius, propagator, unitary_eig
 from zenosim.spectral import (
     ResolutionOfIdentity,
+    _cluster_sorted,
     pinch,
     projections_of_hermitian,
     projections_of_unitary,
@@ -188,6 +189,22 @@ class TestProjectionsOfHermitian:
             projections_of_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_cluster_groups_match_the_gap_loop(seed):
+    def loop(values, width):  # the hand-written grouping np.split replaced
+        groups, start = [], 0
+        for i, g in enumerate(np.diff(values)):
+            if g > width:
+                groups.append(list(range(start, i + 1)))
+                start = i + 1
+        return groups + [list(range(start, len(values)))]
+
+    rng = np.random.default_rng(seed)
+    gaps = rng.choice([0.0, 1e-12, 1.0], size=int(rng.integers(0, 12)))
+    values = np.cumsum(np.concatenate([[rng.normal()], gaps]))
+    assert [g.tolist() for g in _cluster_sorted(values, 1e-8)] == loop(values, 1e-8)
+
+
 class TestProjectionsOfUnitary:
     def test_kick_phases_and_projectors(self):
         res = projections_of_unitary(kick_4level())
@@ -217,6 +234,29 @@ class TestProjectionsOfUnitary:
         assert np.allclose(sorted(res.labels), [0.0, np.pi], atol=1e-9)
         by_label = dict(zip(res.labels, res.ranks))
         assert by_label[max(res.labels)] == 2
+
+    @pytest.mark.parametrize("lam", [-np.pi, np.pi, 3 * np.pi, -3 * np.pi])
+    def test_labels_at_the_seam_land_in_the_half_open_circle(self, lam):
+        res = projections_of_unitary(np.diag(np.exp(-1j * np.array([lam, 1.0, 0.0]))))
+        assert all(-np.pi < x <= np.pi for x in res.labels)
+        assert np.allclose(res.labels[:2], [0.0, 1.0], atol=1e-12)
+        assert np.pi - abs(res.labels[2]) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_labels_match_the_scalar_wrap_bitwise(self, seed):
+        def wrap(x):  # the one-phase-at-a-time formula the elementwise map replaced
+            y = (x + np.pi) % (2.0 * np.pi) - np.pi
+            if y <= -np.pi:
+                y += 2.0 * np.pi
+            return float(y)
+
+        rng = np.random.default_rng(seed)
+        d = 2 + seed % 4
+        z = random_unitary(rng, d)
+        u = z @ np.diag(np.exp(-1j * rng.uniform(-4 * np.pi, 4 * np.pi, d))) @ z.conj().T
+        lam, _ = unitary_eig(u, "u")
+        # distinct phases: every cluster is one phase, labelled by the wrap of its wrap
+        assert projections_of_unitary(u).labels == tuple(sorted(wrap(wrap(x)) for x in lam))
 
     def test_ambiguous_circle_raises(self):
         phases = [np.pi - 0.6e-8, -np.pi + 0.6e-8, 0.0]  # seam gap in the ambiguity band
