@@ -124,9 +124,9 @@ class DecayProtectionResult:
         return [(float(k), float(s)) for k, s in zip(self.couplings, self.survivals)]
 
 
-def _checked(x: np.ndarray, dim: int) -> np.ndarray:
-    """A stack (S, d, d) of square, finite, dim×dim matrices, else the error."""
-    if x.ndim != 3 or x.shape[1] != x.shape[2]:
+def _checked(x: np.ndarray, dim: int, vectors: bool = False) -> np.ndarray:
+    """A stack (S, d, d) of finite dim×dim matrices, or (S, d) of vectors; else the error."""
+    if not vectors and (x.ndim != 3 or x.shape[1] != x.shape[2]):
         raise DimensionMismatch(f"rho must be square, got shape {x.shape[1:]}")
     if not np.isfinite(np.vdot(x, x).real) and not np.isfinite(x).all():
         raise InvalidParameter("rho contains non-finite entries")
@@ -138,6 +138,13 @@ def _checked(x: np.ndarray, dim: int) -> np.ndarray:
 def _densities(x: np.ndarray) -> np.ndarray:
     """A stack of state vectors (S, d) becomes the projectors |psi><psi|."""
     return x[:, :, None] * x[:, None, :].conj() if x.ndim == 2 else x
+
+
+def _amplitude_probabilities(psi: np.ndarray, res: ResolutionOfIdentity) -> np.ndarray:
+    """(S, sectors) ||P_n psi_s||^2 from the amplitudes psi_s^T [P_1^T ... P_k^T]."""
+    a = psi @ np.concatenate([p.T for p in res.projectors], axis=1)
+    r = a.view(float).reshape(len(psi), res.nsectors, -1)
+    return np.einsum("snj,snj->sn", r, r)
 
 
 def _probabilities(x: np.ndarray, res: ResolutionOfIdentity) -> np.ndarray:
@@ -204,36 +211,40 @@ def coherence_block_norm(rho, res: ResolutionOfIdentity, n: int, m: int) -> floa
 def observables(record, res: ResolutionOfIdentity) -> ObservableSeries:
     """Evaluate probabilities, purity, coherences, and leakage on a record.
 
-    State-vector samples are promoted to projectors; a subnormalized vector
-    (decay model) then shows up as leakage = 1 - ||psi||^2.  The states are
-    stacked once into an (S, d, d) array and every observable is a batched
-    product over that stack, so the cost grows with S at a few matrix
-    products per record rather than several calls per sample.  The stack is
-    checked as a whole, with the errors and messages of the single-state
-    functions: shape, finite entries, dimension, then the imaginary residue
-    of each p_n and of the purity, first sample first.
+    The states are the stack an engine kept in the record, or the tuple stacked
+    once.  State vectors (S, d) go through their sector amplitudes P_n psi, one
+    (S, d) × (d, k·d) product: p_n = ||P_n psi||², purity (Σ p_n)², coherence
+    sqrt(p_n p_m) = ||P_n psi psi† P_m||_F, and a subnormalized vector (decay
+    model) leaks 1 - ||psi||².  Densities (S, d, d), and vectors mixed with them
+    (promoted to projectors), take one batched product per observable.  The
+    stack is checked as a whole, with the errors and messages of the
+    single-state functions: shape, finite entries, dimension, then the
+    imaginary residue of each p_n and of the purity, first sample first.
     """
     times = np.asarray(record.times_or_steps, dtype=float)
-    try:
-        x = np.asarray(record.states, dtype=complex)
-    except ValueError:  # vectors mixed with matrices, or mixed sizes
-        x = np.concatenate([_checked(_densities(np.asarray(s, dtype=complex)[None]),
-                                     res.dim) for s in record.states])
+    x = record._stack
+    if x is None:
+        try:
+            x = np.asarray(record.states, dtype=complex)
+        except ValueError:  # vectors mixed with matrices, or mixed sizes
+            x = np.concatenate([_checked(_densities(np.asarray(s, dtype=complex)[None]),
+                                         res.dim) for s in record.states])
     if len(x) == 0:
         x = x.reshape(0, res.dim, res.dim)
-    x = _checked(_densities(x), res.dim)
     k = res.nsectors
-    values = _real_parts(np.column_stack([_probabilities(x, res), _purities(x)]),
-                         _sector_names(res) + ["purity"])
-    probs = values[:, :k]
-    return ObservableSeries(
-        times=times,
-        subspace_probabilities=probs,
-        purity=values[:, k],
-        coherence_blocks={(n, m): _coherences(x, res, n, m)
-                          for n in range(k) for m in range(n + 1, k)},
-        leakage=1.0 - probs.sum(axis=1),
-    )
+    pairs = [(n, m) for n in range(k) for m in range(n + 1, k)]
+    if x.ndim == 2:
+        probs = _amplitude_probabilities(_checked(x, res.dim, vectors=True), res)
+        purities = probs.sum(axis=1) ** 2
+        coherences = {(n, m): np.sqrt(probs[:, n] * probs[:, m]) for n, m in pairs}
+    else:
+        x = _checked(x, res.dim)
+        values = _real_parts(np.column_stack([_probabilities(x, res), _purities(x)]),
+                             _sector_names(res) + ["purity"])
+        probs, purities = values[:, :k], values[:, k]
+        coherences = {(n, m): _coherences(x, res, n, m) for n, m in pairs}
+    return ObservableSeries(times=times, subspace_probabilities=probs, purity=purities,
+                            coherence_blocks=coherences, leakage=1.0 - probs.sum(axis=1))
 
 
 def _fit_rate(params: np.ndarray, dists: np.ndarray) -> float:

@@ -13,7 +13,7 @@ rather than a d×d propagator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,8 +72,9 @@ class EvolutionRecord:
 
     ``times_or_steps`` holds real times for the projective, continuous and
     zeno-limit engines and integer step counts for the kicked engine;
-    ``states`` is the matching tuple of state vectors or density matrices
-    (for the spectral engines, the rows of one stacked array).
+    ``states`` is the matching tuple of state vectors or density matrices; an
+    engine passes its (S, ...) array, kept for ``observables``, whose rows form
+    the tuple (a record built or ``replace``-d from a tuple keeps no array).
     ``trace_corrections`` lists (step, drift) pairs where the projective
     engine renormalized a density matrix to counter accumulated roundoff.
     The mechanism and run parameters stay with the caller that chose them.
@@ -82,8 +83,12 @@ class EvolutionRecord:
     times_or_steps: np.ndarray
     states: tuple[np.ndarray, ...]
     trace_corrections: tuple[tuple[int, float], ...] = ()
+    _stack: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        if isinstance(self.states, np.ndarray):
+            object.__setattr__(self, "_stack", self.states)
+            object.__setattr__(self, "states", tuple(self.states))
         if len(self.times_or_steps) != len(self.states):
             raise DimensionMismatch("times and states lengths differ")
         diffs = np.diff(np.asarray(self.times_or_steps, dtype=float))
@@ -108,7 +113,10 @@ def _check_positive_t(t: float) -> None:
         raise InvalidParameter(f"t must be positive and finite, got {t!r}")
 
 
-def _check_coupling(coupling) -> None:
+def _check_coupling(coupling, ndim: int = 1) -> None:
+    if np.ndim(coupling) > ndim:
+        raise InvalidParameter(f"K must be a number{' or a 1-D array' * ndim}, "
+                               f"got shape {np.shape(coupling)}")
     for k in np.ravel(coupling).tolist():  # one K or an array of them
         if not (0 <= k < np.inf):
             raise InvalidParameter(f"K must be a finite real >= 0, got {k!r}")
@@ -185,7 +193,7 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
                     corrections.append((k, abs(tr - 1.0)))
                     rho = rho / tr
         states[i] = rho
-    return EvolutionRecord(keep.astype(float) * (t / n), tuple(states),
+    return EvolutionRecord(keep.astype(float) * (t / n), states,
                            trace_corrections=tuple(corrections))
 
 
@@ -214,13 +222,13 @@ def evolve_kicked(state0, h, u_kick, t: float, n: int,
     else:
         state = check_state_vector(state0, len(uk))
     keep = _checkpoints(n, samples)
-    return EvolutionRecord(keep, tuple(step.states(keep, state)))
+    return EvolutionRecord(keep, step.states(keep, state))
 
 
-def _continuous_generator(h, h_c, coupling, t: float) -> np.ndarray:
-    """Checked H + K H_c: (d, d) for one K, (B, d, d) for an array of them."""
+def _continuous_generator(h, h_c, coupling, t: float, ndim: int = 1) -> np.ndarray:
+    """Checked H + K H_c: (d, d) for one K, (B, d, d) for an array of them (ndim 1)."""
     _check_positive_t(t)
-    _check_coupling(coupling)
+    _check_coupling(coupling, ndim)
     hm = as_square_matrix(h, "H")
     hcm = require_hermitian(h_c, "H_c")
     if hm.shape != hcm.shape:
@@ -269,10 +277,10 @@ def evolve_continuous(state0, h, h_c, coupling: float, t: float,
     is accepted for state vectors only; its norm must not grow.  It costs one
     guarded eig, or one ``expm`` per sample near an exceptional point.
     """
-    h_k = _continuous_generator(h, h_c, coupling, t)
+    h_k = _continuous_generator(h, h_c, coupling, t, ndim=0)
     _check_samples(samples)
     times = np.linspace(0.0, t, samples)
-    return EvolutionRecord(times, tuple(_sample_continuous(h_k[None], state0, times)[0]))
+    return EvolutionRecord(times, _sample_continuous(h_k[None], state0, times)[0])
 
 
 def zeno_propagators(h, res: ResolutionOfIdentity, t: float) -> list[np.ndarray]:
@@ -300,7 +308,7 @@ def evolve_zeno_limit(rho0, h, res: ResolutionOfIdentity, t: float,
     rho = check_density_matrix(rho0, res.dim)
     u_z = hermitian_evolution(zeno_hamiltonian(h, res))
     times = np.array([0.0]) if t == 0 else np.linspace(0.0, t, samples)
-    return EvolutionRecord(times, tuple(u_z.states(times, pinch(rho, res))))
+    return EvolutionRecord(times, u_z.states(times, pinch(rho, res)))
 
 
 def asymptotic_kicked_propagator(h, res: ResolutionOfIdentity, t: float,

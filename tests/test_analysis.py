@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    basis_state,
     random_density,
     random_state,
     random_two_block_resolution,
@@ -29,6 +31,7 @@ from zenosim.engines import (
     EvolutionRecord,
     evolve_continuous,
     evolve_kicked,
+    evolve_projective,
     evolve_zeno_limit,
     extracted_continuous_limit,
     extracted_kick_limit,
@@ -155,6 +158,28 @@ def test_dense_density_record_memory_peak():
     assert peak <= 1.1 * 2_036_256
 
 
+def test_vector_record_memory_peak():
+    """Traced peak of ``observables`` on a 2001-sample 4-level kicked vector record.
+
+    Promoting the vectors to S projectors, with one (S, d²) product per
+    coherence pair, peaked at 1,235,112 bytes (tracemalloc, numpy 2.4, x86-64
+    Linux).  The sector amplitudes, one (S, k·d) array read from the record's
+    kept stack, peak at 450,140; the bound is 1.1× that, so restacking the
+    tuple (another (S, d) array) or promoting to densities fails here.
+    """
+    bundle = four_level_kicked()
+    res, psi = bundle.resolution(), random_state(np.random.default_rng(4), 4)
+    rec = evolve_kicked(psi, bundle.H, bundle.U_kick, 1.0, 2000, 2001)
+    observables(rec, res)  # first-call allocations are not per sample
+    tracemalloc.start()
+    try:
+        observables(rec, res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 450_140
+
+
 def _random_resolution(rng, dim: int, nsectors: int) -> ResolutionOfIdentity:
     """Split the columns of a random unitary into nsectors nonempty blocks."""
     u = random_unitary(rng, dim)
@@ -274,6 +299,90 @@ class TestStackedObservables:
         a, b = observables(mixed, RES3), observables(same, RES3)
         assert np.array_equal(a.subspace_probabilities, b.subspace_probabilities)
         assert np.array_equal(a.purity, b.purity)
+
+
+def _assert_same_series(a, b):
+    """Bitwise equal observable series."""
+    for field in ("times", "subspace_probabilities", "purity", "leakage"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.coherence_blocks.keys() == b.coherence_blocks.keys()
+    for pair, values in a.coherence_blocks.items():
+        assert np.array_equal(values, b.coherence_blocks[pair]), pair
+
+
+def _engine_records():
+    """One record per engine route, with the resolution it is observed in."""
+    rng = np.random.default_rng(19)
+    kick, cont, proj = four_level_kicked(), four_level_continuous(), three_level_projective()
+    decay = decay_model(omega1=0.0, tau_z=1.0, gamma=0.1, coupling=0.0)
+    psi4, rho4, rho3 = random_state(rng, 4), random_density(rng, 4), random_density(rng, 3)
+    return {
+        "kicked-vector": (evolve_kicked(psi4, kick.H, kick.U_kick, 1.0, 64, 65),
+                          kick.resolution()),
+        "kicked-density": (evolve_kicked(rho4, kick.H, kick.U_kick, 1.0, 64, 65),
+                           kick.resolution()),
+        "continuous-vector": (evolve_continuous(psi4, cont.H, cont.H_c, 8.0, 1.0, 33),
+                              cont.resolution()),
+        "continuous-density": (evolve_continuous(rho4, cont.H, cont.H_c, 8.0, 1.0, 33),
+                               cont.resolution()),
+        "decay-vector": (evolve_continuous(basis_state(4, 1), decay.H, decay.H_c, 2.0,
+                                           2.0, 33), decay.resolution()),
+        "zeno-limit-density": (evolve_zeno_limit(rho3, proj.H, proj.res, 2.0, 33),
+                               proj.res),
+        "projective-density": (evolve_projective(rho3, proj.H, proj.res, 1.0, 32, 33),
+                               proj.res),
+    }
+
+
+class TestEngineRecords:
+    @pytest.mark.parametrize("name", sorted(_engine_records()))
+    def test_kept_stack_matches_the_states(self, name):
+        rec, res = _engine_records()[name]
+        series = observables(rec, res)
+        if rec.final_state.ndim == 2:  # densities: as if restacked from the tuple
+            _assert_same_series(
+                series, observables(EvolutionRecord(rec.times_or_steps, tuple(rec.states)), res))
+            return
+        probs, purs, coh = _per_sample_reference(rec.states, res)
+        assert np.max(np.abs(series.subspace_probabilities - probs)) <= 1e-14
+        assert np.max(np.abs(series.purity - purs)) <= 1e-14
+        assert np.max(np.abs(series.leakage - (1.0 - probs.sum(axis=1)))) <= 1e-14
+        assert sorted(series.coherence_blocks) == sorted(coh)
+        for pair, values in coh.items():
+            assert np.max(np.abs(series.coherence_blocks[pair] - values)) <= 1e-14
+        if name == "decay-vector":
+            assert series.leakage[-1] > 0.1
+
+    @pytest.mark.parametrize("kind", ["vector", "density"])
+    def test_replaced_record_follows_its_new_states(self, kind):
+        bundle, rng = four_level_kicked(), np.random.default_rng(7)
+        res = bundle.resolution()
+        state = random_state(rng, 4) if kind == "vector" else random_density(rng, 4)
+        rec = evolve_kicked(state, bundle.H, bundle.U_kick, 1.0, 64, 9)
+        states = rec.states[:-1] + (rec.states[-1] * (1 + 1e-7),)
+        perturbed = dataclasses.replace(rec, states=states)
+        assert perturbed.final_state is states[-1]
+        series, before = observables(perturbed, res), observables(rec, res)
+        _assert_same_series(series, observables(EvolutionRecord(rec.times_or_steps, states),
+                                                res))
+        scale = (1 + 1e-7) ** (2 if kind == "vector" else 1)
+        assert np.allclose(series.subspace_probabilities[-1],
+                           scale * before.subspace_probabilities[-1], rtol=1e-12, atol=0)
+        assert np.max(np.abs(series.subspace_probabilities[-1]
+                             - before.subspace_probabilities[-1])) > 1e-9
+
+    def test_vector_stack_errors_keep_their_messages_and_order(self):
+        bundle = four_level_kicked()
+        rec = evolve_kicked(straddle_state(4), bundle.H, bundle.U_kick, 1.0, 8, 3)
+        stack = np.array(rec.states)
+        bad = stack.copy()
+        bad[-1, 0] = np.nan
+        for states in (stack, tuple(stack)):  # kept by the record, or restacked
+            with pytest.raises(DimensionMismatch, match=r"^rho is 4-dim, resolution is 3-dim$"):
+                observables(EvolutionRecord(rec.times_or_steps, states), RES3)
+        for states in (bad, tuple(bad)):  # non-finite is reported before the dimension
+            with pytest.raises(InvalidParameter, match=r"^rho contains non-finite entries$"):
+                observables(EvolutionRecord(rec.times_or_steps, states), RES3)
 
 
 class TestConvergenceCurve:

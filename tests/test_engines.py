@@ -556,6 +556,22 @@ class TestContinuous:
         with pytest.raises(InvalidParameter, match="t must be"):
             continuous_propagator(b.H, b.H_c, 2.0, -1.0)
 
+    def test_evolve_refuses_an_array_of_couplings(self):
+        b = four_level_continuous()
+        with pytest.raises(InvalidParameter, match=r"^K must be a number, got shape \(2,\)$"):
+            evolve_continuous(straddle_state(4), b.H, b.H_c, np.array([1.0, 2.0]), 1.0, 5)
+
+    @pytest.mark.parametrize("call", [
+        lambda b, k: continuous_propagator(b.H, b.H_c, k, 1.0),
+        lambda b, k: extracted_continuous_limit(b.H, b.H_c, 1.0, k),
+    ], ids=["continuous_propagator", "extracted_continuous_limit"])
+    def test_propagators_refuse_a_2d_coupling_array(self, call):
+        b = four_level_continuous()
+        with pytest.raises(InvalidParameter,
+                           match=r"^K must be a number or a 1-D array, got shape \(2, 2\)$"):
+            call(b, np.ones((2, 2)))
+        assert call(b, np.array([1.0, 2.0])).shape == (2, 4, 4)
+
 
 class TestZenoLimit:
     def test_sector_propagator_structure(self):
