@@ -25,7 +25,7 @@ from .errors import (
     InvalidParameter,
     InvalidState,
 )
-from .linalg import check_density_matrix, propagator
+from .linalg import _lift, check_density_matrix, dagger, propagator
 from .models import ModelBundle, decay_model
 from .spectral import ResolutionOfIdentity
 
@@ -158,12 +158,19 @@ def _purities(x: np.ndarray) -> np.ndarray:
     return np.einsum("sij,sji->s", x, x)
 
 
-def _coherences(x: np.ndarray, res: ResolutionOfIdentity, n: int, m: int) -> np.ndarray:
-    """(S,) Frobenius norms of P_n x_s P_m."""
-    # row-major vec(P_n X P_m) = kron(P_n, P_m^T) vec(X)
-    y = x.reshape(-1, res.dim ** 2) @ np.kron(res.projectors[n], res.projectors[m].T).T
-    r = y.view(float)
-    return np.sqrt(np.einsum("si,si->s", r, r))
+def _coherences(x: np.ndarray, res: ResolutionOfIdentity, pairs) -> dict:
+    """{(n, m): (S,) ‖P_n x_s P_m‖_F}, each the block (n, m) of W† x_s W.
+
+    The sector basis W, one eigh of Σ n P_n, holds each sector's columns
+    together (ascending eigenvalue n, res.ranks of them), so every pair is a
+    view of one (S, d²) × (d², d²) product with the lift W† ⊗ Wᵀ.
+    """
+    w = np.linalg.eigh(sum(n * p for n, p in enumerate(res.projectors)))[1]
+    y = (x.reshape(-1, res.dim ** 2) @ _lift(dagger(w)).T).reshape(x.shape)
+    edge = np.cumsum((0,) + res.ranks)
+    blocks = {(n, m): y[:, edge[n]:edge[n + 1], edge[m]:edge[m + 1]].view(float)
+              for n, m in pairs}
+    return {nm: np.sqrt(np.einsum("sij,sij->s", r, r)) for nm, r in blocks.items()}
 
 
 def _real_parts(values: np.ndarray, names: list[str]) -> np.ndarray:
@@ -205,7 +212,7 @@ def coherence_block_norm(rho, res: ResolutionOfIdentity, n: int, m: int) -> floa
         if not 0 <= idx < res.nsectors:
             raise IndexOutOfRange(f"sector {idx} not in 0..{res.nsectors - 1}")
     x = _checked(np.asarray(rho, dtype=complex)[None], res.dim)
-    return float(_coherences(x, res, n, m)[0])
+    return float(_coherences(x, res, [(n, m)])[n, m][0])
 
 
 def observables(record, res: ResolutionOfIdentity) -> ObservableSeries:
@@ -235,16 +242,18 @@ def observables(record, res: ResolutionOfIdentity) -> ObservableSeries:
     pairs = [(n, m) for n in range(k) for m in range(n + 1, k)]
     if x.ndim == 2:
         probs = _amplitude_probabilities(_checked(x, res.dim, vectors=True), res)
-        purities = probs.sum(axis=1) ** 2
         coherences = {(n, m): np.sqrt(probs[:, n] * probs[:, m]) for n, m in pairs}
     else:
         x = _checked(x, res.dim)
         values = _real_parts(np.column_stack([_probabilities(x, res), _purities(x)]),
                              _sector_names(res) + ["purity"])
         probs, purities = values[:, :k], values[:, k]
-        coherences = {(n, m): _coherences(x, res, n, m) for n, m in pairs}
+        coherences = _coherences(x, res, pairs) if pairs else {}
+    total = probs @ np.ones(k)
+    if x.ndim == 2:
+        purities = total ** 2
     return ObservableSeries(times=times, subspace_probabilities=probs, purity=purities,
-                            coherence_blocks=coherences, leakage=1.0 - probs.sum(axis=1))
+                            coherence_blocks=coherences, leakage=1.0 - total)
 
 
 def _fit_rate(params: np.ndarray, dists: np.ndarray) -> float:

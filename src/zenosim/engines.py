@@ -27,6 +27,7 @@ from .linalg import (
     HERMITICITY_TOL,
     _cayley_eig,
     _lift,
+    _norms,
     _SpectralEvaluator,
     as_square_matrix,
     check_density_matrix,
@@ -261,7 +262,7 @@ def _sample_continuous(gens: np.ndarray, state0, times: np.ndarray) -> np.ndarra
         # near an exceptional point: one Padé expm per sample after tau = 0
         states[b] = [state] + [expm(-1j * gens[b] * tau) @ state for tau in times[1:]]
     limit = 1.0 + NORM_GROWTH_TOL
-    if (nrm := np.linalg.norm(states[~hermitian], axis=-1)).max() > limit:
+    if (nrm := _norms(states[~hermitian, ..., None])).max() > limit:
         raise InvalidState(
             f"non-Hermitian generator amplified the state to norm "
             f"{nrm[nrm > limit][0]:.6f}; only decaying models are supported")

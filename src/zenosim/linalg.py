@@ -73,6 +73,12 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a matrix, or of each matrix in a stack."""
+    flat = x.reshape(*x.shape[:-2], -1)
+    return np.sqrt(np.vecdot(flat, flat).real)
+
+
 def opnorm(a) -> float:
     """Operator (spectral) norm: the largest singular value."""
     m = as_square_matrix(a, "opnorm argument")
@@ -81,10 +87,7 @@ def opnorm(a) -> float:
 
 def hermiticity_defect(a: np.ndarray):
     """Relative asymmetry ||A - A†|| / max(1, ||A||), Frobenius; (B,) for a stack."""
-    if a.ndim == 2:
-        return frobenius(a - dagger(a)) / max(1.0, frobenius(a))
-    norms = np.linalg.norm([a - dagger(a), a], axis=(2, 3))
-    return norms[0] / np.maximum(1.0, norms[1])
+    return _norms(a - dagger(a)) / np.maximum(1.0, _norms(a))
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -199,7 +202,7 @@ def nonhermitian_evolution(h):
     # unit columns make cond₂(V) >= |det V|^(-1/d): I replaces such a V, lest inv raise
     ok = np.linalg.slogdet(v)[1] >= -m.shape[-1] * np.log(EIG_COND_LIMIT)
     v_inv = np.linalg.inv(np.where(ok[:, None, None], v, eye))
-    ok &= np.linalg.norm([v, v_inv], axis=(2, 3)).prod(axis=0) <= EIG_COND_LIMIT
+    ok &= _norms(v) * _norms(v_inv) <= EIG_COND_LIMIT
     v, v_inv = (np.where(ok[:, None, None], x, eye) for x in (v, v_inv))
     return _SpectralEvaluator(w, v, v_inv, ok)
 

@@ -22,6 +22,7 @@ from .errors import (
     InvalidParameter,
 )
 from .linalg import (
+    _norms,
     as_square_matrix,
     dagger,
     eigh,
@@ -102,11 +103,6 @@ def _refuse_above(invariant: str, sizes, tol: float, name="P_{}".format) -> None
             raise InvalidParameter(
                 f"not a resolution of identity: {invariant} fails for {name(k)}, "
                 f"defect {size:.3e} exceeds tolerance {tol:.0e}")
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix in a stack."""
-    return np.sqrt(np.einsum("...ij,...ij->...", x.conj(), x).real)
 
 
 def _checked_ranks(p: np.ndarray, labels: tuple[float, ...]) -> tuple[int, ...]:

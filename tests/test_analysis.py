@@ -180,6 +180,28 @@ def test_vector_record_memory_peak():
     assert peak <= 1.1 * 450_140
 
 
+def test_density_observables_memory_peak():
+    """Traced peak of ``observables`` alone on a 2001-sample 3-sector 4-level density record.
+
+    One (S, d²) × (d², d²) product with kron(P_n, P_mᵀ) per coherence pair peaked
+    at 722,784 bytes (tracemalloc, numpy 2.4, x86-64 Linux).  One product in the
+    sector basis for every pair peaks at 739,467; the bound is 1.1× that, so holding
+    every pair in one array, or one full-size array per pair, fails here.
+    """
+    bundle = four_level_kicked()
+    res, rho = bundle.resolution(), random_density(np.random.default_rng(4), 4)
+    rec = evolve_kicked(rho, bundle.H, bundle.U_kick, 1.0, 2000, 2001)
+    assert res.nsectors == 3 and len(rec) == 2001
+    observables(rec, res)  # first-call allocations are not per sample
+    tracemalloc.start()
+    try:
+        observables(rec, res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 739_467
+
+
 def _random_resolution(rng, dim: int, nsectors: int) -> ResolutionOfIdentity:
     """Split the columns of a random unitary into nsectors nonempty blocks."""
     u = random_unitary(rng, dim)
@@ -231,6 +253,24 @@ class TestStackedObservables:
         rho = states[-1] if kind == "density" else np.outer(states[-1], states[-1].conj())
         assert np.max(np.abs(np.array(subspace_probabilities(rho, res))
                              - series.subspace_probabilities[-1])) <= 1e-14
+
+    @pytest.mark.parametrize("which", ["uneven-4-sector", "three-level-projective"])
+    def test_single_coherence_is_the_series_kernel(self, which):
+        rng = np.random.default_rng(23)
+        if which == "uneven-4-sector":  # ranks 1, 3, 2, 1, no sector on the axes
+            u = random_unitary(rng, 7)
+            res = ResolutionOfIdentity([b @ b.conj().T for b in np.split(u, [1, 4, 6], axis=1)],
+                                       [0.0, 1.0, 2.0, 3.0])
+            assert res.ranks == (1, 3, 2, 1)
+        else:
+            res = three_level_projective().res
+        rho = random_density(rng, res.dim)
+        series = observables(EvolutionRecord(np.zeros(1), (rho,)), res)
+        for (n, m), values in series.coherence_blocks.items():
+            single = coherence_block_norm(rho, res, n, m)
+            assert single == values[0]
+            block = np.linalg.norm(res.projectors[n] @ rho @ res.projectors[m])
+            assert abs(single - block) <= 1e-15
 
     def test_imaginary_residue_names_the_sector(self):
         rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
@@ -352,6 +392,21 @@ class TestEngineRecords:
             assert np.max(np.abs(series.coherence_blocks[pair] - values)) <= 1e-14
         if name == "decay-vector":
             assert series.leakage[-1] > 0.1
+
+    @pytest.mark.parametrize("name", sorted(_engine_records()))
+    def test_row_sums_are_bitwise_the_row_reductions(self, name):
+        # Σ_n p_n feeds the leakage, and the purity of a state vector, of every
+        # shipped series file: it must round as probs.sum(axis=1) does.  The row
+        # sums are one BLAS product, so this holds for the BLAS kernel the
+        # scenario hashes were recorded with (OpenBLAS 0.3.31, x86-64), as do
+        # the engines' products; another kernel may sum in another order
+        rec, res = _engine_records()[name]
+        series = observables(rec, res)
+        probs = series.subspace_probabilities
+        assert res.nsectors in (2, 3)
+        assert np.array_equal(series.leakage, 1.0 - probs.sum(axis=1))
+        if rec.final_state.ndim == 1:
+            assert np.array_equal(series.purity, probs.sum(axis=1) ** 2)
 
     @pytest.mark.parametrize("kind", ["vector", "density"])
     def test_replaced_record_follows_its_new_states(self, kind):
