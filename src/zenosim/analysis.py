@@ -21,7 +21,6 @@ from .engines import (
 )
 from .errors import (
     DimensionMismatch,
-    IndexOutOfRange,
     InvalidParameter,
     InvalidState,
 )
@@ -140,17 +139,20 @@ def _densities(x: np.ndarray) -> np.ndarray:
     return x[:, :, None] * x[:, None, :].conj() if x.ndim == 2 else x
 
 
-def _amplitude_probabilities(psi: np.ndarray, res: ResolutionOfIdentity) -> np.ndarray:
-    """(S, sectors) ||P_n psi_s||^2 from the amplitudes psi_s^T [P_1^T ... P_k^T]."""
-    a = psi @ np.concatenate([p.T for p in res.projectors], axis=1)
-    r = a.view(float).reshape(len(psi), res.nsectors, -1)
-    return np.einsum("snj,snj->sn", r, r)
+def _rotated(x: np.ndarray, res: ResolutionOfIdentity) -> np.ndarray:
+    """The stack in the sector basis W: rows (W† psi_s)ᵀ, or W† x_s W by the lift W† ⊗ Wᵀ."""
+    if x.ndim == 2:
+        return x @ res.basis.conj()
+    return (x.reshape(-1, res.dim ** 2) @ _lift(dagger(res.basis)).T).reshape(x.shape)
 
 
-def _probabilities(x: np.ndarray, res: ResolutionOfIdentity) -> np.ndarray:
-    """(S, sectors) complex tr(x_s P_n) = vec(x_s) . vec(P_n^T), one product."""
-    vec_pt = np.array([p.T.ravel() for p in res.projectors]).T
-    return x.reshape(-1, res.dim ** 2) @ vec_pt
+def _probabilities(y: np.ndarray, res: ResolutionOfIdentity) -> np.ndarray:
+    """(S, sectors) p_n of a rotated stack, one product with the 0/1 sector selector:
+    ||block n||² of a vector's float view, the complex trace of a density's block (n, n)."""
+    select = np.repeat(np.eye(res.nsectors), res.ranks, axis=0)
+    if y.ndim == 2:
+        return np.square(y.view(float)) @ np.repeat(select, 2, axis=0)
+    return np.diagonal(y, axis1=1, axis2=2) @ select
 
 
 def _purities(x: np.ndarray) -> np.ndarray:
@@ -158,15 +160,8 @@ def _purities(x: np.ndarray) -> np.ndarray:
     return np.einsum("sij,sji->s", x, x)
 
 
-def _coherences(x: np.ndarray, res: ResolutionOfIdentity, pairs) -> dict:
-    """{(n, m): (S,) ‖P_n x_s P_m‖_F}, each the block (n, m) of W† x_s W.
-
-    The sector basis W, one eigh of Σ n P_n, holds each sector's columns
-    together (ascending eigenvalue n, res.ranks of them), so every pair is a
-    view of one (S, d²) × (d², d²) product with the lift W† ⊗ Wᵀ.
-    """
-    w = np.linalg.eigh(sum(n * p for n, p in enumerate(res.projectors)))[1]
-    y = (x.reshape(-1, res.dim ** 2) @ _lift(dagger(w)).T).reshape(x.shape)
+def _coherences(y: np.ndarray, res: ResolutionOfIdentity, pairs) -> dict:
+    """{(n, m): (S,) ‖P_n x_s P_m‖_F}, each the norm of block (n, m) of y = W† x_s W."""
     edge = np.cumsum((0,) + res.ranks)
     blocks = {(n, m): y[:, edge[n]:edge[n + 1], edge[m]:edge[m + 1]].view(float)
               for n, m in pairs}
@@ -194,8 +189,8 @@ def _sector_names(res: ResolutionOfIdentity) -> list[str]:
 
 def subspace_probabilities(rho, res: ResolutionOfIdentity) -> list[float]:
     """Sector populations p_n = trace(rho P_n); they sum to trace(rho)."""
-    x = _checked(np.asarray(rho, dtype=complex)[None], res.dim)
-    return _real_parts(_probabilities(x, res), _sector_names(res))[0].tolist()
+    y = _rotated(_checked(np.asarray(rho, dtype=complex)[None], res.dim), res)
+    return _real_parts(_probabilities(y, res), _sector_names(res))[0].tolist()
 
 
 def purity(rho) -> float:
@@ -208,23 +203,22 @@ def coherence_block_norm(rho, res: ResolutionOfIdentity, n: int, m: int) -> floa
     """Frobenius norm of the cross block P_n rho P_m (n != m)."""
     if n == m:
         raise InvalidParameter("coherence block needs two distinct sectors")
-    for idx in (n, m):
-        if not 0 <= idx < res.nsectors:
-            raise IndexOutOfRange(f"sector {idx} not in 0..{res.nsectors - 1}")
-    x = _checked(np.asarray(rho, dtype=complex)[None], res.dim)
-    return float(_coherences(x, res, [(n, m)])[n, m][0])
+    res.projector(n), res.projector(m)  # IndexOutOfRange unless both are sectors
+    y = _rotated(_checked(np.asarray(rho, dtype=complex)[None], res.dim), res)
+    return float(_coherences(y, res, [(n, m)])[n, m][0])
 
 
 def observables(record, res: ResolutionOfIdentity) -> ObservableSeries:
     """Evaluate probabilities, purity, coherences, and leakage on a record.
 
     The states are the stack an engine kept in the record, or the tuple stacked
-    once.  State vectors (S, d) go through their sector amplitudes P_n psi, one
-    (S, d) × (d, k·d) product: p_n = ||P_n psi||², purity (Σ p_n)², coherence
-    sqrt(p_n p_m) = ||P_n psi psi† P_m||_F, and a subnormalized vector (decay
-    model) leaks 1 - ||psi||².  Densities (S, d, d), and vectors mixed with them
-    (promoted to projectors), take one batched product per observable.  The
-    stack is checked as a whole, with the errors and messages of the
+    once.  One rotation into ``res.basis`` W gives W†psi for state vectors
+    (S, d), or W† rho W for densities (S, d, d) and vectors mixed with them
+    (promoted to projectors).  p_n is one product of it with the 0/1 sector
+    selector, ||P_n rho P_m||_F the norm of block (n, m), sqrt(p_n p_m) for a
+    vector.  Purity is (Σ p_n)² for a vector and tr(rho²) on the unrotated
+    stack for a density; a subnormalized vector (decay model) leaks 1 - Σ p_n.
+    The stack is checked as a whole, with the errors and messages of the
     single-state functions: shape, finite entries, dimension, then the
     imaginary residue of each p_n and of the purity, first sample first.
     """
@@ -240,17 +234,17 @@ def observables(record, res: ResolutionOfIdentity) -> ObservableSeries:
         x = x.reshape(0, res.dim, res.dim)
     k = res.nsectors
     pairs = [(n, m) for n in range(k) for m in range(n + 1, k)]
-    if x.ndim == 2:
-        probs = _amplitude_probabilities(_checked(x, res.dim, vectors=True), res)
+    y = _rotated(_checked(x, res.dim, vectors=x.ndim == 2), res)
+    if y.ndim == 2:
+        probs = _probabilities(y, res)
         coherences = {(n, m): np.sqrt(probs[:, n] * probs[:, m]) for n, m in pairs}
     else:
-        x = _checked(x, res.dim)
-        values = _real_parts(np.column_stack([_probabilities(x, res), _purities(x)]),
+        values = _real_parts(np.column_stack([_probabilities(y, res), _purities(x)]),
                              _sector_names(res) + ["purity"])
         probs, purities = values[:, :k], values[:, k]
-        coherences = _coherences(x, res, pairs) if pairs else {}
+        coherences = _coherences(y, res, pairs)
     total = probs @ np.ones(k)
-    if x.ndim == 2:
+    if y.ndim == 2:
         purities = total ** 2
     return ObservableSeries(times=times, subspace_probabilities=probs, purity=purities,
                             coherence_blocks=coherences, leakage=1.0 - total)

@@ -52,14 +52,15 @@ class ResolutionOfIdentity:
     Labels are the spectral values the projectors came from: eigenvalues for
     a Hermitian disturbance, eigenphases in (-pi, pi] for a unitary kick.
     Construction coerces the projectors to square complex matrices, derives
-    ``dim``, the ranks (trace(P_n) rounded to an integer) and ``pinching``,
-    the d²×d² map sum_n P_n ⊗ P_nᵀ that takes the row-major vec(x) to
-    vec(pinch(x)) (16·d⁴ bytes), and refuses a
-    family that is not a resolution with InvalidParameter, naming the first
-    invariant that fails: each P_n Hermitian and idempotent, distinct P_n
-    mutually orthogonal, the family summing to the identity (each to
-    PROJECTOR_TOL, Frobenius), and labels finite and pairwise further apart
-    than CLUSTER_WIDTH.
+    ``dim``, the ranks (trace(P_n) rounded to an integer), ``pinching``, the
+    d²×d² map sum_n P_n ⊗ P_nᵀ that takes the row-major vec(x) to
+    vec(pinch(x)) (16·d⁴ bytes), and ``basis``, the unitary W of one eigh of
+    sum_n n P_n, whose ranks[n] columns of eigenvalue n span P_n, in sector
+    order.  It refuses a family that is not a resolution with InvalidParameter,
+    naming the first invariant that fails: each P_n Hermitian and idempotent,
+    distinct P_n mutually orthogonal, the family summing to the identity
+    (each to PROJECTOR_TOL, Frobenius), and labels finite and pairwise
+    further apart than CLUSTER_WIDTH.
     """
 
     projectors: tuple[np.ndarray, ...]
@@ -67,6 +68,7 @@ class ResolutionOfIdentity:
     dim: int = field(init=False)
     ranks: tuple[int, ...] = field(init=False)
     pinching: np.ndarray = field(init=False, repr=False)
+    basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         projs = tuple(as_square_matrix(p, "projector") for p in self.projectors)
@@ -85,6 +87,8 @@ class ResolutionOfIdentity:
         object.__setattr__(self, "ranks", _checked_ranks(p, labels))
         object.__setattr__(self, "pinching",
                            np.einsum("nij,nlk->ikjl", p, p).reshape(d * d, d * d))
+        object.__setattr__(self, "basis",
+                           np.linalg.eigh(sum(n * q for n, q in enumerate(projs)))[1])
 
     @property
     def nsectors(self) -> int:

@@ -89,6 +89,9 @@ class TestPointwiseObservables:
             coherence_block_norm(rho, RES3, 1, 1)
         with pytest.raises(IndexOutOfRange):
             coherence_block_norm(rho, RES3, 0, 2)
+        for sector in (0.5, 1.0, "0"):  # not sector indices, though 1.0 == 1
+            with pytest.raises(IndexOutOfRange):
+                coherence_block_norm(rho, RES3, sector, 0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

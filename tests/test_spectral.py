@@ -20,6 +20,7 @@ from zenosim.errors import (
 )
 from zenosim.linalg import expm, frobenius, propagator, unitary_eig
 from zenosim.spectral import (
+    PROJECTOR_TOL,
     ResolutionOfIdentity,
     _cluster_sorted,
     pinch,
@@ -125,6 +126,23 @@ def _random_clusters(rng, d):
     return m, rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, d - m)]))
 
 
+def _assert_sector_basis(res):
+    """res.basis W is unitary and W† P_n W is the 0/1 selector of sector n's columns.
+
+    A built resolution holds each invariant to PROJECTOR_TOL, so WW† = I, a
+    complete family of the W_n W_n†, is held to it too.  With A = Σ_m m P_m,
+    ‖(A − n) P_n‖_F ≤ Σ_m m·PROJECTOR_TOL ≤ k²·PROJECTOR_TOL / 2 (k sectors), and
+    across A's unit eigenvalue gaps each of the k column blocks of W† P_n W
+    leaves the selector by at most that: the bound is k³·PROJECTOR_TOL.
+    """
+    w, k = res.basis, res.nsectors
+    assert frobenius(w.conj().T @ w - np.eye(res.dim)) <= PROJECTOR_TOL
+    columns = np.repeat(np.arange(k), res.ranks)
+    for n, p in enumerate(res.projectors):
+        select = np.diag((columns == n).astype(float))
+        assert frobenius(w.conj().T @ p @ w - select) <= k ** 3 * PROJECTOR_TOL
+
+
 class TestBuiltResolutionsAreSound:
     """Spectral resolutions of random operators pass their own checks."""
 
@@ -139,6 +157,7 @@ class TestBuiltResolutionsAreSound:
         v = random_unitary(rng, d)
         res = projections_of_hermitian((v * w) @ v.conj().T)
         assert res.ranks == tuple(np.bincount(which)[np.argsort(centres)])
+        _assert_sector_basis(res)
 
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -154,6 +173,7 @@ class TestBuiltResolutionsAreSound:
         v = random_unitary(rng, d)
         res = projections_of_unitary((v * np.exp(-1j * phases)) @ v.conj().T)
         assert sorted(res.ranks) == sorted(np.bincount(which))
+        _assert_sector_basis(res)
 
 
 class TestProjectionsOfHermitian:
