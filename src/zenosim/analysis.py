@@ -7,7 +7,7 @@ and the decay-protection sweep over coupling strength.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,27 +51,34 @@ __all__ = [
 class ConvergenceCurve:
     """Distance to the Zeno-limit propagator as the drive parameter grows.
 
-    ``fitted_rate`` is the least-squares slope of log(distance) against
-    log(parameter), computed after discarding the two smallest parameter
-    values (the pre-asymptotic regime); it is NaN when the curve is flagged
-    ``exact`` (all distances at roundoff, nothing to fit).
+    Construction checks the arrays and derives ``exact``, every distance at most
+    EXACT_DISTANCE (roundoff, nothing to fit), and ``fitted_rate``: the least-squares
+    slope of log(distance, floored at 1e-300) against log(parameter), the two smallest
+    parameter values (pre-asymptotic) dropped while at least two points stay; NaN
+    when ``exact`` or with fewer than 2 points.
     """
 
     parameter_name: str
     parameter_values: np.ndarray
     distances: np.ndarray
-    fitted_rate: float
-    exact: bool = False
+    fitted_rate: float = field(init=False)
+    exact: bool = field(init=False)
 
     def __post_init__(self):
         p = np.asarray(self.parameter_values, dtype=float)
         d = np.asarray(self.distances, dtype=float)
         if p.shape != d.shape:
             raise DimensionMismatch("parameter and distance lengths differ")
-        if len(p) and np.any(np.diff(p) <= 0):
+        if not np.all(p[1:] > p[:-1]):  # compared, not np.diff: a NaN fails, inf - inf warns
             raise InvalidParameter("parameter_values must be strictly increasing")
         if not np.all(np.isfinite(d)) or np.any(d < 0):
             raise InvalidParameter("distances must be finite and non-negative")
+        exact = bool(np.all(d <= EXACT_DISTANCE))
+        skip = min(2, len(p) - 2)
+        rate = (np.nan if exact or len(p) < 2 else np.polyfit(
+            np.log(p[skip:]), np.log(np.maximum(d[skip:], 1e-300)), 1)[0])
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "fitted_rate", float(rate))
 
     @property
     def doubling_factor(self) -> float:
@@ -111,12 +118,18 @@ class ObservableSeries:
 
 @dataclass(frozen=True, eq=False)
 class DecayProtectionResult:
-    """Survival of the decaying level versus protective coupling strength."""
+    """Survival of the decaying level versus protective coupling strength; construction
+    derives ``protective_coupling``, the first K with survival >= ``threshold``, or None."""
 
     couplings: np.ndarray
     survivals: np.ndarray
-    protective_coupling: float | None
     threshold: float
+    protective_coupling: float | None = field(init=False)
+
+    def __post_init__(self):
+        hit = np.flatnonzero(np.asarray(self.survivals) >= self.threshold)
+        object.__setattr__(self, "protective_coupling",
+                           float(np.asarray(self.couplings)[hit[0]]) if len(hit) else None)
 
     @property
     def points(self) -> list[tuple[float, float]]:
@@ -250,15 +263,6 @@ def observables(record, res: ResolutionOfIdentity) -> ObservableSeries:
                             coherence_blocks=coherences, leakage=1.0 - total)
 
 
-def _fit_rate(params: np.ndarray, dists: np.ndarray) -> float:
-    # drop the two smallest parameters (pre-asymptotic regime) while keeping
-    # at least two points to fit
-    skip = min(2, len(params) - 2)
-    x = np.log(params[skip:])
-    y = np.log(np.maximum(dists[skip:], 1e-300))
-    return float(np.polyfit(x, y, 1)[0])
-
-
 def _sweep_values(parameter_values) -> np.ndarray:
     values = np.asarray(parameter_values, dtype=float)
     if len(values) < 3:
@@ -266,15 +270,6 @@ def _sweep_values(parameter_values) -> np.ndarray:
     if np.any(values[1:] <= values[:-1]):  # compared, not np.diff: inf - inf warns
         raise InvalidParameter("parameter values must be strictly increasing")
     return values
-
-
-def _curve(name: str, values: np.ndarray, dists) -> ConvergenceCurve:
-    """Distances over validated sweep values (an engine checks each), and the rate."""
-    dists = np.asarray(dists, dtype=float)
-    exact = bool(np.all(dists <= EXACT_DISTANCE))
-    rate = float("nan") if exact else _fit_rate(values, dists)
-    return ConvergenceCurve(parameter_name=name, parameter_values=values,
-                            distances=dists, fitted_rate=rate, exact=exact)
 
 
 def convergence_curve(bundle: ModelBundle, t: float,
@@ -295,7 +290,7 @@ def convergence_curve(bundle: ModelBundle, t: float,
         name, limits = "N", _kick_limits(bundle.H, bundle.U_kick, t, values)
     else:
         name, limits = "K", extracted_continuous_limit(bundle.H, bundle.H_c, t, values)
-    return _curve(name, values, np.linalg.norm(limits - u_z, 2, axis=(1, 2)))
+    return ConvergenceCurve(name, values, np.linalg.norm(limits - u_z, 2, axis=(1, 2)))
 
 
 def projective_convergence_curve(bundle: ModelBundle, rho0, t: float,
@@ -308,7 +303,7 @@ def projective_convergence_curve(bundle: ModelBundle, rho0, t: float,
     values = _sweep_values(n_values)
     finals = _measured_finals(rho0, bundle.H, bundle.res, t, values)
     limit = evolve_zeno_limit(rho0, bundle.H, bundle.res, t, samples=2).final_state
-    return _curve("N", values, np.linalg.norm(finals - limit, axis=(1, 2)))
+    return ConvergenceCurve("N", values, np.linalg.norm(finals - limit, axis=(1, 2)))
 
 
 def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,
@@ -316,7 +311,7 @@ def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,
                            threshold: float = 0.9) -> DecayProtectionResult:
     """Survival |<b|psi(t)>|^2 of the decaying level over a coupling sweep.
 
-    The initial state is |b>.  Reports the sweep plus the smallest K whose
+    The initial state is |b>.  The result derives the smallest K whose
     survival reaches ``threshold`` (None if none does).  Only the tail
     (large K) is guaranteed monotone; weak coupling can accelerate decay.
     The stack H + K_b H_c takes the checks and, slice by slice, the route of
@@ -332,8 +327,4 @@ def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,
                                 np.eye(4, dtype=complex)[1], np.array([0.0, t]))
     # scalar abs, not np.abs: the vectorised one differs in the last bit on some inputs
     survivals = np.array([abs(amp) ** 2 for amp in states[:, -1, 1]])
-    hit = np.nonzero(survivals >= threshold)[0]
-    protective = float(ks[hit[0]]) if len(hit) else None
-    return DecayProtectionResult(couplings=ks, survivals=survivals,
-                                 protective_coupling=protective,
-                                 threshold=threshold)
+    return DecayProtectionResult(couplings=ks, survivals=survivals, threshold=threshold)

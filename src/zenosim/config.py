@@ -118,7 +118,6 @@ _BASIS_LABELS = {3: ("a", "b", "c"), 4: ("a", "b", "c", "M")}
 class ModelSpec:
     """Registry entry: a model's builder and the mechanism and size it yields."""
 
-    name: str
     mechanism: str
     dim: int
     build: Callable[..., ModelBundle]
@@ -131,14 +130,12 @@ class ModelSpec:
 
 
 MODEL_REGISTRY: dict[str, ModelSpec] = {
-    spec.name: spec for spec in [
-        ModelSpec("three-level-projective", "projective", 3, three_level_projective),
-        ModelSpec("four-level-kicked", "kicked", 4, four_level_kicked),
-        ModelSpec("four-level-continuous", "continuous", 4, four_level_continuous),
-        ModelSpec("simplified-kicked", "kicked", 3, simplified_kicked),
-        ModelSpec("simplified-continuous", "continuous", 3, simplified_continuous),
-        ModelSpec("decay", "continuous", 4, decay_model),
-    ]
+    "three-level-projective": ModelSpec("projective", 3, three_level_projective),
+    "four-level-kicked": ModelSpec("kicked", 4, four_level_kicked),
+    "four-level-continuous": ModelSpec("continuous", 4, four_level_continuous),
+    "simplified-kicked": ModelSpec("kicked", 3, simplified_kicked),
+    "simplified-continuous": ModelSpec("continuous", 3, simplified_continuous),
+    "decay": ModelSpec("continuous", 4, decay_model),
 }
 
 
@@ -157,12 +154,8 @@ class ScenarioConfig:
     outputs: tuple[str, ...]
     output_path: str
 
-    @property
-    def model_spec(self) -> ModelSpec:
-        return MODEL_REGISTRY[self.model_name]
-
     def build_bundle(self):
-        return self.model_spec.build(**self.model_parameters)
+        return MODEL_REGISTRY[self.model_name].build(**self.model_parameters)
 
     def resolve_initial_state(self) -> np.ndarray:
         """Amplitude vector to start from, as validation resolved it."""

@@ -92,8 +92,8 @@ class EvolutionRecord:
             object.__setattr__(self, "states", tuple(self.states))
         if len(self.times_or_steps) != len(self.states):
             raise DimensionMismatch("times and states lengths differ")
-        diffs = np.diff(np.asarray(self.times_or_steps, dtype=float))
-        if len(diffs) and diffs.min() <= 0:
+        v = np.asarray(self.times_or_steps)  # own dtype: int64 steps stay exact
+        if not np.all(v[1:] > v[:-1]):  # a NaN fails the comparison
             raise InvalidParameter("times_or_steps must be strictly increasing")
 
     @property
@@ -118,6 +118,8 @@ def _check_coupling(coupling, ndim: int = 1) -> None:
     if np.ndim(coupling) > ndim:
         raise InvalidParameter(f"K must be a number{' or a 1-D array' * ndim}, "
                                f"got shape {np.shape(coupling)}")
+    if np.size(coupling) == 0:
+        raise InvalidParameter("K must be at least one value, got an empty array")
     for k in np.ravel(coupling).tolist():  # one K or an array of them
         if not (0 <= k < np.inf):
             raise InvalidParameter(f"K must be a finite real >= 0, got {k!r}")
@@ -136,6 +138,8 @@ def _checkpoints(n_steps: int, samples: int) -> np.ndarray:
 
 def _validate_step_args(t: float, n):
     _check_positive_t(t)
+    if np.size(n) == 0:
+        raise InvalidParameter("N must be at least one count, got an empty array")
     for k in (n if np.ndim(n) else [n]):  # one N, or an array of them (returned as int64)
         if not 1 <= k < 2**63 or int(k) != k:  # NaN fails the first test
             raise InvalidParameter(f"N must be a positive integer below 2**63, got {k!r}")

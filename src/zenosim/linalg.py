@@ -75,7 +75,7 @@ def frobenius(a: np.ndarray) -> float:
 
 def _norms(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of a matrix, or of each matrix in a stack."""
-    flat = x.reshape(*x.shape[:-2], -1)
+    flat = x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1])  # a (0, d, d) stack too
     return np.sqrt(np.vecdot(flat, flat).real)
 
 
@@ -117,6 +117,8 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     result is exactly consistent with a Hermitian operator.  A stack (B, d, d)
     is checked slice by slice and decomposed in one call: w (B, d), v (B, d, d).
     """
+    if np.ndim(h) == 3 and len(h) == 0:
+        raise DimensionMismatch(f"eigh input stack is empty, got shape {np.shape(h)}")
     m = (np.array([require_hermitian(s, "eigh input") for s in h]) if np.ndim(h) == 3
          else require_hermitian(h, "eigh input"))
     m = 0.5 * (m + dagger(m))

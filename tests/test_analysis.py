@@ -16,6 +16,7 @@ from conftest import (
     straddle_state,
 )
 from zenosim.analysis import (
+    EXACT_DISTANCE,
     ConvergenceCurve,
     DecayProtectionResult,
     coherence_block_norm,
@@ -537,8 +538,29 @@ class TestConvergenceCurve:
     def test_curve_field_validation(self):
         from zenosim.errors import DimensionMismatch
         with pytest.raises(DimensionMismatch):
-            ConvergenceCurve("N", np.array([1.0, 2.0]), np.array([0.1]),
-                             fitted_rate=-1.0)
+            ConvergenceCurve("N", np.array([1.0, 2.0]), np.array([0.1]))
+        # a NaN fails every comparison; two equal infinities are not increasing
+        for values in ([0.0, np.nan, 1.0], [0.0, np.inf, np.inf]):
+            with pytest.raises(InvalidParameter, match="strictly increasing"):
+                ConvergenceCurve("N", np.array(values), np.array([0.3, 0.2, 0.1]))
+
+    @pytest.mark.parametrize("values, distances, exact, rate", [
+        ([1.0, 2.0], [0.2, 0.1], False, -1.0),  # two points: both fitted
+        ([2.0, 4.0, 8.0], [9.0, 0.2, 0.1], False, -1.0),  # three: the smallest dropped
+        ([1.0, 2.0, 4.0, 8.0, 16.0], [7.0, 9.0, 0.4, 0.2, 0.1], False, -1.0),  # two dropped
+        ([1.0, 2.0, 4.0], [0.2, 1e-300 * 2.0 ** 1000, 0.0], False, -1000.0),  # log floor
+        ([1.0, 2.0, 4.0], [EXACT_DISTANCE, 0.0, 1e-11], True, np.nan),  # all at roundoff
+        ([1.0], [0.5], False, np.nan),  # one point: nothing to fit
+    ], ids=["two-points", "one-dropped", "two-dropped", "log-floor", "exact", "one-point"])
+    def test_exact_and_rate_are_derived(self, values, distances, exact, rate):
+        curve = ConvergenceCurve("N", np.array(values), np.array(distances))
+        assert [f.name for f in dataclasses.fields(curve) if f.init] == [
+            "parameter_name", "parameter_values", "distances"]
+        assert curve.exact is exact
+        if np.isnan(rate):
+            assert np.isnan(curve.fitted_rate)
+        else:
+            assert curve.fitted_rate == pytest.approx(rate, rel=1e-12)
 
 
 class TestProjectiveConvergence:
@@ -618,10 +640,23 @@ class TestDecayProtection:
         assert result.survivals[0] == pytest.approx(0.60882, abs=5e-5)
         assert result.protective_coupling is None
 
+    def test_empty_sweep_refused(self):
+        with pytest.raises(InvalidParameter, match="^need at least one coupling value$"):
+            decay_protection_sweep(0.0, 1.0, 0.1, 0.0, [], t=5.0)
+
+    @pytest.mark.parametrize("survivals, protective", [
+        ([0.5, 0.9, 0.8], 2.0), ([0.95, 0.5, 0.99], 1.0), ([0.5, 0.6, 0.7], None)],
+        ids=["second", "first", "none"])
+    def test_protective_coupling_is_derived(self, survivals, protective):
+        result = DecayProtectionResult(np.array([1.0, 2.0, 3.0]), np.array(survivals), 0.9)
+        assert [f.name for f in dataclasses.fields(result) if f.init] == [
+            "couplings", "survivals", "threshold"]
+        assert result.protective_coupling == protective
+
     def test_points_property(self):
         result = DecayProtectionResult(
             couplings=np.array([1.0, 2.0]), survivals=np.array([0.5, 0.9]),
-            protective_coupling=2.0, threshold=0.9)
+            threshold=0.9)
         assert result.points == [(1.0, 0.5), (2.0, 0.9)]
 
     def test_monotone_couplings_required(self):
@@ -644,9 +679,9 @@ _ARRAY_RECORDS = {
     "ObservableSeries": lambda: observables(
         evolve_zeno_limit(np.eye(3) / 3.0, np.eye(3), RES3, 1.0, 3), RES3),
     "ConvergenceCurve": lambda: ConvergenceCurve(
-        "N", np.array([1.0, 2.0]), np.array([0.2, 0.1]), fitted_rate=-1.0),
+        "N", np.array([1.0, 2.0]), np.array([0.2, 0.1])),
     "DecayProtectionResult": lambda: DecayProtectionResult(
-        np.array([1.0, 2.0]), np.array([0.5, 0.9]), 2.0, 0.9),
+        np.array([1.0, 2.0]), np.array([0.5, 0.9]), 0.9),
 }
 
 

@@ -166,6 +166,19 @@ class TestRunScenario:
         assert lines[0] == "K,survival"
         assert float(lines[1].split(",")[1]) == pytest.approx(0.9803, abs=1e-3)
 
+    @pytest.mark.parametrize("doc, note", [
+        (continuous_doc(model={"name": "simplified-continuous",
+                               "parameters": {"omega2": 0.0}}, outputs=["convergence"]),
+         "convergence: exact (distances at roundoff)"),
+        ({"name": "free", "model": {"name": "decay", "parameters": {}},
+          "mechanism": "decay-sweep", "schedule": {"t": 5.0, "K": [0.0]},
+          "outputs": ["survival"]},
+         "no K in the sweep reaches survival >= 0.9"),
+    ], ids=["exact-convergence", "no-protective-coupling"])
+    def test_run_notes(self, tmp_path, capsys, doc, note):
+        written = run_scenario(parse_config(json.dumps(doc)), output_dir=tmp_path)
+        assert capsys.readouterr().out.splitlines() == [note, f"wrote {written[0]}"]
+
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = parse_config(json.dumps(kicked_doc()))
         run_scenario(cfg, output_dir=tmp_path / "a", quiet=True)

@@ -154,6 +154,29 @@ class TestValidateDocument:
         # no schedule.N or outputs errors that only follow from the bad mechanism
         assert violation_paths(e) == ["mechanism", "schedule.t"]
 
+    @pytest.mark.parametrize("key, value, path", [
+        ("model", [1], "model"),
+        ("model", {"name": "four-level-kicked", "parameters": [1]}, "model.parameters"),
+        ("model", {"name": "four-level-kicked", "parameters": {"omega1": "x"}},
+         "model.parameters.omega1"),
+        ("schedule", 3, "schedule"),
+        ("initial_state", 3, "initial_state"),
+        ("outputs", None, "outputs"),  # None: the key is left out
+        ("outputs", [], "outputs"),
+        ("name", "", "name"),
+        ("output", "x", "output"),
+        ("output", {"path": ""}, "output.path"),
+    ], ids=["model-not-object", "parameters-not-object", "parameter-not-number",
+            "schedule-not-object", "initial-state-not-label-or-list", "outputs-missing",
+            "outputs-empty", "name-empty", "output-not-object", "output-path-empty"])
+    def test_malformed_entry_reported_at_its_path(self, key, value, path):
+        doc = base_doc(**{key: value})
+        if value is None:
+            del doc[key]
+        with pytest.raises(SchemaViolation) as e:
+            validate_document(doc)
+        assert violation_paths(e) == [path]
+
     def test_samples_bounds(self):
         doc = base_doc(schedule={"t": 1.0, "N": [4], "samples": 1})
         with pytest.raises(SchemaViolation) as e:
@@ -304,6 +327,18 @@ class TestOverrides:
         doc = base_doc()
         apply_overrides(doc, ["schedule.N=[2, 4, 8]"])
         assert doc["schedule"]["N"] == [2, 4, 8]
+
+    def test_missing_intermediate_objects_created(self):
+        doc = base_doc()
+        apply_overrides(doc, ["output.path=x", "name.first=1"])
+        assert doc["output"] == {"path": "x"}
+        assert doc["name"] == {"first": 1}  # a non-object on the path is replaced
+
+    @pytest.mark.parametrize("item", ["=1", " =1"], ids=["no-key", "blank-key"])
+    def test_empty_key(self, item):
+        with pytest.raises(SchemaViolation) as e:
+            apply_overrides(base_doc(), [item])
+        assert e.value.violations == [("--set", f"empty key in {item!r}")]
 
     def test_missing_equals(self):
         with pytest.raises(SchemaViolation):

@@ -77,6 +77,15 @@ class TestEvolutionRecord:
     def test_nonincreasing_times(self):
         with pytest.raises(InvalidParameter):
             EvolutionRecord(np.array([0, 0]), (np.eye(2), np.eye(2)))
+        # a NaN fails every comparison; two equal infinities are not increasing
+        for times in ([0.0, np.nan, 1.0], [0.0, np.inf, np.inf]):
+            with pytest.raises(InvalidParameter, match="strictly increasing"):
+                EvolutionRecord(np.array(times), (np.eye(2),) * 3)
+
+    def test_int64_steps_compared_exactly(self):
+        # 2**62 + 1 rounds to 2**62 as a float64, so int64 steps are compared as int64
+        rec = EvolutionRecord(np.array([2**62, 2**62 + 1]), (np.eye(2), np.eye(2)))
+        assert len(rec) == 2
 
     def test_final_state_and_len(self):
         rec = EvolutionRecord(np.array([0, 1]), (np.zeros((2, 2)), np.eye(2)))
@@ -549,6 +558,15 @@ class TestContinuous:
             evolve_continuous(basis_state(3, 0), CHAIN, np.zeros((3, 3)),
                               -1.0, t=1.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda hc: evolve_continuous(basis_state(3, 0), CHAIN, hc, 2.0, 1.0),
+        lambda hc: continuous_propagator(CHAIN, hc, 2.0, 1.0),
+        lambda hc: extracted_continuous_limit(CHAIN, hc, 1.0, 2.0),
+    ], ids=["evolve_continuous", "continuous_propagator", "extracted_continuous_limit"])
+    def test_coupling_dimension_must_match_h(self, call):
+        with pytest.raises(DimensionMismatch, match="^H and H_c dimensions differ$"):
+            call(np.eye(4))
+
     def test_propagator_refuses_negative_coupling_or_time(self):
         b = four_level_continuous()
         with pytest.raises(InvalidParameter, match="K must be"):
@@ -659,6 +677,35 @@ _STEP_COUNT_CALLS = {
     "projective_convergence_curve": lambda n: projective_convergence_curve(
         three_level_projective(), np.outer(_PSI3, _PSI3), 1.0, [4, 8, n]),
 }
+
+
+_EMPTY_N, _EMPTY_K = np.array([], dtype=np.int64), np.array([])
+# each call takes an empty array of N or K, or an empty stack: (call, error, message)
+_EMPTY_ARRAY_CALLS = {
+    "kicked_propagator": (lambda: kicked_propagator(CHAIN, np.eye(3), 1.0, _EMPTY_N),
+                          InvalidParameter, "^N must be"),
+    "extracted_kick_limit": (lambda: extracted_kick_limit(CHAIN, np.eye(3), 1.0, _EMPTY_N),
+                             InvalidParameter, "^N must be"),
+    "asymptotic_kicked_propagator": (
+        lambda: asymptotic_kicked_propagator(CHAIN, RES3, 1.0, _EMPTY_N),
+        InvalidParameter, "^N must be"),
+    "continuous_propagator": (lambda: continuous_propagator(np.eye(4), _HC4, _EMPTY_K, 1.0),
+                              InvalidParameter, "^K must be"),
+    "extracted_continuous_limit": (
+        lambda: extracted_continuous_limit(np.eye(4), _HC4, 1.0, _EMPTY_K),
+        InvalidParameter, "^K must be"),
+    "asymptotic_continuous_propagator": (
+        lambda: asymptotic_continuous_propagator(CHAIN, RES3, 1.0, _EMPTY_K),
+        InvalidParameter, "^K must be"),
+    "eigh": (lambda: linalg.eigh(np.zeros((0, 3, 3))), DimensionMismatch, "stack is empty"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_EMPTY_ARRAY_CALLS))
+def test_empty_array_refused(call):
+    make, error, message = _EMPTY_ARRAY_CALLS[call]
+    with pytest.raises(error, match=message):
+        make()
 
 
 @pytest.mark.parametrize("n", [2**63, 10**20, np.uint64(2**63), np.float64(2.0**63)],

@@ -14,6 +14,7 @@ from zenosim.errors import (
     NotUnitary,
 )
 from zenosim.linalg import (
+    _norms,
     as_square_matrix,
     check_density_matrix,
     check_state_vector,
@@ -372,3 +373,17 @@ class TestStateChecks:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             check_state_vector(np.array([1.0, 0, 0], dtype=complex), dim=2)
+
+    @pytest.mark.parametrize("check, state, error, message", [
+        (check_state_vector, np.eye(2), InvalidState, r"must be 1-D, got shape \(2, 2\)"),
+        (check_state_vector, np.array([1.0, np.nan]), InvalidState, "non-finite entries"),
+        (lambda rho: check_density_matrix(rho, dim=3), np.eye(2) / 2, DimensionMismatch,
+         "density matrix is 2-dim, expected 3"),
+    ], ids=["vector-2d", "vector-non-finite", "density-dimension"])
+    def test_malformed_state_refused(self, check, state, error, message):
+        with pytest.raises(error, match=message):
+            check(state)
+
+
+def test_norms_of_an_empty_stack_are_empty():
+    assert _norms(np.zeros((0, 3, 3))).shape == (0,)

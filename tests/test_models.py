@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from zenosim.errors import (
     DegenerateCouplingLevels,
     DegenerateKickPhases,
+    DimensionMismatch,
     InvalidParameter,
     NotHermitian,
     ZenosimError,
@@ -224,6 +225,13 @@ class TestModelBundle:
         parts = {"res": p.res, "U_kick": k.U_kick, "H_c": c.H_c}
         with pytest.raises(InvalidParameter, match="exactly one payload"):
             ModelBundle(name="x", H=p.H, **{key: parts[key] for key in keys})
+
+    @pytest.mark.parametrize("key", ["res", "U_kick", "H_c"])
+    def test_payload_dimension_must_match_h(self, key):
+        p, k, c = three_level_projective(), four_level_kicked(), four_level_continuous()
+        parts = {"res": p.res, "U_kick": k.U_kick, "H_c": c.H_c}
+        with pytest.raises(DimensionMismatch, match=rf"^{key} dimension \d != H dimension 2$"):
+            ModelBundle(name="x", H=np.eye(2), K=1.0, **{key: parts[key]})
 
     def test_projective_bundle_accepts_k(self):
         b = three_level_projective()

@@ -120,6 +120,16 @@ class TestValidate:
             ResolutionOfIdentity(projectors, [float(k) for k in range(len(projectors))])
 
 
+@pytest.mark.parametrize("projectors, labels, error, message", [
+    ([], [], InvalidParameter, "^resolution needs at least one projector$"),
+    ([np.eye(2)], [0.0, 1.0], DimensionMismatch, "^projector and label counts differ$"),
+], ids=["no-projectors", "label-count"])
+def test_family_without_one_label_per_projector_refused(projectors, labels, error,
+                                                        message):
+    with pytest.raises(error, match=message):
+        ResolutionOfIdentity(projectors, labels)
+
+
 def _random_clusters(rng, d):
     """Cluster count m and each of d eigenvalues' cluster, every cluster used."""
     m = int(rng.integers(1, d + 1))
