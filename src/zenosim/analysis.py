@@ -54,8 +54,8 @@ class ConvergenceCurve:
     Construction checks the arrays and derives ``exact``, every distance at most
     EXACT_DISTANCE (roundoff, nothing to fit), and ``fitted_rate``: the least-squares
     slope of log(distance, floored at 1e-300) against log(parameter), the two smallest
-    parameter values (pre-asymptotic) dropped while at least two points stay; NaN
-    when ``exact`` or with fewer than 2 points.
+    parameter values (pre-asymptotic) dropped while at least two points stay, and a
+    zero parameter too; NaN when ``exact`` or with fewer than 2 fitted points.
     """
 
     parameter_name: str
@@ -71,12 +71,14 @@ class ConvergenceCurve:
             raise DimensionMismatch("parameter and distance lengths differ")
         if not np.all(p[1:] > p[:-1]):  # compared, not np.diff: a NaN fails, inf - inf warns
             raise InvalidParameter("parameter_values must be strictly increasing")
+        if not np.all((p >= 0) & (p < np.inf)):  # a NaN fails both
+            raise InvalidParameter("parameter_values must be finite and non-negative")
         if not np.all(np.isfinite(d)) or np.any(d < 0):
             raise InvalidParameter("distances must be finite and non-negative")
         exact = bool(np.all(d <= EXACT_DISTANCE))
-        skip = min(2, len(p) - 2)
-        rate = (np.nan if exact or len(p) < 2 else np.polyfit(
-            np.log(p[skip:]), np.log(np.maximum(d[skip:], 1e-300)), 1)[0])
+        fit = (np.arange(len(p)) >= min(2, len(p) - 2)) & (p > 0)
+        rate = (np.nan if exact or fit.sum() < 2 else np.polyfit(
+            np.log(p[fit]), np.log(np.maximum(d[fit], 1e-300)), 1)[0])
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "fitted_rate", float(rate))
 
@@ -87,11 +89,13 @@ class ConvergenceCurve:
         Geometric mean over the whole sweep: the raw step-to-step ratios
         oscillate because the leading error term carries a phase that spins
         with the parameter, but the aggregate factor is stable and equals
-        2^(-fitted slope) for clean first-order convergence.
+        2^(-fitted slope) for clean first-order convergence.  The sweep starts
+        at the first positive parameter; NaN with fewer than 2 such points.
         """
         p = np.asarray(self.parameter_values, dtype=float)
-        d = np.asarray(self.distances, dtype=float)
-        if self.exact or d[-1] == 0.0 or len(d) < 2:
+        d = np.asarray(self.distances, dtype=float)[p > 0]
+        p = p[p > 0]
+        if self.exact or len(d) < 2 or d[-1] == 0.0:
             return float("nan")
         n_doublings = np.log2(p[-1] / p[0])
         return float((d[0] / d[-1]) ** (1.0 / n_doublings))
@@ -118,7 +122,7 @@ class ObservableSeries:
 
 @dataclass(frozen=True, eq=False)
 class DecayProtectionResult:
-    """Survival of the decaying level versus protective coupling strength; construction
+    """Survival of the decaying level at each protective coupling strength; construction
     derives ``protective_coupling``, the first K with survival >= ``threshold``, or None."""
 
     couplings: np.ndarray
@@ -127,6 +131,8 @@ class DecayProtectionResult:
     protective_coupling: float | None = field(init=False)
 
     def __post_init__(self):
+        if np.shape(self.couplings) != np.shape(self.survivals):
+            raise DimensionMismatch("coupling and survival lengths differ")
         hit = np.flatnonzero(np.asarray(self.survivals) >= self.threshold)
         object.__setattr__(self, "protective_coupling",
                            float(np.asarray(self.couplings)[hit[0]]) if len(hit) else None)

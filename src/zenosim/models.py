@@ -49,53 +49,42 @@ __all__ = [
 class ModelBundle:
     """A system Hamiltonian plus exactly one disturbance payload.
 
-    The payload determines the mechanism: ``res`` for projective
-    measurements, ``U_kick`` for kicks, ``(H_c, K)`` with a finite K >= 0
-    for continuous coupling.  The Zeno sectors the payload induces are
-    derived once, at construction, and returned by ``resolution()``.
+    Construction checks H and the payload and derives, from the payload alone,
+    the ``mechanism`` (``res``: projective measurements, ``U_kick``: kicks,
+    ``(H_c, K)`` with a finite K >= 0: continuous coupling) and the Zeno sectors
+    it induces, returned by ``resolution()``, whose dimension must be H's.
     """
 
-    name: str
     H: np.ndarray
     res: ResolutionOfIdentity | None = None
     U_kick: np.ndarray | None = None
     H_c: np.ndarray | None = None
     K: float | None = None
     non_hermitian: bool = False
+    mechanism: str = field(init=False)
     _resolution: ResolutionOfIdentity = field(init=False, repr=False)
 
     def __post_init__(self):
         present = [x is not None for x in (self.res, self.U_kick, self.H_c)]
         if sum(present) != 1 or (self.H_c is not None and self.K is None):
-            raise InvalidParameter(
-                f"bundle {self.name!r} must carry exactly one payload: "
-                "res, U_kick, or H_c with K")
+            raise InvalidParameter("a bundle must carry exactly one payload: "
+                                   "res, U_kick, or H_c with K")
         if self.K is not None:
             _check_coupling(self.K)
         h = as_square_matrix(self.H, "H")
         object.__setattr__(self, "H", h)
-        dim = h.shape[0]
-        for other, label in ((self.res.dim if self.res else None, "res"),
-                             (self.U_kick.shape[0] if self.U_kick is not None else None, "U_kick"),
-                             (self.H_c.shape[0] if self.H_c is not None else None, "H_c")):
-            if other is not None and other != dim:
-                raise DimensionMismatch(f"{label} dimension {other} != H dimension {dim}")
         if not self.non_hermitian:  # the engines' own test
-            require_hermitian(h, f"H of bundle {self.name!r} (not flagged non_hermitian)")
-        if self.mechanism == "projective":
-            res = self.res
-        elif self.mechanism == "kicked":
-            res = projections_of_unitary(self.U_kick)
-        else:
-            res = projections_of_hermitian(self.H_c)
-        object.__setattr__(self, "_resolution", res)
-
-    @property
-    def mechanism(self) -> str:
-        """``projective``, ``kicked`` or ``continuous``, from the payload present."""
+            require_hermitian(h, "H of a bundle not flagged non_hermitian")
         if self.res is not None:
-            return "projective"
-        return "kicked" if self.U_kick is not None else "continuous"
+            mechanism, label, res = "projective", "res", self.res
+        elif self.U_kick is not None:
+            mechanism, label, res = "kicked", "U_kick", projections_of_unitary(self.U_kick)
+        else:
+            mechanism, label, res = "continuous", "H_c", projections_of_hermitian(self.H_c)
+        if res.dim != h.shape[0]:
+            raise DimensionMismatch(f"{label} dimension {res.dim} != H dimension {h.shape[0]}")
+        object.__setattr__(self, "mechanism", mechanism)
+        object.__setattr__(self, "_resolution", res)
 
     @property
     def dim(self) -> int:
@@ -147,7 +136,7 @@ def three_level_projective(omega1: float = 1.0, omega2: float = 1.0) -> ModelBun
     _check_finite(locals())
     h = _chain_hamiltonian(omega1, omega2, 3)
     res = _two_block_resolution()
-    return ModelBundle(name="three-level-projective", H=h, res=res)
+    return ModelBundle(H=h, res=res)
 
 
 def four_level_kicked(omega1: float = 1.0, omega2: float = 1.0,
@@ -165,7 +154,7 @@ def four_level_kicked(omega1: float = 1.0, omega2: float = 1.0,
     u[0, 0] = u[1, 1] = np.exp(-1j * lambda1)
     u[2, 2] = u[3, 3] = np.cos(lambda2)
     u[2, 3] = u[3, 2] = -1j * np.sin(lambda2)
-    return _with_sectors(ModelBundle(name="four-level-kicked", H=h, U_kick=u), 3,
+    return _with_sectors(ModelBundle(H=h, U_kick=u), 3,
                          DegenerateKickPhases, "kick eigenphases lambda1, +lambda2 "
                          "and -lambda2 are not distinct modulo 2*pi")
 
@@ -182,7 +171,7 @@ def four_level_continuous(omega1: float = 1.0, omega2: float = 1.0,
     h = _chain_hamiltonian(omega1, omega2, 4)
     h_c = np.zeros((4, 4), dtype=complex)
     h_c[2, 3] = h_c[3, 2] = 1.0
-    return ModelBundle(name="four-level-continuous", H=h, H_c=h_c, K=float(coupling))
+    return ModelBundle(H=h, H_c=h_c, K=float(coupling))
 
 
 def simplified_kicked(omega1: float = 1.0, omega2: float = 1.0,
@@ -198,8 +187,7 @@ def simplified_kicked(omega1: float = 1.0, omega2: float = 1.0,
     res = _two_block_resolution()
     u = (np.exp(-1j * lambda1) * res.projectors[0]
          + np.exp(-1j * lambda2) * res.projectors[1])
-    return _with_sectors(ModelBundle(name="simplified-kicked", H=h, U_kick=u), 2,
-                         DegenerateKickPhases,
+    return _with_sectors(ModelBundle(H=h, U_kick=u), 2, DegenerateKickPhases,
                          "lambda1 and lambda2 coincide modulo 2*pi")
 
 
@@ -214,7 +202,7 @@ def simplified_continuous(omega1: float = 1.0, omega2: float = 1.0,
     h = _chain_hamiltonian(omega1, omega2, 3)
     res = _two_block_resolution()
     h_c = eta1 * res.projectors[0] + eta2 * res.projectors[1]
-    bundle = ModelBundle(name="simplified-continuous", H=h, H_c=h_c, K=float(coupling))
+    bundle = ModelBundle(H=h, H_c=h_c, K=float(coupling))
     return _with_sectors(bundle, 2, DegenerateCouplingLevels, "eta1 and eta2 coincide")
 
 
@@ -239,5 +227,4 @@ def decay_model(omega1: float = 0.0, tau_z: float = 1.0, gamma: float = 0.1,
     h[2, 2] = -2j / (tau_z ** 2 * gamma)
     h_c = np.zeros((4, 4), dtype=complex)
     h_c[2, 3] = h_c[3, 2] = 1.0
-    return ModelBundle(name="decay", H=h, H_c=h_c, K=float(coupling),
-                       non_hermitian=True)
+    return ModelBundle(H=h, H_c=h_c, K=float(coupling), non_hermitian=True)

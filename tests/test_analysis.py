@@ -17,6 +17,7 @@ from conftest import (
 )
 from zenosim.analysis import (
     EXACT_DISTANCE,
+    IMAG_RESIDUE,
     ConvergenceCurve,
     DecayProtectionResult,
     coherence_block_norm,
@@ -286,6 +287,14 @@ class TestStackedObservables:
         with pytest.raises(InvalidState, match=r"^p_2 has imaginary residue"):
             subspace_probabilities(bad, RES3)
 
+    def test_residue_bound_is_relative_above_one(self):
+        # |p_1| = 5: the bound is IMAG_RESIDUE * 5, not IMAG_RESIDUE
+        ok = np.diag([5.0 + 3.0 * IMAG_RESIDUE * 1j, 0.0, 0.0])
+        assert subspace_probabilities(ok, RES3) == [5.0, 0.0]
+        bad = np.diag([5.0 + 6.0 * IMAG_RESIDUE * 1j, 0.0, 0.0])
+        with pytest.raises(InvalidState, match=r"^p_1 has imaginary residue 6\.000e-12$"):
+            subspace_probabilities(bad, RES3)
+
     def test_first_sample_with_a_residue_wins(self):
         # sample 0: real probabilities but tr(rho^2) = 0.5 + 0.02i
         skew = np.array([[0.5, 0.1, 0], [0.1j, 0.5, 0], [0, 0, 0]], dtype=complex)
@@ -543,6 +552,14 @@ class TestConvergenceCurve:
         for values in ([0.0, np.nan, 1.0], [0.0, np.inf, np.inf]):
             with pytest.raises(InvalidParameter, match="strictly increasing"):
                 ConvergenceCurve("N", np.array(values), np.array([0.3, 0.2, 0.1]))
+        for values in ([-1.0, 1.0, 2.0], [1.0, 2.0, np.inf], [np.nan]):
+            with pytest.raises(InvalidParameter,
+                               match="^parameter_values must be finite and non-negative$"):
+                ConvergenceCurve("K", np.array(values), np.array([0.3, 0.2, 0.1][:len(values)]))
+        for distances in ([0.3, np.nan, 0.1], [0.3, -0.2, 0.1]):
+            with pytest.raises(InvalidParameter,
+                               match="^distances must be finite and non-negative$"):
+                ConvergenceCurve("K", np.array([1.0, 2.0, 4.0]), np.array(distances))
 
     @pytest.mark.parametrize("values, distances, exact, rate", [
         ([1.0, 2.0], [0.2, 0.1], False, -1.0),  # two points: both fitted
@@ -551,7 +568,10 @@ class TestConvergenceCurve:
         ([1.0, 2.0, 4.0], [0.2, 1e-300 * 2.0 ** 1000, 0.0], False, -1000.0),  # log floor
         ([1.0, 2.0, 4.0], [EXACT_DISTANCE, 0.0, 1e-11], True, np.nan),  # all at roundoff
         ([1.0], [0.5], False, np.nan),  # one point: nothing to fit
-    ], ids=["two-points", "one-dropped", "two-dropped", "log-floor", "exact", "one-point"])
+        ([0.0, 1.0], [0.2, 0.1], False, np.nan),  # p = 0 has no log: one point left
+        ([0.0, 8.0, 16.0], [0.5, 0.2, 0.1], False, -1.0),  # fitted over 8 and 16
+    ], ids=["two-points", "one-dropped", "two-dropped", "log-floor", "exact", "one-point",
+            "zero-and-one", "zero-dropped"])
     def test_exact_and_rate_are_derived(self, values, distances, exact, rate):
         curve = ConvergenceCurve("N", np.array(values), np.array(distances))
         assert [f.name for f in dataclasses.fields(curve) if f.init] == [
@@ -652,6 +672,11 @@ class TestDecayProtection:
         assert [f.name for f in dataclasses.fields(result) if f.init] == [
             "couplings", "survivals", "threshold"]
         assert result.protective_coupling == protective
+
+    @pytest.mark.parametrize("survivals", [[0.5, 0.95], []], ids=["longer", "empty"])
+    def test_one_survival_per_coupling(self, survivals):
+        with pytest.raises(DimensionMismatch, match="^coupling and survival lengths differ$"):
+            DecayProtectionResult(np.array([1.0]), np.array(survivals), 0.9)
 
     def test_points_property(self):
         result = DecayProtectionResult(

@@ -174,7 +174,10 @@ class TestRunScenario:
           "mechanism": "decay-sweep", "schedule": {"t": 5.0, "K": [0.0]},
           "outputs": ["survival"]},
          "no K in the sweep reaches survival >= 0.9"),
-    ], ids=["exact-convergence", "no-protective-coupling"])
+        (continuous_doc(schedule={"t": 1.0, "K": [0.0, 8.0, 16.0], "samples": 5},
+                        outputs=["convergence"]),
+         "convergence: fitted rate -0.6206, mean factor per doubling 1.5375"),
+    ], ids=["exact-convergence", "no-protective-coupling", "sweep-from-zero"])
     def test_run_notes(self, tmp_path, capsys, doc, note):
         written = run_scenario(parse_config(json.dumps(doc)), output_dir=tmp_path)
         assert capsys.readouterr().out.splitlines() == [note, f"wrote {written[0]}"]

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -11,6 +12,7 @@ from zenosim.errors import (
     DimensionMismatch,
     InvalidParameter,
     NotHermitian,
+    NotUnitary,
     ZenosimError,
 )
 from zenosim.linalg import expm, frobenius, hermiticity_defect
@@ -206,16 +208,16 @@ class TestModelBundle:
         h[0, 2] = asymmetry * np.sqrt(2.0)  # ||H - H†|| / ||H|| with ||H|| = 2
         assert hermiticity_defect(h) == pytest.approx(asymmetry, rel=1e-6)
         if builds:
-            assert ModelBundle(name="x", H=h, res=b.res).mechanism == "projective"
+            assert ModelBundle(H=h, res=b.res).mechanism == "projective"
         else:
             with pytest.raises(NotHermitian):
-                ModelBundle(name="x", H=h, res=b.res)
+                ModelBundle(H=h, res=b.res)
 
     def test_nonhermitian_h_requires_flag(self):
         h = np.array([[0, 1, 0], [1, 0, 1], [0, 1, -1j]], dtype=complex)
         res = three_level_projective().res
         with pytest.raises(NotHermitian):
-            ModelBundle(name="x", H=h, res=res, U_kick=None, H_c=None, K=0.0,
+            ModelBundle(H=h, res=res, U_kick=None, H_c=None, K=0.0,
                         non_hermitian=False)
 
     @pytest.mark.parametrize("keys", [(), ("res", "U_kick"), ("H_c",)],
@@ -224,18 +226,44 @@ class TestModelBundle:
         p, k, c = three_level_projective(), simplified_kicked(), simplified_continuous()
         parts = {"res": p.res, "U_kick": k.U_kick, "H_c": c.H_c}
         with pytest.raises(InvalidParameter, match="exactly one payload"):
-            ModelBundle(name="x", H=p.H, **{key: parts[key] for key in keys})
+            ModelBundle(H=p.H, **{key: parts[key] for key in keys})
 
-    @pytest.mark.parametrize("key", ["res", "U_kick", "H_c"])
-    def test_payload_dimension_must_match_h(self, key):
+    @pytest.mark.parametrize("key, listed", [("res", False), ("U_kick", False), ("H_c", False),
+                                             ("U_kick", True), ("H_c", True)],
+                             ids=["res", "U_kick", "H_c", "U_kick-list", "H_c-list"])
+    def test_payload_dimension_must_match_h(self, key, listed):
         p, k, c = three_level_projective(), four_level_kicked(), four_level_continuous()
         parts = {"res": p.res, "U_kick": k.U_kick, "H_c": c.H_c}
+        payload = parts[key].tolist() if listed else parts[key]
         with pytest.raises(DimensionMismatch, match=rf"^{key} dimension \d != H dimension 2$"):
-            ModelBundle(name="x", H=np.eye(2), K=1.0, **{key: parts[key]})
+            ModelBundle(H=np.eye(2), K=1.0, **{key: payload})
+
+    @pytest.mark.parametrize("builder, key", [(four_level_kicked, "U_kick"),
+                                              (four_level_continuous, "H_c")])
+    def test_nested_list_payload_builds(self, builder, key):
+        b = builder()
+        listed = ModelBundle(H=b.H.tolist(), K=b.K, **{key: getattr(b, key).tolist()})
+        assert listed.mechanism == b.mechanism
+        for got, want in zip(listed.resolution().projectors, b.resolution().projectors):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("key, error", [("U_kick", NotUnitary), ("H_c", NotHermitian)])
+    def test_payload_check_precedes_dimension(self, key, error):
+        """A payload of the wrong size that fails its own check reports that check."""
+        bad = np.triu(np.ones((4, 4)))  # neither unitary nor Hermitian
+        with pytest.raises(error):
+            ModelBundle(H=np.eye(2), K=1.0, **{key: bad})
+
+    def test_mechanism_is_derived(self):
+        assert [f.name for f in dataclasses.fields(ModelBundle) if f.init] == [
+            "H", "res", "U_kick", "H_c", "K", "non_hermitian"]
+        assert [b.mechanism for b in (three_level_projective(), four_level_kicked(),
+                                      four_level_continuous())] == [
+            "projective", "kicked", "continuous"]
 
     def test_projective_bundle_accepts_k(self):
         b = three_level_projective()
-        assert ModelBundle(name="x", H=b.H, res=b.res, K=2.0).mechanism == "projective"
+        assert ModelBundle(H=b.H, res=b.res, K=2.0).mechanism == "projective"
 
 
 # builder -> (Zeno sector count, the keyword pair whose coincidence merges sectors)
