@@ -30,6 +30,7 @@ from .config import (
     ScenarioConfig,
     apply_overrides,
     load_document,
+    model_defaults,
     validate_document,
 )
 from .errors import SchemaViolation, ZenosimError
@@ -161,10 +162,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_list_models(args) -> int:
-    for name in sorted(MODEL_REGISTRY):
-        spec = MODEL_REGISTRY[name]
-        params = " ".join(f"{k}={v:g}" for k, v in sorted(spec.defaults.items()))
-        print(f"{name:24s} {spec.mechanism:11s} dim {spec.dim}  {params}")
+    for name, build in sorted(MODEL_REGISTRY.items()):
+        bundle = build()  # at the defaults, as the schema reads it
+        params = " ".join(f"{k}={v:g}" for k, v in sorted(model_defaults(build).items()))
+        print(f"{name:24s} {bundle.mechanism:11s} dim {bundle.dim}  {params}")
     return 0
 
 

@@ -43,8 +43,8 @@ __all__ = [
     "MECHANISMS",
     "OUTPUT_KINDS",
     "SERIES_OUTPUTS",
-    "ModelSpec",
     "ScenarioConfig",
+    "model_defaults",
     "parse_config",
     "load_document",
     "validate_document",
@@ -114,29 +114,22 @@ MECHANISMS = {
 _BASIS_LABELS = {3: ("a", "b", "c"), 4: ("a", "b", "c", "M")}
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """Registry entry: a model's builder and the mechanism and size it yields."""
-
-    mechanism: str
-    dim: int
-    build: Callable[..., ModelBundle]
-
-    @property
-    def defaults(self) -> dict:
-        """The builder's keyword defaults; a run takes ``coupling`` from schedule.K."""
-        params = inspect.signature(self.build).parameters
-        return {key: p.default for key, p in params.items() if key != "coupling"}
-
-
-MODEL_REGISTRY: dict[str, ModelSpec] = {
-    "three-level-projective": ModelSpec("projective", 3, three_level_projective),
-    "four-level-kicked": ModelSpec("kicked", 4, four_level_kicked),
-    "four-level-continuous": ModelSpec("continuous", 4, four_level_continuous),
-    "simplified-kicked": ModelSpec("kicked", 3, simplified_kicked),
-    "simplified-continuous": ModelSpec("continuous", 3, simplified_continuous),
-    "decay": ModelSpec("continuous", 4, decay_model),
+# model name -> builder; a model's mechanism and dimension are those of the bundle its
+# builder returns at its defaults, and its parameters are the builder's (model_defaults)
+MODEL_REGISTRY: dict[str, Callable[..., ModelBundle]] = {
+    "three-level-projective": three_level_projective,
+    "four-level-kicked": four_level_kicked,
+    "four-level-continuous": four_level_continuous,
+    "simplified-kicked": simplified_kicked,
+    "simplified-continuous": simplified_continuous,
+    "decay": decay_model,
 }
+
+
+def model_defaults(build: Callable[..., ModelBundle]) -> dict:
+    """A builder's keyword defaults; a run takes ``coupling`` from schedule.K."""
+    params = inspect.signature(build).parameters
+    return {key: p.default for key, p in params.items() if key != "coupling"}
 
 
 @dataclass(frozen=True)
@@ -155,7 +148,7 @@ class ScenarioConfig:
     output_path: str
 
     def build_bundle(self):
-        return MODEL_REGISTRY[self.model_name].build(**self.model_parameters)
+        return MODEL_REGISTRY[self.model_name](**self.model_parameters)
 
     def resolve_initial_state(self) -> np.ndarray:
         """Amplitude vector to start from, as validation resolved it."""
@@ -226,7 +219,7 @@ def _validate_model(doc, err: list) -> tuple[str | None, dict]:
     if not isinstance(name, str) or name not in MODEL_REGISTRY:
         err.append(("model.name", f"must be one of {sorted(MODEL_REGISTRY)}"))
         return None, {}
-    params = MODEL_REGISTRY[name].defaults
+    params = model_defaults(MODEL_REGISTRY[name])
     raw = model.get("parameters", {})
     if not isinstance(raw, dict):
         err.append(("model.parameters", "must be an object"))
@@ -290,8 +283,7 @@ def _validate_schedule(doc, mechanism, err: list):
     return t, values, samples
 
 
-def _validate_initial_state(doc, model_name, mechanism, err: list):
-    dim = MODEL_REGISTRY[model_name].dim if model_name else None
+def _validate_initial_state(doc, dim, mechanism, err: list):
     if "initial_state" not in doc:
         if dim is None or mechanism == "decay-sweep":
             return None  # decay-sweep starts from |b>; an unknown model is reported
@@ -365,26 +357,29 @@ def validate_document(doc: dict) -> ScenarioConfig:
                               "initial_state", "outputs", "output"), "", err)
 
     model_name, params = _validate_model(doc, err)
+    # the model's mechanism and dimension, from its bundle at the defaults: configured
+    # parameters its builder refuses fail in run (exit 3), not in the schema
+    default = MODEL_REGISTRY[model_name]() if model_name is not None else None
 
     mechanism = doc.get("mechanism")
     if not isinstance(mechanism, str) or mechanism not in MECHANISMS:
         err.append(("mechanism", f"must be one of {list(MECHANISMS)}"))
         mechanism = None
 
-    if model_name is not None and mechanism is not None:
-        spec = MODEL_REGISTRY[model_name]
+    if default is not None and mechanism is not None:
         if mechanism == "decay-sweep":
             if model_name != "decay":
                 err.append(("mechanism", "decay-sweep requires the decay model"))
         elif model_name == "decay":
             err.append(("mechanism", "the decay model only runs under decay-sweep"))
-        elif mechanism not in ("zeno-limit", spec.mechanism):  # zeno-limit: any model
+        elif mechanism not in ("zeno-limit", default.mechanism):  # zeno-limit: any model
             err.append(("mechanism",
-                        f"model {model_name} carries a {spec.mechanism} payload, "
+                        f"model {model_name} carries a {default.mechanism} payload, "
                         f"not {mechanism}"))
 
     t, values, samples = _validate_schedule(doc, mechanism, err)
-    initial_state = _validate_initial_state(doc, model_name, mechanism, err)
+    initial_state = _validate_initial_state(
+        doc, None if default is None else default.dim, mechanism, err)
     outputs = _validate_outputs(doc, mechanism, values, err)
 
     name = doc.get("name", model_name or "scenario")

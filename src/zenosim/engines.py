@@ -136,8 +136,11 @@ def _checkpoints(n_steps: int, samples: int) -> np.ndarray:
     return steps - ((rem == 0) & (np.rint(k * (n_steps / d)) < steps))
 
 
-def _validate_step_args(t: float, n):
+def _validate_step_args(t: float, n, ndim: int = 1):
     _check_positive_t(t)
+    if np.ndim(n) > ndim:
+        raise InvalidParameter(f"N must be a count{' or a 1-D array' * ndim}, "
+                               f"got shape {np.shape(n)}")
     if np.size(n) == 0:
         raise InvalidParameter("N must be at least one count, got an empty array")
     for k in (n if np.ndim(n) else [n]):  # one N, or an array of them (returned as int64)
@@ -146,9 +149,9 @@ def _validate_step_args(t: float, n):
     return float(t), int(n) if np.ndim(n) == 0 else np.asarray(n, dtype=np.int64)
 
 
-def _kick_step(h, u_kick, t: float, n):
+def _kick_step(h, u_kick, t: float, n, ndim: int = 1):
     """Validate kicks; return (N, U_kick, k -> [U_kick U(t/N)]^k), batched over N (B,)."""
-    t, n = _validate_step_args(t, n)
+    t, n = _validate_step_args(t, n, ndim)
     hm = require_hermitian(h, "H")
     uk = require_unitary(u_kick, "U_kick")
     if uk.shape != hm.shape:
@@ -161,9 +164,9 @@ def _kick_step(h, u_kick, t: float, n):
     return n, uk, _SpectralEvaluator(np.array(w), np.array(z))
 
 
-def _measured_step(h, res: ResolutionOfIdentity, t: float, n):
+def _measured_step(h, res: ResolutionOfIdentity, t: float, n, ndim: int = 1):
     """Checked (t, N, U(t/N)) between measurements; N (B,) stacks the U."""
-    t, n = _validate_step_args(t, n)
+    t, n = _validate_step_args(t, n, ndim)
     hm = require_hermitian(h, "H")
     if hm.shape[0] != res.dim:
         raise DimensionMismatch("H and resolution dimensions differ")
@@ -183,7 +186,7 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
     a round is two d²×d² products: U ⊗ U* for the free evolution, then the
     resolution's pinching map inside ``pinch``.
     """
-    t, n, u = _measured_step(h, res, t, n)
+    t, n, u = _measured_step(h, res, t, n, ndim=0)
     rho, uu = check_density_matrix(rho0, res.dim), _lift(u)
     keep = _checkpoints(n, samples)
     states = np.empty((len(keep), *rho.shape), dtype=complex)
@@ -221,7 +224,7 @@ def evolve_kicked(state0, h, u_kick, t: float, n: int,
     Accepts a state vector or a density matrix.  The dynamics is unitary,
     so norm, trace and purity are conserved up to roundoff.
     """
-    n, uk, step = _kick_step(h, u_kick, t, n)
+    n, uk, step = _kick_step(h, u_kick, t, n, ndim=0)
     if np.asarray(state0).ndim == 2:
         state = check_density_matrix(state0, len(uk))
     else:
@@ -337,8 +340,8 @@ def asymptotic_continuous_propagator(h, res: ResolutionOfIdentity, t: float,
     """
     _check_positive_t(t)
     _check_coupling(coupling)
-    vs = zeno_propagators(h, res, t)
-    return sum(np.multiply.outer(np.exp(-1j * coupling * eta * t), v)
+    k, vs = np.asarray(coupling), zeno_propagators(h, res, t)
+    return sum(np.multiply.outer(np.exp(-1j * k * eta * t), v)
                for eta, v in zip(res.labels, vs))
 
 
@@ -396,7 +399,7 @@ def projective_survival(state0, h, res: ResolutionOfIdentity, sector: int,
     sector and a 2-level Hamiltonian Omega sigma_x it reduces to the
     classic cos^{2N}(Omega t / N).
     """
-    _, n, u = _measured_step(h, res, t, n)
+    _, n, u = _measured_step(h, res, t, n, ndim=0)
     v = np.linalg.matrix_power(res.projector(sector) @ u, n)
     if np.asarray(state0).ndim == 2:
         rho = check_density_matrix(state0, res.dim)

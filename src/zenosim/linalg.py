@@ -93,7 +93,7 @@ def hermiticity_defect(a: np.ndarray):
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     m = as_square_matrix(a, name)
     defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:  # a NaN defect (an overflowing norm) fails
         raise NotHermitian(f"{name} has relative asymmetry {defect:.3e} "
                            f"(tolerance {HERMITICITY_TOL:.1e})")
     return m
@@ -102,7 +102,7 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
 def require_unitary(u, name: str = "unitary") -> np.ndarray:
     m = as_square_matrix(u, name)
     defect = frobenius(dagger(m) @ m - np.eye(m.shape[0]))  # ||U†U - I||
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:
         raise NotUnitary(f"{name} has unitarity defect {defect:.3e} "
                          f"(tolerance {UNITARITY_TOL:.1e})")
     return m
@@ -285,7 +285,7 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     m = as_square_matrix(rho, "density matrix")
     if dim is not None and m.shape[0] != dim:
         raise DimensionMismatch(f"density matrix is {m.shape[0]}-dim, expected {dim}")
-    if hermiticity_defect(m) > HERMITICITY_TOL:
+    if not hermiticity_defect(m) <= HERMITICITY_TOL:
         raise InvalidState("density matrix is not Hermitian")
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > TRACE_TOL * 10:

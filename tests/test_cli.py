@@ -285,10 +285,12 @@ class TestMain:
         assert "i/o error" in capsys.readouterr().err
 
     def test_numeric_error_exit_three(self, tmp_path, capsys):
-        # degenerate kick phases pass the schema but fail in the builder
+        # degenerate kick phases pass the schema, which builds the model at its
+        # defaults, but fail in the builder when run
         doc = kicked_doc()
         doc["model"]["parameters"] = {"lambda1": 1.0, "lambda2": 1.0}
         path = write_config(tmp_path, doc)
+        assert main(["validate", path]) == 0
         assert main(["run", path, "--output-dir", str(tmp_path)]) == 3
         assert "numeric error" in capsys.readouterr().err
 

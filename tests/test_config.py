@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from zenosim.config import (
+    MECHANISMS,
     MODEL_REGISTRY,
     apply_overrides,
     load_document,
+    model_defaults,
     parse_config,
     validate_document,
 )
@@ -217,7 +219,7 @@ class TestInitialState:
                 ("three-level-projective", "zeno-limit", {"t": 1.0})):
             cfg = validate_document(base_doc(model={"name": model, "parameters": {}},
                                              mechanism=mechanism, schedule=schedule))
-            expected = np.zeros(MODEL_REGISTRY[model].dim, dtype=complex)
+            expected = np.zeros(MODEL_REGISTRY[model]().dim, dtype=complex)
             expected[1] = expected[2] = 1.0 / np.sqrt(2.0)
             assert np.asarray(cfg.initial_state).tobytes() == expected.tobytes()
         sweep = validate_document(base_doc(model={"name": "decay", "parameters": {}},
@@ -354,18 +356,24 @@ class TestOverrides:
 
 class TestRegistry:
     def test_every_model_builds_from_defaults(self):
-        for name, spec in MODEL_REGISTRY.items():
-            bundle = spec.build(**spec.defaults)
-            assert bundle.dim == spec.dim, name
-            assert bundle.mechanism == spec.mechanism, name
+        """Building from model_defaults gives the bare default build the schema reads."""
+        for name, build in MODEL_REGISTRY.items():
+            bundle = build(**model_defaults(build))
+            assert bundle.mechanism in MECHANISMS and bundle.mechanism != "zeno-limit", name
+            assert bundle.dim in (3, 4), name  # the sizes the basis labels cover
+            default = build()
+            assert (default.mechanism, default.dim) == (bundle.mechanism, bundle.dim), name
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(_run_inputs(default), _run_inputs(bundle))), name
 
     @pytest.mark.parametrize("name, key", [
-        (name, key) for name, spec in MODEL_REGISTRY.items() for key in spec.defaults])
+        (name, key) for name, build in MODEL_REGISTRY.items() for key in model_defaults(build)])
     def test_every_parameter_reaches_the_run(self, name, key):
         """Moving any registry parameter changes H, the payload or the sectors."""
-        spec = MODEL_REGISTRY[name]
-        before = _run_inputs(spec.build(**spec.defaults))
-        after = _run_inputs(spec.build(**{**spec.defaults, key: spec.defaults[key] + 0.375}))
+        build = MODEL_REGISTRY[name]
+        defaults = model_defaults(build)
+        before = _run_inputs(build(**defaults))
+        after = _run_inputs(build(**{**defaults, key: defaults[key] + 0.375}))
         assert len(before) != len(after) or any(
             not np.array_equal(a, b) for a, b in zip(before, after))
 

@@ -716,6 +716,13 @@ def test_step_count_beyond_int64_refused(call, n):
         _STEP_COUNT_CALLS[call](n)
 
 
+@pytest.mark.parametrize("n", [np.array([4, 8]), [4, 8]], ids=["array", "list"])
+@pytest.mark.parametrize("call", ["evolve_projective", "evolve_kicked", "projective_survival"])
+def test_one_count_engine_refuses_an_array_of_counts(call, n):
+    with pytest.raises(InvalidParameter, match=r"^N must be a count, got shape \(2,\)$"):
+        _STEP_COUNT_CALLS[call](n)
+
+
 def test_largest_int64_step_count_accepted():
     u = kicked_propagator(CHAIN, np.diag([1.0, 1.0, -1.0]), 1.0, 2**63 - 1)
     assert np.abs(dagger(u) @ u - np.eye(3)).max() <= 1e-14
@@ -800,9 +807,10 @@ class TestAsymptoticPropagators:
     def test_continuous_asymptotic_stacks_an_array_of_couplings(self):
         # three couplings on a 3-level model: a stack, not a broadcast over columns
         ks = np.array([4.0, 8.0, 16.0])
-        np.testing.assert_array_equal(
-            asymptotic_continuous_propagator(CHAIN, RES3, 1.0, ks),
-            [asymptotic_continuous_propagator(CHAIN, RES3, 1.0, k) for k in ks])
+        for couplings in (ks, ks.tolist()):
+            np.testing.assert_array_equal(
+                asymptotic_continuous_propagator(CHAIN, RES3, 1.0, couplings),
+                [asymptotic_continuous_propagator(CHAIN, RES3, 1.0, k) for k in ks])
 
     def test_continuous_asymptotic_close_at_large_k(self):
         h = np.zeros((4, 4), dtype=complex)

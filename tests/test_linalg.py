@@ -27,6 +27,7 @@ from zenosim.linalg import (
     nonhermitian_evolution,
     opnorm,
     propagator,
+    require_hermitian,
     require_unitary,
     unitary_eig,
 )
@@ -76,6 +77,9 @@ class TestEigh:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             eigh(np.array([[0, 1], [0, 0]], dtype=complex))
+        # the norms overflow, so the relative defect is NaN: refused, not passed
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotHermitian):
+            require_hermitian(np.array([[0, 1e200], [0, 0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
@@ -219,6 +223,9 @@ class TestUnitaryEig:
             unitary_eig(np.diag([1.0, 2.0]), "kick")
         with pytest.raises(NotUnitary):
             require_unitary(np.diag([1.0, 1.0 + 1e-6]))
+        # U†U overflows, so the defect is NaN: refused, not passed
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotUnitary):
+            require_unitary(np.array([[1e200, 1e200], [1e200, -1e200]]))
         assert np.array_equal(require_unitary(_shift(3)), _shift(3))
 
 
@@ -379,7 +386,11 @@ class TestStateChecks:
         (check_state_vector, np.array([1.0, np.nan]), InvalidState, "non-finite entries"),
         (lambda rho: check_density_matrix(rho, dim=3), np.eye(2) / 2, DimensionMismatch,
          "density matrix is 2-dim, expected 3"),
-    ], ids=["vector-2d", "vector-non-finite", "density-dimension"])
+        # the norms overflow, so the relative asymmetry is NaN
+        (np.errstate(over="ignore", invalid="ignore")(check_density_matrix),
+         np.array([[0.5, 1e200], [-1e200, 0.5]]), InvalidState,
+         "density matrix is not Hermitian"),
+    ], ids=["vector-2d", "vector-non-finite", "density-dimension", "density-overflowing"])
     def test_malformed_state_refused(self, check, state, error, message):
         with pytest.raises(error, match=message):
             check(state)

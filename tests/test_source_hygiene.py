@@ -1,7 +1,9 @@
 """Code nothing calls gets deleted: each module uses every name it imports, and
-every private top-level name is referenced somewhere in the package."""
+every private top-level name is referenced somewhere in the package.  Every name
+a module exports in ``__all__`` is bound in it, so ``import *`` works."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,10 @@ def test_imports_are_used_and_private_names_referenced(module):
     assert sorted(name for name in defined
                   if name.startswith("_") and not name.startswith("__")
                   and name not in everywhere) == []
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}))
+def test_every_exported_name_is_bound(module):
+    mod = importlib.import_module(f"zenosim.{module.removesuffix('.py')}")
+    assert sorted(name for name in getattr(mod, "__all__", ())
+                  if not hasattr(mod, name)) == []
