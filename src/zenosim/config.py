@@ -357,8 +357,7 @@ def validate_document(doc: dict) -> ScenarioConfig:
                               "initial_state", "outputs", "output"), "", err)
 
     model_name, params = _validate_model(doc, err)
-    # the model's mechanism and dimension, from its bundle at the defaults: configured
-    # parameters its builder refuses fail in run (exit 3), not in the schema
+    # mechanism and dim come from the default build: bad parameters fail in run (exit 3)
     default = MODEL_REGISTRY[model_name]() if model_name is not None else None
 
     mechanism = doc.get("mechanism")
@@ -378,8 +377,7 @@ def validate_document(doc: dict) -> ScenarioConfig:
                         f"not {mechanism}"))
 
     t, values, samples = _validate_schedule(doc, mechanism, err)
-    initial_state = _validate_initial_state(
-        doc, None if default is None else default.dim, mechanism, err)
+    initial_state = _validate_initial_state(doc, getattr(default, "dim", None), mechanism, err)
     outputs = _validate_outputs(doc, mechanism, values, err)
 
     name = doc.get("name", model_name or "scenario")

@@ -87,13 +87,15 @@ def opnorm(a) -> float:
 
 def hermiticity_defect(a: np.ndarray):
     """Relative asymmetry ||A - A†|| / max(1, ||A||), Frobenius; (B,) for a stack."""
-    return _norms(a - dagger(a)) / np.maximum(1.0, _norms(a))
+    s = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))  # A / s: no norm overflows
+    b = a / s[..., None, None]
+    return _norms(b - dagger(b)) / np.maximum(1.0 / s, _norms(b))
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     m = as_square_matrix(a, name)
     defect = hermiticity_defect(m)
-    if not defect <= HERMITICITY_TOL:  # a NaN defect (an overflowing norm) fails
+    if not defect <= HERMITICITY_TOL:  # a NaN defect fails
         raise NotHermitian(f"{name} has relative asymmetry {defect:.3e} "
                            f"(tolerance {HERMITICITY_TOL:.1e})")
     return m

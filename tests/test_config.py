@@ -356,15 +356,11 @@ class TestOverrides:
 
 class TestRegistry:
     def test_every_model_builds_from_defaults(self):
-        """Building from model_defaults gives the bare default build the schema reads."""
+        """Every builder builds from model_defaults."""
         for name, build in MODEL_REGISTRY.items():
             bundle = build(**model_defaults(build))
             assert bundle.mechanism in MECHANISMS and bundle.mechanism != "zeno-limit", name
             assert bundle.dim in (3, 4), name  # the sizes the basis labels cover
-            default = build()
-            assert (default.mechanism, default.dim) == (bundle.mechanism, bundle.dim), name
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(_run_inputs(default), _run_inputs(bundle))), name
 
     @pytest.mark.parametrize("name, key", [
         (name, key) for name, build in MODEL_REGISTRY.items() for key in model_defaults(build)])

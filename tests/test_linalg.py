@@ -77,9 +77,10 @@ class TestEigh:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             eigh(np.array([[0, 1], [0, 0]], dtype=complex))
-        # the norms overflow, so the relative defect is NaN: refused, not passed
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotHermitian):
-            require_hermitian(np.array([[0, 1e200], [0, 0]]))
+        # finite entries whose sums of squares overflow: the defect is taken scaled
+        for big in ([[0, 1e200], [0, 0]], [[1e154, 5e153], [0, 1e154]]):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotHermitian):
+                require_hermitian(np.array(big))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
