@@ -73,9 +73,10 @@ class EvolutionRecord:
 
     ``times_or_steps`` holds real times for the projective, continuous and
     zeno-limit engines and integer step counts for the kicked engine;
-    ``states`` is the matching tuple of state vectors or density matrices; an
-    engine passes its (S, ...) array, kept for ``observables``, whose rows form
-    the tuple (a record built or ``replace``-d from a tuple keeps no array).
+    ``states`` is the matching tuple of state vectors or density matrices.  An
+    engine's (S, ...) array is all the record keeps, for ``observables``; the
+    tuple of its rows is built and cached on the first read of ``states`` (a
+    record built or ``replace``-d from a tuple keeps no array).
     ``trace_corrections`` lists (step, drift) pairs where the projective
     engine renormalized a density matrix to counter accumulated roundoff.
     The mechanism and run parameters stay with the caller that chose them.
@@ -87,21 +88,26 @@ class EvolutionRecord:
     _stack: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        if isinstance(self.states, np.ndarray):
+        if isinstance(self.states, np.ndarray):  # __getattr__ builds the tuple
             object.__setattr__(self, "_stack", self.states)
-            object.__setattr__(self, "states", tuple(self.states))
-        if len(self.times_or_steps) != len(self.states):
+            object.__delattr__(self, "states")
+        if len(self.times_or_steps) != len(self):
             raise DimensionMismatch("times and states lengths differ")
         v = np.asarray(self.times_or_steps)  # own dtype: int64 steps stay exact
         if not np.all(v[1:] > v[:-1]):  # a NaN fails the comparison
             raise InvalidParameter("times_or_steps must be strictly increasing")
 
+    def __getattr__(self, name: str):  # reached only where no instance value is set
+        if name != "states" or self._stack is None:
+            raise AttributeError(f"'EvolutionRecord' object has no attribute {name!r}")
+        return self.__dict__.setdefault("states", tuple(self._stack))
+
     @property
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        return self.states[-1] if self._stack is None else self._stack[-1]
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.states if self._stack is None else self._stack)
 
 
 def _check_samples(samples: int) -> None:
@@ -397,10 +403,14 @@ def projective_survival(state0, h, res: ResolutionOfIdentity, sector: int,
     It differs from the sector population of the nonselective record, which
     also counts histories that leave the sector and return.  For a rank-1
     sector and a 2-level Hamiltonian Omega sigma_x it reduces to the
-    classic cos^{2N}(Omega t / N).
+    classic cos^{2N}(Omega t / N).  With W the sector's ``res.basis`` columns,
+    [P U]^N = W B^{N-1} W† U, so only the r×r block B = W† U W is powered.
     """
     _, n, u = _measured_step(h, res, t, n, ndim=0)
-    v = np.linalg.matrix_power(res.projector(sector) @ u, n)
+    res.projector(sector)  # refuses a sector out of range
+    edge = np.cumsum((0,) + res.ranks)
+    w = res.basis[:, edge[sector]:edge[sector + 1]]
+    v = np.linalg.matrix_power(dagger(w) @ u @ w, n - 1) @ dagger(w) @ u  # W† [P U]^N
     if np.asarray(state0).ndim == 2:
         rho = check_density_matrix(state0, res.dim)
         return float(np.trace(v @ rho @ dagger(v)).real)

@@ -279,6 +279,20 @@ def test_criterion_7_decay_protection(report):
     assert factor >= 2.0
 
 
+def test_criterion_7_decay_rate_suppression():
+    """The reachable form of criterion 7: strong coupling suppresses the decay rate.
+
+    With the effective rate -ln(survival)/t on criterion 7's sweep (t = 5), the
+    rate at K = 160 is at most 1/100 of the free rate at K = 0; survivals 0.99992
+    and 0.60882 give a ratio of about 6.4e3.
+    """
+    t = 5.0
+    sweep = decay_protection_sweep(omega1=0.0, tau_z=1.0, gamma=0.1, omega_b=0.0,
+                                   k_values=[0.0, 160.0], t=t)
+    rate_free, rate_top = -np.log(sweep.survivals) / t
+    assert 0.0 < rate_top <= rate_free / 100.0
+
+
 def test_criterion_8_deterministic_output(report, tmp_path):
     start = time.perf_counter()
     doc = {

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -91,6 +95,72 @@ class TestEvolutionRecord:
         rec = EvolutionRecord(np.array([0, 1]), (np.zeros((2, 2)), np.eye(2)))
         assert len(rec) == 2
         assert np.array_equal(rec.final_state, np.eye(2))
+
+    @staticmethod
+    def _stacked():
+        rho = random_density(np.random.default_rng(3), 3)
+        stack = rho * np.arange(1, 6)[:, None, None]
+        return EvolutionRecord(np.arange(5.0), stack), stack
+
+    @staticmethod
+    def _assert_rows(states, stack):
+        assert type(states) is tuple and len(states) == len(stack)
+        assert all(np.array_equal(s, row) and s.dtype == row.dtype
+                   for s, row in zip(states, stack))
+
+    def test_stack_backed_states_are_its_rows_built_once(self):
+        rec, stack = self._stacked()
+        assert rec.states is rec.states
+        self._assert_rows(rec.states, stack)
+        twin = EvolutionRecord(rec.times_or_steps, tuple(stack))
+        fresh, _ = self._stacked()  # final_state and len before any read of states
+        for r in (fresh, rec):
+            assert len(r) == len(twin) == 5
+            assert np.array_equal(r.final_state, twin.final_state)
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    def test_stack_backed_record_copies_pickles_and_replaces(self, read_first):
+        rec, stack = self._stacked()
+        if read_first:
+            rec.states
+        assert repr(rec) == repr(EvolutionRecord(rec.times_or_steps, tuple(stack)))
+        for other in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec)),
+                      dataclasses.replace(rec, trace_corrections=((3, 1e-13),))):
+            assert len(other) == 5
+            self._assert_rows(other.states, stack)
+            assert np.array_equal(other.final_state, stack[-1])
+        states = rec.states[:-1] + (rec.states[-1] * 2.0,)
+        replaced = dataclasses.replace(rec, states=states)
+        assert replaced.states is states and replaced.final_state is states[-1]
+        assert replaced.trace_corrections == rec.trace_corrections
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            rec.missing
+
+
+@pytest.mark.parametrize("engine", ["evolve_zeno_limit", "evolve_kicked"])
+def test_fresh_record_holds_nothing_per_sample_beyond_its_stack(engine):
+    """Traced memory a just-returned record holds, less its stack and its times.
+
+    A tuple of S row views built with every record held 24-29 kB at S = 201 and
+    240-273 kB at S = 2001 (tracemalloc, numpy 2.4, x86-64 Linux); built on the
+    first read of ``states``, it is not there, and under 1 kB remains at either S.
+    """
+    kicked, proj = four_level_kicked(), three_level_projective()
+    psi = random_state(np.random.default_rng(6), 4)
+    calls = {"evolve_zeno_limit": lambda s: evolve_zeno_limit(
+                 np.eye(3) / 3.0, proj.H, proj.res, 1.0, samples=s),
+             "evolve_kicked": lambda s: evolve_kicked(
+                 psi, kicked.H, kicked.U_kick, 1.0, s - 1, samples=s)}
+    for samples in (201, 2001):
+        calls[engine](samples)  # first-call allocations are not per sample
+        tracemalloc.start()
+        try:
+            rec = calls[engine](samples)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(rec) == samples
+        assert held - rec._stack.nbytes - rec.times_or_steps.nbytes <= 4096
 
 
 class TestProjective:
@@ -342,18 +412,25 @@ def test_propagator_matches_40_digit_oracle(t):
     assert np.abs(propagator(h, t) - _to_numpy(ref)).max() <= tol
 
 
-@pytest.mark.parametrize("n", [1, 4096])
-def test_projective_survival_matches_40_digit_oracle(n):
-    """||[P U(t/N)]^N psi0||² against a 40-digit power; tolerance 64 d eps (1 + N)."""
+@pytest.mark.parametrize("n, rotated", [(n, r) for r in (False, True) for n in (1, 4096, 2**20)],
+                         ids=[f"{'rotated-' * r}{n}" for r in (0, 1) for n in (1, 4096, 2**20)])
+def test_projective_survival_matches_40_digit_oracle(n, rotated):
+    """||[P U(t/N)]^N psi0||² against a 40-digit power; tolerance 64 d eps (1 + N).
+
+    The rotated resolution turns a rank-2 and a rank-1 sector by a seeded random
+    unitary, so the sector block is taken on general basis columns.
+    """
     bundle = three_level_projective(1.0, 1.0)
+    res = (random_two_block_resolution(np.random.default_rng(11), 3, 2) if rotated
+           else bundle.res)
     t, dim = 1.0, 3
     psi0 = straddle_state(dim)
-    factor = (_mp_lift(bundle.res.projector(0))
+    factor = (_mp_lift(res.projector(0))
               * _MP.expm(_mp_lift(-1j * bundle.H) * (_MP.mpf(t) / n)))
     ref = float(sum(abs(z) ** 2 for z in _mp_power(factor, n) * _mp_lift(psi0)))
     tol = 64 * dim * np.finfo(float).eps * (1 + n)
     for state in (psi0, np.outer(psi0, psi0.conj())):
-        assert abs(projective_survival(state, bundle.H, bundle.res, 0, t, n) - ref) <= tol
+        assert abs(projective_survival(state, bundle.H, res, 0, t, n) - ref) <= tol
 
 
 @pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
