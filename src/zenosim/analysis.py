@@ -13,6 +13,7 @@ import numpy as np
 
 from .engines import (
     _continuous_generator,
+    _increasing,
     _kick_limits,
     _measured_finals,
     _sample_continuous,
@@ -55,7 +56,8 @@ class ConvergenceCurve:
     EXACT_DISTANCE (roundoff, nothing to fit), and ``fitted_rate``: the least-squares
     slope of log(distance, floored at 1e-300) against log(parameter), the two smallest
     parameter values (pre-asymptotic) dropped while at least two points stay, and a
-    zero parameter too; NaN when ``exact`` or with fewer than 2 fitted points.
+    zero parameter too; NaN when ``exact``, with fewer than 2 fitted points, or when
+    their logs are rank deficient (int64 counts that one float64 cannot tell apart).
     """
 
     parameter_name: str
@@ -65,22 +67,23 @@ class ConvergenceCurve:
     exact: bool = field(init=False)
 
     def __post_init__(self):
-        p = np.asarray(self.parameter_values, dtype=float)
+        p = np.asarray(self.parameter_values)
         d = np.asarray(self.distances, dtype=float)
         if p.shape != d.shape:
             raise DimensionMismatch("parameter and distance lengths differ")
-        if not np.all(p[1:] > p[:-1]):  # compared, not np.diff: a NaN fails, inf - inf warns
-            raise InvalidParameter("parameter_values must be strictly increasing")
+        _increasing(p, "parameter_values")  # in p's dtype: int64 counts stay exact
         if not np.all((p >= 0) & (p < np.inf)):  # a NaN fails both
             raise InvalidParameter("parameter_values must be finite and non-negative")
         if not np.all(np.isfinite(d)) or np.any(d < 0):
             raise InvalidParameter("distances must be finite and non-negative")
         exact = bool(np.all(d <= EXACT_DISTANCE))
         fit = (np.arange(len(p)) >= min(2, len(p) - 2)) & (p > 0)
-        rate = (np.nan if exact or fit.sum() < 2 else np.polyfit(
-            np.log(p[fit]), np.log(np.maximum(d[fit], 1e-300)), 1)[0])
+        rate = rank = np.nan  # full: a rank-deficient fit reports its rank, not a warning
+        if not exact and fit.sum() >= 2:
+            (rate, _), _, rank, *_ = np.polyfit(
+                np.log(p[fit]), np.log(np.maximum(d[fit], 1e-300)), 1, full=True)
         object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "fitted_rate", float(rate))
+        object.__setattr__(self, "fitted_rate", float(rate if rank == 2 else np.nan))
 
     @property
     def doubling_factor(self) -> float:
@@ -90,15 +93,16 @@ class ConvergenceCurve:
         oscillate because the leading error term carries a phase that spins
         with the parameter, but the aggregate factor is stable and equals
         2^(-fitted slope) for clean first-order convergence.  The sweep starts
-        at the first positive parameter; NaN with fewer than 2 such points.
+        at the first positive parameter; NaN with fewer than 2 such points, or with
+        a first and last that are one float64.
         """
         p = np.asarray(self.parameter_values, dtype=float)
         d = np.asarray(self.distances, dtype=float)[p > 0]
         p = p[p > 0]
-        if self.exact or len(d) < 2 or d[-1] == 0.0:
+        if self.exact or len(d) < 2 or d[-1] == 0.0 or p[-1] == p[0]:
             return float("nan")
-        n_doublings = np.log2(p[-1] / p[0])
-        return float((d[0] / d[-1]) ** (1.0 / n_doublings))
+        with np.errstate(over="ignore"):  # inf: a factor past the float range
+            return float((d[0] / d[-1]) ** (1.0 / np.log2(p[-1] / p[0])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,12 +274,8 @@ def observables(record, res: ResolutionOfIdentity) -> ObservableSeries:
 
 
 def _sweep_values(parameter_values) -> np.ndarray:
-    values = np.asarray(parameter_values, dtype=float)
-    if len(values) < 3:
-        raise InvalidParameter("need at least 3 parameter values")
-    if np.any(values[1:] <= values[:-1]):  # compared, not np.diff: inf - inf warns
-        raise InvalidParameter("parameter values must be strictly increasing")
-    return values
+    """A curve's sweep: 3 or more increasing values, in their dtype (N stays int64)."""
+    return _increasing(parameter_values, "parameter values", least=3)
 
 
 def convergence_curve(bundle: ModelBundle, t: float,
@@ -290,13 +290,14 @@ def convergence_curve(bundle: ModelBundle, t: float,
         raise InvalidParameter(
             f"convergence_curve needs a kicked or continuous bundle, "
             f"got {bundle.mechanism!r}")
-    values = _sweep_values(parameter_values)
     u_z = propagator(bundle.zeno_hamiltonian(), t)
-    if bundle.mechanism == "kicked":
-        name, limits = "N", _kick_limits(bundle.H, bundle.U_kick, t, values)
+    if bundle.mechanism == "kicked":  # the engine checks each value, then the sweep's order
+        name, limits = "N", _kick_limits(bundle.H, bundle.U_kick, t, parameter_values)
     else:
-        name, limits = "K", extracted_continuous_limit(bundle.H, bundle.H_c, t, values)
-    return ConvergenceCurve(name, values, np.linalg.norm(limits - u_z, 2, axis=(1, 2)))
+        name, limits = "K", extracted_continuous_limit(bundle.H, bundle.H_c, t,
+                                                       parameter_values)
+    return ConvergenceCurve(name, _sweep_values(parameter_values),
+                            np.linalg.norm(limits - u_z, 2, axis=(1, 2)))
 
 
 def projective_convergence_curve(bundle: ModelBundle, rho0, t: float,
@@ -306,10 +307,10 @@ def projective_convergence_curve(bundle: ModelBundle, rho0, t: float,
         raise InvalidParameter(
             f"projective_convergence_curve needs a projective bundle, "
             f"got {bundle.mechanism!r}")
-    values = _sweep_values(n_values)
-    finals = _measured_finals(rho0, bundle.H, bundle.res, t, values)
+    finals = _measured_finals(rho0, bundle.H, bundle.res, t, n_values)  # checks each N
     limit = evolve_zeno_limit(rho0, bundle.H, bundle.res, t, samples=2).final_state
-    return ConvergenceCurve("N", values, np.linalg.norm(finals - limit, axis=(1, 2)))
+    return ConvergenceCurve("N", _sweep_values(n_values),
+                            np.linalg.norm(finals - limit, axis=(1, 2)))
 
 
 def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,
@@ -323,11 +324,7 @@ def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,
     The stack H + K_b H_c takes the checks and, slice by slice, the route of
     ``evolve_continuous`` at each K, in one batched call.
     """
-    ks = np.asarray(k_values, dtype=float)
-    if len(ks) == 0:
-        raise InvalidParameter("need at least one coupling value")
-    if np.any(ks[1:] <= ks[:-1]):
-        raise InvalidParameter("coupling values must be strictly increasing")
+    ks = _increasing(np.asarray(k_values, dtype=float), "coupling values", least=1)
     bundle = decay_model(omega1, tau_z, gamma, 0.0, omega_b)  # H, H_c do not depend on K
     states = _sample_continuous(_continuous_generator(bundle.H, bundle.H_c, ks, t),
                                 np.eye(4, dtype=complex)[1], np.array([0.0, t]))

@@ -13,7 +13,10 @@ A scenario is one JSON object per file:
     }
 
 Validation is strict: unknown keys anywhere are rejected, and every problem
-is reported with its dotted path, all at once, via SchemaViolation.
+is reported with its dotted path, all at once, via SchemaViolation.  The schema
+checks keys, JSON types, labels and outputs; each numeric fact goes to the check
+the run calls: t, N, K, samples and the sweep to the engines' checkers, and the
+parameters to the model's builder, whose bundle gives the mechanism and dimension.
 """
 
 from __future__ import annotations
@@ -25,18 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, engines
-from .errors import InvalidState, SchemaViolation
+from . import analysis, engines, models
+from .errors import SchemaViolation, ZenosimError
 from .linalg import check_state_vector, propagator
-from .models import (
-    ModelBundle,
-    decay_model,
-    four_level_continuous,
-    four_level_kicked,
-    simplified_continuous,
-    simplified_kicked,
-    three_level_projective,
-)
 
 __all__ = [
     "MODEL_REGISTRY",
@@ -114,19 +108,19 @@ MECHANISMS = {
 _BASIS_LABELS = {3: ("a", "b", "c"), 4: ("a", "b", "c", "M")}
 
 
-# model name -> builder; a model's mechanism and dimension are those of the bundle its
-# builder returns at its defaults, and its parameters are the builder's (model_defaults)
-MODEL_REGISTRY: dict[str, Callable[..., ModelBundle]] = {
-    "three-level-projective": three_level_projective,
-    "four-level-kicked": four_level_kicked,
-    "four-level-continuous": four_level_continuous,
-    "simplified-kicked": simplified_kicked,
-    "simplified-continuous": simplified_continuous,
-    "decay": decay_model,
+# model name -> builder; a scenario's mechanism and dimension are those of the bundle the
+# builder returns for its parameters, which are the builder's (model_defaults)
+MODEL_REGISTRY: dict[str, Callable[..., models.ModelBundle]] = {
+    "three-level-projective": models.three_level_projective,
+    "four-level-kicked": models.four_level_kicked,
+    "four-level-continuous": models.four_level_continuous,
+    "simplified-kicked": models.simplified_kicked,
+    "simplified-continuous": models.simplified_continuous,
+    "decay": models.decay_model,
 }
 
 
-def model_defaults(build: Callable[..., ModelBundle]) -> dict:
+def model_defaults(build: Callable[..., models.ModelBundle]) -> dict:
     """A builder's keyword defaults; a run takes ``coupling`` from schedule.K."""
     params = inspect.signature(build).parameters
     return {key: p.default for key, p in params.items() if key != "coupling"}
@@ -155,12 +149,22 @@ class ScenarioConfig:
         return np.asarray(self.initial_state, dtype=complex)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x)
+def _number(x) -> float | None:
+    """A JSON number (not a bool) as a float, ±inf past the float range; else None."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return np.inf if x > 0 else -np.inf
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _checked(err: list, path: str, check: Callable, *args, **kwargs):
+    """What one of the run's own checks returns; None where it refuses, reported at path."""
+    try:
+        return check(*args, **kwargs)
+    except ZenosimError as exc:
+        err.append((path, str(exc)))
 
 
 def _check_unknown_keys(obj: dict, allowed: tuple[str, ...], path: str, err: list):
@@ -209,18 +213,18 @@ def apply_overrides(doc: dict, assignments: list[str]) -> dict:
     return doc
 
 
-def _validate_model(doc, err: list) -> tuple[str | None, dict]:
+def _validate_model(doc, err: list) -> tuple[str | None, dict, models.ModelBundle | None]:
     model = doc.get("model")
     if not isinstance(model, dict):
         err.append(("model", "required object with keys name, parameters"))
-        return None, {}
+        return None, {}, None
     _check_unknown_keys(model, ("name", "parameters"), "model", err)
     name = model.get("name")
     if not isinstance(name, str) or name not in MODEL_REGISTRY:
         err.append(("model.name", f"must be one of {sorted(MODEL_REGISTRY)}"))
-        return None, {}
+        return None, {}, None
     params = model_defaults(MODEL_REGISTRY[name])
-    raw = model.get("parameters", {})
+    raw, found = model.get("parameters", {}), len(err)
     if not isinstance(raw, dict):
         err.append(("model.parameters", "must be an object"))
     else:
@@ -228,58 +232,46 @@ def _validate_model(doc, err: list) -> tuple[str | None, dict]:
             if key not in params:
                 err.append((f"model.parameters.{key}",
                             f"unknown parameter; {name} takes {sorted(params)}"))
-            elif not _is_number(value):
-                err.append((f"model.parameters.{key}", "must be a finite number"))
+            elif (x := _number(value)) is None:
+                err.append((f"model.parameters.{key}", "must be a number"))
             else:
-                params[key] = float(value)
-    return name, params
+                params[key] = x
+    # the configured build: the builder checks finite values and distinct sectors
+    return name, params, None if len(err) > found else _checked(
+        err, "model.parameters", MODEL_REGISTRY[name], **params)
 
 
 def _validate_schedule(doc, mechanism, err: list):
-    t, values, samples = None, None, 50
     sched = doc.get("schedule")
     if not isinstance(sched, dict):
         err.append(("schedule", "required object with key t (and N or K)"))
-        return t, values, samples
+        return None, None, None
     _check_unknown_keys(sched, ("t", "N", "K", "samples"), "schedule", err)
-
-    raw_t = sched.get("t")
-    if not _is_number(raw_t) or raw_t <= 0:
-        err.append(("schedule.t", "must be a positive number"))
+    if (t := _number(sched.get("t"))) is None:
+        err.append(("schedule.t", "must be a number"))
     else:
-        t = float(raw_t)
-
-    if "samples" in sched:
-        raw_s = sched["samples"]
-        if not _is_int(raw_s) or raw_s < 2:
-            err.append(("schedule.samples", "must be an integer >= 2"))
-        else:
-            samples = raw_s
-
-    swept = {}
-    for key, cast, ok, what in (
-            ("N", int, lambda v: _is_int(v) and 1 <= v < 2**63,
-             "a positive integer below 2**63"),
-            ("K", float, lambda v: _is_number(v) and v >= 0, "a number >= 0")):
-        if key not in sched:
-            continue
-        vals = sched[key] if isinstance(sched[key], list) else [sched[key]]
-        if not vals or not all(ok(v) for v in vals):
-            err.append((f"schedule.{key}", f"must be {what} or list of them"))
-        elif any(b <= a for a, b in zip(vals, vals[1:])):
-            err.append((f"schedule.{key}", "list must be strictly increasing"))
-        else:
-            swept[key] = tuple(cast(v) for v in vals)
-
-    if mechanism is not None:
-        key = MECHANISMS[mechanism].key
-        if key is not None and key not in sched:
-            err.append((f"schedule.{key}", f"required for mechanism {mechanism}"))
-        for other in ("N", "K"):
-            if other != key and other in sched:
-                err.append((f"schedule.{other}",
-                            f"not applicable to mechanism {mechanism}"))
-        values = swept.get(key)
+        t = _checked(err, "schedule.t", engines._check_positive_t, t)
+    samples = _checked(err, "schedule.samples", engines._check_samples,
+                       sched.get("samples", 50))
+    if mechanism is None:
+        return t, None, samples
+    key, values = MECHANISMS[mechanism].key, None
+    err.extend((f"schedule.{other}", f"not applicable to mechanism {mechanism}")
+               for other in ("N", "K") if other != key and other in sched)
+    if key is not None and key not in sched:
+        err.append((f"schedule.{key}", f"required for mechanism {mechanism}"))
+    elif key is not None:  # each value's range is its engine check's, then the order
+        as_value, check = {
+            "N": (lambda v: v if isinstance(v, int) and _number(v) is not None else None,
+                  engines._check_counts),
+            "K": (_number, lambda ks: engines._check_coupling(ks, 1, t or 1.0))}[key]
+        path, raw = f"schedule.{key}", sched[key]
+        vals = [as_value(v) for v in (raw if isinstance(raw, list) else [raw])]
+        if None in vals:
+            err.append((path, "must be a number or a list of them, integers for N"))
+        elif _checked(err, path, check, vals) is not None and _checked(
+                err, path, engines._increasing, vals, f"{path} values") is not None:
+            values = tuple(vals)
     return t, values, samples
 
 
@@ -303,25 +295,17 @@ def _validate_initial_state(doc, dim, mechanism, err: list):
             err.append(("initial_state", f"unknown basis label {raw!r}; "
                                          f"expected one of {list(labels)}"))
             return None
-        psi = np.zeros(dim, dtype=complex)
-        psi[matches[0]] = 1.0
-        return tuple(psi)
+        return tuple(np.eye(dim, dtype=complex)[matches[0]])
     if isinstance(raw, list):
         ok = ((dim is None or len(raw) == dim)
               and all(isinstance(entry, list) and len(entry) == 2
-                      and all(_is_number(x) for x in entry) for entry in raw))
+                      and all(_number(x) is not None for x in entry) for entry in raw))
         if not ok:
             err.append(("initial_state", "must be a basis label or a list of "
                                          + (f"{dim} " if dim else "") + "[re, im] pairs"))
             return None
-        psi = np.array([complex(re, im) for re, im in raw])
-        try:
-            check_state_vector(psi)
-        except InvalidState:
-            err.append(("initial_state", f"must be normalized; got norm "
-                                         f"{np.linalg.norm(psi):.12g}"))
-            return None
-        return tuple(psi)
+        psi = np.array([complex(_number(re), _number(im)) for re, im in raw])
+        return _checked(err, "initial_state", lambda: tuple(check_state_vector(psi)))
     err.append(("initial_state", "must be a basis label string or amplitude list"))
     return None
 
@@ -345,8 +329,8 @@ def _validate_outputs(doc, mechanism, values, err: list):
             if kind not in allowed:
                 err.append(("outputs", f"{kind} not available for mechanism "
                                        f"{mechanism}; it produces {list(allowed)}"))
-            elif kind == "convergence" and values is not None and len(values) < 3:
-                err.append(("outputs", "convergence needs at least 3 schedule values"))
+            elif kind == "convergence" and values is not None:
+                _checked(err, "outputs", analysis._sweep_values, values)  # the curve's own
     return tuple(outputs)
 
 
@@ -356,28 +340,22 @@ def validate_document(doc: dict) -> ScenarioConfig:
     _check_unknown_keys(doc, ("name", "model", "mechanism", "schedule",
                               "initial_state", "outputs", "output"), "", err)
 
-    model_name, params = _validate_model(doc, err)
-    # mechanism and dim come from the default build: bad parameters fail in run (exit 3)
-    default = MODEL_REGISTRY[model_name]() if model_name is not None else None
+    model_name, params, bundle = _validate_model(doc, err)  # the configured build
 
     mechanism = doc.get("mechanism")
     if not isinstance(mechanism, str) or mechanism not in MECHANISMS:
         err.append(("mechanism", f"must be one of {list(MECHANISMS)}"))
         mechanism = None
 
-    if default is not None and mechanism is not None:
-        if mechanism == "decay-sweep":
-            if model_name != "decay":
-                err.append(("mechanism", "decay-sweep requires the decay model"))
-        elif model_name == "decay":
-            err.append(("mechanism", "the decay model only runs under decay-sweep"))
-        elif mechanism not in ("zeno-limit", default.mechanism):  # zeno-limit: any model
-            err.append(("mechanism",
-                        f"model {model_name} carries a {default.mechanism} payload, "
-                        f"not {mechanism}"))
+    if bundle is not None and mechanism is not None:  # zeno-limit takes all but decay
+        allowed = (("decay-sweep",) if model_name == "decay"
+                   else ("zeno-limit", bundle.mechanism))
+        if mechanism not in allowed:
+            err.append(("mechanism", f"model {model_name} runs under "
+                                     f"{' or '.join(allowed)}, not {mechanism}"))
 
     t, values, samples = _validate_schedule(doc, mechanism, err)
-    initial_state = _validate_initial_state(doc, getattr(default, "dim", None), mechanism, err)
+    initial_state = _validate_initial_state(doc, getattr(bundle, "dim", None), mechanism, err)
     outputs = _validate_outputs(doc, mechanism, values, err)
 
     name = doc.get("name", model_name or "scenario")
@@ -385,18 +363,14 @@ def validate_document(doc: dict) -> ScenarioConfig:
         err.append(("name", "must be a non-empty string"))
         name = "scenario"
 
-    output_path = name
-    out = doc.get("output")
-    if out is not None:
-        if not isinstance(out, dict):
-            err.append(("output", "must be an object with key path"))
-        else:
-            _check_unknown_keys(out, ("path",), "output", err)
-            raw_path = out.get("path", name)
-            if not isinstance(raw_path, str) or not raw_path:
-                err.append(("output.path", "must be a non-empty string"))
-            else:
-                output_path = raw_path
+    out = {} if doc.get("output") is None else doc["output"]
+    if not isinstance(out, dict):
+        err.append(("output", "must be an object with key path"))
+        out = {}
+    _check_unknown_keys(out, ("path",), "output", err)
+    output_path = out.get("path", name)
+    if not isinstance(output_path, str) or not output_path:
+        err.append(("output.path", "must be a non-empty string"))
 
     if err:
         raise SchemaViolation(err)

@@ -93,9 +93,7 @@ class EvolutionRecord:
             object.__delattr__(self, "states")
         if len(self.times_or_steps) != len(self):
             raise DimensionMismatch("times and states lengths differ")
-        v = np.asarray(self.times_or_steps)  # own dtype: int64 steps stay exact
-        if not np.all(v[1:] > v[:-1]):  # a NaN fails the comparison
-            raise InvalidParameter("times_or_steps must be strictly increasing")
+        _increasing(self.times_or_steps, "times_or_steps")
 
     def __getattr__(self, name: str):  # reached only where no instance value is set
         if name != "states" or self._stack is None:
@@ -110,54 +108,70 @@ class EvolutionRecord:
         return len(self.states if self._stack is None else self._stack)
 
 
-def _check_samples(samples: int) -> None:
+# each check below is the whole range of one schedule fact; ``config`` calls it too
+def _increasing(values, what: str, least: int = 0) -> np.ndarray:
+    """``values`` as an array of their own dtype, so int64 counts compare exactly; refused
+    with fewer than ``least`` of them, or unless each exceeds the one before (NaN fails)."""
+    v = np.asarray(values)
+    if len(v) < least:
+        raise InvalidParameter(f"{what}: need at least {least}, got {len(v)}")
+    if not np.all(v[1:] > v[:-1]):  # compared, not np.diff: inf - inf warns
+        raise InvalidParameter(f"{what} must be strictly increasing")
+    return v
+
+
+def _check_samples(samples: int) -> int:
     if not isinstance(samples, (int, np.integer)) or samples < 2:
         raise InvalidParameter(f"samples must be an integer >= 2, got {samples!r}")
+    return samples
 
 
-def _check_positive_t(t: float) -> None:
+def _check_positive_t(t: float) -> float:
     if not (0 < t < np.inf):
         raise InvalidParameter(f"t must be positive and finite, got {t!r}")
+    return float(t)
 
 
-def _check_coupling(coupling, ndim: int = 1) -> None:
-    if np.ndim(coupling) > ndim:
-        raise InvalidParameter(f"K must be a number{' or a 1-D array' * ndim}, "
-                               f"got shape {np.shape(coupling)}")
-    if np.size(coupling) == 0:
-        raise InvalidParameter("K must be at least one value, got an empty array")
-    for k in np.ravel(coupling).tolist():  # one K or an array of them
-        if not (0 <= k < np.inf):
-            raise InvalidParameter(f"K must be a finite real >= 0, got {k!r}")
+def _entries(x, ndim: int, name: str, noun: str) -> list:
+    """As a list, one x or (ndim 1) the values of a 1-D array of them, refused if empty."""
+    if np.ndim(x) > ndim:
+        raise InvalidParameter(f"{name} must be a {noun}{' or a 1-D array' * ndim}, "
+                               f"got shape {np.shape(x)}")
+    if np.size(x) == 0:
+        raise InvalidParameter(f"{name} must be at least one {noun}, got an empty array")
+    return np.ravel(x).tolist()
+
+
+def _check_coupling(coupling, ndim: int = 1, t: float = 1.0):
+    """One K, or an array of them, each finite and >= 0 with K*t finite at the checked t."""
+    for k in _entries(coupling, ndim, "K", "number"):
+        if not (0 <= k < np.inf and k * t < np.inf):  # a NaN fails; K*t may overflow
+            raise InvalidParameter(f"K must be a finite real >= 0 with K*t finite, "
+                                   f"got K = {k!r} at t = {t!r}")
+    return coupling
+
+
+def _check_counts(n, ndim: int = 1):
+    """One N as an int, or an array of them as int64, each an integer in [1, 2**63)."""
+    for k in _entries(n, ndim, "N", "count"):
+        if not 1 <= k < 2**63 or int(k) != k:  # NaN fails the first test
+            raise InvalidParameter(f"N must be a positive integer below 2**63, got {k!r}")
+    return int(n) if np.ndim(n) == 0 else np.asarray(n, dtype=np.int64)
 
 
 def _checkpoints(n_steps: int, samples: int) -> np.ndarray:
     """Steps k N / D rounded, k = 0..D = min(samples, N + 1) - 1, exact in int64 for any
     N < 2**63; a tie goes the way np.rint takes the float k (N / D), as in np.linspace."""
-    _check_samples(samples)
-    d = min(samples, n_steps + 1) - 1
+    d = min(_check_samples(samples), n_steps + 1) - 1
     k = np.arange(d + 1, dtype=np.int64)
     steps, rem = np.divmod(2 * k * (n_steps % d) + d, 2 * d)  # half up; rem 0: a tie
     steps += k * (n_steps // d)
     return steps - ((rem == 0) & (np.rint(k * (n_steps / d)) < steps))
 
 
-def _validate_step_args(t: float, n, ndim: int = 1):
-    _check_positive_t(t)
-    if np.ndim(n) > ndim:
-        raise InvalidParameter(f"N must be a count{' or a 1-D array' * ndim}, "
-                               f"got shape {np.shape(n)}")
-    if np.size(n) == 0:
-        raise InvalidParameter("N must be at least one count, got an empty array")
-    for k in (n if np.ndim(n) else [n]):  # one N, or an array of them (returned as int64)
-        if not 1 <= k < 2**63 or int(k) != k:  # NaN fails the first test
-            raise InvalidParameter(f"N must be a positive integer below 2**63, got {k!r}")
-    return float(t), int(n) if np.ndim(n) == 0 else np.asarray(n, dtype=np.int64)
-
-
 def _kick_step(h, u_kick, t: float, n, ndim: int = 1):
     """Validate kicks; return (N, U_kick, k -> [U_kick U(t/N)]^k), batched over N (B,)."""
-    t, n = _validate_step_args(t, n, ndim)
+    t, n = _check_positive_t(t), _check_counts(n, ndim)
     hm = require_hermitian(h, "H")
     uk = require_unitary(u_kick, "U_kick")
     if uk.shape != hm.shape:
@@ -172,7 +186,7 @@ def _kick_step(h, u_kick, t: float, n, ndim: int = 1):
 
 def _measured_step(h, res: ResolutionOfIdentity, t: float, n, ndim: int = 1):
     """Checked (t, N, U(t/N)) between measurements; N (B,) stacks the U."""
-    t, n = _validate_step_args(t, n, ndim)
+    t, n = _check_positive_t(t), _check_counts(n, ndim)
     hm = require_hermitian(h, "H")
     if hm.shape[0] != res.dim:
         raise DimensionMismatch("H and resolution dimensions differ")
@@ -241,8 +255,7 @@ def evolve_kicked(state0, h, u_kick, t: float, n: int,
 
 def _continuous_generator(h, h_c, coupling, t: float, ndim: int = 1) -> np.ndarray:
     """Checked H + K H_c: (d, d) for one K, (B, d, d) for an array of them (ndim 1)."""
-    _check_positive_t(t)
-    _check_coupling(coupling, ndim)
+    _check_coupling(coupling, ndim, _check_positive_t(t))
     hm = as_square_matrix(h, "H")
     hcm = require_hermitian(h_c, "H_c")
     if hm.shape != hcm.shape:
@@ -275,10 +288,10 @@ def _sample_continuous(gens: np.ndarray, state0, times: np.ndarray) -> np.ndarra
         # near an exceptional point: one Padé expm per sample after tau = 0
         states[b] = [state] + [expm(-1j * gens[b] * tau) @ state for tau in times[1:]]
     limit = 1.0 + NORM_GROWTH_TOL
-    if (nrm := _norms(states[~hermitian, ..., None])).max() > limit:
+    if not (nrm := _norms(states[~hermitian, ..., None])).max() <= limit:  # NaN fails
         raise InvalidState(
             f"non-Hermitian generator amplified the state to norm "
-            f"{nrm[nrm > limit][0]:.6f}; only decaying models are supported")
+            f"{nrm[~(nrm <= limit)][0]:.6f}; only decaying models are supported")
     return states
 
 
@@ -292,8 +305,7 @@ def evolve_continuous(state0, h, h_c, coupling: float, t: float,
     guarded eig, or one ``expm`` per sample near an exceptional point.
     """
     h_k = _continuous_generator(h, h_c, coupling, t, ndim=0)
-    _check_samples(samples)
-    times = np.linspace(0.0, t, samples)
+    times = np.linspace(0.0, t, _check_samples(samples))
     return EvolutionRecord(times, _sample_continuous(h_k[None], state0, times)[0])
 
 
@@ -332,7 +344,7 @@ def asymptotic_kicked_propagator(h, res: ResolutionOfIdentity, t: float,
     ``res`` must carry the kick eigenphases as labels.  Sector populations
     follow the Zeno dynamics; cross-sector phases advance by N λ_n.
     """
-    t, n = _validate_step_args(t, n)
+    t, n = _check_positive_t(t), _check_counts(n)
     vs = zeno_propagators(h, res, t)
     return sum(np.multiply.outer(np.exp(-1j * n * lam), v) for lam, v in zip(res.labels, vs))
 
@@ -344,9 +356,8 @@ def asymptotic_continuous_propagator(h, res: ResolutionOfIdentity, t: float,
     ``res`` must carry the coupling eigenvalues as labels; K t plays the
     role the kick count N plays in the kicked mechanism.
     """
-    _check_positive_t(t)
-    _check_coupling(coupling)
-    k, vs = np.asarray(coupling), zeno_propagators(h, res, t)
+    k = np.asarray(_check_coupling(coupling, 1, _check_positive_t(t)))
+    vs = zeno_propagators(h, res, t)
     return sum(np.multiply.outer(np.exp(-1j * k * eta * t), v)
                for eta, v in zip(res.labels, vs))
 

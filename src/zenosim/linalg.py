@@ -29,6 +29,8 @@ UNITARITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 # magnitude of negative eigenvalues tolerated in a density matrix
 POSITIVITY_TOL = 1e-10
+# largest growth exponent Re(-i w x) of a spectral phase: log(1/eps), about 36.04
+_MAX_GAIN = -math.log(np.finfo(float).eps)
 # largest ‖V‖_F ‖V⁻¹‖_F >= cond₂(V) nonhermitian_evolution accepts, so its roundoff,
 # about cond(V) eps, stays below 1000 eps; the decay model passes it within 4e-5 of its EP
 EIG_COND_LIMIT = 1e3
@@ -217,11 +219,26 @@ def _lift(u: np.ndarray) -> np.ndarray:
     return uu.reshape(*u.shape[:-2], u.shape[-1] ** 2, -1)
 
 
+def _phases(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """e^{-i w x}, refused where w·x or its exp overflows or is NaN, or where |e| passes
+    1/eps, which lifts the roundoff along an eigenvector above the state (real w: |e| = 1)."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # numpy's flags, not a warning
+            z = -1j * w * x
+            e = np.exp(z)
+        if w.dtype.kind == "c" and not z.real.max() <= _MAX_GAIN:
+            raise FloatingPointError(f"growth exponent {z.real.max():.3e} passes 1/eps")
+    except FloatingPointError as exc:
+        raise ConvergenceFailure(f"spectral phase exp(-i w x): {exc}") from None
+    return e
+
+
 class _SpectralEvaluator:
     """x -> v diag(e^{-i w x}) v⁻¹; v⁻¹ defaults to v† (real w, unitary v).
 
     An array x (B,) gives the stack (B, d, d) of u(x[b]).  So does a batch axis,
-    w (B, d) and v, v⁻¹ (B, d, d): slice b is a generator of its own.
+    w (B, d) and v, v⁻¹ (B, d, d): slice b is a generator of its own.  Every phase
+    passes ``_phases``, so an overflowing one raises ConvergenceFailure, never a NaN.
     """
 
     def __init__(self, w: np.ndarray, v: np.ndarray, v_inv=None, ok=True):
@@ -229,7 +246,7 @@ class _SpectralEvaluator:
         self._vi, self._vid = (dagger(v), v) if v_inv is None else (v_inv, dagger(v_inv))
 
     def __call__(self, x) -> np.ndarray:
-        e = np.exp(-1j * self.w * np.asarray(x)[..., None])[..., None, :]
+        e = _phases(self.w, np.asarray(x)[..., None])[..., None, :]
         return (self.v * e) @ self._vi
 
     def states(self, xs, state: np.ndarray) -> np.ndarray:
@@ -239,7 +256,7 @@ class _SpectralEvaluator:
         e(x) = e^{-i w x}: psi(x) = v (e(x) ∘ v⁻¹ psi), and on the row-major vec each
         rho(x) = (v ⊗ v*) (vec(e(x) e(x)†) ∘ vec(v⁻¹ rho v⁻†)) is one row of one GEMM.
         """
-        e = np.exp(-1j * self.w[..., None, :] * np.asarray(xs)[:, None])
+        e = _phases(self.w[..., None, :], np.asarray(xs)[:, None])
         if state.ndim == 1:
             return (e * (self._vi @ state)[..., None, :]) @ self.v.swapaxes(-1, -2)
         r = (self._vi @ state @ self._vid).reshape(*self.w.shape[:-1], -1, 1)

@@ -28,7 +28,7 @@ from zenosim.analysis import (
     purity,
     subspace_probabilities,
 )
-from zenosim import engines
+from zenosim import analysis, engines
 from zenosim.engines import (
     EvolutionRecord,
     evolve_continuous,
@@ -535,9 +535,10 @@ class TestConvergenceCurve:
             convergence_curve(four_level_kicked(), 1.0, [4, 8])
         with pytest.raises(InvalidParameter):
             convergence_curve(four_level_kicked(), 1.0, [8, 4, 16])
-        # two equal infinities are refused as not increasing, without an inf - inf
-        for b in (four_level_kicked(), four_level_continuous()):
-            with pytest.raises(InvalidParameter, match="strictly increasing"):
+        # the engine refuses an infinite value before the sweep's order is compared
+        for b, message in ((four_level_kicked(), "^N must be a positive integer"),
+                           (four_level_continuous(), "^K must be a finite real >= 0")):
+            with pytest.raises(InvalidParameter, match=message):
                 convergence_curve(b, 1.0, [2, np.inf, np.inf])
 
     def test_projective_bundle_rejected(self):
@@ -560,6 +561,18 @@ class TestConvergenceCurve:
             with pytest.raises(InvalidParameter,
                                match="^distances must be finite and non-negative$"):
                 ConvergenceCurve("K", np.array([1.0, 2.0, 4.0]), np.array(distances))
+
+    def test_int64_counts_float64_cannot_tell_apart(self):
+        # 2**62 and 2**62 + 1 are one float64, so the order is compared in int64
+        ns = [2**62, 2**62 + 1, 2**62 + 2]
+        values = analysis._sweep_values(ns)
+        assert values.dtype == np.int64 and values.tolist() == ns
+        curve = ConvergenceCurve("N", values, np.array([0.3, 0.2, 0.1]))
+        assert curve.parameter_values.tolist() == ns
+        # one float64 abscissa determines no slope and no doubling: NaN, not a warning
+        assert np.isnan(curve.fitted_rate) and np.isnan(curve.doubling_factor)
+        with pytest.raises(InvalidParameter, match="^parameter values must be strictly"):
+            analysis._sweep_values([2**62 + 1, 2**62, 2**62 + 2])
 
     @pytest.mark.parametrize("values, distances, exact, rate", [
         ([1.0, 2.0], [0.2, 0.1], False, -1.0),  # two points: both fitted
@@ -661,7 +674,7 @@ class TestDecayProtection:
         assert result.protective_coupling is None
 
     def test_empty_sweep_refused(self):
-        with pytest.raises(InvalidParameter, match="^need at least one coupling value$"):
+        with pytest.raises(InvalidParameter, match="^coupling values: need at least 1, got 0$"):
             decay_protection_sweep(0.0, 1.0, 0.1, 0.0, [], t=5.0)
 
     @pytest.mark.parametrize("survivals, protective", [

@@ -285,14 +285,51 @@ class TestMain:
         assert "i/o error" in capsys.readouterr().err
 
     def test_numeric_error_exit_three(self, tmp_path, capsys):
-        # degenerate kick phases pass the schema, which builds the model at its
-        # defaults, but fail in the builder when run
-        doc = kicked_doc()
-        doc["model"]["parameters"] = {"lambda1": 1.0, "lambda2": 1.0}
-        path = write_config(tmp_path, doc)
-        assert main(["validate", path]) == 0
-        assert main(["run", path, "--output-dir", str(tmp_path)]) == 3
-        assert "numeric error" in capsys.readouterr().err
+        # t = 1e300 is a valid schedule, but the decaying generator's roundoff-sized gain
+        # overflows its phase there: run refuses the computed phase and writes nothing
+        scenario = str(SCENARIOS / "decay_protection.json")
+        args = [scenario, "--set", "schedule.t=1e300"]
+        assert main(["validate", *args]) == 0
+        assert main(["run", *args, "--output-dir", str(tmp_path / "out")]) == 3
+        assert "numeric error: spectral phase" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("parameters", [
+        {"lambda1": 1.0, "lambda2": 1.0}, {"lambda2": 10**400}, {"omega1": float("nan")}],
+        ids=["degenerate-phases", "int-past-float-range", "nan"])
+    def test_model_refusal_is_a_schema_error(self, tmp_path, capsys, command, parameters):
+        # validate builds the configured model, so its builder refuses it there
+        path = write_config(tmp_path, kicked_doc(model={"name": "four-level-kicked",
+                                                        "parameters": parameters}))
+        args = [command, path] + (["--output-dir", str(tmp_path)] if command == "run" else [])
+        assert main(args) == 2
+        assert "schema error at model.parameters: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("t, ks", [("1e300", "[1e10,1e11,1e12]"),
+                                       ("1e10", "[1e300,1e301,1e302]")])
+    def test_overflowing_coupling_time_is_a_schema_error(self, tmp_path, capsys,
+                                                         command, t, ks):
+        # the one coupling checker refuses a K*t past the float range, as the run would
+        args = [command, str(SCENARIOS / "continuous_convergence.json"),
+                "--set", f"schedule.t={t}", "--set", f"schedule.K={ks}"]
+        out = tmp_path / "out"
+        assert main(args + (["--output-dir", str(out)] if command == "run" else [])) == 2
+        assert "schema error at schedule.K: K must be a finite real >= 0 with K*t finite" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_int64_counts_sweep_end_to_end(self, tmp_path, capsys):
+        # 2**62 and 2**62 + 1 are one float64: the counts stay int64 from schema to file
+        ns = [2**62, 2**62 + 1, 2**63 - 1]
+        args = [str(SCENARIOS / "kicked_convergence.json"), "--set", f"schedule.N={ns}"]
+        assert main(["validate", *args]) == 0
+        assert main(["run", *args, "--output-dir", str(tmp_path), "--quiet"]) == 0
+        lines = (tmp_path / "kicked-convergence_convergence.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["N", *map(str, ns)]
+        assert capsys.readouterr().err == ""
 
     def test_set_override(self, tmp_path):
         path = write_config(tmp_path, kicked_doc())

@@ -200,6 +200,44 @@ class TestValidateDocument:
                 validate_document(base_doc(schedule={"t": 1.0, "N": [64, 128, n]}))
             assert violation_paths(e) == ["schedule.N"]
 
+    @pytest.mark.parametrize("schedule, path", [
+        ({"t": True, "N": [4]}, "schedule.t"),  # a bool is no number
+        ({"t": 1.0, "N": [4.0]}, "schedule.N"),  # N takes JSON integers
+        ({"t": 1.0, "N": [4], "samples": 2.0}, "schedule.samples"),
+        ({"t": 1.0, "N": []}, "schedule.N"),  # the engines refuse an empty sweep
+        ({"t": 10**400, "N": [4]}, "schedule.t"),  # an int past the float range is inf
+    ], ids=["t-bool", "n-float", "samples-float", "n-empty", "t-past-float-range"])
+    def test_schedule_refusals_reported_at_their_path(self, schedule, path):
+        with pytest.raises(SchemaViolation) as e:
+            validate_document(base_doc(schedule=schedule))
+        assert violation_paths(e) == [path]
+
+    def test_coupling_times_t_must_stay_finite(self):
+        # the engines' coupling check refuses K*t past the float range, at schedule.K
+        doc = base_doc(model={"name": "four-level-continuous", "parameters": {}},
+                       mechanism="continuous", schedule={"t": 1e10, "K": [1.0, 1e300]})
+        with pytest.raises(SchemaViolation) as e:
+            validate_document(doc)
+        assert e.value.violations == [("schedule.K", "K must be a finite real >= 0 with "
+                                                     "K*t finite, got K = 1e+300 at t = 10000000000.0")]
+        doc["schedule"]["t"] = 1.0
+        assert validate_document(doc).values == (1.0, 1e300)
+
+    @pytest.mark.parametrize("model, parameters", [
+        ("four-level-kicked", {"lambda1": 0.5, "lambda2": -0.5}),  # lambda1 = -lambda2
+        ("simplified-continuous", {"eta1": 2.0, "eta2": 2.0}),
+        ("decay", {"tau_z": 0.0}),
+        ("decay", {"gamma": -0.1}),
+        ("three-level-projective", {"omega2": float("inf")}),
+    ], ids=["kick-phases", "coupling-levels", "tau-z-zero", "gamma-negative", "inf"])
+    def test_configured_model_built_at_validation(self, model, parameters):
+        # the builder's refusal is a schema error at model.parameters, and nothing else
+        # is judged that depends on the bundle (mechanism, dimension)
+        doc = base_doc(model={"name": model, "parameters": parameters}, initial_state="b")
+        with pytest.raises(SchemaViolation) as e:
+            validate_document(doc)
+        assert violation_paths(e) == ["model.parameters"]
+
 
 class TestInitialState:
     def test_basis_label(self):

@@ -15,6 +15,7 @@ from zenosim.errors import (
 )
 from zenosim.linalg import (
     _norms,
+    _SpectralEvaluator,
     as_square_matrix,
     check_density_matrix,
     check_state_vector,
@@ -228,6 +229,20 @@ class TestUnitaryEig:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotUnitary):
             require_unitary(np.array([[1e200, 1e200], [1e200, -1e200]]))
         assert np.array_equal(require_unitary(_shift(3)), _shift(3))
+
+
+class TestPhaseGuard:
+    @pytest.mark.parametrize("w, x", [
+        (np.array([1.0, 2.0]), 1e308),  # w x overflows
+        (np.array([1.0 + 1e-20j]), 1e300),  # a roundoff-sized gain that exp overflows
+        (np.array([1.0 + 1e-3j]), 4e4),  # a finite gain past 1/eps
+    ], ids=["product", "exp", "gain"])
+    def test_refused_not_warned(self, w, x):
+        evaluator = _SpectralEvaluator(w, np.eye(len(w), dtype=complex))
+        with pytest.raises(ConvergenceFailure, match="^spectral phase exp"):
+            evaluator(x)
+        with pytest.raises(ConvergenceFailure, match="^spectral phase exp"):
+            evaluator.states(np.array([0.0, x]), np.eye(len(w))[0].astype(complex))
 
 
 class TestPropagator:

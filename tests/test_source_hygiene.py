@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-TREES = {p.name: ast.parse(p.read_text(encoding="utf-8"))
-         for p in sorted((Path(__file__).parents[1] / "src" / "zenosim").glob("*.py"))}
+SOURCES = {p.name: p.read_text(encoding="utf-8")
+           for p in sorted((Path(__file__).parents[1] / "src" / "zenosim").glob("*.py"))}
+TREES = {name: ast.parse(source) for name, source in SOURCES.items()}
 
 
 def _loaded(tree) -> set[str]:
@@ -43,3 +44,10 @@ def test_every_exported_name_is_bound(module):
     mod = importlib.import_module(f"zenosim.{module.removesuffix('.py')}")
     assert sorted(name for name in getattr(mod, "__all__", ())
                   if not hasattr(mod, name)) == []
+
+
+@pytest.mark.parametrize("text", ["2**63", "strictly increasing"])
+def test_each_range_fact_is_written_in_one_module(text):
+    """The count bound and the order check each live in one module: every other
+    module, the scenario schema too, calls that module's checker."""
+    assert [name for name, source in SOURCES.items() if text in source] == ["engines.py"]
