@@ -26,12 +26,12 @@ from .errors import (
 from .linalg import (
     HERMITICITY_TOL,
     _cayley_eig,
+    _check_state,
     _lift,
     _norms,
     _SpectralEvaluator,
     as_square_matrix,
     check_density_matrix,
-    check_state_vector,
     dagger,
     expm,
     hermitian_evolution,
@@ -75,8 +75,9 @@ class EvolutionRecord:
     zeno-limit engines and integer step counts for the kicked engine;
     ``states`` is the matching tuple of state vectors or density matrices.  An
     engine's (S, ...) array is all the record keeps, for ``observables``; the
-    tuple of its rows is built and cached on the first read of ``states`` (a
-    record built or ``replace``-d from a tuple keeps no array).
+    tuple of its rows is built and cached on the first read of ``states``, and
+    left out of a pickle or copy (a record built or ``replace``-d from a tuple
+    keeps no array).
     ``trace_corrections`` lists (step, drift) pairs where the projective
     engine renormalized a density matrix to counter accumulated roundoff.
     The mechanism and run parameters stay with the caller that chose them.
@@ -107,6 +108,9 @@ class EvolutionRecord:
     def __len__(self) -> int:
         return len(self.states if self._stack is None else self._stack)
 
+    def __getstate__(self):  # the cached rows are views of _stack: pickle the stack alone
+        return {k: v for k, v in self.__dict__.items() if k != "states" or self._stack is None}
+
 
 # each check below is the whole range of one schedule fact; ``config`` calls it too
 def _increasing(values, what: str, least: int = 0) -> np.ndarray:
@@ -127,8 +131,9 @@ def _check_samples(samples: int) -> int:
 
 
 def _check_positive_t(t: float) -> float:
-    if not (0 < t < np.inf):
-        raise InvalidParameter(f"t must be positive and finite, got {t!r}")
+    if not (np.finfo(float).tiny <= t < np.inf):  # a subnormal t collapses the sample grid
+        raise InvalidParameter(f"t must be finite and at least 2.2250738585072014e-308, "
+                               f"the smallest normal float, got {t!r}")
     return float(t)
 
 
@@ -169,28 +174,24 @@ def _checkpoints(n_steps: int, samples: int) -> np.ndarray:
     return steps - ((rem == 0) & (np.rint(k * (n_steps / d)) < steps))
 
 
-def _kick_step(h, u_kick, t: float, n, ndim: int = 1):
-    """Validate kicks; return (N, U_kick, k -> [U_kick U(t/N)]^k), batched over N (B,)."""
+def _free_step(h, payload: str, dim: int, t: float, n, ndim: int = 1):
+    """Checked (t, N, U(t/N)) for an H as wide as the payload's ``dim``; N (B,) stacks the U."""
     t, n = _check_positive_t(t), _check_counts(n, ndim)
     hm = require_hermitian(h, "H")
+    if hm.shape[0] != dim:
+        raise DimensionMismatch(f"H and {payload} dimensions differ")
+    return t, n, propagator(hm, t / n)
+
+
+def _kick_step(h, u_kick, t: float, n, ndim: int = 1):
+    """Validate kicks; return (N, U_kick, k -> [U_kick U(t/N)]^k), batched over N (B,)."""
     uk = require_unitary(u_kick, "U_kick")
-    if uk.shape != hm.shape:
-        raise DimensionMismatch("H and U_kick dimensions differ")
-    # U(t/N) is unitary to roundoff, so each cycle is as unitary as the checked uk
-    cycles = uk @ propagator(hm, t / n)
+    _, n, u = _free_step(h, "U_kick", len(uk), t, n, ndim)
+    cycles = uk @ u  # U(t/N) is unitary to roundoff: each cycle is as unitary as uk
     if np.ndim(n) == 0:
         return n, uk, _SpectralEvaluator(*_cayley_eig(cycles))
     w, z = zip(*map(_cayley_eig, cycles))
     return n, uk, _SpectralEvaluator(np.array(w), np.array(z))
-
-
-def _measured_step(h, res: ResolutionOfIdentity, t: float, n, ndim: int = 1):
-    """Checked (t, N, U(t/N)) between measurements; N (B,) stacks the U."""
-    t, n = _check_positive_t(t), _check_counts(n, ndim)
-    hm = require_hermitian(h, "H")
-    if hm.shape[0] != res.dim:
-        raise DimensionMismatch("H and resolution dimensions differ")
-    return t, n, propagator(hm, t / n)
 
 
 def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
@@ -206,7 +207,7 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
     a round is two d²×d² products: U ⊗ U* for the free evolution, then the
     resolution's pinching map inside ``pinch``.
     """
-    t, n, u = _measured_step(h, res, t, n, ndim=0)
+    t, n, u = _free_step(h, "resolution", res.dim, t, n, ndim=0)
     rho, uu = check_density_matrix(rho0, res.dim), _lift(u)
     keep = _checkpoints(n, samples)
     states = np.empty((len(keep), *rho.shape), dtype=complex)
@@ -228,7 +229,7 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
 def _measured_finals(rho0, h, res: ResolutionOfIdentity, t: float, ns) -> np.ndarray:
     """Final states (B, d, d) of ``evolve_projective`` for N (B,): S_b = Π (U_b ⊗ U_b*) to
     the N_b in log2(max N) stacked products, unguarded (a contraction), not renormalised."""
-    _, ns, u = _measured_step(h, res, t, ns)
+    _, ns, u = _free_step(h, "resolution", res.dim, t, ns)
     rho = check_density_matrix(rho0, res.dim)
     x = res.pinching @ rho.reshape(-1)  # vec(pinch rho0)
     for j in range(int(ns.max()).bit_length()):
@@ -245,10 +246,7 @@ def evolve_kicked(state0, h, u_kick, t: float, n: int,
     so norm, trace and purity are conserved up to roundoff.
     """
     n, uk, step = _kick_step(h, u_kick, t, n, ndim=0)
-    if np.asarray(state0).ndim == 2:
-        state = check_density_matrix(state0, len(uk))
-    else:
-        state = check_state_vector(state0, len(uk))
+    state = _check_state(state0, len(uk))
     keep = _checkpoints(n, samples)
     return EvolutionRecord(keep, step.states(keep, state))
 
@@ -260,7 +258,11 @@ def _continuous_generator(h, h_c, coupling, t: float, ndim: int = 1) -> np.ndarr
     hcm = require_hermitian(h_c, "H_c")
     if hm.shape != hcm.shape:
         raise DimensionMismatch("H and H_c dimensions differ")
-    return hm + np.multiply.outer(coupling, hcm)
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # numpy's flags, not a warning
+            return hm + np.multiply.outer(coupling, hcm)
+    except FloatingPointError as exc:
+        raise InvalidParameter(f"H + K*H_c is not finite: {exc}") from None
 
 
 def _sample_continuous(gens: np.ndarray, state0, times: np.ndarray) -> np.ndarray:
@@ -269,15 +271,10 @@ def _sample_continuous(gens: np.ndarray, state0, times: np.ndarray) -> np.ndarra
     Each slice takes the route ``evolve_continuous`` describes, and its checks.
     """
     hermitian = hermiticity_defect(gens) <= HERMITICITY_TOL
-    dim = gens.shape[-1]
-    if np.asarray(state0).ndim == 2:
-        if not hermitian.all():
-            raise NonHermitianDensityEvolution(
-                "density-matrix input requires a Hermitian generator; "
-                "propagate a state vector instead")
-        state = check_density_matrix(state0, dim)
-    else:
-        state = check_state_vector(state0, dim, subnormalized=not hermitian.all())
+    state = _check_state(state0, gens.shape[-1], subnormalized=not hermitian.all())
+    if state.ndim == 2 and not hermitian.all():
+        raise NonHermitianDensityEvolution("density-matrix input requires a Hermitian "
+                                           "generator; propagate a state vector instead")
     if hermitian.all():
         return hermitian_evolution(gens).states(times, state)
     spectral = nonhermitian_evolution(gens)
@@ -328,13 +325,18 @@ def evolve_zeno_limit(rho0, h, res: ResolutionOfIdentity, t: float,
     all times; cross-sector coherences are removed at tau = 0+, so the first
     sample is pinch(rho0).  t = 0 is allowed and returns that single sample.
     """
-    if not (0 <= t < np.inf):
-        raise InvalidParameter(f"t must be finite and >= 0, got {t!r}")
-    _check_samples(samples)
+    t, samples = t if t == 0 else _check_positive_t(t), _check_samples(samples)
+    times = np.linspace(0.0, t, samples if t else 1)
     rho = check_density_matrix(rho0, res.dim)
     u_z = hermitian_evolution(zeno_hamiltonian(h, res))
-    times = np.array([0.0]) if t == 0 else np.linspace(0.0, t, samples)
     return EvolutionRecord(times, u_z.states(times, pinch(rho, res)))
+
+
+def _sector_phases(h, res: ResolutionOfIdentity, t: float, x) -> np.ndarray:
+    """sum_n e^{-i x l_n} V_n(t) = W diag(e^{-i x l}) W† U_Z(t), x (B,) stacking, with each
+    label l_n repeated over its sector's ``res.basis`` columns W: one guarded evaluator."""
+    return (_SpectralEvaluator(np.repeat(res.labels, res.ranks), res.basis)(x)
+            @ propagator(zeno_hamiltonian(h, res), t))
 
 
 def asymptotic_kicked_propagator(h, res: ResolutionOfIdentity, t: float,
@@ -344,9 +346,7 @@ def asymptotic_kicked_propagator(h, res: ResolutionOfIdentity, t: float,
     ``res`` must carry the kick eigenphases as labels.  Sector populations
     follow the Zeno dynamics; cross-sector phases advance by N λ_n.
     """
-    t, n = _check_positive_t(t), _check_counts(n)
-    vs = zeno_propagators(h, res, t)
-    return sum(np.multiply.outer(np.exp(-1j * n * lam), v) for lam, v in zip(res.labels, vs))
+    return _sector_phases(h, res, _check_positive_t(t), _check_counts(n))
 
 
 def asymptotic_continuous_propagator(h, res: ResolutionOfIdentity, t: float,
@@ -356,10 +356,8 @@ def asymptotic_continuous_propagator(h, res: ResolutionOfIdentity, t: float,
     ``res`` must carry the coupling eigenvalues as labels; K t plays the
     role the kick count N plays in the kicked mechanism.
     """
-    k = np.asarray(_check_coupling(coupling, 1, _check_positive_t(t)))
-    vs = zeno_propagators(h, res, t)
-    return sum(np.multiply.outer(np.exp(-1j * k * eta * t), v)
-               for eta, v in zip(res.labels, vs))
+    t = _check_positive_t(t)
+    return _sector_phases(h, res, t, np.asarray(_check_coupling(coupling, 1, t)) * t)
 
 
 def kicked_propagator(h, u_kick, t: float, n: int) -> np.ndarray:
@@ -417,13 +415,12 @@ def projective_survival(state0, h, res: ResolutionOfIdentity, sector: int,
     classic cos^{2N}(Omega t / N).  With W the sector's ``res.basis`` columns,
     [P U]^N = W B^{N-1} W† U, so only the r×r block B = W† U W is powered.
     """
-    _, n, u = _measured_step(h, res, t, n, ndim=0)
+    _, n, u = _free_step(h, "resolution", res.dim, t, n, ndim=0)
     res.projector(sector)  # refuses a sector out of range
     edge = np.cumsum((0,) + res.ranks)
     w = res.basis[:, edge[sector]:edge[sector + 1]]
     v = np.linalg.matrix_power(dagger(w) @ u @ w, n - 1) @ dagger(w) @ u  # W† [P U]^N
-    if np.asarray(state0).ndim == 2:
-        rho = check_density_matrix(state0, res.dim)
-        return float(np.trace(v @ rho @ dagger(v)).real)
-    psi = check_state_vector(state0, res.dim)
-    return float(np.linalg.norm(v @ psi) ** 2)
+    state = _check_state(state0, res.dim)
+    if state.ndim == 2:
+        return float(np.trace(v @ state @ dagger(v)).real)
+    return float(np.linalg.norm(v @ state) ** 2)

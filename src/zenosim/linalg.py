@@ -313,3 +313,10 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     if w.min() < -POSITIVITY_TOL:
         raise InvalidState(f"density matrix has negative eigenvalue {w.min():.3e}")
     return m
+
+
+def _check_state(state, dim: int, *, subnormalized: bool = False) -> np.ndarray:
+    """A 2-D state checked as a density matrix, any other as a state vector."""
+    if np.ndim(state) == 2:
+        return check_density_matrix(state, dim)
+    return check_state_vector(state, dim, subnormalized=subnormalized)

@@ -220,11 +220,15 @@ def decay_model(omega1: float = 0.0, tau_z: float = 1.0, gamma: float = 0.1,
     our interpretation: ``omega_b`` sits on the |b> diagonal, H[1, 1].
     """
     _check_finite(locals(), positive=("tau_z", "gamma"))
+    width = 2.0 / tau_z * (1.0 / tau_z / gamma)  # no tau_z**2 to under- or overflow
+    if not np.finfo(float).tiny <= width < np.inf:
+        raise InvalidParameter(f"continuum width 2/(tau_z**2 gamma) must be a normal "
+                               f"float, got {width!r} at tau_z = {tau_z!r}, gamma = {gamma!r}")
     h = np.zeros((4, 4), dtype=complex)
     h[0, 1] = h[1, 0] = omega1
     h[1, 1] = omega_b
     h[1, 2] = h[2, 1] = 1.0 / tau_z
-    h[2, 2] = -2j / (tau_z ** 2 * gamma)
+    h[2, 2] = -1j * width
     h_c = np.zeros((4, 4), dtype=complex)
     h_c[2, 3] = h_c[3, 2] = 1.0
     return ModelBundle(H=h, H_c=h_c, K=float(coupling), non_hermitian=True)

@@ -321,6 +321,39 @@ class TestMain:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("tau_z", ["1e-170", "1e155"], ids=["width-inf", "width-subnormal"])
+    def test_continuum_width_past_float_range_is_a_schema_error(self, tmp_path, capsys,
+                                                               command, tau_z):
+        # 2/(tau_z**2 gamma) overflows, or falls below the smallest normal float
+        args = [command, str(SCENARIOS / "decay_protection.json"),
+                "--set", f"model.parameters.tau_z={tau_z}"]
+        out = tmp_path / "out"
+        assert main(args + (["--output-dir", str(out)] if command == "run" else [])) == 2
+        assert "schema error at model.parameters: continuum width" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_subnormal_time_is_a_schema_error(self, tmp_path, capsys, command):
+        # linspace(0, 5e-324, 33) repeats subnormals: the run's own t check refuses it
+        args = [command, str(SCENARIOS / "continuous_convergence.json"),
+                "--set", "schedule.t=5e-324"]
+        out = tmp_path / "out"
+        assert main(args + (["--output-dir", str(out)] if command == "run" else [])) == 2
+        assert "schema error at schedule.t: t must be finite and at least " \
+               "2.2250738585072014e-308" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_generator_is_a_numeric_error(self, tmp_path, capsys):
+        # K*t is finite, but K*eta2 = 1e309 overflows H + K*H_c: refused, not warned
+        path = write_config(tmp_path, continuous_doc(
+            model={"name": "simplified-continuous", "parameters": {"eta2": 1e255}},
+            schedule={"t": 1.0, "K": [1e54], "samples": 5}, outputs=["probabilities"]))
+        assert main(["validate", path]) == 0
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 3
+        assert "numeric error: H + K*H_c is not finite: overflow" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_int64_counts_sweep_end_to_end(self, tmp_path, capsys):
         # 2**62 and 2**62 + 1 are one float64: the counts stay int64 from schema to file
         ns = [2**62, 2**62 + 1, 2**63 - 1]

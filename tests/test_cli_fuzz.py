@@ -7,9 +7,10 @@
    survival in [0, 1], sum p_n <= 1 and purity <= 1, each up to TOL: the 1e-9 by which
    the engines let a normalised state's squared norm miss 1.
 
-Documents use every shipped model under each mechanism it allows, at its default
-parameters, with t log-uniform over [1e-300, 1e300], K in {0} or [1e-3, 1e300], N in
-[1, 2**63), at most 64 samples and any non-empty subset of the mechanism's outputs.
+Documents use every shipped model under each mechanism it allows, each of its parameters
+0 or of either sign with magnitude log-uniform over [1e-300, 1e300], with t log-uniform
+over [5e-324, 1e300] (subnormals included), K in {0} or [1e-3, 1e300], N in [1, 2**63),
+at most 64 samples and any non-empty subset of the mechanism's outputs.
 ``cli.main`` runs in process; a numpy RuntimeWarning fails the test (pyproject).
 """
 
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from zenosim import analysis, engines, models
 from zenosim.cli import main
-from zenosim.config import MECHANISMS, MODEL_REGISTRY, SERIES_OUTPUTS
+from zenosim.config import MECHANISMS, MODEL_REGISTRY, SERIES_OUTPUTS, model_defaults
 from zenosim.errors import ZenosimError
 from zenosim.linalg import TRACE_TOL
 
@@ -46,6 +47,11 @@ def log_uniform(lo: float, hi: float):
     return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
 
 
+# a model parameter: 0, or either sign at any magnitude the schema's floats reach
+PARAMETER = st.just(0.0) | st.tuples(st.sampled_from([-1.0, 1.0]),
+                                      log_uniform(1e-300, 1e300)).map(lambda p: p[0] * p[1])
+
+
 def sweep(values):
     return st.lists(values, min_size=1, max_size=5, unique=True).map(sorted)
 
@@ -55,15 +61,16 @@ def documents(draw):
     model = draw(st.sampled_from(sorted(MODEL_MECHANISMS)))
     mechanism = draw(st.sampled_from(MODEL_MECHANISMS[model]))
     mech = MECHANISMS[mechanism]
+    parameters = {name: draw(PARAMETER) for name in model_defaults(MODEL_REGISTRY[model])}
     outputs = draw(st.lists(st.sampled_from(mech.outputs), min_size=1, unique=True))
-    schedule = {"t": draw(log_uniform(1e-300, 1e300)), "samples": draw(st.integers(2, 64))}
+    schedule = {"t": draw(log_uniform(5e-324, 1e300)), "samples": draw(st.integers(2, 64))}
     if mech.key == "N":
         series = mechanism == "projective" and set(outputs) & set(SERIES_OUTPUTS)
         schedule["N"] = draw(sweep(st.integers(
             1, PROJECTIVE_SERIES_MAX_N if series else 2**63 - 1)))
     elif mech.key == "K":
         schedule["K"] = draw(sweep(st.just(0.0) | log_uniform(1e-3, 1e300)))
-    return {"name": "fuzz", "model": {"name": model, "parameters": {}},
+    return {"name": "fuzz", "model": {"name": model, "parameters": parameters},
             "mechanism": mechanism, "schedule": schedule, "outputs": outputs}
 
 
@@ -105,7 +112,7 @@ def check_written(out):
         assert np.all(sum(probs) <= 1 + TOL) and np.all(column.get("purity", 0.0) <= 1 + TOL)
 
 
-@settings(max_examples=400, derandomize=True, deadline=None,
+@settings(max_examples=800, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=documents())
 def test_every_scenario_is_refused_or_written_right(tmp_path, refusals, doc):

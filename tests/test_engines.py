@@ -42,6 +42,7 @@ from zenosim.engines import (
     zeno_propagators,
 )
 from zenosim.errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     IndexOutOfRange,
     InvalidParameter,
@@ -54,6 +55,7 @@ from zenosim.models import (
     decay_model,
     four_level_continuous,
     four_level_kicked,
+    simplified_continuous,
     three_level_projective,
 )
 from zenosim.spectral import ResolutionOfIdentity, pinch, zeno_hamiltonian
@@ -135,6 +137,21 @@ class TestEvolutionRecord:
         assert replaced.trace_corrections == rec.trace_corrections
         with pytest.raises(AttributeError, match="no attribute 'missing'"):
             rec.missing
+
+    def test_read_record_pickles_and_copies_its_stack_alone(self):
+        # the cached rows view the stack: a read record pickles to the unread size
+        b = four_level_kicked()
+        psi = random_state(np.random.default_rng(6), 4)
+        rec = evolve_kicked(psi, b.H, b.U_kick, 1.0, 2000, samples=2001)
+        unread = len(pickle.dumps(rec))
+        rows = rec.states
+        assert len(pickle.dumps(rec)) == unread < 2 * rec._stack.nbytes
+        twin = copy.deepcopy(rec)
+        assert twin._stack is not rec._stack
+        assert all(np.shares_memory(row, twin._stack) for row in twin.states)
+        back = pickle.loads(pickle.dumps(rec))
+        assert all(np.array_equal(a, b) for a, b in zip(back.states, rows))
+        assert rec.states is rows
 
 
 @pytest.mark.parametrize("engine", ["evolve_zeno_limit", "evolve_kicked"])
@@ -644,6 +661,16 @@ class TestContinuous:
         with pytest.raises(DimensionMismatch, match="^H and H_c dimensions differ$"):
             call(np.eye(4))
 
+    @pytest.mark.parametrize("call", [
+        lambda b: evolve_continuous(basis_state(3, 0), b.H, b.H_c, 1e54, 1.0),
+        lambda b: continuous_propagator(b.H, b.H_c, [1.0, 1e54], 1.0),
+        lambda b: extracted_continuous_limit(b.H, b.H_c, 1.0, 1e54),
+    ], ids=["evolve_continuous", "continuous_propagator", "extracted_continuous_limit"])
+    def test_overflowing_generator_refused_not_warned(self, call):
+        # K*t is finite, but K*eta2 = 1e309 is not: refused, not warned (pyproject)
+        with pytest.raises(InvalidParameter, match=r"^H \+ K\*H_c is not finite: over"):
+            call(simplified_continuous(eta2=1e255))
+
     def test_propagator_refuses_negative_coupling_or_time(self):
         b = four_level_continuous()
         with pytest.raises(InvalidParameter, match="K must be"):
@@ -812,6 +839,29 @@ def test_non_finite_time_or_coupling_refused(call, value):
         _NON_FINITE_CALLS[call](value)
 
 
+# each call takes the value as its t; propagator and zeno_propagators take any finite t
+_TIME_CALLS = {name: call for name, call in _NON_FINITE_CALLS.items()
+               if not name.endswith("-K") and name not in ("propagator", "zeno_propagators")}
+_TIME_CALLS.update({
+    "evolve_projective": lambda t: evolve_projective(np.outer(_PSI3, _PSI3), CHAIN, RES3, t, 8),
+    "evolve_kicked": lambda t: evolve_kicked(_PSI3, CHAIN, np.eye(3), t, 8),
+    "kicked_propagator": lambda t: kicked_propagator(CHAIN, np.eye(3), t, 8),
+    "extracted_kick_limit": lambda t: extracted_kick_limit(CHAIN, np.eye(3), t, 8),
+    "asymptotic_continuous_propagator": lambda t: asymptotic_continuous_propagator(
+        CHAIN, RES3, t, 2.0),
+})
+
+
+@pytest.mark.parametrize("call", sorted(_TIME_CALLS))
+def test_time_below_the_smallest_normal_float_refused(call):
+    # linspace(0, t, S) of a subnormal t repeats values; the smallest normal one does not
+    tiny = np.finfo(float).tiny
+    for t in (5e-324, tiny / 2, -tiny):
+        with pytest.raises(InvalidParameter, match="smallest normal float"):
+            _TIME_CALLS[call](t)
+    _TIME_CALLS[call](tiny)
+
+
 _SAMPLED_CALLS = {
     "evolve_projective": lambda s: evolve_projective(np.outer(_PSI3, _PSI3), CHAIN, RES3,
                                                      1.0, 8, samples=s),
@@ -888,6 +938,24 @@ class TestAsymptoticPropagators:
             np.testing.assert_array_equal(
                 asymptotic_continuous_propagator(CHAIN, RES3, 1.0, couplings),
                 [asymptotic_continuous_propagator(CHAIN, RES3, 1.0, k) for k in ks])
+
+    @pytest.mark.parametrize("rank1", [1, 2])
+    def test_asymptotic_forms_phase_each_rotated_sector(self, rank1):
+        # W diag(e^{-i x l}) W† U_Z(t) is the sector sum on a rotated resolution too
+        rng = np.random.default_rng(rank1)
+        res = random_two_block_resolution(rng, 3, rank1)
+        h, t = random_hermitian(rng, 3), 0.7
+        vs = zeno_propagators(h, res, t)
+        for x, got in ((5, asymptotic_kicked_propagator(h, res, t, 5)),
+                       (3.0 * t, asymptotic_continuous_propagator(h, res, t, 3.0))):
+            expect = sum(np.exp(-1j * x * lab) * v for lab, v in zip(res.labels, vs))
+            assert np.abs(got - expect).max() <= 1e-14
+
+    def test_overflowing_sector_phase_refused_not_warned(self):
+        # K eta_2 t = 1e310 overflows: the guarded evaluator raises, and warns nothing
+        b = simplified_continuous(eta2=1e10)
+        with pytest.raises(ConvergenceFailure, match="^spectral phase exp"):
+            asymptotic_continuous_propagator(b.H, b.resolution(), 1.0, 1e300)
 
     def test_continuous_asymptotic_close_at_large_k(self):
         h = np.zeros((4, 4), dtype=complex)

@@ -191,6 +191,24 @@ class TestDecayModel:
             with pytest.raises(InvalidParameter):
                 decay_model(omega1=0.0, tau_z=1.0, gamma=0.1, coupling=coupling)
 
+    @pytest.mark.parametrize("tau_z, gamma", [(1e-170, 0.1), (1e-300, 1e-300),
+                                              (1e155, 0.1), (1.0, 1e308)],
+                             ids=["overflow", "overflow-both", "subnormal", "subnormal-gamma"])
+    def test_width_outside_normal_floats_refused(self, tau_z, gamma):
+        # each finite and positive, but 2/(tau_z**2 gamma) is inf or subnormal
+        with pytest.raises(InvalidParameter, match="^continuum width 2/"):
+            decay_model(tau_z=tau_z, gamma=gamma)
+
+    def test_width_inside_the_normal_floats_accepted(self):
+        # tau_z**2 underflows at 1e-165 and 2/tau_z/tau_z overflows, yet the width is 2e30
+        tiny = np.finfo(float).tiny  # 2**-1022, so 1/tiny is exact
+        for tau_z, gamma, width in ((1.0, 1.0 / tiny, 2 * tiny), (1.0, 2e-308, 1e308),
+                                    (1e-150, 10.0, 2e299), (1e-165, 1e300, 2e30),
+                                    (1e155, 1e-300, 2e-10)):
+            b = decay_model(tau_z=tau_z, gamma=gamma)
+            assert b.H[2, 2].real == 0.0
+            assert b.H[2, 2].imag == pytest.approx(-width, rel=1e-15)
+
 
 class TestModelBundle:
     def test_every_hermitian_bundle_is_tight(self):

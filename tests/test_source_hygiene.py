@@ -51,3 +51,10 @@ def test_each_range_fact_is_written_in_one_module(text):
     """The count bound and the order check each live in one module: every other
     module, the scenario schema too, calls that module's checker."""
     assert [name for name, source in SOURCES.items() if text in source] == ["engines.py"]
+
+
+def test_exponentials_written_only_in_phases_and_kick_matrices():
+    """Every spectral phase passes ``linalg._phases``: besides it, ``np.exp(`` appears only
+    in the Cayley rotation of ``linalg._cayley_eig`` and in the builders' kick matrices."""
+    assert {name: source.count("np.exp(") for name, source in SOURCES.items()
+            if "np.exp(" in source} == {"linalg.py": 2, "models.py": 3}
