@@ -157,11 +157,6 @@ def _checked(x: np.ndarray, dim: int, vectors: bool = False) -> np.ndarray:
     return x
 
 
-def _densities(x: np.ndarray) -> np.ndarray:
-    """A stack of state vectors (S, d) becomes the projectors |psi><psi|."""
-    return x[:, :, None] * x[:, None, :].conj() if x.ndim == 2 else x
-
-
 def _rotated(x: np.ndarray, res: ResolutionOfIdentity) -> np.ndarray:
     """The stack in the sector basis W: rows (W† psi_s)ᵀ, or W† x_s W by the lift W† ⊗ Wᵀ."""
     if x.ndim == 2:
@@ -234,10 +229,9 @@ def coherence_block_norm(rho, res: ResolutionOfIdentity, n: int, m: int) -> floa
 def observables(record, res: ResolutionOfIdentity) -> ObservableSeries:
     """Evaluate probabilities, purity, coherences, and leakage on a record.
 
-    The states are the stack an engine kept in the record, or the tuple stacked
-    once.  One rotation into ``res.basis`` W gives W†psi for state vectors
-    (S, d), or W† rho W for densities (S, d, d) and vectors mixed with them
-    (promoted to projectors).  p_n is one product of it with the 0/1 sector
+    The states are the one stack the record keeps.  One rotation into
+    ``res.basis`` W gives W†psi for state vectors (S, d), or W† rho W for
+    densities (S, d, d).  p_n is one product of it with the 0/1 sector
     selector, ||P_n rho P_m||_F the norm of block (n, m), sqrt(p_n p_m) for a
     vector.  Purity is (Σ p_n)² for a vector and tr(rho²) on the unrotated
     stack for a density; a subnormalized vector (decay model) leaks 1 - Σ p_n.
@@ -247,12 +241,6 @@ def observables(record, res: ResolutionOfIdentity) -> ObservableSeries:
     """
     times = np.asarray(record.times_or_steps, dtype=float)
     x = record._stack
-    if x is None:
-        try:
-            x = np.asarray(record.states, dtype=complex)
-        except ValueError:  # vectors mixed with matrices, or mixed sizes
-            x = np.concatenate([_checked(_densities(np.asarray(s, dtype=complex)[None]),
-                                         res.dim) for s in record.states])
     if len(x) == 0:
         x = x.reshape(0, res.dim, res.dim)
     k = res.nsectors

@@ -206,7 +206,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except ZenosimError as exc:
+    except (ZenosimError, MemoryError) as exc:  # all numeric work precedes the first write
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 

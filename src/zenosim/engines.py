@@ -73,11 +73,10 @@ class EvolutionRecord:
 
     ``times_or_steps`` holds real times for the projective, continuous and
     zeno-limit engines and integer step counts for the kicked engine;
-    ``states`` is the matching tuple of state vectors or density matrices.  An
-    engine's (S, ...) array is all the record keeps, for ``observables``; the
-    tuple of its rows is built and cached on the first read of ``states``, and
-    left out of a pickle or copy (a record built or ``replace``-d from a tuple
-    keeps no array).
+    ``states`` is the matching tuple of state vectors or density matrices.  The
+    record keeps them as one complex (S, ...) array, for ``observables`` (a tuple is
+    stacked once; states of mixed shapes are refused); the tuple of its rows is built
+    and cached on the first read of ``states``, and left out of a pickle or copy.
     ``trace_corrections`` lists (step, drift) pairs where the projective
     engine renormalized a density matrix to counter accumulated roundoff.
     The mechanism and run parameters stay with the caller that chose them.
@@ -86,30 +85,33 @@ class EvolutionRecord:
     times_or_steps: np.ndarray
     states: tuple[np.ndarray, ...]
     trace_corrections: tuple[tuple[int, float], ...] = ()
-    _stack: np.ndarray | None = field(init=False, repr=False, default=None)
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.states, np.ndarray):  # __getattr__ builds the tuple
-            object.__setattr__(self, "_stack", self.states)
-            object.__delattr__(self, "states")
-        if len(self.times_or_steps) != len(self):
+        try:  # no copy of an engine's complex stack
+            stack = np.asarray(self.states, dtype=complex)
+        except ValueError:  # a ragged tuple: vectors mixed with matrices, or mixed sizes
+            raise DimensionMismatch("states must all have one shape") from None
+        object.__setattr__(self, "_stack", stack)
+        object.__delattr__(self, "states")  # __getattr__ builds the tuple
+        if len(self.times_or_steps) != len(stack):
             raise DimensionMismatch("times and states lengths differ")
         _increasing(self.times_or_steps, "times_or_steps")
 
     def __getattr__(self, name: str):  # reached only where no instance value is set
-        if name != "states" or self._stack is None:
+        if name != "states":
             raise AttributeError(f"'EvolutionRecord' object has no attribute {name!r}")
         return self.__dict__.setdefault("states", tuple(self._stack))
 
     @property
     def final_state(self) -> np.ndarray:
-        return self.states[-1] if self._stack is None else self._stack[-1]
+        return self._stack[-1]
 
     def __len__(self) -> int:
-        return len(self.states if self._stack is None else self._stack)
+        return len(self._stack)
 
     def __getstate__(self):  # the cached rows are views of _stack: pickle the stack alone
-        return {k: v for k, v in self.__dict__.items() if k != "states" or self._stack is None}
+        return {k: v for k, v in self.__dict__.items() if k != "states"}
 
 
 # each check below is the whole range of one schedule fact; ``config`` calls it too

@@ -70,6 +70,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m†) / 2, each half taken first so no entry near the float limit overflows."""
+    return 0.5 * m + 0.5 * dagger(m)
+
+
 def frobenius(a: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(a))
@@ -125,7 +130,7 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"eigh input stack is empty, got shape {np.shape(h)}")
     m = (np.array([require_hermitian(s, "eigh input") for s in h]) if np.ndim(h) == 3
          else require_hermitian(h, "eigh input"))
-    m = 0.5 * (m + dagger(m))
+    m = _hermitian_part(m)
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -290,7 +295,9 @@ def check_state_vector(psi, dim: int | None = None, *,
         raise DimensionMismatch(f"state vector has length {v.shape[0]}, expected {dim}")
     if not np.all(np.isfinite(v)):
         raise InvalidState("state vector contains non-finite entries")
-    n = float(np.linalg.norm(v))
+    # v / s, s the largest |Re| or |Im| (|psi_i| may overflow): no norm overflows
+    s = max(1.0, float(np.abs(np.concatenate([v.real, v.imag])).max(initial=0.0)))
+    n = s * float(np.linalg.norm(v / s))
     if subnormalized:
         if not (0.0 < n <= 1.0 + TRACE_TOL):
             raise InvalidState(f"subnormalized state has norm {n:.6e}, expected in (0, 1]")
@@ -309,7 +316,7 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > TRACE_TOL * 10:
         raise InvalidState(f"density matrix has trace {tr:.12e}, expected 1")
-    w = np.linalg.eigvalsh(0.5 * (m + dagger(m)))
+    w = np.linalg.eigvalsh(_hermitian_part(m))
     if w.min() < -POSITIVITY_TOL:
         raise InvalidState(f"density matrix has negative eigenvalue {w.min():.3e}")
     return m

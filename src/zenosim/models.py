@@ -16,6 +16,7 @@ K * H_c.  The decay variant replaces |c> with a continuum level of width
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,7 +221,11 @@ def decay_model(omega1: float = 0.0, tau_z: float = 1.0, gamma: float = 0.1,
     our interpretation: ``omega_b`` sits on the |b> diagonal, H[1, 1].
     """
     _check_finite(locals(), positive=("tau_z", "gamma"))
-    width = 2.0 / tau_z * (1.0 / tau_z / gamma)  # no tau_z**2 to under- or overflow
+    (mt, et), (mg, eg) = math.frexp(tau_z), math.frexp(gamma)
+    try:  # mantissas and exponents apart: no tau_z**2 or 1/gamma to under- or overflow
+        width = math.ldexp(2.0 / (mt * mt * mg), -2 * et - eg)
+    except OverflowError:
+        width = math.inf
     if not np.finfo(float).tiny <= width < np.inf:
         raise InvalidParameter(f"continuum width 2/(tau_z**2 gamma) must be a normal "
                                f"float, got {width!r} at tau_z = {tau_z!r}, gamma = {gamma!r}")

@@ -22,6 +22,7 @@ from .errors import (
     InvalidParameter,
 )
 from .linalg import (
+    _hermitian_part,
     _norms,
     as_square_matrix,
     dagger,
@@ -142,14 +143,14 @@ def _cluster_sorted(values: np.ndarray, width: float) -> list[np.ndarray]:
     2*width] is ambiguous and raises, since nudging the tolerance would
     change the grouping.
     """
-    gaps = np.diff(values)
-    ambiguous = (gaps >= 0.5 * width) & (gaps <= 2.0 * width)
+    half = np.diff(0.5 * values)  # half gaps: values spanning ±1e308 overflow no gap
+    ambiguous = (half >= 0.25 * width) & (half <= width)
     if np.any(ambiguous):
         k = int(np.argmax(ambiguous))
         raise DegenerateClustering(
-            f"eigenvalue gap {gaps[k]:.3e} lies inside the ambiguity band "
+            f"eigenvalue gap {2.0 * half[k]:.3e} lies inside the ambiguity band "
             f"[{0.5 * width:.3e}, {2.0 * width:.3e}] of the clustering tolerance")
-    return np.split(np.arange(len(values)), np.flatnonzero(gaps > width) + 1)
+    return np.split(np.arange(len(values)), np.flatnonzero(half > 0.5 * width) + 1)
 
 
 def _cluster_projectors(values: np.ndarray, vectors: np.ndarray, width: float,
@@ -157,12 +158,13 @@ def _cluster_projectors(values: np.ndarray, vectors: np.ndarray, width: float,
     """One projector per cluster of the ascending values, by ascending label.
 
     Column i of ``vectors`` belongs to values[i]; a cluster is labelled
-    label(mean of its values).
+    label(mean of its values), taken as its first value plus the mean offset
+    from it, so no sum of values near the float limit overflows.
     """
     pairs = []
     for idx in _cluster_sorted(values, width):
-        cols = vectors[:, idx]
-        pairs.append((label(float(values[idx].mean())), cols @ dagger(cols)))
+        cols, first = vectors[:, idx], values[idx[0]]
+        pairs.append((label(float(first + (values[idx] - first).mean())), cols @ dagger(cols)))
     pairs.sort(key=lambda lp: lp[0])
     return ResolutionOfIdentity([p for _, p in pairs], [l for l, _ in pairs])
 
@@ -224,4 +226,4 @@ def zeno_hamiltonian(h, res: ResolutionOfIdentity) -> np.ndarray:
     """Pinched Hamiltonian sum_n P_n h P_n; commutes with every P_n."""
     m = require_hermitian(h, "zeno_hamiltonian input")
     hz = pinch(m, res)
-    return 0.5 * (hz + dagger(hz))
+    return _hermitian_part(hz)

@@ -354,6 +354,25 @@ class TestMain:
         assert "numeric error: H + K*H_c is not finite: overflow" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_hermitian_part_near_the_float_limit_is_a_numeric_error(self, tmp_path, capsys):
+        # (H + H†)/2 halves each entry before adding, so -1e308 stays finite there; the
+        # sector phase then overflows and is refused, and no NaN survival is written
+        args = [str(SCENARIOS / "decay_protection.json"), "--set",
+                "model.parameters.omega_b=-1e308", "--set", "schedule.K=[0.0]"]
+        assert main(["run", *args, "--output-dir", str(tmp_path / "out")]) == 3
+        assert "numeric error: spectral phase" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario", ["continuous_convergence.json",
+                                          "zeno_limit_series.json"])
+    def test_sample_count_past_memory_is_a_numeric_error(self, tmp_path, capsys, scenario):
+        # 10**15 samples lie past the address space: numpy refuses them before allocating
+        args = [str(SCENARIOS / scenario), "--set", "schedule.samples=1000000000000000"]
+        assert main(["validate", *args, "--quiet"]) == 0
+        assert main(["run", *args, "--output-dir", str(tmp_path / "out")]) == 3
+        assert "numeric error: Unable to allocate" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_int64_counts_sweep_end_to_end(self, tmp_path, capsys):
         # 2**62 and 2**62 + 1 are one float64: the counts stay int64 from schema to file
         ns = [2**62, 2**62 + 1, 2**63 - 1]

@@ -7,15 +7,18 @@
    survival in [0, 1], sum p_n <= 1 and purity <= 1, each up to TOL: the 1e-9 by which
    the engines let a normalised state's squared norm miss 1.
 
-Documents use every shipped model under each mechanism it allows, each of its parameters
-0 or of either sign with magnitude log-uniform over [1e-300, 1e300], with t log-uniform
-over [5e-324, 1e300] (subnormals included), K in {0} or [1e-3, 1e300], N in [1, 2**63),
-at most 64 samples and any non-empty subset of the mechanism's outputs.
+Documents use every shipped model under each mechanism it allows.  Each of its
+parameters, t, and each real and imaginary amplitude of an initial state is 0 or of
+either sign with any float magnitude, subnormals and the largest float included.  Half
+of them name an initial state (not decay-sweep, which starts from |b>), as a basis
+label or an amplitude list.  K is in {0} or [1e-3, 1e300], N in [1, 2**63), at most 64
+samples and any non-empty subset of the mechanism's outputs.
 ``cli.main`` runs in process; a numpy RuntimeWarning fails the test (pyproject).
 """
 
 import io
 import json
+import math
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -47,9 +50,13 @@ def log_uniform(lo: float, hi: float):
     return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
 
 
-# a model parameter: 0, or either sign at any magnitude the schema's floats reach
-PARAMETER = st.just(0.0) | st.tuples(st.sampled_from([-1.0, 1.0]),
-                                      log_uniform(1e-300, 1e300)).map(lambda p: p[0] * p[1])
+# m 2**e over [5e-324, 1.7976931348623157e308], log-uniform in base 2; ldexp of a
+# mantissa below 1 never overflows, as 10.0 ** log10(max) does
+MAGNITUDE = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                      st.integers(-1073, 1024))
+# a parameter, t or amplitude: 0, or either sign at any magnitude a float reaches
+SIGNED = st.just(0.0) | st.tuples(st.sampled_from([-1.0, 1.0]),
+                                   MAGNITUDE).map(lambda p: p[0] * p[1])
 
 
 def sweep(values):
@@ -61,17 +68,23 @@ def documents(draw):
     model = draw(st.sampled_from(sorted(MODEL_MECHANISMS)))
     mechanism = draw(st.sampled_from(MODEL_MECHANISMS[model]))
     mech = MECHANISMS[mechanism]
-    parameters = {name: draw(PARAMETER) for name in model_defaults(MODEL_REGISTRY[model])}
+    parameters = {name: draw(SIGNED) for name in model_defaults(MODEL_REGISTRY[model])}
     outputs = draw(st.lists(st.sampled_from(mech.outputs), min_size=1, unique=True))
-    schedule = {"t": draw(log_uniform(5e-324, 1e300)), "samples": draw(st.integers(2, 64))}
+    schedule = {"t": draw(SIGNED), "samples": draw(st.integers(2, 64))}
     if mech.key == "N":
         series = mechanism == "projective" and set(outputs) & set(SERIES_OUTPUTS)
         schedule["N"] = draw(sweep(st.integers(
             1, PROJECTIVE_SERIES_MAX_N if series else 2**63 - 1)))
     elif mech.key == "K":
         schedule["K"] = draw(sweep(st.just(0.0) | log_uniform(1e-3, 1e300)))
-    return {"name": "fuzz", "model": {"name": model, "parameters": parameters},
-            "mechanism": mechanism, "schedule": schedule, "outputs": outputs}
+    doc = {"name": "fuzz", "model": {"name": model, "parameters": parameters},
+           "mechanism": mechanism, "schedule": schedule, "outputs": outputs}
+    if mechanism != "decay-sweep" and draw(st.booleans()):
+        dim = MODEL_REGISTRY[model]().dim
+        doc["initial_state"] = draw(st.sampled_from("abcM"[:dim])
+                                    | st.lists(st.lists(SIGNED, min_size=2, max_size=2),
+                                               min_size=dim, max_size=dim))
+    return doc
 
 
 @pytest.fixture

@@ -133,7 +133,8 @@ class TestEvolutionRecord:
             assert np.array_equal(other.final_state, stack[-1])
         states = rec.states[:-1] + (rec.states[-1] * 2.0,)
         replaced = dataclasses.replace(rec, states=states)
-        assert replaced.states is states and replaced.final_state is states[-1]
+        self._assert_rows(replaced.states, np.array(states))  # stacked once, read as rows
+        assert np.array_equal(replaced.final_state, states[-1])
         assert replaced.trace_corrections == rec.trace_corrections
         with pytest.raises(AttributeError, match="no attribute 'missing'"):
             rec.missing

@@ -87,6 +87,14 @@ class TestEigh:
         with pytest.raises(DimensionMismatch):
             eigh(np.zeros((2, 3)))
 
+    def test_entries_near_the_float_limit_not_overflowed(self):
+        # the Hermitian part halves each entry before adding: (1e308 + 1e308)/2 is 1e308
+        w, v = eigh(np.diag([1e308, -1e308]))
+        assert w.tolist() == [-1e308, 1e308]
+        assert np.array_equal(np.abs(v), [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(InvalidState, match="negative eigenvalue -1.000e"):
+            check_density_matrix(np.array([[0.5, 1e308], [1e308, 0.5]]))
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_reconstruction(self, seed):
@@ -376,6 +384,15 @@ class TestStateChecks:
             check_state_vector(bad)
         with pytest.raises(InvalidState):
             check_density_matrix(np.outer(bad, bad.conj()))
+
+    @pytest.mark.parametrize("subnormalized", [False, True])
+    def test_norm_past_the_float_range_refused_not_warned(self, subnormalized):
+        # the norm is taken of psi / max|psi_i|: ||psi||² would overflow
+        with pytest.raises(InvalidState, match=r"norm 1\.41421\d*e\+200, expected"):
+            check_state_vector([1e200, 1e200j, 0.0, 0.0], subnormalized=subnormalized)
+        for psi in ([1.7e308, 1.7e308], [1.7e308 + 1.7e308j, 0.0]):  # |psi_0| is inf
+            with pytest.raises(InvalidState, match=r"norm inf, expected"):
+                check_state_vector(psi, subnormalized=subnormalized)
 
     def test_subnormalized_allowed_for_decay(self):
         psi = np.array([0.5, 0.5], dtype=complex)

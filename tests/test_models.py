@@ -1,5 +1,7 @@
 import dataclasses
 import inspect
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -208,6 +210,14 @@ class TestDecayModel:
             b = decay_model(tau_z=tau_z, gamma=gamma)
             assert b.H[2, 2].real == 0.0
             assert b.H[2, 2].imag == pytest.approx(-width, rel=1e-15)
+
+    @pytest.mark.parametrize("tau_z, gamma", [(1e10, 1e-320), (1e-165, 1e300), (3.0, 7e-5)])
+    def test_width_within_two_ulps_of_the_exact_quotient(self, tau_z, gamma):
+        # 1/gamma overflows at gamma = 1e-320, yet 2/(tau_z**2 gamma) is 2.00002e300;
+        # three roundings of the mantissas (each exact power of two apart) cost 2 ulps
+        exact = float(2 / (Fraction(tau_z) ** 2 * Fraction(gamma)))
+        width = -decay_model(tau_z=tau_z, gamma=gamma).H[2, 2].imag
+        assert abs(width - exact) <= 2 * math.ulp(exact)
 
 
 class TestModelBundle:

@@ -58,3 +58,9 @@ def test_exponentials_written_only_in_phases_and_kick_matrices():
     in the Cayley rotation of ``linalg._cayley_eig`` and in the builders' kick matrices."""
     assert {name: source.count("np.exp(") for name, source in SOURCES.items()
             if "np.exp(" in source} == {"linalg.py": 2, "models.py": 3}
+
+
+def test_hermitian_part_written_once():
+    """Every (m + m†)/2 is ``linalg._hermitian_part``, which halves each term before it
+    adds: no module writes ``0.5 * (``, a sum that overflows before it is halved."""
+    assert [name for name, source in SOURCES.items() if "0.5 * (" in source] == []

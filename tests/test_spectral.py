@@ -210,6 +210,15 @@ class TestProjectionsOfHermitian:
         res = projections_of_hermitian(np.diag([0.0, 1e-12, 5.0]).astype(complex))
         assert res.ranks == (2, 1)
 
+    def test_cluster_label_near_the_float_limit(self):
+        # the label is the first value plus the mean offset: -1e308 - 1e308 would overflow
+        res = projections_of_hermitian(np.diag([-1e308, -1e308, 0.0]).astype(complex))
+        assert res.labels == (-1e308, 0.0)
+        assert res.ranks == (2, 1)
+        # the gaps are taken of the halved values: 1e308 - (-1e308) would overflow
+        res = projections_of_hermitian(np.diag([-1e308, 1e308]).astype(complex))
+        assert res.labels == (-1e308, 1e308)
+
     def test_ambiguous_gap_raises(self):
         with pytest.raises(DegenerateClustering):
             projections_of_hermitian(np.diag([0.0, 1.2e-8, 1.0]).astype(complex))
@@ -376,6 +385,11 @@ class TestZenoHamiltonian:
         expect = np.zeros((4, 4), dtype=complex)
         expect[0, 1] = expect[1, 0] = 1.0
         assert frobenius(hz - expect) <= 1e-12
+
+    def test_entries_near_the_float_limit_not_overflowed(self):
+        h = np.diag([1.5e308, -1.5e308]).astype(complex)
+        res = ResolutionOfIdentity([np.eye(2, dtype=complex)], [0.0])
+        assert np.array_equal(zeno_hamiltonian(h, res), h)
 
     def test_trivial_resolution_returns_h(self):
         rng = np.random.default_rng(3)
