@@ -9,8 +9,9 @@ K grows, so the best possible improvement over free decay is the factor
 """
 
 import argparse
+import sys
 
-from zenosim import decay_protection_sweep
+from zenosim import ZenosimError, decay_model, decay_protection_sweep
 
 
 def main() -> int:
@@ -28,9 +29,14 @@ def main() -> int:
                         help="survival level that counts as protected")
     args = parser.parse_args()
 
-    result = decay_protection_sweep(
-        omega1=args.omega1, tau_z=args.tau_z, gamma=args.gamma, omega_b=0.0,
-        k_values=args.couplings, t=args.t, threshold=args.threshold)
+    try:  # a refused parameter or computation is one line, not a traceback
+        model = decay_model(omega1=args.omega1, tau_z=args.tau_z, gamma=args.gamma)
+        result = decay_protection_sweep(
+            omega1=args.omega1, tau_z=args.tau_z, gamma=args.gamma, omega_b=0.0,
+            k_values=args.couplings, t=args.t, threshold=args.threshold)
+    except ZenosimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     print(f"survival of |b> at t={args.t:g} "
           f"(tau_Z={args.tau_z:g}, gamma={args.gamma:g}):")
@@ -41,7 +47,7 @@ def main() -> int:
     else:
         print(f"smallest protective K (survival >= {result.threshold:g}): "
               f"{result.protective_coupling:g}")
-    width = 2.0 / (args.tau_z ** 2 * args.gamma)
+    width = -model.H[2, 2].imag  # the model's own, computed without under- or overflow
     print(f"continuum half-width 2/(tau_Z^2 gamma) = {width:g}; "
           f"protection needs K above it")
     return 0

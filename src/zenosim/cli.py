@@ -7,11 +7,11 @@ Subcommands:
 
 Exit codes: 0 success, 2 schema error, 3 numeric failure, 4 I/O error.
 
-Output formats are part of the stable contract: CSV series with a header row
-and floats printed to 17 significant digits (lossless double round-trip),
-and matrix dumps with a "dim N" header followed by N rows of N
-space-separated "re,im" pairs.  Identical config and version produce
-byte-identical files.
+Output formats are part of the stable contract: CSV files with a header row,
+integer columns printed as integers and every other cell to 17 significant
+digits (lossless double round-trip), and matrix dumps with a "dim N" header
+followed by N rows of N space-separated "re,im" pairs.  Identical config and
+version produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -49,8 +49,15 @@ def _matrix_lines(m: np.ndarray) -> list[str]:
     return lines
 
 
+def _csv_lines(columns: dict[str, np.ndarray]) -> list[str]:
+    """The header row, then a row per entry: integer dtypes as integers, the rest by _fmt."""
+    cells = [map(str if np.issubdtype(np.asarray(c).dtype, np.integer) else _fmt, c)
+             for c in columns.values()]
+    return [",".join(columns), *map(",".join, zip(*cells))]
+
+
 def _series_lines(record, res, outputs) -> list[str]:
-    """One row per sample; integer times_or_steps (kick counts) print as steps."""
+    """One row per sample; integer times_or_steps (kick counts) head a "step" column."""
     obs = observables(record, res)
     stepped = np.issubdtype(record.times_or_steps.dtype, np.integer)
     columns = {"step" if stepped else "t": record.times_or_steps}  # header -> column
@@ -61,18 +68,7 @@ def _series_lines(record, res, outputs) -> list[str]:
     if "coherence" in outputs:
         columns |= {f"coh_{n + 1}_{m + 1}": c
                     for (n, m), c in sorted(obs.coherence_blocks.items())}
-    lines = [",".join(columns)]
-    for x, *values in zip(*columns.values()):
-        lines.append(",".join([str(int(x)) if stepped else _fmt(x), *map(_fmt, values)]))
-    return lines
-
-
-def _curve_lines(curve) -> list[str]:
-    lines = [f"{curve.parameter_name},distance"]
-    for p, d in zip(curve.parameter_values, curve.distances):
-        first = str(int(p)) if curve.parameter_name == "N" else _fmt(p)
-        lines.append(f"{first},{_fmt(d)}")
-    return lines
+    return _csv_lines(columns)
 
 
 def run_scenario(config: ScenarioConfig, output_dir: str | Path = ".",
@@ -100,7 +96,8 @@ def run_scenario(config: ScenarioConfig, output_dir: str | Path = ".",
 
     if "convergence" in config.outputs:
         curve = mech.curve(bundle, psi0, config.t, config.values)
-        files[f"{base}_convergence.csv"] = _curve_lines(curve)
+        files[f"{base}_convergence.csv"] = _csv_lines(
+            {curve.parameter_name: curve.parameter_values, "distance": curve.distances})
         if curve.exact:
             notes.append("convergence: exact (distances at roundoff)")
         else:
@@ -114,9 +111,8 @@ def run_scenario(config: ScenarioConfig, output_dir: str | Path = ".",
 
     if "survival" in config.outputs:
         result = mech.survival(config)
-        lines = ["K,survival"]
-        lines += [f"{_fmt(k)},{_fmt(s)}" for k, s in result.points]
-        files[f"{base}_survival.csv"] = lines
+        files[f"{base}_survival.csv"] = _csv_lines(
+            {"K": result.couplings, "survival": result.survivals})
         if result.protective_coupling is None:
             notes.append(f"no K in the sweep reaches survival >= {result.threshold}")
         else:

@@ -92,11 +92,21 @@ def opnorm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def _scaled(a: np.ndarray):
+    """(a / s, s), s the largest of 1 and each |Re a_ij| and |Im a_ij| of a matrix, or (B,)
+    of each in a stack: no |a_ij / s| passes √2, so no norm or trace overflows (|a_ij| may)."""
+    s = np.maximum(abs(a.real), abs(a.imag)).max(axis=(-2, -1), initial=1.0)
+    return a / s[..., None, None], s
+
+
+def _asymmetry(b: np.ndarray, s):
+    """``hermiticity_defect`` of s b, taken from b = a / s and s as ``_scaled`` gives them."""
+    return _norms(b - dagger(b)) / np.maximum(1.0 / s, _norms(b))
+
+
 def hermiticity_defect(a: np.ndarray):
     """Relative asymmetry ||A - A†|| / max(1, ||A||), Frobenius; (B,) for a stack."""
-    s = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))  # A / s: no norm overflows
-    b = a / s[..., None, None]
-    return _norms(b - dagger(b)) / np.maximum(1.0 / s, _norms(b))
+    return _asymmetry(*_scaled(a))
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -295,9 +305,8 @@ def check_state_vector(psi, dim: int | None = None, *,
         raise DimensionMismatch(f"state vector has length {v.shape[0]}, expected {dim}")
     if not np.all(np.isfinite(v)):
         raise InvalidState("state vector contains non-finite entries")
-    # v / s, s the largest |Re| or |Im| (|psi_i| may overflow): no norm overflows
-    s = max(1.0, float(np.abs(np.concatenate([v.real, v.imag])).max(initial=0.0)))
-    n = s * float(np.linalg.norm(v / s))
+    b, s = _scaled(v[None])  # no norm of b overflows, though |psi_i| may
+    n = float(s) * float(np.linalg.norm(b))
     if subnormalized:
         if not (0.0 < n <= 1.0 + TRACE_TOL):
             raise InvalidState(f"subnormalized state has norm {n:.6e}, expected in (0, 1]")
@@ -311,9 +320,10 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     m = as_square_matrix(rho, "density matrix")
     if dim is not None and m.shape[0] != dim:
         raise DimensionMismatch(f"density matrix is {m.shape[0]}-dim, expected {dim}")
-    if not hermiticity_defect(m) <= HERMITICITY_TOL:
+    b, s = _scaled(m)
+    if not _asymmetry(b, s) <= HERMITICITY_TOL:
         raise InvalidState("density matrix is not Hermitian")
-    tr = complex(np.trace(m))
+    tr = float(s) * complex(np.trace(b))  # Python arithmetic: a trace past the range is inf
     if abs(tr - 1.0) > TRACE_TOL * 10:
         raise InvalidState(f"density matrix has trace {tr:.12e}, expected 1")
     w = np.linalg.eigvalsh(_hermitian_part(m))

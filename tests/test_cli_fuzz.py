@@ -8,11 +8,13 @@
    the engines let a normalised state's squared norm miss 1.
 
 Documents use every shipped model under each mechanism it allows.  Each of its
-parameters, t, and each real and imaginary amplitude of an initial state is 0 or of
-either sign with any float magnitude, subnormals and the largest float included.  Half
-of them name an initial state (not decay-sweep, which starts from |b>), as a basis
-label or an amplitude list.  K is in {0} or [1e-3, 1e300], N in [1, 2**63), at most 64
-samples and any non-empty subset of the mechanism's outputs.
+parameters and each real and imaginary amplitude of an initial state is 0 or of either
+sign with any float magnitude, subnormals and the largest float included.  t takes any
+magnitude too but is mostly positive, so a document whose model builds mostly reaches
+the run.  Half of them name an initial state (not decay-sweep, which starts from |b>),
+as a basis label, an amplitude list, or an amplitude list scaled to norm 1.  K is in
+{0} or [1e-3, 1e300], N in [1, 2**63), at most 64 samples and any non-empty subset of
+the mechanism's outputs.
 ``cli.main`` runs in process; a numpy RuntimeWarning fails the test (pyproject).
 """
 
@@ -54,9 +56,23 @@ def log_uniform(lo: float, hi: float):
 # mantissa below 1 never overflows, as 10.0 ** log10(max) does
 MAGNITUDE = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
                       st.integers(-1073, 1024))
-# a parameter, t or amplitude: 0, or either sign at any magnitude a float reaches
+# a parameter or amplitude: 0, or either sign at any magnitude a float reaches
 SIGNED = st.just(0.0) | st.tuples(st.sampled_from([-1.0, 1.0]),
                                    MAGNITUDE).map(lambda p: p[0] * p[1])
+# t: positive at any magnitude, or else 0 or negative (refused)
+T = st.tuples(st.sampled_from([1.0, 1.0, 1.0, 0.0, -1.0]),
+              MAGNITUDE).map(lambda p: p[0] * p[1])
+
+
+def unit_amplitudes(dim: int):
+    """``dim`` [re, im] pairs of SIGNED values scaled to norm 1 (|a> if all are 0):
+    divided by the largest magnitude, then by the norm of those quotients, so no step
+    overflows and the state passes the run's normalisation check."""
+    def unit(xs):
+        xs = [x / max(map(abs, xs)) for x in xs] if any(xs) else [1.0, *xs[1:]]
+        n = math.hypot(*xs)
+        return [[re / n, im / n] for re, im in zip(xs[::2], xs[1::2])]
+    return st.lists(SIGNED, min_size=2 * dim, max_size=2 * dim).map(unit)
 
 
 def sweep(values):
@@ -70,7 +86,7 @@ def documents(draw):
     mech = MECHANISMS[mechanism]
     parameters = {name: draw(SIGNED) for name in model_defaults(MODEL_REGISTRY[model])}
     outputs = draw(st.lists(st.sampled_from(mech.outputs), min_size=1, unique=True))
-    schedule = {"t": draw(SIGNED), "samples": draw(st.integers(2, 64))}
+    schedule = {"t": draw(T), "samples": draw(st.integers(2, 64))}
     if mech.key == "N":
         series = mechanism == "projective" and set(outputs) & set(SERIES_OUTPUTS)
         schedule["N"] = draw(sweep(st.integers(
@@ -83,7 +99,8 @@ def documents(draw):
         dim = MODEL_REGISTRY[model]().dim
         doc["initial_state"] = draw(st.sampled_from("abcM"[:dim])
                                     | st.lists(st.lists(SIGNED, min_size=2, max_size=2),
-                                               min_size=dim, max_size=dim))
+                                               min_size=dim, max_size=dim)
+                                    | unit_amplitudes(dim))
     return doc
 
 

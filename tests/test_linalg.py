@@ -87,6 +87,13 @@ class TestEigh:
         with pytest.raises(DimensionMismatch):
             eigh(np.zeros((2, 3)))
 
+    def test_complex_entry_past_the_float_range_refused_not_warned(self):
+        # |1.7e308 (1 + i)| is inf: the defect is taken of A / s, s its largest |Re| or |Im|
+        big = np.array([[1.7e308 + 1.7e308j, 0], [0, 0]])
+        assert hermiticity_defect(big) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        with pytest.raises(NotHermitian, match="relative asymmetry 1.414e"):
+            require_hermitian(big)
+
     def test_entries_near_the_float_limit_not_overflowed(self):
         # the Hermitian part halves each entry before adding: (1e308 + 1e308)/2 is 1e308
         w, v = eigh(np.diag([1e308, -1e308]))
@@ -409,6 +416,13 @@ class TestStateChecks:
             check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
         with pytest.raises(InvalidState):
             check_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
+
+    def test_trace_past_the_float_range_refused_not_warned(self):
+        # tr = 2e308 is inf: it is taken of rho / s, s the largest |Re| or |Im| of an entry
+        with pytest.raises(InvalidState, match="trace inf"):
+            check_density_matrix(np.diag([1e308, 1e308]).astype(complex))
+        with pytest.raises(InvalidState, match=r"trace 1\.000000000000e\+308"):
+            check_density_matrix(np.diag([1e308, 0.0]).astype(complex))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

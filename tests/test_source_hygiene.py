@@ -64,3 +64,16 @@ def test_hermitian_part_written_once():
     """Every (m + m†)/2 is ``linalg._hermitian_part``, which halves each term before it
     adds: no module writes ``0.5 * (``, a sum that overflows before it is halved."""
     assert [name for name, source in SOURCES.items() if "0.5 * (" in source] == []
+
+
+def _csv_joins(node) -> int:
+    return sum(isinstance(n, ast.Attribute) and n.attr == "join"
+               and isinstance(n.value, ast.Constant) and n.value.value == ","
+               for n in ast.walk(node))
+
+
+def test_csv_cells_joined_in_one_writer():
+    """Every CSV line ``zenosim run`` writes comes from ``cli._csv_lines``: no other code
+    in ``cli.py`` joins cells with ``",".join``, so a second writer cannot come back."""
+    assert [getattr(node, "name", "module level") for node in TREES["cli.py"].body
+            if _csv_joins(node)] == ["_csv_lines"]
