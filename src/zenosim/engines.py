@@ -217,7 +217,7 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
     rho = states[0] = pinch(rho, res)  # step 0 is always a checkpoint
     for i in range(1, len(keep)):
         for k in range(keep[i - 1] + 1, keep[i] + 1):
-            rho = pinch((uu @ rho.reshape(-1)).reshape(rho.shape), res)
+            rho = pinch(uu.dot(rho.reshape(-1)).reshape(rho.shape), res)
             if k % _RENORM_INTERVAL == 0:
                 tr = float(np.trace(rho).real)
                 if abs(tr - 1.0) > TRACE_DRIFT:

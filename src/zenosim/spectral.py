@@ -219,7 +219,7 @@ def pinch(x, res: ResolutionOfIdentity) -> np.ndarray:
     if m.shape[0] != res.dim:
         raise DimensionMismatch(
             f"pinch input is {m.shape[0]}-dim, resolution is {res.dim}-dim")
-    return (res.pinching @ m.reshape(-1)).reshape(m.shape)
+    return res.pinching.dot(m.reshape(-1)).reshape(m.shape)
 
 
 def zeno_hamiltonian(h, res: ResolutionOfIdentity) -> np.ndarray:

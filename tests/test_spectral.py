@@ -11,6 +11,7 @@ from conftest import (
     random_two_block_resolution,
     random_unitary,
 )
+from zenosim.engines import evolve_projective
 from zenosim.errors import (
     DegenerateClustering,
     DimensionMismatch,
@@ -19,6 +20,7 @@ from zenosim.errors import (
     NotUnitary,
 )
 from zenosim.linalg import expm, frobenius, propagator, unitary_eig
+from zenosim.models import three_level_projective
 from zenosim.spectral import (
     PROJECTOR_TOL,
     ResolutionOfIdentity,
@@ -354,6 +356,36 @@ class TestPinch:
             pinch(x, res)
         with pytest.raises(DimensionMismatch, match=f"{d + 1}-dim, resolution is {d}-dim"):
             pinch(np.eye(d + 1), res)
+
+    @pytest.mark.parametrize("layout", [
+        lambda x, big: x.T,  # transposed view
+        lambda x, big: np.asfortranarray(x),
+        lambda x, big: big[1::2, ::2],  # strided slice, copied by reshape(-1)
+        lambda x, big: big[:3, ::2],  # rows as far apart as columns: a strided 1-D view
+        lambda x, big: x.real,
+        lambda x, big: x.tolist(),
+    ], ids=["transposed", "fortran", "strided", "uniform-stride", "real", "list"])
+    def test_layout_does_not_change_a_bit(self, layout):
+        """Any memory layout, dtype or nesting of one matrix pinches to the same bits."""
+        rng = np.random.default_rng(7)
+        big = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        x = layout(big[:3, :3].copy(), big)
+        assert np.array_equal(pinch(x, two_block()),
+                              pinch(np.ascontiguousarray(x, dtype=complex), two_block()))
+
+    @pytest.mark.parametrize("psi", [[0.6, 0.0, 0.8], [0.6, 0.48j, 0.64]],
+                             ids=["real", "complex"])
+    def test_projective_run_does_not_depend_on_the_initial_layout(self, psi):
+        """rho0 as a transposed view, a list or a real array runs as its complex copy."""
+        model = three_level_projective()
+        psi = np.array(psi)
+        rho = 0.9 * np.outer(psi, psi.conj()) + 0.1 * np.diag([0.2, 0.5, 0.3])  # mixed
+        forms = (rho.T.copy().T, rho.tolist(), rho)  # a transposed view of rho first
+        assert not forms[0].flags.c_contiguous
+        ref = evolve_projective(rho.astype(complex), model.H, model.res, 1.3, 257, 9)._stack
+        for form in forms:
+            run = evolve_projective(form, model.H, model.res, 1.3, 257, 9)._stack
+            assert np.array_equal(run, ref)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
