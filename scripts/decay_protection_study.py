@@ -47,7 +47,7 @@ def main() -> int:
     else:
         print(f"smallest protective K (survival >= {result.threshold:g}): "
               f"{result.protective_coupling:g}")
-    width = -model.H[2, 2].imag  # the model's own, computed without under- or overflow
+    width = -model.H[2, 2].imag  # the model's own
     print(f"continuum half-width 2/(tau_Z^2 gamma) = {width:g}; "
           f"protection needs K above it")
     return 0

@@ -264,7 +264,7 @@ def _validate_schedule(doc, mechanism, err: list):
         as_value, check = {
             "N": (lambda v: v if isinstance(v, int) and _number(v) is not None else None,
                   engines._check_counts),
-            "K": (_number, lambda ks: engines._check_coupling(ks, 1, t or 1.0))}[key]
+            "K": (_number, engines._check_coupling)}[key]
         path, raw = f"schedule.{key}", sched[key]
         vals = [as_value(v) for v in (raw if isinstance(raw, list) else [raw])]
         if None in vals:

@@ -29,6 +29,9 @@ UNITARITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 # magnitude of negative eigenvalues tolerated in a density matrix
 POSITIVITY_TOL = 1e-10
+# the magnitude domain: every scalar input (t, K, a model parameter) is 0 or of magnitude
+# in [1 / MAGNITUDE_BOUND, MAGNITUDE_BOUND], and every matrix of Frobenius norm at most it
+MAGNITUDE_BOUND = 3.402823669209385e38  # 2**128
 # largest growth exponent Re(-i w x) of a spectral phase: log(1/eps), about 36.04
 _MAX_GAIN = -math.log(np.finfo(float).eps)
 # largest ‖V‖_F ‖V⁻¹‖_F >= cond₂(V) nonhermitian_evolution accepts, so its roundoff,
@@ -54,14 +57,19 @@ __all__ = [
 ]
 
 
+def _in_domain(x) -> bool:
+    """Whether a scalar input is 0 or of magnitude in [2**-128, 2**128]; NaN is not."""
+    return x == 0 or 1.0 / MAGNITUDE_BOUND <= abs(x) <= MAGNITUDE_BOUND
+
+
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex128 array, rejecting non-finite entries."""
+    """Coerce to a square complex128 array; refuse it unless finite with ‖m‖_F <= 2**128."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
-    # a finite sum of |m_ij|² clears every entry; else (inf, NaN or overflow) look
-    if not math.isfinite(np.vdot(m, m).real) and not np.isfinite(m).all():
-        raise InvalidParameter(f"{name} contains non-finite entries")
+    if not np.vdot(m, m).real <= MAGNITUDE_BOUND * MAGNITUDE_BOUND:  # NaN fails
+        raise InvalidParameter(f"{name} contains non-finite entries" if not np.isfinite(m).all()
+                               else f"{name} has Frobenius norm past 2**128")
     return m
 
 
@@ -92,21 +100,9 @@ def opnorm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _scaled(a: np.ndarray):
-    """(a / s, s), s the largest of 1 and each |Re a_ij| and |Im a_ij| of a matrix, or (B,)
-    of each in a stack: no |a_ij / s| passes √2, so no norm or trace overflows (|a_ij| may)."""
-    s = np.maximum(abs(a.real), abs(a.imag)).max(axis=(-2, -1), initial=1.0)
-    return a / s[..., None, None], s
-
-
-def _asymmetry(b: np.ndarray, s):
-    """``hermiticity_defect`` of s b, taken from b = a / s and s as ``_scaled`` gives them."""
-    return _norms(b - dagger(b)) / np.maximum(1.0 / s, _norms(b))
-
-
 def hermiticity_defect(a: np.ndarray):
     """Relative asymmetry ||A - A†|| / max(1, ||A||), Frobenius; (B,) for a stack."""
-    return _asymmetry(*_scaled(a))
+    return _norms(a - dagger(a)) / np.maximum(1.0, _norms(a))
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -201,7 +197,7 @@ def hermitian_evolution(h):
     """Validate and eigendecompose Hermitian h once; return t -> exp(-i h t).
 
     Every evaluation is V exp(-i w t) V†, exactly unitary up to roundoff for
-    any real t, so sampling many times costs one eigh.  The returned
+    any |t| <= 2**256, so sampling many times costs one eigh.  The returned
     evaluator's ``states(ts, state)`` evolves one state to many times.
     """
     return _SpectralEvaluator(*eigh(h))
@@ -235,17 +231,13 @@ def _lift(u: np.ndarray) -> np.ndarray:
 
 
 def _phases(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """e^{-i w x}, refused where w·x or its exp overflows or is NaN, or where |e| passes
-    1/eps, which lifts the roundoff along an eigenvector above the state (real w: |e| = 1)."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):  # numpy's flags, not a warning
-            z = -1j * w * x
-            e = np.exp(z)
-        if w.dtype.kind == "c" and not z.real.max() <= _MAX_GAIN:
-            raise FloatingPointError(f"growth exponent {z.real.max():.3e} passes 1/eps")
-    except FloatingPointError as exc:
-        raise ConvergenceFailure(f"spectral phase exp(-i w x): {exc}") from None
-    return e
+    """e^{-i w x}, refused where |e| passes 1/eps, which lifts the roundoff along an
+    eigenvector above the state (real w: |e| = 1), or where the exponent is NaN."""
+    z = -1j * w * x
+    if w.dtype.kind == "c" and not z.real.max() <= _MAX_GAIN:
+        raise ConvergenceFailure(f"spectral phase exp(-i w x): growth exponent "
+                                 f"{z.real.max():.3e} passes 1/eps")
+    return np.exp(z)
 
 
 class _SpectralEvaluator:
@@ -253,7 +245,7 @@ class _SpectralEvaluator:
 
     An array x (B,) gives the stack (B, d, d) of u(x[b]).  So does a batch axis,
     w (B, d) and v, v⁻¹ (B, d, d): slice b is a generator of its own.  Every phase
-    passes ``_phases``, so an overflowing one raises ConvergenceFailure, never a NaN.
+    passes ``_phases``, so one that grows past 1/eps raises ConvergenceFailure.
     """
 
     def __init__(self, w: np.ndarray, v: np.ndarray, v_inv=None, ok=True):
@@ -280,12 +272,12 @@ class _SpectralEvaluator:
 
 
 def propagator(h, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h and finite t, exactly unitary up to roundoff.
+    """exp(-i h t) for Hermitian h and |t| <= 2**256, exactly unitary up to roundoff.
 
     A stack h (B, d, d) or an array t (B,) gives a stack (B, d, d).
     """
-    if not (-np.inf < t < np.inf if np.isscalar(t) else np.isfinite(t).all()):
-        raise InvalidParameter(f"t must be finite, got {t!r}")
+    if not np.all(np.abs(t) <= MAGNITUDE_BOUND * MAGNITUDE_BOUND):  # NaN fails
+        raise InvalidParameter(f"t must be finite and of magnitude at most 2**256, got {t!r}")
     return hermitian_evolution(h)(t)
 
 
@@ -305,12 +297,11 @@ def check_state_vector(psi, dim: int | None = None, *,
         raise DimensionMismatch(f"state vector has length {v.shape[0]}, expected {dim}")
     if not np.all(np.isfinite(v)):
         raise InvalidState("state vector contains non-finite entries")
-    b, s = _scaled(v[None])  # no norm of b overflows, though |psi_i| may
-    n = float(s) * float(np.linalg.norm(b))
+    n = float(np.sqrt(np.vdot(v, v).real))  # one BLAS sum: inf or NaN past 2**512, no warning
     if subnormalized:
         if not (0.0 < n <= 1.0 + TRACE_TOL):
             raise InvalidState(f"subnormalized state has norm {n:.6e}, expected in (0, 1]")
-    elif abs(n * n - 1.0) > TRACE_TOL * 10:
+    elif not abs(n * n - 1.0) <= TRACE_TOL * 10:  # NaN fails
         raise InvalidState(f"state vector has norm {n:.12e}, expected 1")
     return v
 
@@ -320,10 +311,9 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     m = as_square_matrix(rho, "density matrix")
     if dim is not None and m.shape[0] != dim:
         raise DimensionMismatch(f"density matrix is {m.shape[0]}-dim, expected {dim}")
-    b, s = _scaled(m)
-    if not _asymmetry(b, s) <= HERMITICITY_TOL:
+    if not hermiticity_defect(m) <= HERMITICITY_TOL:
         raise InvalidState("density matrix is not Hermitian")
-    tr = float(s) * complex(np.trace(b))  # Python arithmetic: a trace past the range is inf
+    tr = complex(np.trace(m))
     if abs(tr - 1.0) > TRACE_TOL * 10:
         raise InvalidState(f"density matrix has trace {tr:.12e}, expected 1")
     w = np.linalg.eigvalsh(_hermitian_part(m))

@@ -16,7 +16,6 @@ K * H_c.  The decay variant replaces |c> with a continuum level of width
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (
     InvalidParameter,
 )
 from .engines import _check_coupling
-from .linalg import as_square_matrix, require_hermitian
+from .linalg import _in_domain, as_square_matrix, require_hermitian
 from .spectral import (
     ResolutionOfIdentity,
     projections_of_hermitian,
@@ -100,11 +99,11 @@ class ModelBundle:
 
 
 def _check_finite(params: dict, positive: tuple[str, ...] = ()) -> None:
-    """Refuse a non-finite parameter, or a non-positive one named in ``positive``."""
+    """Refuse a parameter out of the magnitude domain, or a non-positive one in ``positive``."""
     for name, x in params.items():
-        if not (-np.inf < x < np.inf and (x > 0 or name not in positive)):
-            raise InvalidParameter(f"{name} must be finite"
-                                   f"{' and positive' * (name in positive)}, got {x!r}")
+        if not (_in_domain(x) and (x > 0 or name not in positive)):
+            raise InvalidParameter(f"{name} must be finite{' and positive' * (name in positive)}"
+                                   f", with magnitude 0 or in [2**-128, 2**128], got {x!r}")
 
 
 def _chain_hamiltonian(omega1: float, omega2: float, dim: int) -> np.ndarray:
@@ -221,19 +220,11 @@ def decay_model(omega1: float = 0.0, tau_z: float = 1.0, gamma: float = 0.1,
     our interpretation: ``omega_b`` sits on the |b> diagonal, H[1, 1].
     """
     _check_finite(locals(), positive=("tau_z", "gamma"))
-    (mt, et), (mg, eg) = math.frexp(tau_z), math.frexp(gamma)
-    try:  # mantissas and exponents apart: no tau_z**2 or 1/gamma to under- or overflow
-        width = math.ldexp(2.0 / (mt * mt * mg), -2 * et - eg)
-    except OverflowError:
-        width = math.inf
-    if not np.finfo(float).tiny <= width < np.inf:
-        raise InvalidParameter(f"continuum width 2/(tau_z**2 gamma) must be a normal "
-                               f"float, got {width!r} at tau_z = {tau_z!r}, gamma = {gamma!r}")
     h = np.zeros((4, 4), dtype=complex)
     h[0, 1] = h[1, 0] = omega1
     h[1, 1] = omega_b
     h[1, 2] = h[2, 1] = 1.0 / tau_z
-    h[2, 2] = -1j * width
+    h[2, 2] = -1j * (2.0 / (tau_z * tau_z * gamma))  # the continuum half-width
     h_c = np.zeros((4, 4), dtype=complex)
     h_c[2, 3] = h_c[3, 2] = 1.0
     return ModelBundle(H=h, H_c=h_c, K=float(coupling), non_hermitian=True)

@@ -22,6 +22,7 @@ from .errors import (
     InvalidParameter,
 )
 from .linalg import (
+    MAGNITUDE_BOUND,
     _hermitian_part,
     _norms,
     as_square_matrix,
@@ -60,8 +61,8 @@ class ResolutionOfIdentity:
     order.  It refuses a family that is not a resolution with InvalidParameter,
     naming the first invariant that fails: each P_n Hermitian and idempotent,
     distinct P_n mutually orthogonal, the family summing to the identity
-    (each to PROJECTOR_TOL, Frobenius), and labels finite and pairwise
-    further apart than CLUSTER_WIDTH.
+    (each to PROJECTOR_TOL, Frobenius), and labels finite, at most 2**128 in
+    magnitude and pairwise further apart than CLUSTER_WIDTH.
     """
 
     projectors: tuple[np.ndarray, ...]
@@ -122,9 +123,9 @@ def _checked_ranks(p: np.ndarray, labels: tuple[float, ...]) -> tuple[int, ...]:
     _refuse_above("completeness", _norms(p.sum(axis=0) - np.eye(dim)), PROJECTOR_TOL,
                   lambda k: "sum_n P_n - I")
     for k, label in enumerate(labels):
-        if not np.isfinite(label):
+        if not abs(label) <= MAGNITUDE_BOUND:  # NaN fails; N or K*t times it stays finite
             raise InvalidParameter(f"not a resolution of identity: label finiteness "
-                                   f"fails for label {k}, value {label}")
+                                   f"fails for label {k}, value {label}, bound 2**128")
     order = sorted(range(n), key=labels.__getitem__)
     for i, j in zip(order, order[1:]):
         if labels[j] - labels[i] <= CLUSTER_WIDTH:
@@ -143,14 +144,14 @@ def _cluster_sorted(values: np.ndarray, width: float) -> list[np.ndarray]:
     2*width] is ambiguous and raises, since nudging the tolerance would
     change the grouping.
     """
-    half = np.diff(0.5 * values)  # half gaps: values spanning ±1e308 overflow no gap
-    ambiguous = (half >= 0.25 * width) & (half <= width)
+    gaps = np.diff(values)
+    ambiguous = (gaps >= 0.5 * width) & (gaps <= 2.0 * width)
     if np.any(ambiguous):
         k = int(np.argmax(ambiguous))
         raise DegenerateClustering(
-            f"eigenvalue gap {2.0 * half[k]:.3e} lies inside the ambiguity band "
+            f"eigenvalue gap {gaps[k]:.3e} lies inside the ambiguity band "
             f"[{0.5 * width:.3e}, {2.0 * width:.3e}] of the clustering tolerance")
-    return np.split(np.arange(len(values)), np.flatnonzero(half > 0.5 * width) + 1)
+    return np.split(np.arange(len(values)), np.flatnonzero(gaps > 2.0 * width) + 1)
 
 
 def _cluster_projectors(values: np.ndarray, vectors: np.ndarray, width: float,
@@ -158,13 +159,12 @@ def _cluster_projectors(values: np.ndarray, vectors: np.ndarray, width: float,
     """One projector per cluster of the ascending values, by ascending label.
 
     Column i of ``vectors`` belongs to values[i]; a cluster is labelled
-    label(mean of its values), taken as its first value plus the mean offset
-    from it, so no sum of values near the float limit overflows.
+    label(mean of its values).
     """
     pairs = []
     for idx in _cluster_sorted(values, width):
-        cols, first = vectors[:, idx], values[idx[0]]
-        pairs.append((label(float(first + (values[idx] - first).mean())), cols @ dagger(cols)))
+        cols = vectors[:, idx]
+        pairs.append((label(float(values[idx].mean())), cols @ dagger(cols)))
     pairs.sort(key=lambda lp: lp[0])
     return ResolutionOfIdentity([p for _, p in pairs], [l for l, _ in pairs])
 

@@ -16,8 +16,10 @@ from zenosim.analysis import observables
 from zenosim.cli import main, run_scenario
 from zenosim.config import (
     MECHANISMS,
+    MODEL_REGISTRY,
     OUTPUT_KINDS,
     SERIES_OUTPUTS,
+    model_defaults,
     parse_config,
     validate_document,
 )
@@ -285,13 +287,14 @@ class TestMain:
         assert "i/o error" in capsys.readouterr().err
 
     def test_numeric_error_exit_three(self, tmp_path, capsys):
-        # t = 1e300 is a valid schedule, but the decaying generator's roundoff-sized gain
-        # overflows its phase there: run refuses the computed phase and writes nothing
+        # t = 1e38 is a valid schedule, but the decaying generator's roundoff-sized gain
+        # passes 1/eps there: run refuses the computed phase and writes nothing
         scenario = str(SCENARIOS / "decay_protection.json")
-        args = [scenario, "--set", "schedule.t=1e300"]
+        args = [scenario, "--set", "schedule.t=1e38"]
         assert main(["validate", *args]) == 0
         assert main(["run", *args, "--output-dir", str(tmp_path / "out")]) == 3
-        assert "numeric error: spectral phase" in capsys.readouterr().err
+        assert "numeric error: spectral phase exp(-i w x): growth exponent " \
+            in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -308,29 +311,34 @@ class TestMain:
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
     @pytest.mark.parametrize("command", ["run", "validate"])
-    @pytest.mark.parametrize("t, ks", [("1e300", "[1e10,1e11,1e12]"),
-                                       ("1e10", "[1e300,1e301,1e302]")])
+    @pytest.mark.parametrize("t, ks, refused", [
+        pytest.param("1e300", "[1e10,1e11,1e12]", "t: t must be finite and positive",
+                     id="1e300-[1e10,1e11,1e12]"),
+        pytest.param("1e10", "[1e300,1e301,1e302]", "K: K must be a finite real >= 0",
+                     id="1e10-[1e300,1e301,1e302]")])
     def test_overflowing_coupling_time_is_a_schema_error(self, tmp_path, capsys,
-                                                         command, t, ks):
-        # the one coupling checker refuses a K*t past the float range, as the run would
+                                                         command, t, ks, refused):
+        # t and each K are refused past 2**128 where they enter, so K*t stays finite
         args = [command, str(SCENARIOS / "continuous_convergence.json"),
                 "--set", f"schedule.t={t}", "--set", f"schedule.K={ks}"]
         out = tmp_path / "out"
         assert main(args + (["--output-dir", str(out)] if command == "run" else [])) == 2
-        assert "schema error at schedule.K: K must be a finite real >= 0 with K*t finite" \
-            in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"schema error at schedule.{refused}, with magnitude ")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("tau_z", ["1e-170", "1e155"], ids=["width-inf", "width-subnormal"])
     def test_continuum_width_past_float_range_is_a_schema_error(self, tmp_path, capsys,
                                                                command, tau_z):
-        # 2/(tau_z**2 gamma) overflows, or falls below the smallest normal float
+        # 2/(tau_z**2 gamma) would overflow, or fall below the smallest normal float: the
+        # builder refuses tau_z itself, outside the magnitude domain
         args = [command, str(SCENARIOS / "decay_protection.json"),
                 "--set", f"model.parameters.tau_z={tau_z}"]
         out = tmp_path / "out"
         assert main(args + (["--output-dir", str(out)] if command == "run" else [])) == 2
-        assert "schema error at model.parameters: continuum width" in capsys.readouterr().err
+        assert "schema error at model.parameters: tau_z must be finite and positive, with " \
+               "magnitude 0 or in [2**-128, 2**128]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -340,28 +348,34 @@ class TestMain:
                 "--set", "schedule.t=5e-324"]
         out = tmp_path / "out"
         assert main(args + (["--output-dir", str(out)] if command == "run" else [])) == 2
-        assert "schema error at schedule.t: t must be finite and at least " \
-               "2.2250738585072014e-308" in capsys.readouterr().err
+        assert "schema error at schedule.t: t must be finite and positive, with magnitude " \
+               "in [2**-128, 2**128], got 5e-324" in capsys.readouterr().err
         assert not out.exists()
 
     def test_overflowing_generator_is_a_numeric_error(self, tmp_path, capsys):
-        # K*t is finite, but K*eta2 = 1e309 overflows H + K*H_c: refused, not warned
+        # K = 2**128 and eta2 = 2 are each in the domain, but H + K*H_c passes the matrix
+        # bound: its decomposition refuses it, and nothing is written
         path = write_config(tmp_path, continuous_doc(
-            model={"name": "simplified-continuous", "parameters": {"eta2": 1e255}},
-            schedule={"t": 1.0, "K": [1e54], "samples": 5}, outputs=["probabilities"]))
+            model={"name": "simplified-continuous", "parameters": {"eta2": 2.0}},
+            schedule={"t": 1.0, "K": [2.0**128], "samples": 5}, outputs=["probabilities"]))
         assert main(["validate", path]) == 0
         assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 3
-        assert "numeric error: H + K*H_c is not finite: overflow" in capsys.readouterr().err
+        assert "numeric error: eigh input has Frobenius norm past 2**128" \
+            in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_hermitian_part_near_the_float_limit_is_a_numeric_error(self, tmp_path, capsys):
-        # (H + H†)/2 halves each entry before adding, so -1e308 stays finite there; the
-        # sector phase then overflows and is refused, and no NaN survival is written
-        args = [str(SCENARIOS / "decay_protection.json"), "--set",
-                "model.parameters.omega_b=-1e308", "--set", "schedule.K=[0.0]"]
-        assert main(["run", *args, "--output-dir", str(tmp_path / "out")]) == 3
-        assert "numeric error: spectral phase" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    def test_detuning_at_the_domain_edge_is_written_right(self, tmp_path, capsys):
+        # omega_b = -1e308 is refused where it enters; -2**128 runs, and the far
+        # off-resonant |b> does not decay: a survival of 1, not a NaN, is written
+        def args(omega_b):
+            return [str(SCENARIOS / "decay_protection.json"), "--set",
+                    f"model.parameters.omega_b={omega_b!r}", "--set", "schedule.K=[0.0]"]
+        assert main(["validate", *args(-1e308)]) == 2
+        assert "schema error at model.parameters: omega_b must be finite, with magnitude " \
+               "0 or in [2**-128, 2**128], got -1e+308" in capsys.readouterr().err
+        assert main(["run", *args(-2.0**128), "--output-dir", str(tmp_path), "--quiet"]) == 0
+        lines = (tmp_path / "decay-protection_survival.csv").read_text().splitlines()
+        assert lines == ["K,survival", "0,1"]
 
     @pytest.mark.parametrize("scenario", ["continuous_convergence.json",
                                           "zeno_limit_series.json"])
@@ -437,6 +451,43 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # "name.csv <sha256>", or "name.csv <old sha256> → <new sha256>" when a change moves it
 _HASH_ENTRY = re.compile(r"([\w.-]+\.(?:csv|txt))`?:?\s+([0-9a-f]{64})"
                          r"(?:\s*(?:→|->)\s*([0-9a-f]{64}))?")
+
+
+# every scalar a scenario gives the run: t and K on one model, then each builder parameter
+_SCALAR_INPUTS = [("four-level-continuous", "schedule.t"),
+                  ("four-level-continuous", "schedule.K")] + [
+    (name, f"model.parameters.{param}") for name, build in sorted(MODEL_REGISTRY.items())
+    for param in model_defaults(build)]
+
+
+@pytest.mark.parametrize("model, path", _SCALAR_INPUTS,
+                         ids=[f"{model}-{path}" for model, path in _SCALAR_INPUTS])
+def test_magnitude_domain_is_checked_where_each_scalar_enters(tmp_path, capsys, model, path):
+    """2**-128 and 2**128 pass the scalar check; 2**129, -2**129 and 2**-129 are exit 2 of
+    ``zenosim validate`` at the input's path.  A builder may still refuse an edge value for
+    its own reasons (coinciding sectors, or a model matrix whose Frobenius norm passes
+    2**128), but never by the scalar domain."""
+    mechanism = "decay-sweep" if model == "decay" else MODEL_REGISTRY[model]().mechanism
+    key = MECHANISMS[mechanism].key
+    config = write_config(tmp_path, {
+        "model": {"name": model, "parameters": {}}, "mechanism": mechanism,
+        "schedule": {"t": 1.0, key: [4] if key == "N" else [1.0]},
+        "outputs": ["survival" if model == "decay" else "probabilities"]})
+
+    def validate(x):
+        value = f"[{x!r}]" if path == "schedule.K" else repr(x)
+        code = main(["validate", config, "--quiet", "--set", f"{path}={value}"])
+        return code, capsys.readouterr().err
+
+    for x in (2.0**-128, 2.0**128):
+        code, err = validate(x)
+        assert code == 0 or (code == 2 and path.startswith("model.")), err
+        assert "[2**-128, 2**128]" not in err
+    refused_at = path if path.startswith("schedule.") else "model.parameters"
+    for x in (2.0**129, -2.0**129, 2.0**-129):
+        code, err = validate(x)
+        assert code == 2 and err.startswith(f"schema error at {refused_at}: ")
+        assert "[2**-128, 2**128]" in err
 
 
 def _recorded_hashes() -> dict[str, str]:

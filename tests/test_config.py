@@ -213,15 +213,17 @@ class TestValidateDocument:
         assert violation_paths(e) == [path]
 
     def test_coupling_times_t_must_stay_finite(self):
-        # the engines' coupling check refuses K*t past the float range, at schedule.K
+        # the engines' coupling check refuses a K past 2**128 at schedule.K, whatever t is;
+        # at the domain's edge K*t is 2**256, far inside the float range
         doc = base_doc(model={"name": "four-level-continuous", "parameters": {}},
-                       mechanism="continuous", schedule={"t": 1e10, "K": [1.0, 1e300]})
+                       mechanism="continuous", schedule={"t": 1.0, "K": [1.0, 1e300]})
         with pytest.raises(SchemaViolation) as e:
             validate_document(doc)
-        assert e.value.violations == [("schedule.K", "K must be a finite real >= 0 with "
-                                                     "K*t finite, got K = 1e+300 at t = 10000000000.0")]
-        doc["schedule"]["t"] = 1.0
-        assert validate_document(doc).values == (1.0, 1e300)
+        assert e.value.violations == [("schedule.K", "K must be a finite real >= 0, with "
+                                                     "magnitude 0 or in [2**-128, 2**128], "
+                                                     "got 1e+300")]
+        doc["schedule"] = {"t": 2.0**128, "K": [1.0, 2.0**128]}
+        assert validate_document(doc).values == (1.0, 2.0**128)
 
     @pytest.mark.parametrize("model, parameters", [
         ("four-level-kicked", {"lambda1": 0.5, "lambda2": -0.5}),  # lambda1 = -lambda2

@@ -42,7 +42,6 @@ from zenosim.engines import (
     zeno_propagators,
 )
 from zenosim.errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     IndexOutOfRange,
     InvalidParameter,
@@ -663,14 +662,21 @@ class TestContinuous:
             call(np.eye(4))
 
     @pytest.mark.parametrize("call", [
-        lambda b: evolve_continuous(basis_state(3, 0), b.H, b.H_c, 1e54, 1.0),
-        lambda b: continuous_propagator(b.H, b.H_c, [1.0, 1e54], 1.0),
-        lambda b: extracted_continuous_limit(b.H, b.H_c, 1.0, 1e54),
+        lambda b, k: evolve_continuous(basis_state(3, 0), b.H, b.H_c, k, 1.0),
+        lambda b, k: continuous_propagator(b.H, b.H_c, [1.0, k], 1.0),
+        lambda b, k: extracted_continuous_limit(b.H, b.H_c, 1.0, k),
     ], ids=["evolve_continuous", "continuous_propagator", "extracted_continuous_limit"])
     def test_overflowing_generator_refused_not_warned(self, call):
-        # K*t is finite, but K*eta2 = 1e309 is not: refused, not warned (pyproject)
-        with pytest.raises(InvalidParameter, match=r"^H \+ K\*H_c is not finite: over"):
-            call(simplified_continuous(eta2=1e255))
+        # K*eta2 = 1e309 would overflow H + K*H_c: eta2 = 1e255 and K = 1e54 are each
+        # refused where they enter; at the domain's edge H + K*H_c passes the matrix
+        # bound 2**128, and its decomposition refuses it: refused, not warned (pyproject)
+        with pytest.raises(InvalidParameter, match="^eta2 must be finite"):
+            simplified_continuous(eta2=1e255)
+        with pytest.raises(InvalidParameter, match="^K must be a finite real >= 0"):
+            call(simplified_continuous(), 1e54)
+        with pytest.raises(InvalidParameter,
+                           match=r"^eigh input has Frobenius norm past 2\*\*128$"):
+            call(simplified_continuous(eta2=2.0), 2.0**128)
 
     def test_propagator_refuses_negative_coupling_or_time(self):
         b = four_level_continuous()
@@ -855,12 +861,14 @@ _TIME_CALLS.update({
 
 @pytest.mark.parametrize("call", sorted(_TIME_CALLS))
 def test_time_below_the_smallest_normal_float_refused(call):
-    # linspace(0, t, S) of a subnormal t repeats values; the smallest normal one does not
+    # linspace(0, t, S) of a subnormal t repeats values; the domain's least t, 2**-128,
+    # is far above every subnormal and the smallest normal float
     tiny = np.finfo(float).tiny
-    for t in (5e-324, tiny / 2, -tiny):
-        with pytest.raises(InvalidParameter, match="smallest normal float"):
+    for t in (5e-324, tiny / 2, -tiny, tiny, 2.0**-129):
+        with pytest.raises(InvalidParameter, match=r"^t must be finite and positive, with "
+                                                   r"magnitude in \[2\*\*-128, 2\*\*128\]"):
             _TIME_CALLS[call](t)
-    _TIME_CALLS[call](tiny)
+    _TIME_CALLS[call](2.0**-128)
 
 
 _SAMPLED_CALLS = {
@@ -953,10 +961,13 @@ class TestAsymptoticPropagators:
             assert np.abs(got - expect).max() <= 1e-14
 
     def test_overflowing_sector_phase_refused_not_warned(self):
-        # K eta_2 t = 1e310 overflows: the guarded evaluator raises, and warns nothing
+        # K eta_2 t = 1e310 would overflow: K = 1e300 is refused where it enters; at the
+        # domain's edge K t = 2**256 and the phases stay finite, with no warning
         b = simplified_continuous(eta2=1e10)
-        with pytest.raises(ConvergenceFailure, match="^spectral phase exp"):
+        with pytest.raises(InvalidParameter, match="^K must be a finite real >= 0"):
             asymptotic_continuous_propagator(b.H, b.resolution(), 1.0, 1e300)
+        u = asymptotic_continuous_propagator(b.H, b.resolution(), 2.0**128, 2.0**128)
+        assert np.abs(dagger(u) @ u - np.eye(3)).max() <= 1e-14
 
     def test_continuous_asymptotic_close_at_large_k(self):
         h = np.zeros((4, 4), dtype=complex)

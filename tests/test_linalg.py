@@ -52,10 +52,17 @@ class TestAsSquareMatrix:
         with pytest.raises(InvalidParameter, match="^H contains non-finite entries$"):
             as_square_matrix(m, "H")
 
-    def test_overflowing_sum_of_squares_passes(self):
-        # |1e200|² overflows the sum the fast check takes; the entries are finite
-        m = np.full((3, 3), 1e200 - 1e200j)
-        np.testing.assert_array_equal(as_square_matrix(m, "H"), m)
+    def test_overflowing_sum_of_squares_refused(self):
+        # finite entries, but |1e200|² overflows the one sum of |m_ij|² the check takes
+        with pytest.raises(InvalidParameter, match=r"^H has Frobenius norm past 2\*\*128$"):
+            as_square_matrix(np.full((3, 3), 1e200 - 1e200j), "H")
+
+    def test_frobenius_norm_bounded_at_2_128(self):
+        # ‖m‖_F² = 2**256 passes; 2**256 (1 + 2**-48), just above, is refused
+        edge = np.diag([2.0**128, 0.0])
+        np.testing.assert_array_equal(as_square_matrix(edge, "H"), edge)
+        with pytest.raises(InvalidParameter, match=r"^H has Frobenius norm past 2\*\*128$"):
+            as_square_matrix(np.diag([2.0**128, 2.0**104]), "H")
 
 
 class TestEigh:
@@ -78,9 +85,9 @@ class TestEigh:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             eigh(np.array([[0, 1], [0, 0]], dtype=complex))
-        # finite entries whose sums of squares overflow: the defect is taken scaled
-        for big in ([[0, 1e200], [0, 0]], [[1e154, 5e153], [0, 1e154]]):
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotHermitian):
+        # entries at the domain's edge: no norm of the defect overflows
+        for big in ([[0, 2.0**127], [0, 0]], [[2.0**126, 2.0**125], [0, 2.0**126]]):
+            with pytest.raises(NotHermitian):
                 require_hermitian(np.array(big))
 
     def test_rejects_non_square(self):
@@ -88,19 +95,25 @@ class TestEigh:
             eigh(np.zeros((2, 3)))
 
     def test_complex_entry_past_the_float_range_refused_not_warned(self):
-        # |1.7e308 (1 + i)| is inf: the defect is taken of A / s, s its largest |Re| or |Im|
-        big = np.array([[1.7e308 + 1.7e308j, 0], [0, 0]])
+        # |1.7e308 (1 + i)| is inf: refused by the matrix bound, before any defect is taken;
+        # at the domain's edge the defect of 2**127 (1 + i) is taken plainly
+        with pytest.raises(InvalidParameter, match="^H has Frobenius norm past 2"):
+            require_hermitian(np.array([[1.7e308 + 1.7e308j, 0], [0, 0]]), "H")
+        big = np.array([[2.0**127 * (1 + 1j), 0], [0, 0]])
         assert hermiticity_defect(big) == pytest.approx(np.sqrt(2.0), rel=1e-12)
         with pytest.raises(NotHermitian, match="relative asymmetry 1.414e"):
             require_hermitian(big)
 
     def test_entries_near_the_float_limit_not_overflowed(self):
-        # the Hermitian part halves each entry before adding: (1e308 + 1e308)/2 is 1e308
-        w, v = eigh(np.diag([1e308, -1e308]))
-        assert w.tolist() == [-1e308, 1e308]
+        # entries near the float limit are refused by the matrix bound, not overflowed;
+        # at the domain's edge the spectrum is exact
+        with pytest.raises(InvalidParameter, match="^eigh input has Frobenius norm past"):
+            eigh(np.diag([1e308, -1e308]))
+        w, v = eigh(np.diag([2.0**127, -2.0**127]))
+        assert w.tolist() == [-2.0**127, 2.0**127]
         assert np.array_equal(np.abs(v), [[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(InvalidState, match="negative eigenvalue -1.000e"):
-            check_density_matrix(np.array([[0.5, 1e308], [1e308, 0.5]]))
+        with pytest.raises(InvalidState, match="negative eigenvalue -1.701e"):
+            check_density_matrix(np.array([[0.5, 2.0**127], [2.0**127, 0.5]]))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -240,24 +253,34 @@ class TestUnitaryEig:
             unitary_eig(np.diag([1.0, 2.0]), "kick")
         with pytest.raises(NotUnitary):
             require_unitary(np.diag([1.0, 1.0 + 1e-6]))
-        # U†U overflows, so the defect is NaN: refused, not passed
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotUnitary):
+        # U†U would overflow: refused by the matrix bound; at the domain's edge it does not
+        with pytest.raises(InvalidParameter, match="^unitary has Frobenius norm past"):
             require_unitary(np.array([[1e200, 1e200], [1e200, -1e200]]))
+        with pytest.raises(NotUnitary):
+            require_unitary(np.array([[2.0**126, 2.0**126], [2.0**126, -2.0**126]]))
         assert np.array_equal(require_unitary(_shift(3)), _shift(3))
 
 
 class TestPhaseGuard:
     @pytest.mark.parametrize("w, x", [
-        (np.array([1.0, 2.0]), 1e308),  # w x overflows
         (np.array([1.0 + 1e-20j]), 1e300),  # a roundoff-sized gain that exp overflows
         (np.array([1.0 + 1e-3j]), 4e4),  # a finite gain past 1/eps
-    ], ids=["product", "exp", "gain"])
+    ], ids=["exp", "gain"])
     def test_refused_not_warned(self, w, x):
         evaluator = _SpectralEvaluator(w, np.eye(len(w), dtype=complex))
         with pytest.raises(ConvergenceFailure, match="^spectral phase exp"):
             evaluator(x)
         with pytest.raises(ConvergenceFailure, match="^spectral phase exp"):
             evaluator.states(np.array([0.0, x]), np.eye(len(w))[0].astype(complex))
+
+    def test_time_past_the_domain_refused_not_warned(self):
+        # w t would overflow for t = 1e308: propagator refuses any |t| past 2**256, the
+        # largest K t; there its phases, for |w| up to 2**127, stay finite
+        with pytest.raises(InvalidParameter, match=r"^t must be finite and of magnitude at "
+                                                   r"most 2\*\*256, got 1e\+308$"):
+            propagator(SX, 1e308)
+        u = propagator(2.0**127 * SX, 2.0**256)
+        assert np.abs(dagger(u) @ u - np.eye(2)).max() <= 1e-15
 
 
 class TestPropagator:
@@ -394,11 +417,11 @@ class TestStateChecks:
 
     @pytest.mark.parametrize("subnormalized", [False, True])
     def test_norm_past_the_float_range_refused_not_warned(self, subnormalized):
-        # the norm is taken of psi / max|psi_i|: ||psi||² would overflow
-        with pytest.raises(InvalidState, match=r"norm 1\.41421\d*e\+200, expected"):
-            check_state_vector([1e200, 1e200j, 0.0, 0.0], subnormalized=subnormalized)
-        for psi in ([1.7e308, 1.7e308], [1.7e308 + 1.7e308j, 0.0]):  # |psi_0| is inf
-            with pytest.raises(InvalidState, match=r"norm inf, expected"):
+        # ||psi||² overflows to inf, or to NaN for a complex entry: the norm check refuses
+        # both, and the one BLAS sum it takes warns nothing
+        for psi in ([1e200, 1e200j, 0.0, 0.0], [1.7e308, 1.7e308],
+                    [1.7e308 + 1.7e308j, 0.0]):
+            with pytest.raises(InvalidState, match=r"norm (inf|nan), expected"):
                 check_state_vector(psi, subnormalized=subnormalized)
 
     def test_subnormalized_allowed_for_decay(self):
@@ -418,11 +441,12 @@ class TestStateChecks:
             check_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
 
     def test_trace_past_the_float_range_refused_not_warned(self):
-        # tr = 2e308 is inf: it is taken of rho / s, s the largest |Re| or |Im| of an entry
-        with pytest.raises(InvalidState, match="trace inf"):
+        # tr = 2e308 would be inf: the matrix bound refuses rho first; at the domain's edge
+        # the trace is taken plainly and refused by its value
+        with pytest.raises(InvalidParameter, match="^density matrix has Frobenius norm past"):
             check_density_matrix(np.diag([1e308, 1e308]).astype(complex))
-        with pytest.raises(InvalidState, match=r"trace 1\.000000000000e\+308"):
-            check_density_matrix(np.diag([1e308, 0.0]).astype(complex))
+        with pytest.raises(InvalidState, match=r"trace 3\.402823669209e\+38"):
+            check_density_matrix(np.diag([2.0**128, 0.0]).astype(complex))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -433,10 +457,9 @@ class TestStateChecks:
         (check_state_vector, np.array([1.0, np.nan]), InvalidState, "non-finite entries"),
         (lambda rho: check_density_matrix(rho, dim=3), np.eye(2) / 2, DimensionMismatch,
          "density matrix is 2-dim, expected 3"),
-        # the norms overflow, so the relative asymmetry is NaN
-        (np.errstate(over="ignore", invalid="ignore")(check_density_matrix),
-         np.array([[0.5, 1e200], [-1e200, 0.5]]), InvalidState,
-         "density matrix is not Hermitian"),
+        # the norms would overflow: refused by the matrix bound before the asymmetry
+        (check_density_matrix, np.array([[0.5, 1e200], [-1e200, 0.5]]), InvalidParameter,
+         r"^density matrix has Frobenius norm past 2\*\*128$"),
     ], ids=["vector-2d", "vector-non-finite", "density-dimension", "density-overflowing"])
     def test_malformed_state_refused(self, check, state, error, message):
         with pytest.raises(error, match=message):

@@ -197,24 +197,29 @@ class TestDecayModel:
                                               (1e155, 0.1), (1.0, 1e308)],
                              ids=["overflow", "overflow-both", "subnormal", "subnormal-gamma"])
     def test_width_outside_normal_floats_refused(self, tau_z, gamma):
-        # each finite and positive, but 2/(tau_z**2 gamma) is inf or subnormal
-        with pytest.raises(InvalidParameter, match="^continuum width 2/"):
+        # 2/(tau_z**2 gamma) would be inf or subnormal: tau_z or gamma, each finite and
+        # positive, lies outside the magnitude domain and is refused first
+        with pytest.raises(InvalidParameter, match="^(tau_z|gamma) must be finite and "
+                                                   "positive, with magnitude 0 or in"):
             decay_model(tau_z=tau_z, gamma=gamma)
 
     def test_width_inside_the_normal_floats_accepted(self):
-        # tau_z**2 underflows at 1e-165 and 2/tau_z/tau_z overflows, yet the width is 2e30
-        tiny = np.finfo(float).tiny  # 2**-1022, so 1/tiny is exact
-        for tau_z, gamma, width in ((1.0, 1.0 / tiny, 2 * tiny), (1.0, 2e-308, 1e308),
-                                    (1e-150, 10.0, 2e299), (1e-165, 1e300, 2e30),
-                                    (1e155, 1e-300, 2e-10)):
+        # inside the domain the width is a normal float, down to 2**-383; a width past
+        # 2**128 takes H out of the matrix domain, and the bundle refuses H
+        for tau_z, gamma, width in ((2.0**128, 2.0**128, 2.0**-383),
+                                    (2.0**128, 2.0**-128, 2.0**-127),
+                                    (2.0**-63, 1.0, 2.0**127), (1.0, 2.0**-126, 2.0**127)):
             b = decay_model(tau_z=tau_z, gamma=gamma)
             assert b.H[2, 2].real == 0.0
-            assert b.H[2, 2].imag == pytest.approx(-width, rel=1e-15)
+            assert b.H[2, 2].imag == -width
+        with pytest.raises(InvalidParameter, match="^H has Frobenius norm past 2"):
+            decay_model(tau_z=2.0**-128, gamma=2.0**-128)
 
-    @pytest.mark.parametrize("tau_z, gamma", [(1e10, 1e-320), (1e-165, 1e300), (3.0, 7e-5)])
+    @pytest.mark.parametrize("tau_z, gamma", [(2.0**128, 3e-39), (1e-19, 2.0**128),
+                                              (3.0, 7e-5)])
     def test_width_within_two_ulps_of_the_exact_quotient(self, tau_z, gamma):
-        # 1/gamma overflows at gamma = 1e-320, yet 2/(tau_z**2 gamma) is 2.00002e300;
-        # three roundings of the mantissas (each exact power of two apart) cost 2 ulps
+        # inside the domain neither tau_z**2 gamma nor its reciprocal under- or overflows:
+        # the three roundings of 2/(tau_z * tau_z * gamma) cost at most 2 ulps
         exact = float(2 / (Fraction(tau_z) ** 2 * Fraction(gamma)))
         width = -decay_model(tau_z=tau_z, gamma=gamma).H[2, 2].imag
         assert abs(width - exact) <= 2 * math.ulp(exact)

@@ -28,14 +28,15 @@ def test_script_runs(script):
 
 
 def test_decay_study_prints_the_models_width():
-    # 2/(tau_z**2 gamma) = 2e30, though tau_z**2 underflows to 0 in float arithmetic
-    proc = run("decay_protection_study.py", "--tau-z", "1e-165", "--gamma", "1e300")
+    # the width the study prints is the model's own H[2, 2]: 2/(2**2 * 0.01) = 50
+    proc = run("decay_protection_study.py", "--tau-z", "2", "--gamma", "0.01")
     assert proc.returncode == 0, proc.stderr
-    assert "continuum half-width 2/(tau_Z^2 gamma) = 2e+30;" in proc.stdout
+    assert "continuum half-width 2/(tau_Z^2 gamma) = 50;" in proc.stdout
 
 
 def test_decay_study_reports_a_refused_model_in_one_line():
+    # tau_z = 1e-170 lies outside the magnitude domain: the builder refuses it
     proc = run("decay_protection_study.py", "--tau-z", "1e-170")
     assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: continuum width")
+    assert proc.stderr.startswith("error: tau_z must be finite and positive")
     assert proc.stderr.count("\n") == 1

@@ -53,6 +53,17 @@ def test_each_range_fact_is_written_in_one_module(text):
     assert [name for name, source in SOURCES.items() if text in source] == ["engines.py"]
 
 
+def test_magnitude_bound_written_once():
+    """The domain bound 2**128 is one float literal, ``linalg.MAGNITUDE_BOUND``: no other
+    module writes 2**128, 2**-128 or 2**256 as a number, so each reads the bound there."""
+    from zenosim.linalg import MAGNITUDE_BOUND
+    assert MAGNITUDE_BOUND == 2.0**128
+    edges = {128, -128, 2.0**128, 2.0**-128, 2.0**256}
+    assert [name for name, tree in TREES.items()
+            if edges & {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                        and type(n.value) in (int, float)}] == ["linalg.py"]
+
+
 def test_exponentials_written_only_in_phases_and_kick_matrices():
     """Every spectral phase passes ``linalg._phases``: besides it, ``np.exp(`` appears only
     in the Cayley rotation of ``linalg._cayley_eig`` and in the builders' kick matrices."""

@@ -213,13 +213,15 @@ class TestProjectionsOfHermitian:
         assert res.ranks == (2, 1)
 
     def test_cluster_label_near_the_float_limit(self):
-        # the label is the first value plus the mean offset: -1e308 - 1e308 would overflow
-        res = projections_of_hermitian(np.diag([-1e308, -1e308, 0.0]).astype(complex))
-        assert res.labels == (-1e308, 0.0)
+        # -1e308 - 1e308 would overflow a label's mean or a gap: the matrix bound refuses
+        # such an operator; at the domain's edge the mean and the gap are taken plainly
+        with pytest.raises(InvalidParameter, match="^eigh input has Frobenius norm past"):
+            projections_of_hermitian(np.diag([-1e308, -1e308, 0.0]).astype(complex))
+        res = projections_of_hermitian(np.diag([-2.0**127, -2.0**127, 0.0]).astype(complex))
+        assert res.labels == (-2.0**127, 0.0)
         assert res.ranks == (2, 1)
-        # the gaps are taken of the halved values: 1e308 - (-1e308) would overflow
-        res = projections_of_hermitian(np.diag([-1e308, 1e308]).astype(complex))
-        assert res.labels == (-1e308, 1e308)
+        res = projections_of_hermitian(np.diag([-2.0**127, 2.0**127]).astype(complex))
+        assert res.labels == (-2.0**127, 2.0**127)
 
     def test_ambiguous_gap_raises(self):
         with pytest.raises(DegenerateClustering):
@@ -419,8 +421,11 @@ class TestZenoHamiltonian:
         assert frobenius(hz - expect) <= 1e-12
 
     def test_entries_near_the_float_limit_not_overflowed(self):
-        h = np.diag([1.5e308, -1.5e308]).astype(complex)
+        # refused by the matrix bound, not overflowed; at the domain's edge H_Z is exact
         res = ResolutionOfIdentity([np.eye(2, dtype=complex)], [0.0])
+        with pytest.raises(InvalidParameter, match="^zeno_hamiltonian input has Frobenius"):
+            zeno_hamiltonian(np.diag([1.5e308, -1.5e308]), res)
+        h = np.diag([2.0**127, -2.0**127]).astype(complex)
         assert np.array_equal(zeno_hamiltonian(h, res), h)
 
     def test_trivial_resolution_returns_h(self):
