@@ -25,7 +25,7 @@ from .errors import (
     InvalidParameter,
     InvalidState,
 )
-from .linalg import MAGNITUDE_BOUND, _lift, check_density_matrix, dagger, propagator
+from .linalg import _bounded, _lift, check_density_matrix, dagger, propagator
 from .models import ModelBundle, decay_model
 from .spectral import ResolutionOfIdentity
 
@@ -150,9 +150,7 @@ def _checked(x: np.ndarray, dim: int, vectors: bool = False) -> np.ndarray:
     """A stack (S, d, d) of dim×dim matrices, or (S, d) of vectors, bounded; else the error."""
     if not vectors and (x.ndim != 3 or x.shape[1] != x.shape[2]):
         raise DimensionMismatch(f"rho must be square, got shape {x.shape[1:]}")
-    if not np.vdot(x, x).real <= MAGNITUDE_BOUND * MAGNITUDE_BOUND:  # NaN fails
-        raise InvalidParameter("rho contains non-finite entries" if not np.isfinite(x).all()
-                               else "rho has Frobenius norm past 2**128")
+    _bounded(x, "rho")
     if x.shape[1] != dim:
         raise DimensionMismatch(f"rho is {x.shape[1]}-dim, resolution is {dim}-dim")
     return x

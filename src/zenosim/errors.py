@@ -5,8 +5,6 @@ catch one type at the boundary.  Validation errors carry enough context to
 report what was violated and by how much.
 """
 
-from __future__ import annotations
-
 
 class ZenosimError(Exception):
     """Base class for all zenosim errors."""

@@ -67,6 +67,11 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
+    return _bounded(m, name)
+
+
+def _bounded(m: np.ndarray, name: str) -> np.ndarray:
+    """m, if finite with ‖m‖_F <= 2**128 (a stack counts as one matrix); else the error."""
     if not np.vdot(m, m).real <= MAGNITUDE_BOUND * MAGNITUDE_BOUND:  # NaN fails
         raise InvalidParameter(f"{name} contains non-finite entries" if not np.isfinite(m).all()
                                else f"{name} has Frobenius norm past 2**128")
@@ -231,8 +236,12 @@ def _lift(u: np.ndarray) -> np.ndarray:
 
 
 def _phases(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """e^{-i w x}, refused where |e| passes 1/eps, which lifts the roundoff along an
-    eigenvector above the state (real w: |e| = 1), or where the exponent is NaN."""
+    """e^{-i w x} for |x| <= 2**256, the largest K t, so w x stays finite; refused where
+    |e| passes 1/eps, which lifts the roundoff along an eigenvector above the state
+    (real w: |e| = 1), or where the exponent is NaN."""
+    if not np.all(inside := np.abs(x) <= MAGNITUDE_BOUND * MAGNITUDE_BOUND):  # NaN fails
+        raise InvalidParameter(f"t must be finite and of magnitude at most 2**256, "
+                               f"got {float(x[~inside][0])!r}")
     z = -1j * w * x
     if w.dtype.kind == "c" and not z.real.max() <= _MAX_GAIN:
         raise ConvergenceFailure(f"spectral phase exp(-i w x): growth exponent "
@@ -245,7 +254,8 @@ class _SpectralEvaluator:
 
     An array x (B,) gives the stack (B, d, d) of u(x[b]).  So does a batch axis,
     w (B, d) and v, v⁻¹ (B, d, d): slice b is a generator of its own.  Every phase
-    passes ``_phases``, so one that grows past 1/eps raises ConvergenceFailure.
+    passes ``_phases``: an x past 2**256 raises InvalidParameter, and a phase that
+    grows past 1/eps ConvergenceFailure.
     """
 
     def __init__(self, w: np.ndarray, v: np.ndarray, v_inv=None, ok=True):
@@ -276,8 +286,6 @@ def propagator(h, t: float) -> np.ndarray:
 
     A stack h (B, d, d) or an array t (B,) gives a stack (B, d, d).
     """
-    if not np.all(np.abs(t) <= MAGNITUDE_BOUND * MAGNITUDE_BOUND):  # NaN fails
-        raise InvalidParameter(f"t must be finite and of magnitude at most 2**256, got {t!r}")
     return hermitian_evolution(h)(t)
 
 

@@ -113,6 +113,13 @@ def _chain_hamiltonian(omega1: float, omega2: float, dim: int) -> np.ndarray:
     return h
 
 
+def _probe_coupling() -> np.ndarray:
+    """|c><M| + |M><c|, coupling level c to the ancilla M of a 4-level model."""
+    h_c = np.zeros((4, 4), dtype=complex)
+    h_c[2, 3] = h_c[3, 2] = 1.0
+    return h_c
+
+
 def _two_block_resolution() -> ResolutionOfIdentity:
     p1 = np.diag([1.0, 1.0, 0.0]).astype(complex)
     p2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
@@ -169,9 +176,7 @@ def four_level_continuous(omega1: float = 1.0, omega2: float = 1.0,
     """
     _check_finite(locals())
     h = _chain_hamiltonian(omega1, omega2, 4)
-    h_c = np.zeros((4, 4), dtype=complex)
-    h_c[2, 3] = h_c[3, 2] = 1.0
-    return ModelBundle(H=h, H_c=h_c, K=float(coupling))
+    return ModelBundle(H=h, H_c=_probe_coupling(), K=float(coupling))
 
 
 def simplified_kicked(omega1: float = 1.0, omega2: float = 1.0,
@@ -220,11 +225,7 @@ def decay_model(omega1: float = 0.0, tau_z: float = 1.0, gamma: float = 0.1,
     our interpretation: ``omega_b`` sits on the |b> diagonal, H[1, 1].
     """
     _check_finite(locals(), positive=("tau_z", "gamma"))
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = h[1, 0] = omega1
+    h = _chain_hamiltonian(omega1, 1.0 / tau_z, 4)
     h[1, 1] = omega_b
-    h[1, 2] = h[2, 1] = 1.0 / tau_z
     h[2, 2] = -1j * (2.0 / (tau_z * tau_z * gamma))  # the continuum half-width
-    h_c = np.zeros((4, 4), dtype=complex)
-    h_c[2, 3] = h_c[3, 2] = 1.0
-    return ModelBundle(H=h, H_c=h_c, K=float(coupling), non_hermitian=True)
+    return ModelBundle(H=h, H_c=_probe_coupling(), K=float(coupling), non_hermitian=True)

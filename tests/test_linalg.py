@@ -263,7 +263,7 @@ class TestUnitaryEig:
 
 class TestPhaseGuard:
     @pytest.mark.parametrize("w, x", [
-        (np.array([1.0 + 1e-20j]), 1e300),  # a roundoff-sized gain that exp overflows
+        (np.array([1.0 + 1e-20j]), 2.0**256),  # a roundoff-sized gain that exp overflows
         (np.array([1.0 + 1e-3j]), 4e4),  # a finite gain past 1/eps
     ], ids=["exp", "gain"])
     def test_refused_not_warned(self, w, x):
@@ -281,6 +281,17 @@ class TestPhaseGuard:
             propagator(SX, 1e308)
         u = propagator(2.0**127 * SX, 2.0**256)
         assert np.abs(dagger(u) @ u - np.eye(2)).max() <= 1e-15
+
+    def test_every_evaluator_refuses_a_time_past_the_domain(self):
+        # the bound sits in the phases every evaluator takes, not in propagator alone;
+        # the suite turns a RuntimeWarning into an error, so none is raised first
+        h, psi = np.diag([2.0, 1.0]), np.array([1.0, 0.0], dtype=complex)
+        refusal = r"^t must be finite and of magnitude at most 2\*\*256, got 1e\+308$"
+        for ev in hermitian_evolution(h), nonhermitian_evolution((h - 0.5j * np.eye(2))[None]):
+            with pytest.raises(InvalidParameter, match=refusal):
+                ev(1e308)
+            with pytest.raises(InvalidParameter, match=refusal):
+                ev.states(np.array([0.0, 1e308]), psi)
 
 
 class TestPropagator:

@@ -225,6 +225,49 @@ class TestDecayModel:
         assert abs(width - exact) <= 2 * math.ulp(exact)
 
 
+def _probe_coupling_literal():
+    h_c = np.zeros((4, 4), dtype=complex)
+    h_c[2, 3] = h_c[3, 2] = 1.0
+    return h_c
+
+
+def _decay_literal(omega1=0.0, tau_z=1.0, gamma=0.1, coupling=0.0, omega_b=0.0):
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 1] = h[1, 0] = omega1
+    h[1, 1] = omega_b
+    h[1, 2] = h[2, 1] = 1.0 / tau_z
+    h[2, 2] = -1j * (2.0 / (tau_z * tau_z * gamma))
+    return h, _probe_coupling_literal()
+
+
+def _four_level_continuous_literal(omega1=1.0, omega2=1.0, coupling=1.0):
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 1] = h[1, 0] = omega1
+    h[1, 2] = h[2, 1] = omega2
+    return h, _probe_coupling_literal()
+
+
+def _drawn_parameters(builder, rng):
+    """Each parameter of builder log-uniform in [2**-30, 2**30], signed unless it must be
+    positive (tau_z, gamma) or is the coupling."""
+    return {name: 2.0 ** rng.uniform(-30.0, 30.0)
+            * (1.0 if name in ("tau_z", "gamma", "coupling") else rng.choice([-1.0, 1.0]))
+            for name in inspect.signature(builder).parameters}
+
+
+@pytest.mark.parametrize("builder, literal", [
+    (decay_model, _decay_literal),
+    (four_level_continuous, _four_level_continuous_literal)], ids=["decay", "continuous"])
+def test_shared_pieces_build_the_written_out_matrices(builder, literal):
+    """The shared chain and probe coupling give, entry for entry, the matrices written
+    out in full: at the defaults and at drawn parameters."""
+    rng = np.random.default_rng(3)
+    for params in [{}] + [_drawn_parameters(builder, rng) for _ in range(20)]:
+        b = builder(**params)
+        h, h_c = literal(**params)
+        assert np.array_equal(b.H, h) and np.array_equal(b.H_c, h_c), params
+
+
 class TestModelBundle:
     def test_every_hermitian_bundle_is_tight(self):
         for b in (three_level_projective(), four_level_kicked(),

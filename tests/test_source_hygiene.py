@@ -46,6 +46,22 @@ def test_every_exported_name_is_bound(module):
                   if not hasattr(mod, name)) == []
 
 
+@pytest.mark.parametrize("module", ["analysis", "engines", "errors", "models", "spectral"])
+def test_package_names_are_the_modules_exports(module):
+    """``zenosim`` takes these modules' names by ``from .module import *`` alone, so each
+    is listed once: in the module's ``__all__``, or for ``errors``, which has none, as
+    its exception classes, its only public names.  Each is bound to the same object."""
+    import zenosim
+    assert [a.name for n in TREES["__init__.py"].body
+            if isinstance(n, ast.ImportFrom) and n.module == module for a in n.names] == ["*"]
+    mod = importlib.import_module(f"zenosim.{module}")
+    names = getattr(mod, "__all__", [name for name in vars(mod) if not name.startswith("_")])
+    if module == "errors":
+        assert all(issubclass(getattr(mod, name), Exception) for name in names)
+    assert names and [name for name in names
+                      if getattr(zenosim, name, None) is not getattr(mod, name)] == []
+
+
 @pytest.mark.parametrize("text", ["2**63", "strictly increasing"])
 def test_each_range_fact_is_written_in_one_module(text):
     """The count bound and the order check each live in one module: every other
@@ -62,6 +78,15 @@ def test_magnitude_bound_written_once():
     assert [name for name, tree in TREES.items()
             if edges & {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
                         and type(n.value) in (int, float)}] == ["linalg.py"]
+
+
+def test_magnitude_bound_compared_only_at_linalg_gates():
+    """A Frobenius norm is bounded in ``linalg._bounded`` and an evaluator's argument in
+    ``linalg._phases``: no other code squares the bound, and ``analysis`` calls the former."""
+    assert {name: source.count("MAGNITUDE_BOUND * MAGNITUDE_BOUND")
+            for name, source in SOURCES.items()
+            if "MAGNITUDE_BOUND * MAGNITUDE_BOUND" in source} == {"linalg.py": 2}
+    assert "MAGNITUDE_BOUND" not in SOURCES["analysis.py"]
 
 
 def test_exponentials_written_only_in_phases_and_kick_matrices():
