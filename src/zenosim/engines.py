@@ -282,7 +282,7 @@ def _sample_continuous(gens: np.ndarray, state0, times: np.ndarray) -> np.ndarra
     if hermitian.any():
         states[hermitian] = hermitian_evolution(gens[hermitian]).states(times, state)
     for b in np.flatnonzero(~(spectral.ok | hermitian)):
-        # near an exceptional point: one Padé expm per sample after tau = 0
+        # near an exceptional point: one expm per sample after tau = 0
         states[b] = [state] + [expm(-1j * gens[b] * tau) @ state for tau in times[1:]]
     limit = 1.0 + NORM_GROWTH_TOL
     if not (nrm := _norms(states[~hermitian, ..., None])).max() <= limit:  # NaN fails

@@ -522,8 +522,8 @@ def _loads_scipy(code: str) -> bool:
 
 
 class TestImportHygiene:
-    """scipy stays off every shipped path; only the expm fallback near an
-    exceptional point imports it."""
+    """scipy stays off every runtime path, the expm fallback near an exceptional
+    point included; only the tests' independent oracles use it."""
 
     @pytest.mark.parametrize("module", ["zenosim", "zenosim.cli"])
     def test_import_leaves_scipy_out(self, module):
@@ -541,3 +541,12 @@ class TestImportHygiene:
             "b = four_level_kicked()\n"
             "b.resolution()\n"
             "convergence_curve(b, 1.0, [16, 32, 64])")
+
+    def test_expm_fallback_leaves_scipy_out(self):
+        # a Jordan block: the guarded eig refuses it, so every sample after 0 takes expm
+        assert not _loads_scipy(
+            "import numpy as np\n"
+            "from zenosim import evolve_continuous, expm\n"
+            "h = np.array([[-1j, 1], [0, -1j]])\n"
+            "expm(h)\n"
+            "evolve_continuous(np.array([0, 1]), h, np.zeros((2, 2)), 0.0, 3.0, samples=4)")

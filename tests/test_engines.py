@@ -574,11 +574,24 @@ def test_decay_route_matches_40_digit_oracle(coupling, fallback, expm_calls):
     assert len(expm_calls) == (samples - 1 if fallback else 0)
 
 
-def test_defective_generator_takes_the_expm_fallback(expm_calls):
-    """A Jordan block has one eigenvector: eig's V is singular, so expm runs."""
-    h = np.array([[-1j, 1], [0, -1j]])
-    psi0, samples = basis_state(2, 1), 7
-    rec = evolve_continuous(psi0, h, np.zeros((2, 2)), 0.0, t=3.0, samples=samples)
+def _near_jordan(w, c, g):
+    """i [[-1 - i w, c], [0, -1 - i w - g]]: level energy w, decay 1 and a splitting g."""
+    return 1j * np.array([[-1 - 1j * w, c], [0, -1 - 1j * w - g]])
+
+
+@pytest.mark.parametrize("h, t, samples", [
+    (np.array([[-1j, 1], [0, -1j]]), 3.0, 7),
+    (_near_jordan(10, 1, 1e-4), 1.0, 6),
+    (_near_jordan(5, 1, 1e-5), 2.0, 6),
+    (_near_jordan(10, 1, 1e-6), 5.0, 6),
+    (_near_jordan(10, 0.5, 1e-7), 3.0, 6),
+], ids=["jordan", "w10-c1-g1e-4", "w5-c1-g1e-5", "w10-c1-g1e-6", "w10-c0.5-g1e-7"])
+def test_defective_generator_takes_the_expm_fallback(h, t, samples, expm_calls):
+    """A Jordan block has one eigenvector, and eigenvalues g apart leave eig's V
+    within about g / c of singular: the guard refuses both, so expm runs."""
+    psi0 = basis_state(2, 1)
+    assert not linalg.nonhermitian_evolution(h[None]).ok[0]
+    rec = evolve_continuous(psi0, h, np.zeros((2, 2)), 0.0, t=t, samples=samples)
     assert len(expm_calls) == samples - 1
     assert np.array_equal(rec.states[0], psi0)
     _assert_matches_exponential(rec, h, psi0)

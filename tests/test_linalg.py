@@ -126,6 +126,15 @@ class TestEigh:
         assert frobenius(v.conj().T @ v - np.eye(5)) <= 1e-12 * 5
 
 
+# near-coalescing eigenvalues, where scipy's Padé expm missed the 40-digit oracle by up
+# to 6x, and far non-normal Jordan blocks, which a plain ‖A‖₁ scaling overscales
+EXPM_CASES = {
+    **{f"near-jordan-c{c:g}-s{s}": s * np.array([[-1j, c], [0, -1j - 1e-6]])
+       for c in (1e-2, 1, 10, 100) for s in (1, 10, 30)},
+    **{f"jordan-c{c:g}": np.array([[-1, c], [0, -1]], dtype=complex) for c in (1e3, 1e6, 1e12)},
+}
+
+
 class TestExpm:
     def test_zero(self):
         assert np.allclose(expm(np.zeros((4, 4))), np.eye(4), atol=1e-14)
@@ -151,6 +160,21 @@ class TestExpm:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidParameter):
             expm(np.array([[np.inf, 0], [0, 0]]))
+
+    def test_overflow_raises(self):
+        # e^1000 is past the float range: the squarings overflow, refused without a warning
+        with pytest.raises(ConvergenceFailure):
+            expm(1000 * np.eye(2))
+
+    @pytest.mark.parametrize("a", EXPM_CASES.values(), ids=list(EXPM_CASES))
+    def test_matches_40_digit_exponential(self, a):
+        """Normwise against mpmath at 40 digits:
+        max|expm(A) - e^A| <= 64 d eps (1 + ‖A‖_F) max(1, max|e^A|)."""
+        with mpmath.workdps(40):
+            ref = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
+        scale = (1 + frobenius(a)) * max(1.0, np.abs(ref).max())
+        tol = 64 * len(a) * np.finfo(float).eps * scale
+        assert np.abs(expm(a) - ref).max() <= tol
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
