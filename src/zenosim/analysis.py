@@ -308,12 +308,12 @@ def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,
     The initial state is |b>.  The result derives the smallest K whose
     survival reaches ``threshold`` (None if none does).  Only the tail
     (large K) is guaranteed monotone; weak coupling can accelerate decay.
-    The stack H + K_b H_c takes the checks and, slice by slice, the route of
-    ``evolve_continuous`` at each K, in one batched call.
+    The stack H + K_b H_c takes the checks and the route of ``evolve_continuous``,
+    which the decaying H fixes at every K, in one batched call.
     """
     ks = _increasing(np.asarray(k_values, dtype=float), "coupling values", least=1)
     bundle = decay_model(omega1, tau_z, gamma, 0.0, omega_b)  # H, H_c do not depend on K
-    states = _sample_continuous(_continuous_generator(bundle.H, bundle.H_c, ks, t),
+    states = _sample_continuous(*_continuous_generator(bundle.H, bundle.H_c, ks, t),
                                 np.eye(4, dtype=complex)[1], np.array([0.0, t]))
     # scalar abs, not np.abs: the vectorised one differs in the last bit on some inputs
     survivals = np.array([abs(amp) ** 2 for amp in states[:, -1, 1]])

@@ -355,6 +355,9 @@ def validate_document(doc: dict) -> ScenarioConfig:
                                      f"{' or '.join(allowed)}, not {mechanism}"))
 
     t, values, samples = _validate_schedule(doc, mechanism, err)
+    if (None not in (t, values) and MECHANISMS[mechanism].key == "K"
+            and getattr(bundle, "H_c", None) is not None):  # the run's H + K H_c bound
+        _checked(err, "schedule.K", engines._continuous_generator, bundle.H, bundle.H_c, values, t)
     initial_state = _validate_initial_state(doc, getattr(bundle, "dim", None), mechanism, err)
     outputs = _validate_outputs(doc, mechanism, values, err)
 

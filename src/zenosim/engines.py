@@ -25,8 +25,10 @@ from .errors import (
 )
 from .linalg import (
     HERMITICITY_TOL,
+    _bounded,
     _cayley_eig,
     _check_state,
+    _hermitian_part,
     _lift,
     _norms,
     _in_domain,
@@ -254,38 +256,38 @@ def evolve_kicked(state0, h, u_kick, t: float, n: int,
     return EvolutionRecord(keep, step.states(keep, state))
 
 
-def _continuous_generator(h, h_c, coupling, t: float, ndim: int = 1) -> np.ndarray:
-    """Checked H + K H_c: (d, d) for one K, (B, d, d) for an array of them (ndim 1)."""
+def _continuous_generator(h, h_c, coupling, t: float, ndim: int = 1):
+    """Checked H + K H_c, (d, d) for one K or (B, d, d) for many (ndim 1), its largest slice
+    bounded, and whether H is Hermitian, which decides the route at every K (H_c must be)."""
     _check_positive_t(t)
     _check_coupling(coupling, ndim)
     hm = as_square_matrix(h, "H")
     hcm = require_hermitian(h_c, "H_c")
     if hm.shape != hcm.shape:
         raise DimensionMismatch("H and H_c dimensions differ")
-    return hm + np.multiply.outer(coupling, hcm)
+    gens = hm + np.multiply.outer(coupling, hcm)
+    _bounded(gens.reshape(-1, *hm.shape)[np.argmax(_norms(gens))], "H + K H_c")
+    return gens, hermiticity_defect(hm) <= HERMITICITY_TOL
 
 
-def _sample_continuous(gens: np.ndarray, state0, times: np.ndarray) -> np.ndarray:
+def _sample_continuous(gens: np.ndarray, hermitian, state0, times) -> np.ndarray:
     """exp(-i G_b tau) state0 for each slice G_b and time tau, stacked (B, S, ...).
 
-    Each slice takes the route ``evolve_continuous`` describes, and its checks.
+    The builder's ``hermitian`` picks the route of ``evolve_continuous`` for every slice.
     """
-    hermitian = hermiticity_defect(gens) <= HERMITICITY_TOL
-    state = _check_state(state0, gens.shape[-1], subnormalized=not hermitian.all())
-    if state.ndim == 2 and not hermitian.all():
+    state = _check_state(state0, gens.shape[-1], subnormalized=not hermitian)
+    if hermitian:
+        return hermitian_evolution(_hermitian_part(gens)).states(times, state)
+    if state.ndim == 2:
         raise NonHermitianDensityEvolution("density-matrix input requires a Hermitian "
                                            "generator; propagate a state vector instead")
-    if hermitian.all():
-        return hermitian_evolution(gens).states(times, state)
     spectral = nonhermitian_evolution(gens)
     states = spectral.states(times, state)
-    if hermitian.any():
-        states[hermitian] = hermitian_evolution(gens[hermitian]).states(times, state)
-    for b in np.flatnonzero(~(spectral.ok | hermitian)):
+    for b in np.flatnonzero(~spectral.ok):
         # near an exceptional point: one expm per sample after tau = 0
         states[b] = [state] + [expm(-1j * gens[b] * tau) @ state for tau in times[1:]]
     limit = 1.0 + NORM_GROWTH_TOL
-    if not (nrm := _norms(states[~hermitian, ..., None])).max() <= limit:  # NaN fails
+    if not (nrm := _norms(states[..., None])).max() <= limit:  # NaN fails
         raise InvalidState(
             f"non-Hermitian generator amplified the state to norm "
             f"{nrm[~(nrm <= limit)][0]:.6f}; only decaying models are supported")
@@ -296,14 +298,14 @@ def evolve_continuous(state0, h, h_c, coupling: float, t: float,
                       samples: int = 50) -> EvolutionRecord:
     """Evolve under H + K*H_c, sampled on a uniform time grid up to t.
 
-    Hermitian generators take the spectral route (one eigh, exactly unitary
-    at every sample).  A non-Hermitian H models decay at amplitude level and
-    is accepted for state vectors only; its norm must not grow.  It costs one
-    guarded eig, or one ``expm`` per sample near an exceptional point.
+    H alone picks the route, at every K.  A Hermitian H takes one eigh of the
+    generator's Hermitian part, exactly unitary at every sample.  A non-Hermitian H
+    models decay at amplitude level, for state vectors only; its norm must not grow.
+    It costs one guarded eig, or one ``expm`` per sample near an exceptional point.
     """
-    h_k = _continuous_generator(h, h_c, coupling, t, ndim=0)
+    h_k, hermitian = _continuous_generator(h, h_c, coupling, t, ndim=0)
     times = np.linspace(0.0, t, _check_samples(samples))
-    return EvolutionRecord(times, _sample_continuous(h_k[None], state0, times)[0])
+    return EvolutionRecord(times, _sample_continuous(h_k[None], hermitian, state0, times)[0])
 
 
 def zeno_propagators(h, res: ResolutionOfIdentity, t: float) -> list[np.ndarray]:
@@ -371,9 +373,9 @@ def continuous_propagator(h, h_c, coupling: float, t: float) -> np.ndarray:
 
     Couplings K (B,) give the stack (B, d, d), from one stacked eigh.
     """
-    h_k = _continuous_generator(h, h_c, coupling, t)
+    h_k, _ = _continuous_generator(h, h_c, coupling, t)
     require_hermitian(h, "H")
-    return propagator(h_k, t)
+    return propagator(_hermitian_part(h_k), t)
 
 
 def extracted_kick_limit(h, u_kick, t: float, n) -> np.ndarray:

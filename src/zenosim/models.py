@@ -52,7 +52,8 @@ class ModelBundle:
     Construction checks H and the payload and derives, from the payload alone,
     the ``mechanism`` (``res``: projective measurements, ``U_kick``: kicks,
     ``(H_c, K)`` with a finite K >= 0: continuous coupling) and the Zeno sectors
-    it induces, returned by ``resolution()``, whose dimension must be H's.
+    it induces, returned by ``resolution()``, whose dimension must be H's.  H must
+    be Hermitian unless the payload is H_c, whose engines also take a decaying H.
     """
 
     H: np.ndarray
@@ -60,7 +61,6 @@ class ModelBundle:
     U_kick: np.ndarray | None = None
     H_c: np.ndarray | None = None
     K: float | None = None
-    non_hermitian: bool = False
     mechanism: str = field(init=False)
     _resolution: ResolutionOfIdentity = field(init=False, repr=False)
 
@@ -73,8 +73,8 @@ class ModelBundle:
             _check_coupling(self.K)
         h = as_square_matrix(self.H, "H")
         object.__setattr__(self, "H", h)
-        if not self.non_hermitian:  # the engines' own test
-            require_hermitian(h, "H of a bundle not flagged non_hermitian")
+        if self.H_c is None:  # the engines' own test
+            require_hermitian(h, "H")
         if self.res is not None:
             mechanism, label, res = "projective", "res", self.res
         elif self.U_kick is not None:
@@ -228,4 +228,4 @@ def decay_model(omega1: float = 0.0, tau_z: float = 1.0, gamma: float = 0.1,
     h = _chain_hamiltonian(omega1, 1.0 / tau_z, 4)
     h[1, 1] = omega_b
     h[2, 2] = -1j * (2.0 / (tau_z * tau_z * gamma))  # the continuum half-width
-    return ModelBundle(H=h, H_c=_probe_coupling(), K=float(coupling), non_hermitian=True)
+    return ModelBundle(H=h, H_c=_probe_coupling(), K=float(coupling))

@@ -641,10 +641,30 @@ class TestDecayProtection:
         assert len(calls) == 1
         assert np.array_equal(calls[0], -1j * (b.H + (ep + 1e-5) * b.H_c) * t)
         monkeypatch.undo()
-        # K = 1e12 makes H + K H_c Hermitian to HERMITICITY_TOL: the Hermitian route
+        # K = 1e12 makes H + K H_c Hermitian to HERMITICITY_TOL, but the decaying H
+        # keeps every slice on the eig route
         per_k = [abs(evolve_continuous(psi0, b.H, b.H_c, k, t, samples=2)
                      .final_state[1]) ** 2 for k in ks.tolist()]
         np.testing.assert_array_equal(result.survivals, per_k)
+
+    def test_decaying_h_keeps_every_coupling_off_the_hermitian_route(self, monkeypatch):
+        # the relative asymmetry of H + K H_c falls like 1/K; H alone picks the route
+        ks, t = [0.0, 10.0, 1e6, 1e12, 1e15], 5.0
+        b, psi0 = decay_model(0.0, 1.0, 0.1, 0.0), np.eye(4, dtype=complex)[1]
+        calls, hermitian_evolution = [], engines.hermitian_evolution
+        monkeypatch.setattr(engines, "hermitian_evolution",
+                            lambda h: calls.append(h) or hermitian_evolution(h))
+        result = decay_protection_sweep(0.0, 1.0, 0.1, 0.0, ks, t)
+        per_k = [abs(evolve_continuous(psi0, b.H, b.H_c, k, t, samples=2)
+                     .final_state[1]) ** 2 for k in ks]
+        assert calls == []
+        np.testing.assert_array_equal(result.survivals, per_k)
+
+    def test_sweep_refuses_an_overflowing_generator(self):
+        # K = 2**128 is in the domain, but H + K H_c is not: the builder bounds the stack
+        with pytest.raises(InvalidParameter,
+                           match=r"^H \+ K H_c has Frobenius norm past 2\*\*128$"):
+            decay_protection_sweep(0.0, 1.0, 0.1, 0.0, [10.0, 2.0**128], t=5.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_stacked_sweep_matches_each_coupling(self, seed):

@@ -352,17 +352,19 @@ class TestMain:
                "in [2**-128, 2**128], got 5e-324" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_overflowing_generator_is_a_numeric_error(self, tmp_path, capsys):
-        # K = 2**128 and eta2 = 2 are each in the domain, but H + K*H_c passes the matrix
-        # bound: its decomposition refuses it, and nothing is written
-        path = write_config(tmp_path, continuous_doc(
-            model={"name": "simplified-continuous", "parameters": {"eta2": 2.0}},
-            schedule={"t": 1.0, "K": [2.0**128], "samples": 5}, outputs=["probabilities"]))
-        assert main(["validate", path]) == 0
-        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 3
-        assert "numeric error: eigh input has Frobenius norm past 2**128" \
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("scenario", ["continuous_convergence.json",
+                                          "decay_protection.json"])
+    def test_overflowing_generator_is_a_schema_error(self, tmp_path, capsys, command,
+                                                     scenario):
+        # K = 2**128 is in the domain, but H + K*H_c passes the matrix bound: the run's
+        # own builder refuses it at schedule.K on validate and run alike, before any write
+        args = [command, str(SCENARIOS / scenario), "--set", f"schedule.K=[64.0,{2.0**128!r}]"]
+        out = tmp_path / "out"
+        assert main(args + (["--output-dir", str(out)] if command == "run" else [])) == 2
+        assert "schema error at schedule.K: H + K H_c has Frobenius norm past 2**128" \
             in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert not out.exists()
 
     def test_detuning_at_the_domain_edge_is_written_right(self, tmp_path, capsys):
         # omega_b = -1e308 is refused where it enters; -2**128 runs, and the far
@@ -466,7 +468,8 @@ def test_magnitude_domain_is_checked_where_each_scalar_enters(tmp_path, capsys, 
     """2**-128 and 2**128 pass the scalar check; 2**129, -2**129 and 2**-129 are exit 2 of
     ``zenosim validate`` at the input's path.  A builder may still refuse an edge value for
     its own reasons (coinciding sectors, or a model matrix whose Frobenius norm passes
-    2**128), but never by the scalar domain."""
+    2**128), and the continuous builder may refuse K = 2**128 at schedule.K, where
+    H + K H_c passes 2**128, but neither refuses by the scalar domain."""
     mechanism = "decay-sweep" if model == "decay" else MODEL_REGISTRY[model]().mechanism
     key = MECHANISMS[mechanism].key
     config = write_config(tmp_path, {
@@ -481,7 +484,9 @@ def test_magnitude_domain_is_checked_where_each_scalar_enters(tmp_path, capsys, 
 
     for x in (2.0**-128, 2.0**128):
         code, err = validate(x)
-        assert code == 0 or (code == 2 and path.startswith("model.")), err
+        assert code == 0 or (code == 2 and path.startswith("model.")) or (
+            code == 2 and path == "schedule.K" and x == 2.0**128 and err.startswith(
+                "schema error at schedule.K: H + K H_c has Frobenius norm past 2**128")), err
         assert "[2**-128, 2**128]" not in err
     refused_at = path if path.startswith("schedule.") else "model.parameters"
     for x in (2.0**129, -2.0**129, 2.0**-129):

@@ -41,7 +41,7 @@ TOL = 10 * TRACE_TOL
 
 # the run's checks that validate also runs, under the names the package calls them by
 CHECKS = ("_check_positive_t", "_check_counts", "_check_coupling", "_check_samples",
-          "_increasing", "_sweep_values")
+          "_increasing", "_sweep_values", "_continuous_generator")
 
 MODEL_MECHANISMS = {name: ("decay-sweep",) if name == "decay" else
                     (build().mechanism, "zeno-limit") for name, build in MODEL_REGISTRY.items()}

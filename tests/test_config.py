@@ -214,7 +214,8 @@ class TestValidateDocument:
 
     def test_coupling_times_t_must_stay_finite(self):
         # the engines' coupling check refuses a K past 2**128 at schedule.K, whatever t is;
-        # at the domain's edge K*t is 2**256, far inside the float range
+        # K*t = 2**255 is far inside the float range, and at K = 2**128 the run's builder
+        # refuses H + K*H_c, whose Frobenius norm is then sqrt(2) * 2**128, there too
         doc = base_doc(model={"name": "four-level-continuous", "parameters": {}},
                        mechanism="continuous", schedule={"t": 1.0, "K": [1.0, 1e300]})
         with pytest.raises(SchemaViolation) as e:
@@ -222,8 +223,13 @@ class TestValidateDocument:
         assert e.value.violations == [("schedule.K", "K must be a finite real >= 0, with "
                                                      "magnitude 0 or in [2**-128, 2**128], "
                                                      "got 1e+300")]
+        doc["schedule"] = {"t": 2.0**128, "K": [1.0, 2.0**127]}
+        assert validate_document(doc).values == (1.0, 2.0**127)
         doc["schedule"] = {"t": 2.0**128, "K": [1.0, 2.0**128]}
-        assert validate_document(doc).values == (1.0, 2.0**128)
+        with pytest.raises(SchemaViolation) as e:
+            validate_document(doc)
+        assert e.value.violations == [("schedule.K",
+                                       "H + K H_c has Frobenius norm past 2**128")]
 
     @pytest.mark.parametrize("model, parameters", [
         ("four-level-kicked", {"lambda1": 0.5, "lambda2": -0.5}),  # lambda1 = -lambda2

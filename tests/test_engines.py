@@ -682,14 +682,34 @@ class TestContinuous:
     def test_overflowing_generator_refused_not_warned(self, call):
         # K*eta2 = 1e309 would overflow H + K*H_c: eta2 = 1e255 and K = 1e54 are each
         # refused where they enter; at the domain's edge H + K*H_c passes the matrix
-        # bound 2**128, and its decomposition refuses it: refused, not warned (pyproject)
+        # bound 2**128, and its builder refuses it: refused, not warned (pyproject)
         with pytest.raises(InvalidParameter, match="^eta2 must be finite"):
             simplified_continuous(eta2=1e255)
         with pytest.raises(InvalidParameter, match="^K must be a finite real >= 0"):
             call(simplified_continuous(), 1e54)
         with pytest.raises(InvalidParameter,
-                           match=r"^eigh input has Frobenius norm past 2\*\*128$"):
+                           match=r"^H \+ K H_c has Frobenius norm past 2\*\*128$"):
             call(simplified_continuous(eta2=2.0), 2.0**128)
+
+    @pytest.mark.parametrize("coupling", [160.0, 1e12, 2.0**100])
+    def test_decay_model_refuses_a_density_at_every_coupling(self, coupling):
+        # K H_c shrinks the relative asymmetry of H + K H_c like 1/K, but H decides
+        rho = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+        with pytest.raises(NonHermitianDensityEvolution):
+            evolve_continuous(rho, DECAY.H, DECAY.H_c, coupling, t=5.0)
+
+    def test_coupling_that_cancels_h_keeps_the_hermitian_route(self):
+        # H passes the Hermitian test (defect 7.1e-11), but K H_c cancels its large
+        # entry, so H + K H_c alone would not: both engines stay unitary all the same
+        h = np.diag([1000.0, 0.0, 0.0]).astype(complex)
+        h[0, 1], h[1, 0] = 1.0, 1.0 + 5e-8
+        assert 7e-11 < linalg.hermiticity_defect(h) <= linalg.HERMITICITY_TOL
+        h_c = np.diag([-1.0, 0.0, 0.0]).astype(complex)
+        rec = evolve_continuous(basis_state(3, 1), h, h_c, 1000.0, t=1.0)
+        assert np.abs(np.linalg.norm(rec.states, axis=1) - 1.0).max() <= 1e-14
+        u = continuous_propagator(h, h_c, 1000.0, 1.0)
+        assert np.abs(dagger(u) @ u - np.eye(3)).max() <= 1e-14
+        assert np.abs(u @ basis_state(3, 1) - rec.final_state).max() <= 1e-14
 
     def test_propagator_refuses_negative_coupling_or_time(self):
         b = four_level_continuous()
@@ -713,6 +733,54 @@ class TestContinuous:
                            match=r"^K must be a number or a 1-D array, got shape \(2, 2\)$"):
             call(b, np.ones((2, 2)))
         assert call(b, np.array([1.0, 2.0])).shape == (2, 4, 4)
+
+
+class TestContinuousCovariance:
+    """A change of basis Q: rotating H, H_c and the state rotates every continuous result,
+    within 64 d eps (1 + (||H|| + K ||H_c||) t), and leaves its route unchanged."""
+
+    @staticmethod
+    def _routes(monkeypatch):
+        """The decompositions the engines call, in order, by name."""
+        routes = []
+        for name in ("hermitian_evolution", "nonhermitian_evolution", "expm", "propagator"):
+            def spy(*args, _name=name, _call=getattr(engines, name)):
+                routes.append(_name)
+                return _call(*args)
+            monkeypatch.setattr(engines, name, spy)
+        return routes
+
+    @pytest.mark.parametrize("coupling", [0.0, 1.0, 64.0, 4096.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rotated_inputs_give_rotated_results(self, monkeypatch, seed, coupling):
+        rng = np.random.default_rng(seed)
+        q, t = random_unitary(rng, 4), rng.uniform(0.5, 2.0)
+        routes = self._routes(monkeypatch)
+        hermitian, psi0 = four_level_continuous(), straddle_state(4)
+
+        def rotated(x):
+            return q @ x @ dagger(q)
+
+        cases = [  # (engine call, Q's action on its result, start state, model)
+            (lambda h, h_c, psi: evolve_continuous(psi, h, h_c, coupling, t, samples=9)
+             .states, lambda x: np.asarray(x) @ q.T, psi0, hermitian),
+            (lambda h, h_c, psi: evolve_continuous(psi, h, h_c, coupling, t, samples=9)
+             .states, lambda x: np.asarray(x) @ q.T, basis_state(4, 1), DECAY),
+            (lambda h, h_c, _: continuous_propagator(h, h_c, coupling, t),
+             rotated, None, hermitian),
+            (lambda h, h_c, _: extracted_continuous_limit(h, h_c, t, coupling),
+             rotated, None, hermitian),
+        ]
+        for call, act, psi, b in cases:
+            tol = 64 * 4 * np.finfo(float).eps * (
+                1 + (frobenius(b.H) + coupling * frobenius(b.H_c)) * t)
+            routes.clear()
+            want = act(call(b.H, b.H_c, psi))
+            route = list(routes)
+            routes.clear()
+            got = call(rotated(b.H), rotated(b.H_c), None if psi is None else q @ psi)
+            assert routes == route != []
+            assert np.abs(np.asarray(got) - want).max() <= tol
 
 
 class TestZenoLimit:

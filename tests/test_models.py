@@ -17,7 +17,7 @@ from zenosim.errors import (
     NotUnitary,
     ZenosimError,
 )
-from zenosim.linalg import expm, frobenius, hermiticity_defect
+from zenosim.linalg import HERMITICITY_TOL, expm, frobenius, hermiticity_defect
 from zenosim.models import (
     ModelBundle,
     decay_model,
@@ -163,7 +163,7 @@ class TestDecayModel:
         h[1, 2] = h[2, 1] = 1.0  # 1/tau_Z
         h[2, 2] = -20.0j         # -2i / (tau_Z^2 gamma)
         assert frobenius(b.H - h) <= 1e-15
-        assert b.non_hermitian
+        assert hermiticity_defect(b.H) > HERMITICITY_TOL  # accepted: its payload is H_c
 
     def test_width_scales_with_parameters(self):
         b = decay_model(omega1=0.0, tau_z=2.0, gamma=0.5, coupling=0.0)
@@ -289,12 +289,20 @@ class TestModelBundle:
             with pytest.raises(NotHermitian):
                 ModelBundle(H=h, res=b.res)
 
-    def test_nonhermitian_h_requires_flag(self):
+    @pytest.mark.parametrize("key", ["res", "U_kick", "H_c"])
+    def test_nonhermitian_h_only_with_a_coupling(self, key):
+        """Only the coupling's engines take a decaying H, so the payload decides whether
+        H must be Hermitian."""
         h = np.array([[0, 1, 0], [1, 0, 1], [0, 1, -1j]], dtype=complex)
-        res = three_level_projective().res
-        with pytest.raises(NotHermitian):
-            ModelBundle(H=h, res=res, U_kick=None, H_c=None, K=0.0,
-                        non_hermitian=False)
+        parts = {"res": three_level_projective().res, "U_kick": simplified_kicked().U_kick,
+                 "H_c": simplified_continuous().H_c}
+        if key != "H_c":
+            with pytest.raises(NotHermitian, match="^H has relative asymmetry"):
+                ModelBundle(H=h, **{key: parts[key]})
+        else:
+            bundle = ModelBundle(H=h, H_c=parts[key], K=0.0)
+            assert bundle.mechanism == "continuous"
+            np.testing.assert_array_equal(bundle.H, h)
 
     @pytest.mark.parametrize("keys", [(), ("res", "U_kick"), ("H_c",)],
                              ids=["none", "res-and-U_kick", "H_c-without-K"])
@@ -332,7 +340,7 @@ class TestModelBundle:
 
     def test_mechanism_is_derived(self):
         assert [f.name for f in dataclasses.fields(ModelBundle) if f.init] == [
-            "H", "res", "U_kick", "H_c", "K", "non_hermitian"]
+            "H", "res", "U_kick", "H_c", "K"]
         assert [b.mechanism for b in (three_level_projective(), four_level_kicked(),
                                       four_level_continuous())] == [
             "projective", "kicked", "continuous"]

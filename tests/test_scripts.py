@@ -1,6 +1,10 @@
-"""Smoke tests: every shipped script runs with its defaults and prints a report."""
+"""Smoke tests: every shipped script runs with its defaults and prints a report, and
+so does the README's library example."""
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +44,18 @@ def test_decay_study_reports_a_refused_model_in_one_line():
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: tau_z must be finite and positive")
     assert proc.stderr.count("\n") == 1
+
+
+def test_readme_library_example_runs():
+    # the fenced block under "## Library example", run as written
+    readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library example\n+```python\n(.*?)^```$", readme,
+                      re.MULTILINE | re.DOTALL).group(1)
+    names = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(block, "README.md", "exec"), names)
+    assert out.getvalue()
+    curve, series = names["curve"], names["series"]
+    assert all(curve.distances[1:] < curve.distances[:-1])  # "falls like 1/N"
+    assert -1.3 <= curve.fitted_rate <= -0.7  # "close to -1"; -1.19 when written
+    assert abs(series.subspace_probabilities[-1].sum() - 1.0) <= 1e-12

@@ -113,3 +113,18 @@ def test_csv_cells_joined_in_one_writer():
     in ``cli.py`` joins cells with ``",".join``, so a second writer cannot come back."""
     assert [getattr(node, "name", "module level") for node in TREES["cli.py"].body
             if _csv_joins(node)] == ["_csv_lines"]
+
+
+def test_coupling_generator_formed_once():
+    """H + K H_c is formed in ``engines._continuous_generator`` alone, which checks and
+    bounds it: no other code writes ``np.multiply.outer(``."""
+    assert {name: source.count("np.multiply.outer(") for name, source in SOURCES.items()
+            if "np.multiply.outer(" in source} == {"engines.py": 1}
+
+
+def test_coupling_route_decided_in_the_builder():
+    """H decides the continuous route, once, in ``engines._continuous_generator``: no other
+    engine, ``_sample_continuous`` included, calls ``hermiticity_defect``."""
+    assert [node.name for node in TREES["engines.py"].body
+            if isinstance(node, ast.FunctionDef)
+            and "hermiticity_defect" in _loaded(node)] == ["_continuous_generator"]
