@@ -25,7 +25,8 @@ from .errors import (
     InvalidParameter,
     InvalidState,
 )
-from .linalg import _bounded, _lift, check_density_matrix, dagger, propagator
+from .linalg import (_bounded, _check_scalar, _is_real, _lift, check_density_matrix, dagger,
+                     propagator)
 from .models import ModelBundle, decay_model
 from .spectral import ResolutionOfIdentity
 
@@ -311,6 +312,9 @@ def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,
     The stack H + K_b H_c takes the checks and the route of ``evolve_continuous``,
     which the decaying H fixes at every K, in one batched call.
     """
+    _check_scalar(threshold, "threshold")
+    if not all(map(_is_real, np.ravel(np.asarray(k_values, dtype=object)).tolist())):
+        raise InvalidParameter(f"coupling values must be real numbers, got {k_values!r}")
     ks = _increasing(np.asarray(k_values, dtype=float), "coupling values", least=1)
     bundle = decay_model(omega1, tau_z, gamma, 0.0, omega_b)  # H, H_c do not depend on K
     states = _sample_continuous(*_continuous_generator(bundle.H, bundle.H_c, ks, t),

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import analysis, engines, models
 from .errors import SchemaViolation, ZenosimError
-from .linalg import check_state_vector, propagator
+from .linalg import _is_real, check_state_vector, propagator
 
 __all__ = [
     "MODEL_REGISTRY",
@@ -151,7 +151,7 @@ class ScenarioConfig:
 
 def _number(x) -> float | None:
     """A JSON number (not a bool) as a float, ±inf past the float range; else None."""
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
+    if not _is_real(x):
         return None
     try:
         return float(x)

@@ -27,11 +27,12 @@ from .linalg import (
     HERMITICITY_TOL,
     _bounded,
     _cayley_eig,
+    _check_scalar,
     _check_state,
     _hermitian_part,
+    _is_real,
     _lift,
     _norms,
-    _in_domain,
     _SpectralEvaluator,
     as_square_matrix,
     check_density_matrix,
@@ -136,35 +137,31 @@ def _check_samples(samples: int) -> int:
 
 
 def _check_positive_t(t: float) -> float:
-    if not (t > 0 and _in_domain(t)):
-        raise InvalidParameter(f"t must be finite and positive, with magnitude in "
-                               f"[2**-128, 2**128], got {t!r}")
-    return float(t)
+    return float(_check_scalar(t, "t", "> 0"))
 
 
 def _entries(x, ndim: int, name: str, noun: str) -> list:
     """As a list, one x or (ndim 1) the values of a 1-D array of them, refused if empty."""
-    if np.ndim(x) > ndim:
+    a = np.asarray(x, dtype=object)  # each value as given: True is not 1, [2, [3]] not ragged
+    if a.ndim > ndim:
         raise InvalidParameter(f"{name} must be a {noun}{' or a 1-D array' * ndim}, "
-                               f"got shape {np.shape(x)}")
-    if np.size(x) == 0:
+                               f"got shape {a.shape}")
+    if a.size == 0:
         raise InvalidParameter(f"{name} must be at least one {noun}, got an empty array")
-    return np.ravel(x).tolist()
+    return a.ravel().tolist()
 
 
 def _check_coupling(coupling, ndim: int = 1):
-    """One K, or an array of them, each >= 0 with magnitude 0 or in [2**-128, 2**128]."""
+    """One K, or (ndim 1) an array of them, each a ``_check_scalar`` >= 0, as float64."""
     for k in _entries(coupling, ndim, "K", "number"):
-        if not (k >= 0 and _in_domain(k)):
-            raise InvalidParameter(f"K must be a finite real >= 0, with magnitude 0 or in "
-                                   f"[2**-128, 2**128], got {k!r}")
-    return coupling
+        _check_scalar(k, "K", ">= 0")
+    return np.asarray(coupling, dtype=float)
 
 
 def _check_counts(n, ndim: int = 1):
     """One N as an int, or an array of them as int64, each an integer in [1, 2**63)."""
     for k in _entries(n, ndim, "N", "count"):
-        if not 1 <= k < 2**63 or int(k) != k:  # NaN fails the first test
+        if not (_is_real(k) and 1 <= k < 2**63 and int(k) == k):  # NaN fails
             raise InvalidParameter(f"N must be a positive integer below 2**63, got {k!r}")
     return int(n) if np.ndim(n) == 0 else np.asarray(n, dtype=np.int64)
 
@@ -260,7 +257,7 @@ def _continuous_generator(h, h_c, coupling, t: float, ndim: int = 1):
     """Checked H + K H_c, (d, d) for one K or (B, d, d) for many (ndim 1), its largest slice
     bounded, and whether H is Hermitian, which decides the route at every K (H_c must be)."""
     _check_positive_t(t)
-    _check_coupling(coupling, ndim)
+    coupling = _check_coupling(coupling, ndim)
     hm = as_square_matrix(h, "H")
     hcm = require_hermitian(h_c, "H_c")
     if hm.shape != hcm.shape:
@@ -327,7 +324,7 @@ def evolve_zeno_limit(rho0, h, res: ResolutionOfIdentity, t: float,
     all times; cross-sector coherences are removed at tau = 0+, so the first
     sample is pinch(rho0).  t = 0 is allowed and returns that single sample.
     """
-    t, samples = t if t == 0 else _check_positive_t(t), _check_samples(samples)
+    t, samples = t if _is_real(t) and t == 0 else _check_positive_t(t), _check_samples(samples)
     times = np.linspace(0.0, t, samples if t else 1)
     rho = check_density_matrix(rho0, res.dim)
     u_z = hermitian_evolution(zeno_hamiltonian(h, res))
@@ -359,7 +356,7 @@ def asymptotic_continuous_propagator(h, res: ResolutionOfIdentity, t: float,
     role the kick count N plays in the kicked mechanism.
     """
     t = _check_positive_t(t)
-    return _sector_phases(h, res, t, np.asarray(_check_coupling(coupling)) * t)
+    return _sector_phases(h, res, t, _check_coupling(coupling) * t)
 
 
 def kicked_propagator(h, u_kick, t: float, n: int) -> np.ndarray:
@@ -402,7 +399,7 @@ def extracted_continuous_limit(h, h_c, t: float, coupling: float) -> np.ndarray:
     stack (B, d, d) from one stacked eigh and one eigh of H_c.
     """
     u_k = continuous_propagator(h, h_c, coupling, t)
-    return propagator(h_c, -np.asarray(coupling) * t) @ u_k
+    return propagator(h_c, -np.asarray(coupling, dtype=float) * t) @ u_k
 
 
 def projective_survival(state0, h, res: ResolutionOfIdentity, sector: int,

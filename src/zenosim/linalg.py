@@ -57,9 +57,21 @@ __all__ = [
 ]
 
 
-def _in_domain(x) -> bool:
-    """Whether a scalar input is 0 or of magnitude in [2**-128, 2**128]; NaN is not."""
-    return x == 0 or 1.0 / MAGNITUDE_BOUND <= abs(x) <= MAGNITUDE_BOUND
+def _is_real(x) -> bool:
+    """Whether x is one real number: a Python or numpy int or float, or a 0-d array of one."""
+    return type(x) in (float, int) or (isinstance(x, (np.generic, np.ndarray))
+                                       and x.ndim == 0 and x.dtype.kind in "iuf")
+
+
+def _check_scalar(x, name: str, least: str = ""):
+    """x if ``_is_real``, 0 or of magnitude in [2**-128, 2**128], and > 0 or >= 0 per ``least``."""
+    v = (x if type(x) is int else float(x)) if _is_real(x) else np.nan  # float64 or any int
+    if ((v == 0 or 1.0 / MAGNITUDE_BOUND <= abs(v) <= MAGNITUDE_BOUND)  # NaN fails
+            and (v > 0 or not least or (v == 0 and least == ">= 0"))):
+        return x
+    sign = {"": "finite", ">= 0": "a finite real >= 0", "> 0": "finite and positive"}[least]
+    raise InvalidParameter(f"{name} must be {sign}, with magnitude {'0 or ' * (least != '> 0')}"
+                           f"in [2**-128, 2**128], got {x!r}")
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -135,12 +147,17 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     columns v, so h == v @ diag(w) @ v†.  The input is validated against
     HERMITICITY_TOL first and symmetrized before the LAPACK call so the
     result is exactly consistent with a Hermitian operator.  A stack (B, d, d)
-    is checked slice by slice and decomposed in one call: w (B, d), v (B, d, d).
+    is checked in one pass and decomposed in one call: w (B, d), v (B, d, d).
     """
-    if np.ndim(h) == 3 and len(h) == 0:
-        raise DimensionMismatch(f"eigh input stack is empty, got shape {np.shape(h)}")
-    m = (np.array([require_hermitian(s, "eigh input") for s in h]) if np.ndim(h) == 3
-         else require_hermitian(h, "eigh input"))
+    if (m := np.asarray(h, dtype=complex)).ndim == 3 and len(m) == 0:
+        raise DimensionMismatch(f"eigh input stack is empty, got shape {m.shape}")
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:  # a non-square stack fails at slice 0
+        require_hermitian(m[0] if m.ndim == 3 else m, "eigh input")
+    else:  # one pass; the first slice that fails is refused as it would be alone
+        with np.errstate(over="ignore", invalid="ignore"):  # a test of inf or NaN fails
+            ok = (_norms(m) <= MAGNITUDE_BOUND) & (hermiticity_defect(m) <= HERMITICITY_TOL)
+        if not ok.all():
+            require_hermitian(m[np.argmin(ok)], "eigh input")
     m = _hermitian_part(m)
     try:
         w, v = np.linalg.eigh(m)
@@ -254,7 +271,9 @@ def _phases(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """e^{-i w x} for |x| <= 2**256, the largest K t, so w x stays finite; refused where
     |e| passes 1/eps, which lifts the roundoff along an eigenvector above the state
     (real w: |e| = 1), or where the exponent is NaN."""
-    if not np.all(inside := np.abs(x) <= MAGNITUDE_BOUND * MAGNITUDE_BOUND):  # NaN fails
+    if x.dtype.kind not in "iuf":  # a complex x would grow or shrink e: not an evolution
+        raise InvalidParameter(f"t must be real, got dtype {x.dtype}")
+    if not np.all(inside := np.abs(x, dtype=float) <= MAGNITUDE_BOUND * MAGNITUDE_BOUND):
         raise InvalidParameter(f"t must be finite and of magnitude at most 2**256, "
                                f"got {float(x[~inside][0])!r}")
     z = -1j * w * x

@@ -27,7 +27,7 @@ from .errors import (
     InvalidParameter,
 )
 from .engines import _check_coupling
-from .linalg import _in_domain, as_square_matrix, require_hermitian
+from .linalg import _check_scalar, as_square_matrix, require_hermitian
 from .spectral import (
     ResolutionOfIdentity,
     projections_of_hermitian,
@@ -51,7 +51,7 @@ class ModelBundle:
 
     Construction checks H and the payload and derives, from the payload alone,
     the ``mechanism`` (``res``: projective measurements, ``U_kick``: kicks,
-    ``(H_c, K)`` with a finite K >= 0: continuous coupling) and the Zeno sectors
+    ``(H_c, K)`` with one scalar K >= 0: continuous coupling) and the Zeno sectors
     it induces, returned by ``resolution()``, whose dimension must be H's.  H must
     be Hermitian unless the payload is H_c, whose engines also take a decaying H.
     """
@@ -70,7 +70,7 @@ class ModelBundle:
             raise InvalidParameter("a bundle must carry exactly one payload: "
                                    "res, U_kick, or H_c with K")
         if self.K is not None:
-            _check_coupling(self.K)
+            _check_coupling(self.K, ndim=0)
         h = as_square_matrix(self.H, "H")
         object.__setattr__(self, "H", h)
         if self.H_c is None:  # the engines' own test
@@ -98,12 +98,9 @@ class ModelBundle:
         return zeno_hamiltonian(self.H, self._resolution)
 
 
-def _check_finite(params: dict, positive: tuple[str, ...] = ()) -> None:
-    """Refuse a parameter out of the magnitude domain, or a non-positive one in ``positive``."""
-    for name, x in params.items():
-        if not (_in_domain(x) and (x > 0 or name not in positive)):
-            raise InvalidParameter(f"{name} must be finite{' and positive' * (name in positive)}"
-                                   f", with magnitude 0 or in [2**-128, 2**128], got {x!r}")
+def _check_finite(params: dict, positive: tuple[str, ...] = ()) -> list[float]:
+    """Each parameter as float64 after ``linalg._check_scalar``, > 0 if named in ``positive``."""
+    return [float(_check_scalar(x, k, "> 0" if k in positive else "")) for k, x in params.items()]
 
 
 def _chain_hamiltonian(omega1: float, omega2: float, dim: int) -> np.ndarray:
@@ -140,7 +137,7 @@ def three_level_projective(omega1: float = 1.0, omega2: float = 1.0) -> ModelBun
     The measurement pins the dynamics inside the rank-2 sector, where only
     the a--b coupling survives: H_Z = [[0, O1, 0], [O1, 0, 0], [0, 0, 0]].
     """
-    _check_finite(locals())
+    omega1, omega2 = _check_finite(locals())
     h = _chain_hamiltonian(omega1, omega2, 3)
     res = _two_block_resolution()
     return ModelBundle(H=h, res=res)
@@ -155,7 +152,7 @@ def four_level_kicked(omega1: float = 1.0, omega2: float = 1.0,
     sectors (span{a,b}, (|c>+|M>)/sqrt2, (|c>-|M>)/sqrt2).  All three
     phases must be distinct modulo 2 pi or the sectors merge.
     """
-    _check_finite(locals())
+    omega1, omega2, lambda1, lambda2 = _check_finite(locals())
     h = _chain_hamiltonian(omega1, omega2, 4)
     u = np.zeros((4, 4), dtype=complex)
     u[0, 0] = u[1, 1] = np.exp(-1j * lambda1)
@@ -174,9 +171,9 @@ def four_level_continuous(omega1: float = 1.0, omega2: float = 1.0,
     as the kicked variant, so the K -> infinity limit pins the identical
     Zeno Hamiltonian.
     """
-    _check_finite(locals())
+    omega1, omega2, coupling = _check_finite(locals())
     h = _chain_hamiltonian(omega1, omega2, 4)
-    return ModelBundle(H=h, H_c=_probe_coupling(), K=float(coupling))
+    return ModelBundle(H=h, H_c=_probe_coupling(), K=coupling)
 
 
 def simplified_kicked(omega1: float = 1.0, omega2: float = 1.0,
@@ -187,7 +184,7 @@ def simplified_kicked(omega1: float = 1.0, omega2: float = 1.0,
     model's two sectors.  For lambda1 = 0, lambda2 = 1 this is exactly
     exp(-i |c><c|).
     """
-    _check_finite(locals())
+    omega1, omega2, lambda1, lambda2 = _check_finite(locals())
     h = _chain_hamiltonian(omega1, omega2, 3)
     res = _two_block_resolution()
     u = (np.exp(-1j * lambda1) * res.projectors[0]
@@ -203,11 +200,11 @@ def simplified_continuous(omega1: float = 1.0, omega2: float = 1.0,
 
     H_c' = eta1 P_1 + eta2 P_2; for eta1 = 0, eta2 = 1 this is |c><c|.
     """
-    _check_finite(locals())
+    omega1, omega2, eta1, eta2, coupling = _check_finite(locals())
     h = _chain_hamiltonian(omega1, omega2, 3)
     res = _two_block_resolution()
     h_c = eta1 * res.projectors[0] + eta2 * res.projectors[1]
-    bundle = ModelBundle(H=h, H_c=h_c, K=float(coupling))
+    bundle = ModelBundle(H=h, H_c=h_c, K=coupling)
     return _with_sectors(bundle, 2, DegenerateCouplingLevels, "eta1 and eta2 coincide")
 
 
@@ -224,8 +221,8 @@ def decay_model(omega1: float = 0.0, tau_z: float = 1.0, gamma: float = 0.1,
     The printed model has no detuning.  An off-resonant decaying level is
     our interpretation: ``omega_b`` sits on the |b> diagonal, H[1, 1].
     """
-    _check_finite(locals(), positive=("tau_z", "gamma"))
+    omega1, tau_z, gamma, coupling, omega_b = _check_finite(locals(), positive=("tau_z", "gamma"))
     h = _chain_hamiltonian(omega1, 1.0 / tau_z, 4)
     h[1, 1] = omega_b
     h[2, 2] = -1j * (2.0 / (tau_z * tau_z * gamma))  # the continuum half-width
-    return ModelBundle(H=h, H_c=_probe_coupling(), K=float(coupling))
+    return ModelBundle(H=h, H_c=_probe_coupling(), K=coupling)

@@ -24,6 +24,7 @@ from .errors import (
 from .linalg import (
     MAGNITUDE_BOUND,
     _hermitian_part,
+    _is_real,
     _norms,
     as_square_matrix,
     dagger,
@@ -61,7 +62,7 @@ class ResolutionOfIdentity:
     order.  It refuses a family that is not a resolution with InvalidParameter,
     naming the first invariant that fails: each P_n Hermitian and idempotent,
     distinct P_n mutually orthogonal, the family summing to the identity
-    (each to PROJECTOR_TOL, Frobenius), and labels finite, at most 2**128 in
+    (each to PROJECTOR_TOL, Frobenius), and labels real, finite, at most 2**128 in
     magnitude and pairwise further apart than CLUSTER_WIDTH.
     """
 
@@ -74,6 +75,8 @@ class ResolutionOfIdentity:
 
     def __post_init__(self):
         projs = tuple(as_square_matrix(p, "projector") for p in self.projectors)
+        if not all(map(_is_real, self.labels)):
+            raise InvalidParameter(f"labels must be real numbers, got {self.labels!r}")
         labels = tuple(float(x) for x in self.labels)
         if not projs:
             raise InvalidParameter("resolution needs at least one projector")
@@ -97,7 +100,7 @@ class ResolutionOfIdentity:
         return len(self.projectors)
 
     def projector(self, n: int) -> np.ndarray:
-        if not isinstance(n, (int, np.integer)) or not 0 <= n < self.nsectors:
+        if not (_is_real(n) and isinstance(n, (int, np.integer)) and 0 <= n < self.nsectors):
             raise IndexOutOfRange(f"sector {n!r} not in 0..{self.nsectors - 1}")
         return self.projectors[n]
 

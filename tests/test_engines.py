@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import pickle
 import tracemalloc
 import warnings
@@ -48,16 +49,24 @@ from zenosim.errors import (
     InvalidState,
     NonHermitianDensityEvolution,
     NotUnitary,
+    ZenosimError,
 )
 from zenosim.linalg import dagger, frobenius, opnorm, propagator
 from zenosim.models import (
+    ModelBundle,
     decay_model,
     four_level_continuous,
     four_level_kicked,
     simplified_continuous,
+    simplified_kicked,
     three_level_projective,
 )
-from zenosim.spectral import ResolutionOfIdentity, pinch, zeno_hamiltonian
+from zenosim.spectral import (
+    ResolutionOfIdentity,
+    pinch,
+    projections_of_hermitian,
+    zeno_hamiltonian,
+)
 
 CHAIN = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
 RES3 = ResolutionOfIdentity(
@@ -783,6 +792,94 @@ class TestContinuousCovariance:
             assert np.abs(np.asarray(got) - want).max() <= tol
 
 
+class TestKickedCovariance:
+    """A change of basis Q: rotating H, U_kick and the state rotates every kicked result,
+    and leaves each convergence distance unchanged, within 64 d eps (1 + N)."""
+
+    @staticmethod
+    def _rotation(seed):
+        rng = np.random.default_rng(seed)
+        q = random_unitary(rng, 4)
+        return q, rng.uniform(0.5, 2.0), lambda x: q @ x @ dagger(q)
+
+    @pytest.mark.parametrize("n", [1, 64, 4096])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rotated_inputs_give_rotated_results(self, seed, n):
+        q, t, rotated = self._rotation(seed)
+        b, psi = four_level_kicked(), straddle_state(4)
+        rho = np.outer(psi, psi.conj())
+        cases = [  # (engine call, Q's action on its result, start state)
+            (lambda h, u, s: evolve_kicked(s, h, u, t, n, samples=9).states,
+             lambda x: np.asarray(x) @ q.T, psi),
+            (lambda h, u, s: evolve_kicked(s, h, u, t, n, samples=9).states,
+             lambda x: [rotated(r) for r in x], rho),
+            (lambda h, u, _: kicked_propagator(h, u, t, n), rotated, None),
+            (lambda h, u, _: extracted_kick_limit(h, u, t, n), rotated, None),
+        ]
+        tol = 64 * 4 * np.finfo(float).eps * (1 + n)
+        for call, act, state in cases:
+            want = act(call(b.H, b.U_kick, state))
+            got = call(rotated(b.H), rotated(b.U_kick),
+                       None if state is None else q @ state if state.ndim == 1
+                       else rotated(state))
+            assert np.abs(np.asarray(got) - np.asarray(want)).max() <= tol
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rotated_bundle_keeps_its_convergence_distances(self, seed):
+        q, t, rotated = self._rotation(seed)
+        b, ns = four_level_kicked(), 2 ** np.arange(6, 13)
+        moved = ModelBundle(H=rotated(b.H), U_kick=rotated(b.U_kick))
+        want = convergence_curve(b, t, ns).distances
+        got = convergence_curve(moved, t, ns).distances
+        assert np.all(np.abs(got - want) <= 64 * 4 * np.finfo(float).eps * (1 + ns))
+
+
+def _random_coupled_model(seed):
+    """H and H_c = W diag(eta) W† with d = 3..6, 2..d sectors of random ranks, levels eta
+    at least 0.3 apart and a random basis W."""
+    rng = np.random.default_rng(seed)
+    d = 3 + seed % 4
+    count = rng.integers(2, d + 1)
+    ranks = np.bincount(np.r_[np.arange(count), rng.integers(0, count, d - count)])
+    eta = np.cumsum(rng.uniform(0.3, 1.5, count)) - rng.uniform(0.0, 3.0)
+    w = random_unitary(rng, d)
+    h_c = w @ np.diag(np.repeat(eta, ranks)) @ dagger(w)
+    return random_hermitian(rng, d), 0.5 * h_c + 0.5 * dagger(h_c)
+
+
+class TestContinuousBound:
+    """The a-priori bound on the coupling-frame propagator V_K(t), an oracle at every point.
+
+    With H_c = sum_n eta_n P_n, D = H - H_Z = [H_c, X] for X = sum_{n != m} P_n H P_m /
+    (eta_n - eta_m), so one integration by parts of Duhamel's formula gives
+    ||V_K(t) - e^{-i t H_Z}|| <= (2 ||X|| + t ||H X - X H_Z||) / K, and the triangle
+    inequality the form of Burgarth, Facchi, Gramegna and Yuasa, Quantum 6, 737 (2022):
+    (||X|| / K) (2 + 2 t ||H_Z|| + ||H - H_Z|| (2 t + t² ||H_Z||)); operator norms.
+    """
+
+    @pytest.mark.parametrize("model", ["four-level", "simplified", "simplified-shifted"]
+                             + [f"random-{seed}" for seed in range(30)])
+    def test_distance_within_the_bound(self, model):
+        if model.startswith("random"):
+            h, h_c = _random_coupled_model(int(model.split("-")[1]))
+        else:
+            b = {"four-level": four_level_continuous(), "simplified": simplified_continuous(),
+                 "simplified-shifted": simplified_continuous(0.7, 1.3, -0.5, 2.0)}[model]
+            h, h_c = b.H, b.H_c
+        res = projections_of_hermitian(h_c)
+        h_z = zeno_hamiltonian(h, res)
+        x = sum(p @ h @ q / (a - c) for p, a in zip(res.projectors, res.labels)
+                for q, c in zip(res.projectors, res.labels) if a != c)
+        ks = 4.0 ** np.arange(1, 7)
+        for t in (0.3, 1.0, 3.0):
+            limits = extracted_continuous_limit(h, h_c, t, ks)
+            distance = np.linalg.norm(limits - propagator(h_z, t), 2, axis=(1, 2))
+            derived = (2 * opnorm(x) + t * opnorm(h @ x - x @ h_z)) / ks
+            published = opnorm(x) / ks * (2 + 2 * t * opnorm(h_z) + opnorm(h - h_z) * (
+                2 * t + t * t * opnorm(h_z)))
+            assert np.all(distance <= derived) and np.all(derived <= published)
+
+
 class TestZenoLimit:
     def test_sector_propagator_structure(self):
         t = 0.9
@@ -898,6 +995,135 @@ def test_empty_array_refused(call):
     make, error, message = _EMPTY_ARRAY_CALLS[call]
     with pytest.raises(error, match=message):
         make()
+
+
+_RHO3 = np.outer(_PSI3, _PSI3)
+
+
+def _listed(call):
+    """The call with x as the last of the values [2, 4, x]."""
+    return lambda x: call([2, 4, x])
+
+
+# each call takes x where one real number is required, or (_listed) one entry of an array
+# of them; every model parameter is added below
+_SCALAR_CALLS = {
+    "evolve_projective-t": lambda x: evolve_projective(_RHO3, CHAIN, RES3, x, 8),
+    "evolve_projective-N": lambda x: evolve_projective(_RHO3, CHAIN, RES3, 1.0, x),
+    "evolve_kicked-t": lambda x: evolve_kicked(_PSI3, CHAIN, np.eye(3), x, 8),
+    "evolve_kicked-N": lambda x: evolve_kicked(_PSI3, CHAIN, np.eye(3), 1.0, x),
+    "evolve_continuous-t": lambda x: evolve_continuous(_PSI4, np.eye(4), _HC4, 2.0, x),
+    "evolve_continuous-K": lambda x: evolve_continuous(_PSI4, np.eye(4), _HC4, x, 1.0),
+    "evolve_zeno_limit-t": lambda x: evolve_zeno_limit(_RHO3, CHAIN, RES3, x),
+    "zeno_propagators-t": lambda x: zeno_propagators(CHAIN, RES3, x),
+    "kicked_propagator-t": lambda x: kicked_propagator(CHAIN, np.eye(3), x, 8),
+    "kicked_propagator-N": lambda x: kicked_propagator(CHAIN, np.eye(3), 1.0, x),
+    "kicked_propagator-Ns": _listed(lambda n: kicked_propagator(CHAIN, np.eye(3), 1.0, n)),
+    "continuous_propagator-t": lambda x: continuous_propagator(np.eye(4), _HC4, 2.0, x),
+    "continuous_propagator-K": lambda x: continuous_propagator(np.eye(4), _HC4, x, 1.0),
+    "continuous_propagator-Ks": _listed(lambda k: continuous_propagator(np.eye(4), _HC4, k,
+                                                                        1.0)),
+    "asymptotic_kicked_propagator-t": lambda x: asymptotic_kicked_propagator(CHAIN, RES3, x, 4),
+    "asymptotic_kicked_propagator-N": lambda x: asymptotic_kicked_propagator(CHAIN, RES3, 1.0,
+                                                                             x),
+    "asymptotic_kicked_propagator-Ns": _listed(
+        lambda n: asymptotic_kicked_propagator(CHAIN, RES3, 1.0, n)),
+    "asymptotic_continuous_propagator-t": lambda x: asymptotic_continuous_propagator(
+        CHAIN, RES3, x, 2.0),
+    "asymptotic_continuous_propagator-K": lambda x: asymptotic_continuous_propagator(
+        CHAIN, RES3, 1.0, x),
+    "asymptotic_continuous_propagator-Ks": _listed(
+        lambda k: asymptotic_continuous_propagator(CHAIN, RES3, 1.0, k)),
+    "extracted_kick_limit-t": lambda x: extracted_kick_limit(CHAIN, np.eye(3), x, 8),
+    "extracted_kick_limit-N": lambda x: extracted_kick_limit(CHAIN, np.eye(3), 1.0, x),
+    "extracted_kick_limit-Ns": _listed(lambda n: extracted_kick_limit(CHAIN, np.eye(3), 1.0,
+                                                                      n)),
+    "extracted_continuous_limit-t": lambda x: extracted_continuous_limit(np.eye(4), _HC4, x,
+                                                                         2.0),
+    "extracted_continuous_limit-K": lambda x: extracted_continuous_limit(np.eye(4), _HC4,
+                                                                         1.0, x),
+    "extracted_continuous_limit-Ks": _listed(
+        lambda k: extracted_continuous_limit(np.eye(4), _HC4, 1.0, k)),
+    "projective_survival-t": lambda x: projective_survival(_PSI3, CHAIN, RES3, 0, x, 4),
+    "projective_survival-N": lambda x: projective_survival(_PSI3, CHAIN, RES3, 0, 1.0, x),
+    "projective_survival-sector": lambda x: projective_survival(_PSI3, CHAIN, RES3, x, 1.0, 4),
+    "convergence_curve-t": lambda x: convergence_curve(four_level_kicked(), x, [2, 4, 8]),
+    "convergence_curve-Ns": _listed(lambda n: convergence_curve(four_level_kicked(), 1.0, n)),
+    "convergence_curve-Ks": _listed(lambda k: convergence_curve(four_level_continuous(), 1.0,
+                                                                k)),
+    "projective_convergence_curve-t": lambda x: projective_convergence_curve(
+        three_level_projective(), _RHO3, x, [2, 4, 8]),
+    "projective_convergence_curve-Ns": _listed(lambda n: projective_convergence_curve(
+        three_level_projective(), _RHO3, 1.0, n)),
+    "decay_protection_sweep-t": lambda x: decay_protection_sweep(0.0, 1.0, 0.1, 0.0, [10.0],
+                                                                 x),
+    "decay_protection_sweep-Ks": _listed(lambda k: decay_protection_sweep(0.0, 1.0, 0.1, 0.0,
+                                                                          k, 5.0)),
+    "decay_protection_sweep-threshold": lambda x: decay_protection_sweep(
+        0.0, 1.0, 0.1, 0.0, [0.0, 10.0], 5.0, threshold=x),
+    "ModelBundle-K": lambda x: ModelBundle(H=np.eye(4), H_c=_HC4, K=x),
+    "ResolutionOfIdentity-label": lambda x: ResolutionOfIdentity(RES3.projectors, [1.0, x]),
+    "ResolutionOfIdentity.projector": lambda x: RES3.projector(x),
+    "propagator-t": lambda x: propagator(CHAIN, x),
+    "hermitian_evolution-x": lambda x: linalg.hermitian_evolution(CHAIN)(x),
+    "states-x": lambda x: linalg.hermitian_evolution(CHAIN).states([x], _PSI3),
+}
+for _name in ("omega1", "tau_z", "gamma", "omega_b"):
+    _SCALAR_CALLS[f"decay_protection_sweep-{_name}"] = (
+        lambda x, _name=_name: decay_protection_sweep(**{
+            "omega1": 0.0, "tau_z": 1.0, "gamma": 0.1, "omega_b": 0.0, _name: x},
+            k_values=[10.0], t=5.0))
+for _build in (three_level_projective, four_level_kicked, four_level_continuous,
+               simplified_kicked, simplified_continuous, decay_model):
+    for _name in inspect.signature(_build).parameters:
+        _SCALAR_CALLS[f"{_build.__name__}-{_name}"] = (
+            lambda x, _build=_build, _name=_name: _build(**{_name: x}))
+_NOT_REAL = {"bool": True, "complex": 1j, "str": "1", "None": None, "array": np.ones((2, 2))}
+# these take an array of times as well, or only one (the states of an evaluator)
+_TIME_ARRAYS = {"zeno_propagators-t", "propagator-t", "hermitian_evolution-x", "states-x"}
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, value, id=f"{call}-{kind}") for call in sorted(_SCALAR_CALLS)
+    for kind, value in _NOT_REAL.items() if not (kind == "array" and call in _TIME_ARRAYS)])
+def test_a_scalar_that_is_not_one_real_number_refused(call, value):
+    """A bool, complex, string, None or array is refused as a scalar with a ZenosimError,
+    never a TypeError or ValueError, and with no warning; a sector index as out of range."""
+    error = IndexOutOfRange if call.endswith(("sector", "projector")) else ZenosimError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            _SCALAR_CALLS[call](value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evolve_kicked(_PSI3, CHAIN, np.eye(3), np.float64(1.0), np.int64(8)),
+    lambda: evolve_kicked(_PSI3, CHAIN, np.eye(3), np.float32(1.0), np.uint8(8)),
+    lambda: evolve_zeno_limit(_RHO3, CHAIN, RES3, np.float32(1.0)),
+    lambda: evolve_zeno_limit(_RHO3, CHAIN, RES3, np.array(0.0)),
+    lambda: evolve_continuous(_PSI4, np.eye(4), _HC4, np.array(2.0), np.array(1.0)),
+    lambda: evolve_continuous(_PSI4, np.eye(4), _HC4, 10**30, 1.0),
+    lambda: kicked_propagator(CHAIN, np.eye(3), 1.0, np.array(8)),
+    lambda: kicked_propagator(CHAIN, np.eye(3), 1.0, [np.int32(2), 4.0, np.array(8)]),
+    lambda: continuous_propagator(np.eye(4), _HC4, [0, np.float32(2.0), 10**30], 1.0),
+    lambda: decay_model(tau_z=np.float32(1.0), gamma=np.float32(0.1)),
+    lambda: four_level_continuous(np.float32(1.0), np.int64(2), 10**30),
+    lambda: ModelBundle(H=np.eye(4), H_c=_HC4, K=np.array(10**6)),
+    lambda: decay_protection_sweep(0, np.float32(1.0), 0.1, 0, [0, 10, 10**30], 5, 0),
+    lambda: ResolutionOfIdentity(RES3.projectors, [np.int64(1), np.array(2.5)]),
+    lambda: RES3.projector(np.int64(1)),
+    lambda: linalg.hermitian_evolution(CHAIN).states(np.arange(3, dtype=np.float32), _PSI3),
+    lambda: propagator(CHAIN, np.array([0.5, 1.0])),
+], ids=["numpy-int-float", "float32-t-uint8-N", "float32-zeno-t", "zeno-0d-zero", "0d-K-t",
+        "int-1e30-K", "0d-N", "mixed-Ns", "mixed-Ks", "float32-parameters", "mixed-parameters",
+        "0d-bundle-K", "sweep-ints", "0d-labels", "numpy-sector", "float32-times",
+        "array-of-times"])
+def test_every_real_number_in_the_domain_accepted(call):
+    """numpy ints and floats, float32 with no warning, 0-d arrays and Python ints of any
+    size inside the magnitude domain are each one real number; an evaluator takes an array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call()
 
 
 @pytest.mark.parametrize("n", [2**63, 10**20, np.uint64(2**63), np.float64(2.0**63)],

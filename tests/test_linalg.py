@@ -373,6 +373,29 @@ class TestStacks:
         assert np.allclose(hermiticity_defect(bad), [hermiticity_defect(h) for h in bad],
                            rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("spoil", ["asymmetric", "past-bound", "huge", "inf", "nan"])
+    def test_stacked_eigh_refuses_the_first_failing_slice_as_alone(self, spoil):
+        # the stack is checked in one pass, with no RuntimeWarning from its inf or huge
+        # entries; slice 3 fails first, and slice 5 fails as well
+        rng = np.random.default_rng(8)
+        hs = np.array([random_hermitian(rng, 4) for _ in range(7)])
+        value = {"asymmetric": hs[3, 0, 1] + 1e-6, "past-bound": 2.0**128,
+                 "huge": 1e300, "inf": np.inf, "nan": np.nan}[spoil]
+        hs[3, 0, 1] = value
+        hs[5, 1, 2] = hs[5, 2, 1] = np.nan
+        with pytest.raises(Exception) as alone:
+            eigh(hs[3])
+        assert isinstance(alone.value, (NotHermitian, InvalidParameter))
+        with pytest.raises(type(alone.value)) as stacked:
+            eigh(hs)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_stacked_eigh_refuses_a_non_square_stack_as_its_slice(self):
+        for hs in np.zeros((3, 2, 4)), np.full((3, 2, 4), np.nan):
+            with pytest.raises(DimensionMismatch, match=r"^eigh input must be square, got "
+                                                        r"shape \(2, 4\)$"):
+                eigh(hs)
+
     def test_stacked_eig_guards_each_slice(self):
         rng = np.random.default_rng(6)
         jordan = np.zeros((3, 3), dtype=complex)

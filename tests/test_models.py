@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -200,7 +201,7 @@ class TestDecayModel:
         # 2/(tau_z**2 gamma) would be inf or subnormal: tau_z or gamma, each finite and
         # positive, lies outside the magnitude domain and is refused first
         with pytest.raises(InvalidParameter, match="^(tau_z|gamma) must be finite and "
-                                                   "positive, with magnitude 0 or in"):
+                                                   "positive, with magnitude in"):
             decay_model(tau_z=tau_z, gamma=gamma)
 
     def test_width_inside_the_normal_floats_accepted(self):
@@ -392,3 +393,16 @@ def test_non_finite_parameter_refused(builder, param, value):
     # refused before any arithmetic: the suite turns numpy's warnings into errors
     with pytest.raises(InvalidParameter, match=f"^{param} must be finite"):
         builder(**{param: value})
+
+
+@pytest.mark.parametrize("builder", _BUILDERS, ids=lambda b: b.__name__)
+def test_any_real_number_type_builds_its_float64_bundle(builder):
+    # the builder computes on the float64 of each parameter: float32 arguments (kick phases,
+    # the continuum width) give the bundle of their float64 values, with no warning
+    params = {k: p.default + 0.3 for k, p in inspect.signature(builder).parameters.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        typed = builder(**{k: np.float32(x) for k, x in params.items()})
+    plain = builder(**{k: float(np.float32(x)) for k, x in params.items()})
+    for field in ("H", "U_kick", "H_c", "K"):
+        assert np.array_equal(getattr(typed, field), getattr(plain, field)), field

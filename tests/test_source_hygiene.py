@@ -128,3 +128,34 @@ def test_coupling_route_decided_in_the_builder():
     assert [node.name for node in TREES["engines.py"].body
             if isinstance(node, ast.FunctionDef)
             and "hermiticity_defect" in _loaded(node)] == ["_continuous_generator"]
+
+
+def _where(found) -> dict[str, list[str]]:
+    """Per module, the top-level statements (by name) in which some node passes found."""
+    places = {name: [getattr(node, "name", "module level") for node in tree.body
+                     if any(found(n) for n in ast.walk(node))] for name, tree in TREES.items()}
+    return {name: names for name, names in places.items() if names}
+
+
+def test_domain_lower_edge_written_once():
+    """The domain's lower edge 1 / MAGNITUDE_BOUND is divided out once, in
+    ``linalg._check_scalar``: t, each K and every model parameter take that one check."""
+    assert _where(lambda n: isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)
+                  and "MAGNITUDE_BOUND" in _loaded(n.right)) == {"linalg.py": ["_check_scalar"]}
+
+
+def test_domain_refusal_written_once():
+    """Only ``linalg._check_scalar`` raises a message naming the domain [2**-128, 2**128]:
+    no checker of t, K or a model parameter words its own."""
+    assert _where(lambda n: isinstance(n, ast.Raise) and any(
+        isinstance(c, ast.Constant) and "[2**-128, 2**128]" in str(c.value)
+        for c in ast.walk(n))) == {"linalg.py": ["_check_scalar"]}
+
+
+def test_eigh_checks_a_stack_in_one_pass():
+    """``linalg.eigh`` checks a stack (B, d, d) with whole-stack array operations: it has
+    no loop and no comprehension over the slices."""
+    eigh = next(node for node in TREES["linalg.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "eigh")
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert [type(n).__name__ for n in ast.walk(eigh) if isinstance(n, loops)] == []
