@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engines import (
+    _check_counts,
+    _check_coupling,
     _continuous_generator,
     _increasing,
     _kick_limits,
@@ -25,8 +27,8 @@ from .errors import (
     InvalidParameter,
     InvalidState,
 )
-from .linalg import (_bounded, _check_scalar, _is_real, _lift, check_density_matrix, dagger,
-                     propagator)
+from .linalg import (_as_array, _bounded, _check_scalar, _lift, as_square_matrix,
+                     check_density_matrix, dagger, propagator)
 from .models import ModelBundle, decay_model
 from .spectral import ResolutionOfIdentity
 
@@ -68,11 +70,11 @@ class ConvergenceCurve:
     exact: bool = field(init=False)
 
     def __post_init__(self):
-        p = np.asarray(self.parameter_values)
-        d = np.asarray(self.distances, dtype=float)
+        p = _increasing(self.parameter_values, "parameter_values")  # int64 counts stay exact
+        d = _as_array(self.distances, "distances", (1,), None, "a 1-D array of real numbers",
+                      InvalidParameter).astype(float)
         if p.shape != d.shape:
             raise DimensionMismatch("parameter and distance lengths differ")
-        _increasing(p, "parameter_values")  # in p's dtype: int64 counts stay exact
         if not np.all((p >= 0) & (p < np.inf)):  # a NaN fails both
             raise InvalidParameter("parameter_values must be finite and non-negative")
         if not np.all(np.isfinite(d)) or np.any(d < 0):
@@ -83,6 +85,8 @@ class ConvergenceCurve:
         if not exact and fit.sum() >= 2:
             (rate, _), _, rank, *_ = np.polyfit(
                 np.log(p[fit]), np.log(np.maximum(d[fit], 1e-300)), 1, full=True)
+        object.__setattr__(self, "parameter_values", p)
+        object.__setattr__(self, "distances", d)
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "fitted_rate", float(rate if rank == 2 else np.nan))
 
@@ -97,8 +101,8 @@ class ConvergenceCurve:
         at the first positive parameter; NaN with fewer than 2 such points, or with
         a first and last that are one float64.
         """
-        p = np.asarray(self.parameter_values, dtype=float)
-        d = np.asarray(self.distances, dtype=float)[p > 0]
+        p = self.parameter_values.astype(float)
+        d = self.distances[p > 0]
         p = p[p > 0]
         if self.exact or len(d) < 2 or d[-1] == 0.0 or p[-1] == p[0]:
             return float("nan")
@@ -136,29 +140,22 @@ class DecayProtectionResult:
     protective_coupling: float | None = field(init=False)
 
     def __post_init__(self):
-        if np.shape(self.couplings) != np.shape(self.survivals):
+        ks, ss = (_as_array(getattr(self, x), x, (1,), None, "a 1-D array of real numbers",
+                            InvalidParameter) for x in ("couplings", "survivals"))
+        if ks.shape != ss.shape:
             raise DimensionMismatch("coupling and survival lengths differ")
-        hit = np.flatnonzero(np.asarray(self.survivals) >= self.threshold)
-        object.__setattr__(self, "protective_coupling",
-                           float(np.asarray(self.couplings)[hit[0]]) if len(hit) else None)
+        hit = np.flatnonzero(ss >= _check_scalar(self.threshold, "threshold"))
+        object.__setattr__(self, "protective_coupling", float(ks[hit[0]]) if len(hit) else None)
 
     @property
     def points(self) -> list[tuple[float, float]]:
         return [(float(k), float(s)) for k, s in zip(self.couplings, self.survivals)]
 
 
-def _checked(x: np.ndarray, dim: int, vectors: bool = False) -> np.ndarray:
-    """A stack (S, d, d) of dim×dim matrices, or (S, d) of vectors, bounded; else the error."""
-    if not vectors and (x.ndim != 3 or x.shape[1] != x.shape[2]):
-        raise DimensionMismatch(f"rho must be square, got shape {x.shape[1:]}")
-    _bounded(x, "rho")
-    if x.shape[1] != dim:
-        raise DimensionMismatch(f"rho is {x.shape[1]}-dim, resolution is {dim}-dim")
-    return x
-
-
 def _rotated(x: np.ndarray, res: ResolutionOfIdentity) -> np.ndarray:
     """The stack in the sector basis W: rows (W† psi_s)ᵀ, or W† x_s W by the lift W† ⊗ Wᵀ."""
+    if x.shape[-1] != res.dim:  # each state must be as wide as the resolution
+        raise DimensionMismatch(f"rho is {x.shape[-1]}-dim, resolution is {res.dim}-dim")
     if x.ndim == 2:
         return x @ res.basis.conj()
     return (x.reshape(-1, res.dim ** 2) @ _lift(dagger(res.basis)).T).reshape(x.shape)
@@ -207,7 +204,7 @@ def _sector_names(res: ResolutionOfIdentity) -> list[str]:
 
 def subspace_probabilities(rho, res: ResolutionOfIdentity) -> list[float]:
     """Sector populations p_n = trace(rho P_n); they sum to trace(rho)."""
-    y = _rotated(_checked(np.asarray(rho, dtype=complex)[None], res.dim), res)
+    y = _rotated(as_square_matrix(rho, "rho")[None], res)
     return _real_parts(_probabilities(y, res), _sector_names(res))[0].tolist()
 
 
@@ -219,10 +216,10 @@ def purity(rho) -> float:
 
 def coherence_block_norm(rho, res: ResolutionOfIdentity, n: int, m: int) -> float:
     """Frobenius norm of the cross block P_n rho P_m (n != m)."""
+    res.projector(n), res.projector(m)  # IndexOutOfRange unless both are sectors
     if n == m:
         raise InvalidParameter("coherence block needs two distinct sectors")
-    res.projector(n), res.projector(m)  # IndexOutOfRange unless both are sectors
-    y = _rotated(_checked(np.asarray(rho, dtype=complex)[None], res.dim), res)
+    y = _rotated(as_square_matrix(rho, "rho")[None], res)
     return float(_coherences(y, res, [(n, m)])[n, m][0])
 
 
@@ -239,13 +236,12 @@ def observables(record, res: ResolutionOfIdentity) -> ObservableSeries:
     single-state functions: shape, finite entries, dimension, then the
     imaginary residue of each p_n and of the purity, first sample first.
     """
-    times = np.asarray(record.times_or_steps, dtype=float)
     x = record._stack
-    if len(x) == 0:
-        x = x.reshape(0, res.dim, res.dim)
+    if x.ndim == 3:  # every slice has slice 0's shape
+        as_square_matrix(x[0], "rho")
     k = res.nsectors
     pairs = [(n, m) for n in range(k) for m in range(n + 1, k)]
-    y = _rotated(_checked(x, res.dim, vectors=x.ndim == 2), res)
+    y = _rotated(_bounded(x, "rho"), res)
     if y.ndim == 2:
         probs = _probabilities(y, res)
         coherences = {(n, m): np.sqrt(probs[:, n] * probs[:, m]) for n, m in pairs}
@@ -257,7 +253,8 @@ def observables(record, res: ResolutionOfIdentity) -> ObservableSeries:
     total = probs @ np.ones(k)
     if y.ndim == 2:
         purities = total ** 2
-    return ObservableSeries(times=times, subspace_probabilities=probs, purity=purities,
+    return ObservableSeries(times=record.times_or_steps.astype(float),
+                            subspace_probabilities=probs, purity=purities,
                             coherence_blocks=coherences, leakage=1.0 - total)
 
 
@@ -279,13 +276,13 @@ def convergence_curve(bundle: ModelBundle, t: float,
             f"convergence_curve needs a kicked or continuous bundle, "
             f"got {bundle.mechanism!r}")
     u_z = propagator(bundle.zeno_hamiltonian(), t)
-    if bundle.mechanism == "kicked":  # the engine checks each value, then the sweep's order
-        name, limits = "N", _kick_limits(bundle.H, bundle.U_kick, t, parameter_values)
+    if bundle.mechanism == "kicked":  # the engine's check of each value, then the order
+        name, values = "N", _sweep_values(_check_counts(parameter_values))
+        limits = _kick_limits(bundle.H, bundle.U_kick, t, values)
     else:
-        name, limits = "K", extracted_continuous_limit(bundle.H, bundle.H_c, t,
-                                                       parameter_values)
-    return ConvergenceCurve(name, _sweep_values(parameter_values),
-                            np.linalg.norm(limits - u_z, 2, axis=(1, 2)))
+        name, values = "K", _sweep_values(_check_coupling(parameter_values))
+        limits = extracted_continuous_limit(bundle.H, bundle.H_c, t, values)
+    return ConvergenceCurve(name, values, np.linalg.norm(limits - u_z, 2, axis=(1, 2)))
 
 
 def projective_convergence_curve(bundle: ModelBundle, rho0, t: float,
@@ -295,10 +292,10 @@ def projective_convergence_curve(bundle: ModelBundle, rho0, t: float,
         raise InvalidParameter(
             f"projective_convergence_curve needs a projective bundle, "
             f"got {bundle.mechanism!r}")
-    finals = _measured_finals(rho0, bundle.H, bundle.res, t, n_values)  # checks each N
+    ns = _sweep_values(_check_counts(n_values))  # the engine's check of each N, then the order
+    finals = _measured_finals(rho0, bundle.H, bundle.res, t, ns)
     limit = evolve_zeno_limit(rho0, bundle.H, bundle.res, t, samples=2).final_state
-    return ConvergenceCurve("N", _sweep_values(n_values),
-                            np.linalg.norm(finals - limit, axis=(1, 2)))
+    return ConvergenceCurve("N", ns, np.linalg.norm(finals - limit, axis=(1, 2)))
 
 
 def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,
@@ -312,10 +309,7 @@ def decay_protection_sweep(omega1: float, tau_z: float, gamma: float,
     The stack H + K_b H_c takes the checks and the route of ``evolve_continuous``,
     which the decaying H fixes at every K, in one batched call.
     """
-    _check_scalar(threshold, "threshold")
-    if not all(map(_is_real, np.ravel(np.asarray(k_values, dtype=object)).tolist())):
-        raise InvalidParameter(f"coupling values must be real numbers, got {k_values!r}")
-    ks = _increasing(np.asarray(k_values, dtype=float), "coupling values", least=1)
+    ks = _increasing(_check_coupling(k_values), "coupling values")  # each K, then the order
     bundle = decay_model(omega1, tau_z, gamma, 0.0, omega_b)  # H, H_c do not depend on K
     states = _sample_continuous(*_continuous_generator(bundle.H, bundle.H_c, ks, t),
                                 np.eye(4, dtype=complex)[1], np.array([0.0, t]))

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .linalg import (
     HERMITICITY_TOL,
+    _as_array,
     _bounded,
     _cayley_eig,
     _check_scalar,
@@ -92,15 +93,13 @@ class EvolutionRecord:
     _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        try:  # no copy of an engine's complex stack
-            stack = np.asarray(self.states, dtype=complex)
-        except ValueError:  # a ragged tuple: vectors mixed with matrices, or mixed sizes
-            raise DimensionMismatch("states must all have one shape") from None
-        object.__setattr__(self, "_stack", stack)
+        stack = _as_array(self.states, "states", (2, 3), what="vectors or matrices of one shape")
+        times = _increasing(self.times_or_steps, "times_or_steps")
+        object.__setattr__(self, "times_or_steps", times)
+        object.__setattr__(self, "_stack", stack)  # no copy of an engine's complex stack
         object.__delattr__(self, "states")  # __getattr__ builds the tuple
-        if len(self.times_or_steps) != len(stack):
+        if len(times) != len(stack):
             raise DimensionMismatch("times and states lengths differ")
-        _increasing(self.times_or_steps, "times_or_steps")
 
     def __getattr__(self, name: str):  # reached only where no instance value is set
         if name != "states":
@@ -120,9 +119,9 @@ class EvolutionRecord:
 
 # each check below is the whole range of one schedule fact; ``config`` calls it too
 def _increasing(values, what: str, least: int = 0) -> np.ndarray:
-    """``values`` as an array of their own dtype, so int64 counts compare exactly; refused
-    with fewer than ``least`` of them, or unless each exceeds the one before (NaN fails)."""
-    v = np.asarray(values)
+    """``values`` as a 1-D array of their own real dtype, so int64 counts compare exactly;
+    refused with fewer than ``least``, or unless each exceeds the one before (NaN fails)."""
+    v = _as_array(values, what, (1,), None, "a 1-D array of real numbers", InvalidParameter)
     if len(v) < least:
         raise InvalidParameter(f"{what}: need at least {least}, got {len(v)}")
     if not np.all(v[1:] > v[:-1]):  # compared, not np.diff: inf - inf warns
@@ -131,8 +130,9 @@ def _increasing(values, what: str, least: int = 0) -> np.ndarray:
 
 
 def _check_samples(samples: int) -> int:
-    if not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise InvalidParameter(f"samples must be an integer >= 2, got {samples!r}")
+    """An integer in [2, 2**53]: np.linspace counts the samples in float64, exact to 2**53."""
+    if not (isinstance(samples, (int, np.integer)) and 2 <= samples <= 2**53):
+        raise InvalidParameter(f"samples must be an integer in [2, 2**53], got {samples!r}")
     return samples
 
 
@@ -140,30 +140,24 @@ def _check_positive_t(t: float) -> float:
     return float(_check_scalar(t, "t", "> 0"))
 
 
-def _entries(x, ndim: int, name: str, noun: str) -> list:
-    """As a list, one x or (ndim 1) the values of a 1-D array of them, refused if empty."""
-    a = np.asarray(x, dtype=object)  # each value as given: True is not 1, [2, [3]] not ragged
-    if a.ndim > ndim:
-        raise InvalidParameter(f"{name} must be a {noun}{' or a 1-D array' * ndim}, "
-                               f"got shape {a.shape}")
-    if a.size == 0:
-        raise InvalidParameter(f"{name} must be at least one {noun}, got an empty array")
-    return a.ravel().tolist()
-
-
 def _check_coupling(coupling, ndim: int = 1):
-    """One K, or (ndim 1) an array of them, each a ``_check_scalar`` >= 0, as float64."""
-    for k in _entries(coupling, ndim, "K", "number"):
-        _check_scalar(k, "K", ">= 0")
-    return np.asarray(coupling, dtype=float)
+    """One K, or (ndim 1) an array of them, each a ``_check_scalar`` >= 0, as float64; each
+    judged as given (dtype object), as each N is: True is not 1, [2, [3]] is 2 and [3]."""
+    k = _as_array(coupling, "K", range(ndim + 1), object,
+                  "a number" + " or a 1-D array" * ndim, InvalidParameter)
+    for x in k.flat:
+        _check_scalar(x, "K", ">= 0")
+    return k.astype(float)
 
 
 def _check_counts(n, ndim: int = 1):
     """One N as an int, or an array of them as int64, each an integer in [1, 2**63)."""
-    for k in _entries(n, ndim, "N", "count"):
-        if not (_is_real(k) and 1 <= k < 2**63 and int(k) == k):  # NaN fails
-            raise InvalidParameter(f"N must be a positive integer below 2**63, got {k!r}")
-    return int(n) if np.ndim(n) == 0 else np.asarray(n, dtype=np.int64)
+    k = _as_array(n, "N", range(ndim + 1), object, "a count" + " or a 1-D array" * ndim,
+                  InvalidParameter)
+    for x in k.flat:
+        if not (_is_real(x) and 1 <= x < 2**63 and int(x) == x):  # NaN fails
+            raise InvalidParameter(f"N must be a positive integer below 2**63, got {x!r}")
+    return int(k[()]) if k.ndim == 0 else k.astype(np.int64)
 
 
 def _checkpoints(n_steps: int, samples: int) -> np.ndarray:
@@ -399,7 +393,7 @@ def extracted_continuous_limit(h, h_c, t: float, coupling: float) -> np.ndarray:
     stack (B, d, d) from one stacked eigh and one eigh of H_c.
     """
     u_k = continuous_propagator(h, h_c, coupling, t)
-    return propagator(h_c, -np.asarray(coupling, dtype=float) * t) @ u_k
+    return propagator(h_c, -_check_coupling(coupling) * t) @ u_k
 
 
 def projective_survival(state0, h, res: ResolutionOfIdentity, sector: int,

@@ -74,10 +74,27 @@ def _check_scalar(x, name: str, least: str = ""):
                            f"in [2**-128, 2**128], got {x!r}")
 
 
+def _as_array(x, name: str, ndim=(2,), dtype=complex, what: str = "square",
+              error=DimensionMismatch) -> np.ndarray:
+    """x as a non-empty ndarray of ``dtype`` with ndim in ``ndim``, else ``error``: ``name``
+    must be ``what``.  ``dtype`` None keeps x's own, which must be an int or float one, so
+    int64 counts stay exact.  What numpy cannot convert (a ragged list, a dict, a malformed
+    string, an int past the float range) is refused here, the one place an input converts."""
+    try:
+        a = np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name} must be {what}, got {type(x).__name__}: {exc}") from None
+    if a.ndim in ndim and a.size and (dtype is not None or a.dtype.kind in "iuf"):
+        return a
+    got = ("an empty array" if not a.size else f"shape {a.shape}" if a.ndim not in ndim
+           else f"dtype {a.dtype}")
+    raise error(f"{name} must be {what}, got {got}")
+
+
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex128 array; refuse it unless finite with ‖m‖_F <= 2**128."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = _as_array(a, name)
+    if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
     return _bounded(m, name)
 
@@ -100,9 +117,10 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * m + 0.5 * dagger(m)
 
 
-def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+def frobenius(a) -> float:
+    """Frobenius norm of a vector, matrix or stack: one BLAS sum, inf past 2**512, no warning."""
+    m = _as_array(a, "frobenius argument", (1, 2, 3), what="a vector, a matrix or a stack")
+    return float(np.sqrt(np.vdot(m, m).real))
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -149,8 +167,7 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     result is exactly consistent with a Hermitian operator.  A stack (B, d, d)
     is checked in one pass and decomposed in one call: w (B, d), v (B, d, d).
     """
-    if (m := np.asarray(h, dtype=complex)).ndim == 3 and len(m) == 0:
-        raise DimensionMismatch(f"eigh input stack is empty, got shape {m.shape}")
+    m = _as_array(h, "eigh input", (2, 3), what="square or a stack of square matrices")
     if m.ndim != 3 or m.shape[1] != m.shape[2]:  # a non-square stack fails at slice 0
         require_hermitian(m[0] if m.ndim == 3 else m, "eigh input")
     else:  # one pass; the first slice that fails is refused as it would be alone
@@ -248,9 +265,7 @@ def nonhermitian_evolution(h):
     and inv serve the stack; ``ok`` marks the slices whose ‖V‖_F ‖V⁻¹‖_F >= cond₂(V)
     is within EIG_COND_LIMIT, the rest take V = I and the caller's ``expm``.
     """
-    m = np.asarray(h, dtype=complex)
-    if m.ndim != 3:
-        raise DimensionMismatch(f"generator stack must be (B, d, d), got shape {m.shape}")
+    m = _as_array(h, "generator stack", (3,), what="(B, d, d)")
     w, v = np.linalg.eig(m)
     eye = np.eye(m.shape[-1])
     # unit columns make cond₂(V) >= |det V|^(-1/d): I replaces such a V, lest inv raise
@@ -267,12 +282,12 @@ def _lift(u: np.ndarray) -> np.ndarray:
     return uu.reshape(*u.shape[:-2], u.shape[-1] ** 2, -1)
 
 
-def _phases(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """e^{-i w x} for |x| <= 2**256, the largest K t, so w x stays finite; refused where
-    |e| passes 1/eps, which lifts the roundoff along an eigenvector above the state
-    (real w: |e| = 1), or where the exponent is NaN."""
-    if x.dtype.kind not in "iuf":  # a complex x would grow or shrink e: not an evolution
-        raise InvalidParameter(f"t must be real, got dtype {x.dtype}")
+def _phases(w: np.ndarray, x, ndim) -> np.ndarray:
+    """e^{-i w x} on a new last axis of a real x (a complex x grows or shrinks e) of ndim in
+    ``ndim`` and |x| <= 2**256, the largest K t, so w x stays finite; refused where |e| passes
+    1/eps (lifting the roundoff along an eigenvector above the state; real w: |e| = 1) or NaN."""
+    x = _as_array(x, "t", ndim, None, "real: " + "a number or " * (0 in ndim) + "a 1-D array",
+                  InvalidParameter)[..., None]
     if not np.all(inside := np.abs(x, dtype=float) <= MAGNITUDE_BOUND * MAGNITUDE_BOUND):
         raise InvalidParameter(f"t must be finite and of magnitude at most 2**256, "
                                f"got {float(x[~inside][0])!r}")
@@ -297,7 +312,7 @@ class _SpectralEvaluator:
         self._vi, self._vid = (dagger(v), v) if v_inv is None else (v_inv, dagger(v_inv))
 
     def __call__(self, x) -> np.ndarray:
-        e = _phases(self.w, np.asarray(x)[..., None])[..., None, :]
+        e = _phases(self.w, x, (0, 1))[..., None, :]
         return (self.v * e) @ self._vi
 
     def states(self, xs, state: np.ndarray) -> np.ndarray:
@@ -307,7 +322,7 @@ class _SpectralEvaluator:
         e(x) = e^{-i w x}: psi(x) = v (e(x) ∘ v⁻¹ psi), and on the row-major vec each
         rho(x) = (v ⊗ v*) (vec(e(x) e(x)†) ∘ vec(v⁻¹ rho v⁻†)) is one row of one GEMM.
         """
-        e = _phases(self.w[..., None, :], np.asarray(xs)[:, None])
+        e = _phases(self.w[..., None, :], xs, (1,))
         if state.ndim == 1:
             return (e * (self._vi @ state)[..., None, :]) @ self.v.swapaxes(-1, -2)
         r = (self._vi @ state @ self._vid).reshape(*self.w.shape[:-1], -1, 1)
@@ -332,9 +347,7 @@ def check_state_vector(psi, dim: int | None = None, *,
     deficit 1 - ||psi||² is then interpreted as probability leaked out of the
     modelled levels.
     """
-    v = np.asarray(psi, dtype=complex)
-    if v.ndim != 1:
-        raise InvalidState(f"state vector must be 1-D, got shape {v.shape}")
+    v = _as_array(psi, "state vector", (1,), what="1-D", error=InvalidState)
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"state vector has length {v.shape[0]}, expected {dim}")
     if not np.all(np.isfinite(v)):
@@ -365,7 +378,7 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
 
 
 def _check_state(state, dim: int, *, subnormalized: bool = False) -> np.ndarray:
-    """A 2-D state checked as a density matrix, any other as a state vector."""
-    if np.ndim(state) == 2:
-        return check_density_matrix(state, dim)
-    return check_state_vector(state, dim, subnormalized=subnormalized)
+    """A 2-D state checked as a density matrix, a 1-D one as a state vector."""
+    s = _as_array(state, "state", (1, 2), what="a vector or a square matrix", error=InvalidState)
+    return (check_density_matrix(s, dim) if s.ndim == 2
+            else check_state_vector(s, dim, subnormalized=subnormalized))

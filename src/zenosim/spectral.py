@@ -23,6 +23,8 @@ from .errors import (
 )
 from .linalg import (
     MAGNITUDE_BOUND,
+    _as_array,
+    _bounded,
     _hermitian_part,
     _is_real,
     _norms,
@@ -74,26 +76,23 @@ class ResolutionOfIdentity:
     basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        projs = tuple(as_square_matrix(p, "projector") for p in self.projectors)
-        if not all(map(_is_real, self.labels)):
-            raise InvalidParameter(f"labels must be real numbers, got {self.labels!r}")
-        labels = tuple(float(x) for x in self.labels)
-        if not projs:
-            raise InvalidParameter("resolution needs at least one projector")
-        if len(projs) != len(labels):
+        p = _as_array(self.projectors, "projectors", (3,),
+                      what="a sequence of square matrices, all of one size")
+        if p.shape[1] != p.shape[2]:
+            raise DimensionMismatch(f"projectors must be square, got shape {p.shape[1:]}")
+        _bounded(p, "projectors")
+        labels = tuple(_as_array(self.labels, "labels", (1,), None, "a 1-D array of real "
+                                 "numbers", InvalidParameter).astype(float).tolist())
+        if len(p) != len(labels):
             raise DimensionMismatch("projector and label counts differ")
-        dims = sorted({p.shape[0] for p in projs})
-        if len(dims) != 1:
-            raise DimensionMismatch(f"projectors have mixed dimensions {dims}")
-        object.__setattr__(self, "projectors", projs)
+        object.__setattr__(self, "projectors", tuple(p))
         object.__setattr__(self, "labels", labels)
-        d, p = dims[0], np.stack(projs)
-        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "dim", d := p.shape[1])
         object.__setattr__(self, "ranks", _checked_ranks(p, labels))
         object.__setattr__(self, "pinching",
                            np.einsum("nij,nlk->ikjl", p, p).reshape(d * d, d * d))
         object.__setattr__(self, "basis",
-                           np.linalg.eigh(sum(n * q for n, q in enumerate(projs)))[1])
+                           np.linalg.eigh(sum(n * q for n, q in enumerate(p)))[1])
 
     @property
     def nsectors(self) -> int:
@@ -178,8 +177,8 @@ def projections_of_hermitian(h) -> ResolutionOfIdentity:
     Eigenvalues closer than CLUSTER_WIDTH * max(1, ||h||) are merged into one
     degenerate sector.  Labels are the cluster means, ascending.
     """
-    w, v = eigh(h)
-    width = CLUSTER_WIDTH * max(1.0, float(np.abs(w).max()) if len(w) else 1.0)
+    w, v = eigh(as_square_matrix(h, "eigh input"))  # one matrix, not a stack
+    width = CLUSTER_WIDTH * max(1.0, float(np.abs(w).max()))
     return _cluster_projectors(w, v, width, float)
 
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -44,7 +45,7 @@ from zenosim.errors import (
     InvalidParameter,
     InvalidState,
 )
-from zenosim.linalg import opnorm, propagator
+from zenosim.linalg import dagger, opnorm, propagator
 from zenosim.models import (
     decay_model,
     four_level_continuous,
@@ -58,6 +59,9 @@ from zenosim.spectral import ResolutionOfIdentity, pinch
 RES3 = ResolutionOfIdentity(
     [np.diag([1.0, 1.0, 0.0]).astype(complex),
      np.diag([0.0, 0.0, 1.0]).astype(complex)], [1.0, 2.0])
+# a record's states go through the array gate as one stack: vectors mixed with matrices,
+# or mixed sizes, are refused as numpy's ragged-array error
+ONE_SHAPE = r"^states must be vectors or matrices of one shape, got tuple: "
 
 
 class TestPointwiseObservables:
@@ -314,7 +318,7 @@ class TestStackedObservables:
             observables(rec, RES3)
         with pytest.raises(DimensionMismatch, match=message):
             subspace_probabilities(rho4, RES3)
-        with pytest.raises(DimensionMismatch, match=r"^states must all have one shape$"):
+        with pytest.raises(DimensionMismatch, match=ONE_SHAPE):
             EvolutionRecord(np.arange(2.0), (np.eye(3) / 3.0, rho4))  # mixed sizes
 
     def test_non_square_state(self):
@@ -338,16 +342,15 @@ class TestStackedObservables:
                                  RES3, 0, 1)
 
     def test_empty_record(self):
-        series = observables(EvolutionRecord(np.array([]), ()), RES3)
-        assert series.subspace_probabilities.shape == (0, 2)
-        assert series.purity.shape == series.leakage.shape == (0,)
-        assert series.coherence_blocks[(0, 1)].shape == (0,)
+        # no engine makes a record without samples: the array gate refuses every empty input
+        with pytest.raises(DimensionMismatch, match=r"^states must be .*, got an empty array$"):
+            EvolutionRecord(np.array([]), ())
 
     def test_mixed_vectors_and_matrices(self):
         psi = straddle_state(3)
         rho = np.outer(psi, psi.conj())
         for states in ((psi, rho), (rho, psi)):  # a record keeps one stack
-            with pytest.raises(DimensionMismatch, match=r"^states must all have one shape$"):
+            with pytest.raises(DimensionMismatch, match=ONE_SHAPE):
                 EvolutionRecord(np.arange(2.0), states)
 
 
@@ -448,6 +451,56 @@ class TestEngineRecords:
         for states in (bad, tuple(bad)):  # non-finite is reported before the dimension
             with pytest.raises(InvalidParameter, match=r"^rho contains non-finite entries$"):
                 observables(EvolutionRecord(rec.times_or_steps, states), RES3)
+
+
+def _kicked_records(seed):
+    """A vector and a density record of four-level-kicked from a seeded start, and the
+    resolution they are observed in."""
+    rng = np.random.default_rng(seed)
+    b, t = four_level_kicked(), rng.uniform(0.5, 2.0)
+    records = {kind: evolve_kicked(state, b.H, b.U_kick, t, 64, 17) for kind, state in
+               (("vector", random_state(rng, 4)), ("density", random_density(rng, 4)))}
+    return records, b.resolution()
+
+
+class TestObservablesCovariance:
+    """``observables`` transforms as the physics says, within 64 d eps: one unitary Q on
+    the states and the sectors changes no field, and a permutation of the sectors permutes
+    p_n and the coherences and changes nothing else."""
+
+    TOL = 64 * 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("kind", ["vector", "density"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rotated_states_and_sectors_keep_every_field(self, seed, kind):
+        records, res = _kicked_records(seed)
+        q = random_unitary(np.random.default_rng(100 + seed), 4)
+        states = np.array(records[kind].states)
+        moved = EvolutionRecord(records[kind].times_or_steps,
+                                states @ q.T if kind == "vector" else q @ states @ dagger(q))
+        moved_res = ResolutionOfIdentity([q @ p @ dagger(q) for p in res.projectors],
+                                         res.labels)
+        want, got = observables(records[kind], res), observables(moved, moved_res)
+        for field in ("times", "subspace_probabilities", "purity", "leakage"):
+            assert np.abs(getattr(got, field) - getattr(want, field)).max() <= self.TOL
+        assert got.coherence_blocks.keys() == want.coherence_blocks.keys()
+        for pair, values in want.coherence_blocks.items():
+            assert np.abs(got.coherence_blocks[pair] - values).max() <= self.TOL
+
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+    @pytest.mark.parametrize("kind", ["vector", "density"])
+    def test_permuted_sectors_permute_probabilities_and_coherences(self, kind, perm):
+        records, res = _kicked_records(7)
+        permuted = ResolutionOfIdentity([res.projectors[i] for i in perm],
+                                        [res.labels[i] for i in perm])
+        want, got = observables(records[kind], res), observables(records[kind], permuted)
+        assert np.abs(got.subspace_probabilities
+                      - want.subspace_probabilities[:, perm]).max() <= self.TOL
+        for (n, m), values in got.coherence_blocks.items():
+            pair = tuple(sorted((perm[n], perm[m])))
+            assert np.abs(values - want.coherence_blocks[pair]).max() <= self.TOL
+        for field in ("times", "purity", "leakage"):
+            assert np.abs(getattr(got, field) - getattr(want, field)).max() <= self.TOL
 
 
 class TestConvergenceCurve:
@@ -691,7 +744,8 @@ class TestDecayProtection:
         assert result.protective_coupling is None
 
     def test_empty_sweep_refused(self):
-        with pytest.raises(InvalidParameter, match="^coupling values: need at least 1, got 0$"):
+        with pytest.raises(InvalidParameter,
+                           match="^K must be a number or a 1-D array, got an empty array$"):
             decay_protection_sweep(0.0, 1.0, 0.1, 0.0, [], t=5.0)
 
     @pytest.mark.parametrize("survivals, protective", [
@@ -703,9 +757,12 @@ class TestDecayProtection:
             "couplings", "survivals", "threshold"]
         assert result.protective_coupling == protective
 
-    @pytest.mark.parametrize("survivals", [[0.5, 0.95], []], ids=["longer", "empty"])
-    def test_one_survival_per_coupling(self, survivals):
-        with pytest.raises(DimensionMismatch, match="^coupling and survival lengths differ$"):
+    @pytest.mark.parametrize("survivals, error, message", [
+        ([0.5, 0.95], DimensionMismatch, "^coupling and survival lengths differ$"),
+        ([], InvalidParameter, "^survivals must be a 1-D array of real numbers, got an empty "
+                               "array$")], ids=["longer", "empty"])
+    def test_one_survival_per_coupling(self, survivals, error, message):
+        with pytest.raises(error, match=message):
             DecayProtectionResult(np.array([1.0]), np.array(survivals), 0.9)
 
     def test_points_property(self):
@@ -718,6 +775,8 @@ class TestDecayProtection:
         with pytest.raises(InvalidParameter):
             decay_protection_sweep(0.0, 1.0, 0.1, 0.0, [10.0, 5.0], t=5.0)
         with pytest.raises(InvalidParameter, match="strictly increasing"):
+            decay_protection_sweep(0.0, 1.0, 0.1, 0.0, [1.0, 2.0, 2.0], t=5.0)
+        with pytest.raises(InvalidParameter, match="^K must be a finite real"):  # each K first
             decay_protection_sweep(0.0, 1.0, 0.1, 0.0, [1.0, np.inf, np.inf], t=5.0)
 
     def test_strong_coupling_beats_weak(self):

@@ -389,6 +389,31 @@ class TestMain:
         assert "numeric error: Unable to allocate" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("samples", [2**53 + 1, 2**62, 10**29])
+    @pytest.mark.parametrize("scenario", ["continuous_convergence.json",
+                                          "kicked_convergence.json", "zeno_limit_series.json"])
+    def test_sample_count_past_float64_is_a_schema_error(self, tmp_path, capsys, scenario,
+                                                          samples):
+        # np.linspace counts samples in float64, exact to 2**53; numpy's own refusal of
+        # 2**60 or more would be a ValueError and a traceback
+        args = [str(SCENARIOS / scenario), "--set", f"schedule.samples={samples}"]
+        assert main(["validate", *args]) == 2
+        assert main(["run", *args, "--output-dir", str(tmp_path / "out")]) == 2
+        line = (f"schema error at schedule.samples: samples must be an integer in [2, 2**53], "
+                f"got {samples}\n")
+        assert capsys.readouterr().err == 2 * line
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario", ["continuous_convergence.json",
+                                          "zeno_limit_series.json"])
+    def test_largest_sample_count_is_a_numeric_error(self, tmp_path, capsys, scenario):
+        args = [str(SCENARIOS / scenario), "--set", f"schedule.samples={2**53}", "--output-dir",
+                str(tmp_path / "out")]
+        assert main(["run", *args]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: Unable to allocate 64.0 PiB") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_int64_counts_sweep_end_to_end(self, tmp_path, capsys):
         # 2**62 and 2**62 + 1 are one float64: the counts stay int64 from schema to file
         ns = [2**62, 2**62 + 1, 2**63 - 1]

@@ -25,6 +25,7 @@ from zenosim import engines, linalg
 from zenosim.analysis import (
     convergence_curve,
     decay_protection_sweep,
+    observables,
     projective_convergence_curve,
 )
 from zenosim.engines import (
@@ -834,6 +835,59 @@ class TestKickedCovariance:
         assert np.all(np.abs(got - want) <= 64 * 4 * np.finfo(float).eps * (1 + ns))
 
 
+class TestMetamorphicRelations:
+    """Relations whose expected output is a second call, within the covariance tolerances:
+    a global phase on U_kick, a shift H_c -> H_c + c I, and a split of the Zeno time."""
+
+    @pytest.mark.parametrize("n", [1, 64, 4096])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_global_kick_phase_changes_nothing(self, seed, n):
+        rng = np.random.default_rng(seed)
+        phase, t = np.exp(1j * rng.uniform(-np.pi, np.pi)), rng.uniform(0.5, 2.0)
+        b, psi = four_level_kicked(), random_state(rng, 4)
+        tol = 64 * 4 * np.finfo(float).eps * (1 + n)
+        want = extracted_kick_limit(b.H, b.U_kick, t, n)
+        assert np.abs(extracted_kick_limit(b.H, phase * b.U_kick, t, n) - want).max() <= tol
+        for state in psi, np.outer(psi, psi.conj()):
+            want, got = (observables(evolve_kicked(state, b.H, u, t, n, samples=9),
+                                     b.resolution()) for u in (b.U_kick, phase * b.U_kick))
+            for field in "subspace_probabilities", "purity", "leakage":
+                assert np.abs(getattr(got, field) - getattr(want, field)).max() <= tol
+            for pair, values in want.coherence_blocks.items():
+                assert np.abs(got.coherence_blocks[pair] - values).max() <= tol
+
+    @pytest.mark.parametrize("coupling", [0.0, 1.0, 64.0, 4096.0])
+    @pytest.mark.parametrize("shift", [0.5, -2.0, 7.0])
+    def test_shifted_coupling_changes_nothing(self, shift, coupling):
+        b, t, psi = four_level_continuous(), 1.3, straddle_state(4)
+        h_c = b.H_c + shift * np.eye(4)
+        tol = 64 * 4 * np.finfo(float).eps * (
+            1 + (frobenius(b.H) + coupling * frobenius(h_c)) * t)
+        want = extracted_continuous_limit(b.H, b.H_c, t, coupling)
+        assert np.abs(extracted_continuous_limit(b.H, h_c, t, coupling) - want).max() <= tol
+        for state in psi, np.outer(psi, psi.conj()):
+            want, got = (observables(evolve_continuous(state, b.H, x, coupling, t, samples=9),
+                                     b.resolution()) for x in (b.H_c, h_c))
+            for field in "subspace_probabilities", "purity", "leakage":
+                assert np.abs(getattr(got, field) - getattr(want, field)).max() <= tol
+            for pair, values in want.coherence_blocks.items():
+                assert np.abs(got.coherence_blocks[pair] - values).max() <= tol
+
+    @pytest.mark.parametrize("model", [three_level_projective, four_level_kicked,
+                                       four_level_continuous])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zeno_propagators_compose_over_a_split_time(self, seed, model):
+        rng = np.random.default_rng(seed)
+        t1, t2 = rng.uniform(0.1, 2.0, 2)
+        b = model()
+
+        def u_z(t):
+            return sum(zeno_propagators(b.H, b.resolution(), t))
+
+        tol = 64 * b.dim * np.finfo(float).eps * (1 + frobenius(b.H) * (t1 + t2))
+        assert np.abs(u_z(t1 + t2) - u_z(t1) @ u_z(t2)).max() <= tol
+
+
 def _random_coupled_model(seed):
     """H and H_c = W diag(eta) W† with d = 3..6, 2..d sectors of random ranks, levels eta
     at least 0.3 apart and a random basis W."""
@@ -986,7 +1040,8 @@ _EMPTY_ARRAY_CALLS = {
     "asymptotic_continuous_propagator": (
         lambda: asymptotic_continuous_propagator(CHAIN, RES3, 1.0, _EMPTY_K),
         InvalidParameter, "^K must be"),
-    "eigh": (lambda: linalg.eigh(np.zeros((0, 3, 3))), DimensionMismatch, "stack is empty"),
+    "eigh": (lambda: linalg.eigh(np.zeros((0, 3, 3))), DimensionMismatch,
+             "got an empty array"),
 }
 
 
@@ -1195,6 +1250,14 @@ def test_non_integer_samples_refused(call, samples):
     with pytest.raises(InvalidParameter, match="samples must be an integer"):
         _SAMPLED_CALLS[call](samples)
     assert len(_SAMPLED_CALLS[call](np.int64(3))) == 3
+
+
+@pytest.mark.parametrize("samples", [2**53 + 1, 2**62, np.uint64(2**64 - 1), 10**29])
+@pytest.mark.parametrize("call", sorted(_SAMPLED_CALLS))
+def test_sample_count_past_float64_counting_refused(call, samples):
+    # np.linspace counts samples in float64; past 2**60 numpy would raise a ValueError
+    with pytest.raises(InvalidParameter, match=r"^samples must be an integer in \[2, 2\*\*53\], "):
+        _SAMPLED_CALLS[call](samples)
 
 
 @pytest.mark.parametrize("samples", [2, 33, 1000])

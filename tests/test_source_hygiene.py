@@ -152,6 +152,14 @@ def test_domain_refusal_written_once():
         for c in ast.walk(n))) == {"linalg.py": ["_check_scalar"]}
 
 
+def test_conversion_errors_caught_in_one_module():
+    """numpy's conversion errors are caught in ``linalg._as_array`` alone: no other code has
+    an ``except`` naming ValueError or TypeError, so no second conversion comes back."""
+    assert _where(lambda n: isinstance(n, ast.ExceptHandler) and n.type is not None
+                  and bool({"ValueError", "TypeError"} & _loaded(n.type))
+                  ) == {"linalg.py": ["_as_array"]}
+
+
 def test_eigh_checks_a_stack_in_one_pass():
     """``linalg.eigh`` checks a stack (B, d, d) with whole-stack array operations: it has
     no loop and no comprehension over the slices."""

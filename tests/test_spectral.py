@@ -123,7 +123,7 @@ class TestValidate:
 
 
 @pytest.mark.parametrize("projectors, labels, error, message", [
-    ([], [], InvalidParameter, "^resolution needs at least one projector$"),
+    ([], [], DimensionMismatch, "^projectors must be .*, got an empty array$"),
     ([np.eye(2)], [0.0, 1.0], DimensionMismatch, "^projector and label counts differ$"),
 ], ids=["no-projectors", "label-count"])
 def test_family_without_one_label_per_projector_refused(projectors, labels, error,
