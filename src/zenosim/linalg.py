@@ -74,7 +74,7 @@ def _check_scalar(x, name: str, least: str = ""):
                            f"in [2**-128, 2**128], got {x!r}")
 
 
-def _as_array(x, name: str, ndim=(2,), dtype=complex, what: str = "square",
+def _as_array(x, name: str, ndim=(2,), dtype=np.dtype(complex), what: str = "square",
               error=DimensionMismatch) -> np.ndarray:
     """x as a non-empty ndarray of ``dtype`` with ndim in ``ndim``, else ``error``: ``name``
     must be ``what``.  ``dtype`` None keeps x's own, which must be an int or float one, so
