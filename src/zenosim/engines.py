@@ -183,11 +183,7 @@ def _kick_step(h, u_kick, t: float, n, ndim: int = 1):
     """Validate kicks; return (N, U_kick, k -> [U_kick U(t/N)]^k), batched over N (B,)."""
     uk = require_unitary(u_kick, "U_kick")
     _, n, u = _free_step(h, "U_kick", len(uk), t, n, ndim)
-    cycles = uk @ u  # U(t/N) is unitary to roundoff: each cycle is as unitary as uk
-    if np.ndim(n) == 0:
-        return n, uk, _SpectralEvaluator(*_cayley_eig(cycles))
-    w, z = zip(*map(_cayley_eig, cycles))
-    return n, uk, _SpectralEvaluator(np.array(w), np.array(z))
+    return n, uk, _SpectralEvaluator(*_cayley_eig(uk @ u))  # each cycle as unitary as uk
 
 
 def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,

@@ -184,7 +184,7 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unitary_eig(u, name: str = "unitary") -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases lam in [-pi, pi] and eigenvectors z with u = z diag(e^{-i lam}) z†.
+    """Eigenphases lam in (-pi, pi] and eigenvectors z with u = z diag(e^{-i lam}) z†.
 
     One eigh of the Hermitian Cayley transform A = i(B - B†), B = (I + r u)⁻¹,
     whose eigenvectors are u's and eigenvalues a = tan((arg r - lam)/2).  As
@@ -192,28 +192,39 @@ def unitary_eig(u, name: str = "unitary") -> tuple[np.ndarray, np.ndarray]:
     while ||B|| is O(1).  The rotation r is 1 unless I + u is singular or
     ||B||_F² = sum (1 + a²)/4 puts the rms of a above cot(pi/2d); then r turns
     the middle of the widest gap between u's eigenphases, at least 2 pi/d
-    wide, onto -1, which bounds every |a| by cot(pi/2d).
+    wide, onto -1, which bounds every |a| by cot(pi/2d).  So the cut of the
+    circle, at arg r ± pi, lies at least min(pi/d, 2 asin(sin(pi/2d)/√d)) from
+    every phase, and the phases are wrapped once, by ``_wrap_phase``.
     """
-    return _cayley_eig(require_unitary(u, name))
+    lam, z = _cayley_eig(require_unitary(u, name))
+    return _wrap_phase(lam), z
+
+
+def _wrap_phase(x):
+    """Map each phase to (-pi, pi]."""
+    y = (x + np.pi) % (2.0 * np.pi) - np.pi
+    return np.where(y <= -np.pi, y + 2.0 * np.pi, y)
 
 
 def _cayley_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``unitary_eig`` of a unitary that has passed ``require_unitary``."""
-    d, rot = m.shape[0], 0.0  # rot = arg r
+    """``unitary_eig`` of each unitary of a stack (..., d, d) that passed ``require_unitary``,
+    unwrapped in its own frame (arg r - pi, arg r + pi), bitwise as the slice alone."""
+    eye = np.eye(d := m.shape[-1])
     try:
-        b = np.linalg.inv(np.eye(d) + m)
-    except np.linalg.LinAlgError:  # u has eigenvalue -1
-        b = np.full_like(m, np.nan)
-    if not np.vdot(b, b).real <= d / (2.0 * np.sin(np.pi / (2 * d))) ** 2:  # NaN fails
-        phi = np.sort(np.angle(np.linalg.eigvals(m)))
-        gaps = np.diff(phi, append=phi[0] + 2.0 * np.pi)
-        rot = np.pi - phi[np.argmax(gaps)] - 0.5 * gaps.max()
-        b = np.linalg.inv(np.eye(d) + np.exp(1j * rot) * m)
+        b = np.linalg.inv(c := eye + m)
+    except np.linalg.LinAlgError:  # a slice has eigenvalue -1: its NaN turns it below
+        ok = (np.linalg.slogdet(c)[0] != 0)[..., None, None]
+        b = np.where(ok, np.linalg.inv(np.where(ok, c, eye)), np.nan)
+    with np.errstate(over="ignore"):  # an inf or NaN ‖B‖_F turns
+        turn = ~(_norms(b) <= d**0.5 / (2.0 * np.sin(np.pi / (2 * d))))
+    rot = np.zeros(turn.shape)  # arg r
+    if turn.any():
+        phi = np.sort(np.angle(np.linalg.eigvals(m[turn])))
+        gaps = np.diff(phi, append=phi[:, :1] + 2.0 * np.pi)
+        rot[turn] = np.pi - phi[range(len(phi)), gaps.argmax(1)] - 0.5 * gaps.max(1)
+        b[turn] = np.linalg.inv(eye + np.exp(1j * rot[turn])[:, None, None] * m[turn])
     a, z = np.linalg.eigh(1j * (b - dagger(b)))
-    lam = rot - 2.0 * np.arctan(a)
-    if rot:  # wrap; unrotated phases already lie in (-pi, pi)
-        lam = (lam + np.pi) % (2.0 * np.pi) - np.pi
-    return lam, z
+    return rot[..., None] - 2.0 * np.arctan(a), z
 
 
 def expm(a) -> np.ndarray:
@@ -266,6 +277,8 @@ def nonhermitian_evolution(h):
     is within EIG_COND_LIMIT, the rest take V = I and the caller's ``expm``.
     """
     m = _as_array(h, "generator stack", (3,), what="(B, d, d)")
+    with np.errstate(over="ignore", invalid="ignore"):  # the first slice that fails, as alone
+        as_square_matrix(m[np.argmin(_norms(m) <= MAGNITUDE_BOUND)], "generator stack")
     w, v = np.linalg.eig(m)
     eye = np.eye(m.shape[-1])
     # unit columns make cond₂(V) >= |det V|^(-1/d): I replaces such a V, lest inv raise

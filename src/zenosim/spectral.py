@@ -25,14 +25,16 @@ from .linalg import (
     MAGNITUDE_BOUND,
     _as_array,
     _bounded,
+    _cayley_eig,
     _hermitian_part,
     _is_real,
     _norms,
+    _wrap_phase,
     as_square_matrix,
     dagger,
     eigh,
     require_hermitian,
-    unitary_eig,
+    require_unitary,
 )
 
 # eigenvalue clustering width, scaled by max(1, largest |eigenvalue|) for a
@@ -182,33 +184,18 @@ def projections_of_hermitian(h) -> ResolutionOfIdentity:
     return _cluster_projectors(w, v, width, float)
 
 
-def _wrap_phase(x):
-    """Map each phase to (-pi, pi]."""
-    y = (x + np.pi) % (2.0 * np.pi) - np.pi
-    return np.where(y <= -np.pi, y + 2.0 * np.pi, y)
-
-
 def projections_of_unitary(u) -> ResolutionOfIdentity:
     """Spectral projectors of a unitary, one per eigenphase cluster.
 
-    The eigenphase of an eigenvalue e^{-i lambda} is lambda, wrapped to
-    (-pi, pi]; clustering is circular: when the gap across the -pi/pi seam
-    is not a clear split, the circle is cut at its widest gap instead, so
-    phases hugging the seam are grouped correctly.  Sectors are returned in
-    ascending phase order.
+    The eigenphase of an eigenvalue e^{-i lambda} is lambda.  The phases are
+    clustered in the frame of ``linalg._cayley_eig``, whose cut of the circle
+    lies further from every phase than any gap the clustering merges or finds
+    ambiguous, so no cluster straddles it; each cluster is labelled by its mean
+    wrapped to (-pi, pi].  Sectors are returned in ascending label order.
     """
-    lam, z = unitary_eig(u, "projections_of_unitary input")
-    phases = _wrap_phase(lam)
-    order = np.argsort(phases, kind="stable")
-    phases_sorted = phases[order]
-    gaps = np.diff(phases_sorted, append=phases_sorted[0] + 2.0 * np.pi)
-    if len(gaps) > 1 and gaps[-1] <= 2.0 * CLUSTER_WIDTH:
-        # seam-straddling cluster: cut the circle at its widest gap, at least
-        # 2 pi/d and so a clear split, to make the cluster contiguous; unwrap
-        k = int(np.argmax(gaps)) + 1
-        phases_sorted = np.concatenate([phases_sorted[k:] - 2.0 * np.pi, phases_sorted[:k]])
-        order = np.roll(order, -k)
-    return _cluster_projectors(phases_sorted, z[:, order], CLUSTER_WIDTH, _wrap_phase)
+    lam, z = _cayley_eig(require_unitary(u, "projections_of_unitary input"))
+    order = np.argsort(lam, kind="stable")
+    return _cluster_projectors(lam[order], z[:, order], CLUSTER_WIDTH, _wrap_phase)
 
 
 def pinch(x, res: ResolutionOfIdentity) -> np.ndarray:

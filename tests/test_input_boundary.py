@@ -95,13 +95,14 @@ CALLS = {
     "frobenius": (zenosim.frobenius, dict(a=KICKED.H)),
     "opnorm": (zenosim.opnorm, dict(a=KICKED.H)),
     "propagator": (zenosim.propagator, dict(h=KICKED.H, t=1.0)),
-    # linalg's own gates, and an evaluator's times; not nonhermitian_evolution, which takes
-    # the stack H + K H_c its one caller has checked and bounded
+    # linalg's own gates, and an evaluator's times
     "as_square_matrix": (linalg.as_square_matrix, dict(a=KICKED.H)),
     "require_hermitian": (linalg.require_hermitian, dict(a=KICKED.H)),
     "require_unitary": (linalg.require_unitary, dict(u=KICKED.U_kick)),
     "unitary_eig": (linalg.unitary_eig, dict(u=KICKED.U_kick)),
     "hermitian_evolution": (linalg.hermitian_evolution, dict(h=KICKED.H)),
+    "nonhermitian_evolution": (linalg.nonhermitian_evolution,
+                               dict(h=(CONTINUOUS.H - 0.1j * CONTINUOUS.H_c)[None])),
     "check_state_vector": (linalg.check_state_vector, dict(psi=PSI3)),
     "check_density_matrix": (linalg.check_density_matrix, dict(rho=RHO3)),
     "evaluator": (EVALUATOR, dict(x=1.0)),
@@ -136,6 +137,7 @@ VALUES = FLOATS + [
     np.eye(2), np.eye(3), np.eye(4), -np.eye(4), 1j * np.eye(4), np.eye(3, dtype=bool),
     np.diag([1, 1, -1]), np.diag([1j, 1, -1, -1j]), np.array([[0, 1j], [-1j, 0]]),
     np.ones((3, 4)), np.ones((4, 4)), np.ones((2, 3, 3)), np.ones((1, 4, 4)),
+    np.ones((1, 2, 3)), np.full((1, 2, 2), np.nan), np.full((2, 2, 2), np.inf),
     np.zeros((0, 0)), np.zeros((0, 3, 3)), np.full((3, 3), np.nan), np.array([[np.inf]]),
     1e200 * np.eye(4), 2.0**128 * np.eye(4), np.full((2, 2), 1e154), np.full((4, 4), 1e-320),
     np.array([[1.0, 2.0], [3.0, 4.0]], dtype=object)]

@@ -14,6 +14,7 @@ from zenosim.errors import (
     NotUnitary,
 )
 from zenosim.linalg import (
+    _cayley_eig,
     _norms,
     _SpectralEvaluator,
     as_square_matrix,
@@ -240,14 +241,20 @@ class TestUnitaryEig:
         lam, z = unitary_eig(u)
         assert np.abs((z * np.exp(-1j * lam)) @ z.conj().T - u).max() <= tol
         assert np.abs(z.conj().T @ z - np.eye(d)).max() <= tol
-        assert np.all((-np.pi <= lam) & (lam <= np.pi))
+        assert np.all((-np.pi < lam) & (lam <= np.pi))  # the labels' range: an exact -1 is +pi
         ref = np.angle(np.linalg.eigvals(u))
         assert np.abs(_circular_sorted(-lam, ref) - _circular_sorted(ref, ref)).max() <= tol
+        # the phases of one Cayley frame leave a gap across its cut of at least twice the
+        # bound, which projections_of_unitary relies on to cluster them without a seam
+        frame, _ = _cayley_eig(u)
+        bound = min(np.pi / d, 2 * np.arcsin(np.sin(np.pi / (2 * d)) / np.sqrt(d)))
+        assert 2 * np.pi - np.ptp(frame) >= 2 * (bound - 64 * d * np.finfo(float).eps)
 
     @pytest.mark.parametrize("u", [
         np.eye(1, dtype=complex), -np.eye(1, dtype=complex), np.array([[1j]]),
         -np.eye(3, dtype=complex), np.diag([-1, -1, 1j, 1]).astype(complex),
         np.diag([1, 1, -1, -1, 1j, -1j]).astype(complex),
+        np.array([[-1 + 1e-200j]]),  # ‖(I + U)⁻¹‖_F overflows: the slice turns, unwarned
         *[_shift(d) for d in range(1, 7)], *[-_shift(d) for d in range(1, 7)],
     ])
     def test_exact_inputs(self, u):
@@ -271,6 +278,20 @@ class TestUnitaryEig:
             q = random_unitary(rng, d)
             u = q @ u @ q.conj().T
         self.check(u)
+
+    def test_stack_decomposes_as_each_slice_alone(self):
+        # an exact -1 eigenvalue (I + U singular), a slice turned for a phase near -1, a
+        # random unitary and I, which keep r = 1: a stack's slices decompose bitwise alone
+        q = random_unitary(np.random.default_rng(5), 3)
+        stack = np.array([np.diag([-1, 1j, 1]).astype(complex),
+                          (q * np.exp(-1j * np.array([3.1, -3.1, 0.5]))) @ q.conj().T,
+                          q, np.eye(3, dtype=complex)])
+        lam, z = _cayley_eig(stack)
+        for k, u in enumerate(stack):
+            alone = _cayley_eig(u)
+            assert np.array_equal(lam[k], alone[0]) and np.array_equal(z[k], alone[1])
+            self.check(u)
+        assert _cayley_eig(stack[None])[0].shape == (1, 4, 3)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary, match="kick has unitarity defect"):

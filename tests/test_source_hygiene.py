@@ -96,6 +96,12 @@ def test_exponentials_written_only_in_phases_and_kick_matrices():
             if "np.exp(" in source} == {"linalg.py": 2, "models.py": 3}
 
 
+def test_circle_cut_and_wrapped_only_in_linalg():
+    """Every eigenphase circle is cut in ``linalg._cayley_eig`` and every phase wrapped by
+    ``linalg._wrap_phase``: no other module writes ``np.pi``."""
+    assert [name for name, source in SOURCES.items() if "np.pi" in source] == ["linalg.py"]
+
+
 def test_hermitian_part_written_once():
     """Every (m + m†)/2 is ``linalg._hermitian_part``, which halves each term before it
     adds: no module writes ``0.5 * (``, a sum that overflows before it is halved."""

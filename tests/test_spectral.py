@@ -115,8 +115,8 @@ class TestValidate:
                 [np.diag([0.7, 0.0]).astype(complex)], [0.0])
 
     @pytest.mark.parametrize("projectors", [
-        [np.ones((3, 2)), np.eye(3)], [np.eye(2), np.eye(3)], [np.ones(3)]],
-        ids=["non-square", "mixed-dimensions", "vector"])
+        [np.ones((3, 2)), np.eye(3)], [np.ones((2, 3))] * 2, [np.eye(2), np.eye(3)],
+        [np.ones(3)]], ids=["non-square", "uniform-non-square", "mixed-dimensions", "vector"])
     def test_wrong_shape_reported(self, projectors):
         with pytest.raises(DimensionMismatch):
             ResolutionOfIdentity(projectors, [float(k) for k in range(len(projectors))])
