@@ -64,7 +64,7 @@ __all__ = [
     "projective_survival",
 ]
 
-# trace drift in long pinch sequences is checked this often at most
+# trace drift in long pinch sequences is checked at every multiple of this step
 _RENORM_INTERVAL = 10_000
 # trace drift that triggers renormalization in long step sequences
 TRACE_DRIFT = 1e-12
@@ -204,16 +204,18 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
     keep = _checkpoints(n, samples)
     states = np.empty((len(keep), *rho.shape), dtype=complex)
     corrections: list[tuple[int, float]] = []
-    rho = states[0] = pinch(rho, res)  # step 0 is always a checkpoint
-    for i in range(1, len(keep)):
-        for k in range(keep[i - 1] + 1, keep[i] + 1):
-            rho = pinch(uu.dot(rho.reshape(-1)).reshape(rho.shape), res)
-            if k % _RENORM_INTERVAL == 0:
-                tr = float(np.trace(rho).real)
-                if abs(tr - 1.0) > TRACE_DRIFT:
-                    corrections.append((k, abs(tr - 1.0)))
-                    rho = rho / tr
-        states[i] = rho
+    rho = states[0] = pinch(rho, res)  # steps 0 and N are always checkpoints
+    marks, i = keep.tolist(), 1
+    for k in range(1, n + 1):
+        rho = pinch(uu.dot(rho.reshape(-1)).reshape(rho.shape), res)
+        if k % _RENORM_INTERVAL == 0:
+            tr = float(np.trace(rho).real)
+            if abs(tr - 1.0) > TRACE_DRIFT:
+                corrections.append((k, abs(tr - 1.0)))
+                rho = rho / tr
+        if k == marks[i]:  # stored after the trace check
+            states[i] = rho
+            i += 1
     return EvolutionRecord(keep.astype(float) * (t / n), states,
                            trace_corrections=tuple(corrections))
 

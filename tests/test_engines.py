@@ -224,6 +224,24 @@ class TestProjective:
                    for _, drift in rec.trace_corrections)
         assert abs(np.trace(rec.final_state).real - 1.0) <= engines.TRACE_DRIFT
 
+    def test_stored_states_do_not_depend_on_the_sampling(self):
+        """Each sampling of one run stores, bitwise, the every-step run's state at its steps
+        and the same corrections; samples = 3 stores both renormalised rounds."""
+        bundle = three_level_projective(1.0, 1.0)
+        psi0 = np.array([1.0, 1j, 1.0]) / np.sqrt(3.0)
+        rho0, n = np.outer(psi0, psi0.conj()), 20_000
+        full = evolve_projective(rho0, bundle.H, bundle.res, t=1.0, n=n, samples=n + 1)
+        every = np.asarray(full.states)
+        assert [k for k, _ in full.trace_corrections] == [10_000, 20_000]
+        for samples in (2, 3, 33):
+            rec = evolve_projective(rho0, bundle.H, bundle.res, t=1.0, n=n, samples=samples)
+            assert np.array_equal(np.asarray(rec.states),
+                                  every[engines._checkpoints(n, samples)])
+            assert rec.trace_corrections == full.trace_corrections
+        assert engines._checkpoints(n, 3).tolist() == [0, 10_000, 20_000]
+        assert all(abs(np.trace(every[k]).real - 1.0) <= engines.TRACE_DRIFT
+                   for k in (10_000, 20_000))
+
     def test_approaches_zeno_limit(self):
         rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         exact = evolve_zeno_limit(rho0, CHAIN, RES3, t=1.0, samples=2).final_state
@@ -833,6 +851,50 @@ class TestKickedCovariance:
         want = convergence_curve(b, t, ns).distances
         got = convergence_curve(moved, t, ns).distances
         assert np.all(np.abs(got - want) <= 64 * 4 * np.finfo(float).eps * (1 + ns))
+
+
+class TestProjectiveCovariance:
+    """A change of basis Q: rotating H, each projector and the state rotates every measured
+    state, and leaves each survival and convergence distance unchanged, within
+    64 d eps (1 + N)."""
+
+    @staticmethod
+    def _rotation(seed):
+        rng = np.random.default_rng(seed)
+        q = random_unitary(rng, 3)
+
+        def rotated(x):
+            return q @ x @ dagger(q)
+
+        b = three_level_projective()
+        moved = ModelBundle(H=rotated(b.H), res=ResolutionOfIdentity(
+            [rotated(p) for p in b.res.projectors], b.res.labels))
+        return q, rng.uniform(0.5, 2.0), rotated, b, moved
+
+    @pytest.mark.parametrize("n", [1, 64, 4096])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rotated_inputs_give_rotated_results(self, seed, n):
+        q, t, rotated, b, moved = self._rotation(seed)
+        psi = straddle_state(3)
+        rho = np.outer(psi, psi.conj())
+        tol = 64 * 3 * np.finfo(float).eps * (1 + n)
+        want = [rotated(r) for r in evolve_projective(rho, b.H, b.res, t, n, samples=9).states]
+        got = evolve_projective(rotated(rho), moved.H, moved.res, t, n, samples=9).states
+        assert np.abs(np.asarray(got) - np.asarray(want)).max() <= tol
+        for sector in range(len(b.res.projectors)):
+            for state, turned in (psi, q @ psi), (rho, rotated(rho)):
+                want = projective_survival(state, b.H, b.res, sector, t, n)
+                got = projective_survival(turned, moved.H, moved.res, sector, t, n)
+                assert abs(got - want) <= tol
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rotated_bundle_keeps_its_convergence_distances(self, seed):
+        _, t, rotated, b, moved = self._rotation(seed)
+        psi, ns = straddle_state(3), 2 ** np.arange(4, 13)
+        rho = np.outer(psi, psi.conj())
+        want = projective_convergence_curve(b, rho, t, ns).distances
+        got = projective_convergence_curve(moved, rotated(rho), t, ns).distances
+        assert np.all(np.abs(got - want) <= 64 * 3 * np.finfo(float).eps * (1 + ns))
 
 
 class TestMetamorphicRelations:
