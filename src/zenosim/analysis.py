@@ -164,7 +164,7 @@ def _rotated(x: np.ndarray, res: ResolutionOfIdentity) -> np.ndarray:
 def _probabilities(y: np.ndarray, res: ResolutionOfIdentity) -> np.ndarray:
     """(S, sectors) p_n of a rotated stack, one product with the 0/1 sector selector:
     ||block n||² of a vector's float view, the complex trace of a density's block (n, n)."""
-    select = np.repeat(np.eye(res.nsectors), res.ranks, axis=0)
+    select = np.eye(res.nsectors)[res.column_sectors]
     if y.ndim == 2:
         return np.square(y.view(float)) @ np.repeat(select, 2, axis=0)
     return np.diagonal(y, axis1=1, axis2=2) @ select
@@ -177,9 +177,8 @@ def _purities(x: np.ndarray) -> np.ndarray:
 
 def _coherences(y: np.ndarray, res: ResolutionOfIdentity, pairs) -> dict:
     """{(n, m): (S,) ‖P_n x_s P_m‖_F}, each the norm of block (n, m) of y = W† x_s W."""
-    edge = np.cumsum((0,) + res.ranks)
-    blocks = {(n, m): y[:, edge[n]:edge[n + 1], edge[m]:edge[m + 1]].view(float)
-              for n, m in pairs}
+    cols = res.sector_columns
+    blocks = {(n, m): y[:, cols[n], cols[m]].view(float) for n, m in pairs}
     return {nm: np.sqrt(np.einsum("sij,sij->s", r, r)) for nm, r in blocks.items()}
 
 

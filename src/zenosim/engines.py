@@ -324,9 +324,9 @@ def evolve_zeno_limit(rho0, h, res: ResolutionOfIdentity, t: float,
 
 
 def _sector_phases(h, res: ResolutionOfIdentity, t: float, x) -> np.ndarray:
-    """sum_n e^{-i x l_n} V_n(t) = W diag(e^{-i x l}) W† U_Z(t), x (B,) stacking, with each
-    label l_n repeated over its sector's ``res.basis`` columns W: one guarded evaluator."""
-    return (_SpectralEvaluator(np.repeat(res.labels, res.ranks), res.basis)(x)
+    """sum_n e^{-i x l_n} V_n(t) = W diag(e^{-i x l}) W† U_Z(t), x (B,) stacking, with
+    each ``res.basis`` column of W given its sector's label: one guarded evaluator."""
+    return (_SpectralEvaluator(np.take(res.labels, res.column_sectors), res.basis)(x)
             @ propagator(zeno_hamiltonian(h, res), t))
 
 
@@ -408,8 +408,7 @@ def projective_survival(state0, h, res: ResolutionOfIdentity, sector: int,
     """
     _, n, u = _free_step(h, "resolution", res.dim, t, n, ndim=0)
     res.projector(sector)  # refuses a sector out of range
-    edge = np.cumsum((0,) + res.ranks)
-    w = res.basis[:, edge[sector]:edge[sector + 1]]
+    w = res.basis[:, res.sector_columns[sector]]
     v = np.linalg.matrix_power(dagger(w) @ u @ w, n - 1) @ dagger(w) @ u  # W† [P U]^N
     state = _check_state(state0, res.dim)
     if state.ndim == 2:

@@ -59,11 +59,12 @@ class ResolutionOfIdentity:
     Labels are the spectral values the projectors came from: eigenvalues for
     a Hermitian disturbance, eigenphases in (-pi, pi] for a unitary kick.
     Construction coerces the projectors to square complex matrices, derives
-    ``dim``, the ranks (trace(P_n) rounded to an integer), ``pinching``, the
-    d²×d² map sum_n P_n ⊗ P_nᵀ that takes the row-major vec(x) to
-    vec(pinch(x)) (16·d⁴ bytes), and ``basis``, the unitary W of one eigh of
-    sum_n n P_n, whose ranks[n] columns of eigenvalue n span P_n, in sector
-    order.  It refuses a family that is not a resolution with InvalidParameter,
+    ``dim``, ``pinching``, the d²×d² map sum_n P_n ⊗ P_nᵀ that takes the
+    row-major vec(x) to vec(pinch(x)) (16·d⁴ bytes), and the sector layout from
+    one eigh of sum_n n P_n: ``basis``, its unitary W; ``column_sectors``, its
+    eigenvalues rounded, the n of the P_n each column spans, ascending; ``ranks``,
+    their counts; and ``sector_columns``, the slice of W's columns spanning each
+    P_n.  It refuses a family that is not a resolution with InvalidParameter,
     naming the first invariant that fails: each P_n Hermitian and idempotent,
     distinct P_n mutually orthogonal, the family summing to the identity
     (each to PROJECTOR_TOL, Frobenius), and labels real, finite, at most 2**128 in
@@ -76,6 +77,8 @@ class ResolutionOfIdentity:
     ranks: tuple[int, ...] = field(init=False)
     pinching: np.ndarray = field(init=False, repr=False)
     basis: np.ndarray = field(init=False, repr=False)
+    column_sectors: np.ndarray = field(init=False, repr=False)
+    sector_columns: tuple[slice, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         p = _as_array(self.projectors, "projectors", (3,),
@@ -89,12 +92,16 @@ class ResolutionOfIdentity:
             raise DimensionMismatch("projector and label counts differ")
         object.__setattr__(self, "projectors", tuple(p))
         object.__setattr__(self, "labels", labels)
+        _check_resolution(p, labels)
+        values, w = np.linalg.eigh(sum(n * q for n, q in enumerate(p)))
+        object.__setattr__(self, "column_sectors", np.rint(values).astype(int))
+        edge = np.searchsorted(self.column_sectors, np.arange(len(p) + 1)).tolist()
         object.__setattr__(self, "dim", d := p.shape[1])
-        object.__setattr__(self, "ranks", _checked_ranks(p, labels))
+        object.__setattr__(self, "ranks", tuple(b - a for a, b in zip(edge, edge[1:])))
         object.__setattr__(self, "pinching",
                            np.einsum("nij,nlk->ikjl", p, p).reshape(d * d, d * d))
-        object.__setattr__(self, "basis",
-                           np.linalg.eigh(sum(n * q for n, q in enumerate(p)))[1])
+        object.__setattr__(self, "basis", w)
+        object.__setattr__(self, "sector_columns", tuple(map(slice, edge, edge[1:])))
 
     @property
     def nsectors(self) -> int:
@@ -115,8 +122,8 @@ def _refuse_above(invariant: str, sizes, tol: float, name="P_{}".format) -> None
                 f"defect {size:.3e} exceeds tolerance {tol:.0e}")
 
 
-def _checked_ranks(p: np.ndarray, labels: tuple[float, ...]) -> tuple[int, ...]:
-    """Integer ranks of the stacked projectors p[n], once every invariant holds."""
+def _check_resolution(p: np.ndarray, labels: tuple[float, ...]) -> None:
+    """Refuse the stacked projectors p[n] and their labels unless every invariant holds."""
     n, dim, _ = p.shape
     _refuse_above("hermiticity", _norms(p - p.conj().swapaxes(1, 2)), PROJECTOR_TOL)
     _refuse_above("idempotence", _norms(p @ p - p), PROJECTOR_TOL)
@@ -137,8 +144,6 @@ def _checked_ranks(p: np.ndarray, labels: tuple[float, ...]) -> tuple[int, ...]:
                 f"not a resolution of identity: label distinctness fails for labels "
                 f"{min(i, j)} and {max(i, j)}, gap {labels[j] - labels[i]:.3e} "
                 f"within CLUSTER_WIDTH {CLUSTER_WIDTH:.0e}")
-    # a Hermitian idempotent's trace is its rank to within d * PROJECTOR_TOL
-    return tuple(int(r) for r in np.round(np.trace(p, axis1=1, axis2=2).real))
 
 
 def _cluster_sorted(values: np.ndarray, width: float) -> list[np.ndarray]:
@@ -165,11 +170,8 @@ def _cluster_projectors(values: np.ndarray, vectors: np.ndarray, width: float,
     Column i of ``vectors`` belongs to values[i]; a cluster is labelled
     label(mean of its values).
     """
-    pairs = []
-    for idx in _cluster_sorted(values, width):
-        cols = vectors[:, idx]
-        pairs.append((label(float(values[idx].mean())), cols @ dagger(cols)))
-    pairs.sort(key=lambda lp: lp[0])
+    pairs = sorted(((label(float(values[c].mean())), vectors[:, c] @ dagger(vectors[:, c]))
+                    for c in _cluster_sorted(values, width)), key=lambda lp: lp[0])
     return ResolutionOfIdentity([p for _, p in pairs], [l for l, _ in pairs])
 
 

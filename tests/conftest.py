@@ -38,6 +38,14 @@ def random_two_block_resolution(rng: np.random.Generator, dim: int,
     return ResolutionOfIdentity([p1, p2], [1.0, 2.0])
 
 
+def uneven_resolution(rng: np.random.Generator) -> ResolutionOfIdentity:
+    """Ranks 1, 3, 2, 1 of C^7, labels 0..3, spanned by a random unitary's columns, so no
+    sector lies on the axes."""
+    u = random_unitary(rng, 7)
+    return ResolutionOfIdentity([b @ b.conj().T for b in np.split(u, [1, 4, 6], axis=1)],
+                                [0.0, 1.0, 2.0, 3.0])
+
+
 def basis_state(dim: int, index: int) -> np.ndarray:
     psi = np.zeros(dim, dtype=complex)
     psi[index] = 1.0

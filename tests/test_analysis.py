@@ -15,6 +15,7 @@ from conftest import (
     random_two_block_resolution,
     random_unitary,
     straddle_state,
+    uneven_resolution,
 )
 from zenosim.analysis import (
     EXACT_DISTANCE,
@@ -267,9 +268,7 @@ class TestStackedObservables:
     def test_single_coherence_is_the_series_kernel(self, which):
         rng = np.random.default_rng(23)
         if which == "uneven-4-sector":  # ranks 1, 3, 2, 1, no sector on the axes
-            u = random_unitary(rng, 7)
-            res = ResolutionOfIdentity([b @ b.conj().T for b in np.split(u, [1, 4, 6], axis=1)],
-                                       [0.0, 1.0, 2.0, 3.0])
+            res = uneven_resolution(rng)
             assert res.ranks == (1, 3, 2, 1)
         else:
             res = three_level_projective().res

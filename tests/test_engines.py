@@ -1,12 +1,12 @@
 import copy
 import dataclasses
 import inspect
+import itertools
 import pickle
 import tracemalloc
 import warnings
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,13 +20,18 @@ from conftest import (
     random_two_block_resolution,
     random_unitary,
     straddle_state,
+    uneven_resolution,
 )
+from reference import _MP, _mp_kron, _mp_lift, _mp_power, _to_numpy, projective_curve_distance
 from zenosim import engines, linalg
 from zenosim.analysis import (
+    coherence_block_norm,
     convergence_curve,
     decay_protection_sweep,
     observables,
     projective_convergence_curve,
+    purity,
+    subspace_probabilities,
 )
 from zenosim.engines import (
     EvolutionRecord,
@@ -66,6 +71,7 @@ from zenosim.spectral import (
     ResolutionOfIdentity,
     pinch,
     projections_of_hermitian,
+    projections_of_unitary,
     zeno_hamiltonian,
 )
 
@@ -384,35 +390,6 @@ class TestKicked:
         assert abs(np.linalg.norm(rec.final_state) - 1.0) <= 1e-12
 
 
-_MP = mpmath.MPContext()
-_MP.dps = 40
-
-
-def _mp_lift(a):
-    """complex128 array -> mpmath matrix, exactly (a vector becomes a column)."""
-    rows = np.atleast_2d(a).T if np.ndim(a) == 1 else np.asarray(a)
-    return _MP.matrix([[_MP.mpc(z.real, z.imag) for z in row] for row in rows])
-
-
-def _mp_power(m, k: int):
-    out = _MP.eye(m.rows)
-    while k:
-        if k & 1:
-            out = out * m
-        m = m * m
-        k >>= 1
-    return out
-
-
-def _to_numpy(m) -> np.ndarray:
-    return np.array(m.tolist(), dtype=complex)
-
-
-def _mp_kron(a, b):
-    return _MP.matrix([[a[i, j] * b[k, l] for j in range(a.cols) for l in range(b.cols)]
-                       for i in range(a.rows) for k in range(b.rows)])
-
-
 @pytest.mark.parametrize("lambda1, n", [
     *[pytest.param(0.0, n, id=f"{n}") for n in (1, 4096, 10**9)],
     *[pytest.param(np.pi, n, id=f"pi-{n}") for n in (1, 4096, 10**9)],
@@ -512,25 +489,15 @@ def test_projective_engine_matches_40_digit_oracle(n, rotated):
 def test_projective_curve_matches_40_digit_oracle(n):
     """Each curve distance against a 40-digit one; tolerance 64 d eps (1 + N).
 
-    The oracle powers the lifted round of ``test_projective_engine_matches_40_digit_oracle``
-    and takes the distance to U_Z pinch(rho0) U_Z†, with U_Z = exp(-i H_Z t) to 40
-    digits as well.
+    The oracle, ``reference.projective_curve_distance``, powers the lifted round of
+    ``test_projective_engine_matches_40_digit_oracle`` and takes the distance to
+    U_Z pinch(rho0) U_Z†, with U_Z = exp(-i H_Z t) to 40 digits as well.
     """
     bundle = three_level_projective(1.0, 1.0)
     t, dim = 1.0, 3
     psi0 = straddle_state(dim)
     rho0 = np.outer(psi0, psi0.conj())
-    ps = [_mp_lift(p) for p in bundle.res.projectors]
-    pinched = sum((p * _mp_lift(rho0) * p for p in ps), _MP.zeros(dim))
-    h = _mp_lift(bundle.H)
-    u_z = _MP.expm(-1j * sum((p * h * p for p in ps), _MP.zeros(dim)) * _MP.mpf(t))
-    limit = u_z * pinched * u_z.H
-    u = _MP.expm(-1j * h * (_MP.mpf(t) / n))
-    step = sum((_mp_kron(p * u, (u.H * p).T) for p in ps), _MP.zeros(dim * dim))
-    vec0 = _MP.matrix([pinched[i, j] for i in range(dim) for j in range(dim)])
-    final = _mp_power(step, n) * vec0
-    ref = _MP.sqrt(sum(abs(final[i * dim + j] - limit[i, j]) ** 2
-                       for i in range(dim) for j in range(dim)))
+    ref = projective_curve_distance(bundle.H, bundle.res.projectors, rho0, t, n)
     # the curve needs three values; the oracle checks the one at n
     curve = projective_convergence_curve(bundle, rho0, t, [n, 2 * n, 4 * n])
     assert abs(curve.distances[0] - float(ref)) <= 64 * dim * np.finfo(float).eps * (1 + n)
@@ -948,6 +915,97 @@ class TestMetamorphicRelations:
 
         tol = 64 * b.dim * np.finfo(float).eps * (1 + frobenius(b.H) * (t1 + t2))
         assert np.abs(u_z(t1 + t2) - u_z(t1) @ u_z(t2)).max() <= tol
+
+
+class TestSectorFrameCovariance:
+    """The readers of a resolution's sector frame transform as the physics says, on the
+    ranks-(1, 3, 2, 1) resolution of C^7 with labels 0..3.  One unitary Q on H, on each
+    projector (same labels) and on the state rotates the Zeno-limit states, each V_n and
+    both asymptotic forms, keeps every single-state observable, and rotates the spectral
+    projectors of an operator; permuting the projectors with their labels permutes the V_n
+    and keeps both asymptotic forms.  Each tolerance is 64 d eps (1 + drive): the drive is
+    ||H||_F t for the Zeno limit, ||H||_F t + x max|l_n| for the asymptotic forms (x = N,
+    or K t), and 0 for the rest."""
+
+    RES = uneven_resolution(np.random.default_rng(23))
+    TOL = 64 * 7 * np.finfo(float).eps
+    ASYMPTOTIC = [("N", 1), ("N", 64), ("N", 4096), ("K", 0.0), ("K", 64.0), ("K", 4096.0)]
+
+    @staticmethod
+    def _close(got, want, tol):
+        assert np.abs(np.subtract(got, want)).max() <= tol
+
+    def _case(self, seed):
+        """H, t, a density, the rotation x -> Q x Q†, the rotated resolution, and the rng."""
+        rng = np.random.default_rng(seed)
+        q, h, t = random_unitary(rng, 7), random_hermitian(rng, 7), rng.uniform(0.5, 2.0)
+
+        def rotated(x):
+            return q @ x @ dagger(q)
+
+        moved = ResolutionOfIdentity([rotated(p) for p in self.RES.projectors], self.RES.labels)
+        return h, t, random_density(rng, 7), rotated, moved, rng
+
+    def _asymptotic(self, h, t, form, x):
+        """res -> the asymptotic form at N or K = x, and its tolerance."""
+        call, phase = ((asymptotic_kicked_propagator, x) if form == "N"
+                       else (asymptotic_continuous_propagator, x * t))
+        tol = self.TOL * (1 + frobenius(h) * t + phase * max(map(abs, self.RES.labels)))
+        return lambda res: call(h, res, t, x), tol
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rotated_inputs_rotate_the_zeno_limit(self, seed):
+        h, t, rho, rotated, moved, _ = self._case(seed)
+        tol = self.TOL * (1 + frobenius(h) * t)
+        want = [rotated(r) for r in evolve_zeno_limit(rho, h, self.RES, t, samples=9).states]
+        self._close(evolve_zeno_limit(rotated(rho), rotated(h), moved, t, samples=9).states,
+                    want, tol)
+        for v, w in zip(zeno_propagators(rotated(h), moved, t),
+                        zeno_propagators(h, self.RES, t), strict=True):
+            self._close(v, rotated(w), tol)
+
+    @pytest.mark.parametrize("form, x", ASYMPTOTIC)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rotated_inputs_rotate_the_asymptotic_forms(self, seed, form, x):
+        h, t, _, rotated, moved, _ = self._case(seed)
+        want, tol = self._asymptotic(h, t, form, x)
+        got, _ = self._asymptotic(rotated(h), t, form, x)
+        self._close(got(moved), rotated(want(self.RES)), tol)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rotated_state_and_sectors_keep_the_observables(self, seed):
+        _, _, rho, rotated, moved, _ = self._case(seed)
+        self._close(subspace_probabilities(rotated(rho), moved),
+                    subspace_probabilities(rho, self.RES), self.TOL)
+        for n, m in itertools.permutations(range(4), 2):
+            self._close(coherence_block_norm(rotated(rho), moved, n, m),
+                        coherence_block_norm(rho, self.RES, n, m), self.TOL)
+        self._close(purity(rotated(rho)), purity(rho), self.TOL)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rotated_operator_gives_rotated_projectors(self, seed):
+        _, _, _, rotated, _, _ = self._case(seed)
+        pairs = list(zip(self.RES.labels, self.RES.projectors))
+        for build, op in ((projections_of_hermitian, sum(l * p for l, p in pairs)),
+                          (projections_of_unitary, sum(np.exp(-1j * l) * p for l, p in pairs))):
+            want, got = build(op), build(rotated(op))
+            assert got.ranks == want.ranks == (1, 3, 2, 1)
+            self._close(got.labels, want.labels, self.TOL)
+            for p, w in zip(got.projectors, want.projectors, strict=True):
+                self._close(p, rotated(w), self.TOL)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_permuted_sectors_permute_the_propagators(self, seed):
+        h, t, _, _, _, rng = self._case(seed)
+        perm = rng.permutation(4)
+        permuted = ResolutionOfIdentity([self.RES.projectors[i] for i in perm],
+                                        [self.RES.labels[i] for i in perm])
+        want = zeno_propagators(h, self.RES, t)
+        for v, i in zip(zeno_propagators(h, permuted, t), perm, strict=True):
+            self._close(v, want[i], self.TOL * (1 + frobenius(h) * t))
+        for form, x in self.ASYMPTOTIC:
+            call, tol = self._asymptotic(h, t, form, x)
+            self._close(call(permuted), call(self.RES), tol)
 
 
 def _random_coupled_model(seed):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian, random_state, random_unitary
+from reference import _mp_evolved
 from zenosim.errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -431,13 +432,6 @@ class TestStacks:
             assert np.array_equal(ev(0.7)[b], one(0.7)[0])
             assert np.array_equal(ev.states(xs, psi)[b], one.states(xs, psi)[0])
         assert nonhermitian_evolution(hs[1:2]).ok.tolist() == [False]
-
-
-def _mp_evolved(h, rho, x) -> np.ndarray:
-    """exp(-i h x) rho exp(-i h x)† at 40 digits, from the exact float inputs."""
-    with mpmath.workdps(40):
-        u = mpmath.expm(mpmath.matrix(h.tolist()) * mpmath.mpc(0, -x))
-        return np.array((u * mpmath.matrix(rho.tolist()) * u.H).tolist(), dtype=complex)
 
 
 class TestDensityRoute:

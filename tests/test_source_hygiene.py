@@ -173,3 +173,11 @@ def test_eigh_checks_a_stack_in_one_pass():
                 if isinstance(node, ast.FunctionDef) and node.name == "eigh")
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     assert [type(n).__name__ for n in ast.walk(eigh) if isinstance(n, loops)] == []
+
+
+def test_sector_layout_read_from_the_resolution():
+    """A resolution's ``ranks`` are read in ``spectral`` alone: every other module takes the
+    column layout from ``column_sectors`` and ``sector_columns``, which the resolution
+    derives with ``basis`` from one eigh, so none lays out sector columns again."""
+    assert [name for name, tree in TREES.items()
+            if name != "spectral.py" and "ranks" in _loaded(tree)] == []

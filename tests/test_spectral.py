@@ -145,11 +145,17 @@ def _assert_sector_basis(res):
     complete family of the W_n W_n†, is held to it too.  With A = Σ_m m P_m,
     ‖(A − n) P_n‖_F ≤ Σ_m m·PROJECTOR_TOL ≤ k²·PROJECTOR_TOL / 2 (k sectors), and
     across A's unit eigenvalue gaps each of the k column blocks of W† P_n W
-    leaves the selector by at most that: the bound is k³·PROJECTOR_TOL.
+    leaves the selector by at most that: the bound is k³·PROJECTOR_TOL.  The layout is
+    read from the resolution, and its ranks are the projectors' traces rounded.
     """
     w, k = res.basis, res.nsectors
     assert frobenius(w.conj().T @ w - np.eye(res.dim)) <= PROJECTOR_TOL
-    columns = np.repeat(np.arange(k), res.ranks)
+    traces = np.round(np.trace(res.projectors, axis1=1, axis2=2).real).astype(int).tolist()
+    assert res.ranks == tuple(traces)
+    columns = res.column_sectors
+    assert columns.tolist() == np.repeat(np.arange(k), traces).tolist()
+    assert [np.arange(res.dim)[c].tolist() for c in res.sector_columns] == [
+        np.flatnonzero(columns == n).tolist() for n in range(k)]
     for n, p in enumerate(res.projectors):
         select = np.diag((columns == n).astype(float))
         assert frobenius(w.conj().T @ p @ w - select) <= k ** 3 * PROJECTOR_TOL
