@@ -292,8 +292,8 @@ def projective_convergence_curve(bundle: ModelBundle, rho0, t: float,
             f"projective_convergence_curve needs a projective bundle, "
             f"got {bundle.mechanism!r}")
     ns = _sweep_values(_check_counts(n_values))  # the engine's check of each N, then the order
-    finals = _measured_finals(rho0, bundle.H, bundle.res, t, ns)
-    limit = evolve_zeno_limit(rho0, bundle.H, bundle.res, t, samples=2).final_state
+    finals = _measured_finals(rho0, bundle.H, bundle.resolution(), t, ns)
+    limit = evolve_zeno_limit(rho0, bundle.H, bundle.resolution(), t, samples=2).final_state
     return ConvergenceCurve("N", ns, np.linalg.norm(finals - limit, axis=(1, 2)))
 
 

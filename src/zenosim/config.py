@@ -76,7 +76,7 @@ MECHANISMS = {
     "projective": Mechanism(
         "N",
         series=lambda b, psi0, t, n, samples: engines.evolve_projective(
-            np.outer(psi0, psi0.conj()), b.H, b.res, t, n, samples),
+            np.outer(psi0, psi0.conj()), b.H, b.resolution(), t, n, samples),
         curve=lambda b, psi0, t, ns: analysis.projective_convergence_curve(
             b, np.outer(psi0, psi0.conj()), t, ns)),
     "kicked": Mechanism(

@@ -222,14 +222,13 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
 
 def _measured_finals(rho0, h, res: ResolutionOfIdentity, t: float, ns) -> np.ndarray:
     """Final states (B, d, d) of ``evolve_projective`` for N (B,): S_b = Π (U_b ⊗ U_b*) to
-    the N_b in log2(max N) stacked products, unguarded (a contraction), not renormalised."""
+    the N_b by one ``matrix_power`` each, unguarded (a contraction), not renormalised."""
     _, ns, u = _free_step(h, "resolution", res.dim, t, ns)
     rho = check_density_matrix(rho0, res.dim)
     x = res.pinching @ rho.reshape(-1)  # vec(pinch rho0)
-    for j in range(int(ns.max()).bit_length()):
-        s = s @ s if j else res.pinching @ _lift(u)  # S^(2^j)
-        x = np.where((ns >> j & 1)[:, None], (s @ x[..., None])[..., 0], x)
-    return x.reshape(-1, *rho.shape)
+    rounds = res.pinching @ _lift(u)  # S_b, (B, d², d²)
+    finals = [np.linalg.matrix_power(s, n) @ x for s, n in zip(rounds, ns.tolist())]
+    return np.stack(finals).reshape(-1, *rho.shape)
 
 
 def evolve_kicked(state0, h, u_kick, t: float, n: int,

@@ -117,10 +117,8 @@ def _probe_coupling() -> np.ndarray:
     return h_c
 
 
-def _two_block_resolution() -> ResolutionOfIdentity:
-    p1 = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    p2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    return ResolutionOfIdentity([p1, p2], [1.0, 2.0])
+# the measured pair P_1 = |a><a| + |b><b|, P_2 = |c><c| of the 3-level models
+_P1, _P2 = np.diag([1.0, 1.0, 0.0]).astype(complex), np.diag([0.0, 0.0, 1.0]).astype(complex)
 
 
 def _with_sectors(bundle: ModelBundle, count: int, error, what: str) -> ModelBundle:
@@ -139,8 +137,7 @@ def three_level_projective(omega1: float = 1.0, omega2: float = 1.0) -> ModelBun
     """
     omega1, omega2 = _check_finite(locals())
     h = _chain_hamiltonian(omega1, omega2, 3)
-    res = _two_block_resolution()
-    return ModelBundle(H=h, res=res)
+    return ModelBundle(H=h, res=ResolutionOfIdentity([_P1, _P2], [1.0, 2.0]))
 
 
 def four_level_kicked(omega1: float = 1.0, omega2: float = 1.0,
@@ -186,9 +183,7 @@ def simplified_kicked(omega1: float = 1.0, omega2: float = 1.0,
     """
     omega1, omega2, lambda1, lambda2 = _check_finite(locals())
     h = _chain_hamiltonian(omega1, omega2, 3)
-    res = _two_block_resolution()
-    u = (np.exp(-1j * lambda1) * res.projectors[0]
-         + np.exp(-1j * lambda2) * res.projectors[1])
+    u = np.exp(-1j * lambda1) * _P1 + np.exp(-1j * lambda2) * _P2
     return _with_sectors(ModelBundle(H=h, U_kick=u), 2, DegenerateKickPhases,
                          "lambda1 and lambda2 coincide modulo 2*pi")
 
@@ -202,8 +197,7 @@ def simplified_continuous(omega1: float = 1.0, omega2: float = 1.0,
     """
     omega1, omega2, eta1, eta2, coupling = _check_finite(locals())
     h = _chain_hamiltonian(omega1, omega2, 3)
-    res = _two_block_resolution()
-    h_c = eta1 * res.projectors[0] + eta2 * res.projectors[1]
+    h_c = eta1 * _P1 + eta2 * _P2
     bundle = ModelBundle(H=h, H_c=h_c, K=coupling)
     return _with_sectors(bundle, 2, DegenerateCouplingLevels, "eta1 and eta2 coincide")
 

@@ -22,7 +22,8 @@ from conftest import (
     straddle_state,
     uneven_resolution,
 )
-from reference import _MP, _mp_kron, _mp_lift, _mp_power, _to_numpy, projective_curve_distance
+from reference import (_MP, _mp_lift, _mp_measured, _mp_power, _to_numpy,
+                       projective_curve_distance)
 from zenosim import engines, linalg
 from zenosim.analysis import (
     coherence_block_norm,
@@ -471,11 +472,7 @@ def test_projective_engine_matches_40_digit_oracle(n, rotated):
     t, dim = 1.0, 3
     psi0 = straddle_state(dim)
     rho0 = np.outer(psi0, psi0.conj())
-    u = _MP.expm(_mp_lift(-1j * bundle.H) * (_MP.mpf(t) / n))
-    ps = [_mp_lift(p) for p in res.projectors]
-    step = sum((_mp_kron(p * u, (u.H * p).T) for p in ps), _MP.zeros(dim * dim))
-    pinched = sum((p * _mp_lift(rho0) * p for p in ps), _MP.zeros(dim))
-    vec0 = _MP.matrix([pinched[i, j] for i in range(dim) for j in range(dim)])
+    _, vec0, step = _mp_measured(bundle.H, res.projectors, rho0, t, n)
 
     rec = evolve_projective(rho0, bundle.H, res, t, n, samples=5)
     assert len(rec) == min(5, n + 1)
@@ -485,9 +482,10 @@ def test_projective_engine_matches_40_digit_oracle(n, rotated):
         assert np.abs(state - ref).max() <= 64 * dim * np.finfo(float).eps * (1 + k)
 
 
-@pytest.mark.parametrize("n", [16, 4096, 2**20, 2**30])
+@pytest.mark.parametrize("n", [3, 16, 1000, 4096, 2**20, 2**30])
 def test_projective_curve_matches_40_digit_oracle(n):
-    """Each curve distance against a 40-digit one; tolerance 64 d eps (1 + N).
+    """Each curve distance against a 40-digit one; tolerance 64 d eps (1 + N).  N = 3 and
+    1000 are not powers of two, so the powers multiply in more than the squarings.
 
     The oracle, ``reference.projective_curve_distance``, powers the lifted round of
     ``test_projective_engine_matches_40_digit_oracle`` and takes the distance to

@@ -1,11 +1,10 @@
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian, random_state, random_unitary
-from reference import _mp_evolved
+from reference import _MP, _mp_evolved, _mp_lift, _to_numpy
 from zenosim.errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -172,8 +171,7 @@ class TestExpm:
     def test_matches_40_digit_exponential(self, a):
         """Normwise against mpmath at 40 digits:
         max|expm(A) - e^A| <= 64 d eps (1 + ‖A‖_F) max(1, max|e^A|)."""
-        with mpmath.workdps(40):
-            ref = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
+        ref = _to_numpy(_MP.expm(_mp_lift(a)))
         scale = (1 + frobenius(a)) * max(1.0, np.abs(ref).max())
         tol = 64 * len(a) * np.finfo(float).eps * scale
         assert np.abs(expm(a) - ref).max() <= tol

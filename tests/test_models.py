@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zenosim.config import MODEL_REGISTRY
 from zenosim.errors import (
     DegenerateCouplingLevels,
     DegenerateKickPhases,
@@ -28,6 +29,7 @@ from zenosim.models import (
     simplified_kicked,
     three_level_projective,
 )
+from zenosim.spectral import ResolutionOfIdentity
 
 
 def sectors_holding_a(res):
@@ -267,6 +269,21 @@ def test_shared_pieces_build_the_written_out_matrices(builder, literal):
         b = builder(**params)
         h, h_c = literal(**params)
         assert np.array_equal(b.H, h) and np.array_equal(b.H_c, h_c), params
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+def test_each_builder_constructs_one_resolution(name, monkeypatch):
+    """A builder at its defaults constructs one ``ResolutionOfIdentity``, the bundle's own:
+    the measured pair enters as two constant projectors, not as a resolution built to be
+    read and dropped."""
+    built, check = [], ResolutionOfIdentity.__post_init__
+
+    def counted(res):
+        built.append(res)
+        check(res)
+    monkeypatch.setattr(ResolutionOfIdentity, "__post_init__", counted)
+    bundle = MODEL_REGISTRY[name]()
+    assert built == [bundle.resolution()]
 
 
 class TestModelBundle:

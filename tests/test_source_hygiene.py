@@ -181,3 +181,11 @@ def test_sector_layout_read_from_the_resolution():
     derives with ``basis`` from one eigh, so none lays out sector columns again."""
     assert [name for name, tree in TREES.items()
             if name != "spectral.py" and "ranks" in _loaded(tree)] == []
+
+
+def test_bundle_sectors_read_through_the_accessor():
+    """Every reader takes a bundle's sectors from ``ModelBundle.resolution()``: only
+    ``models``, where the bundle derives them from its payload, loads the field ``res``."""
+    assert [name for name, tree in TREES.items()
+            if any(isinstance(n, ast.Attribute) and n.attr == "res"
+                   and isinstance(n.ctx, ast.Load) for n in ast.walk(tree))] == ["models.py"]
