@@ -34,6 +34,7 @@ from .linalg import (
     _is_real,
     _lift,
     _norms,
+    _phases,
     _SpectralEvaluator,
     as_square_matrix,
     check_density_matrix,
@@ -171,19 +172,41 @@ def _checkpoints(n_steps: int, samples: int) -> np.ndarray:
 
 
 def _free_step(h, payload: str, dim: int, t: float, n, ndim: int = 1):
-    """Checked (t, N, U(t/N)) for an H as wide as the payload's ``dim``; N (B,) stacks the U."""
+    """Checked (t, N, H) for an H as wide as the payload's ``dim``; N (B,) for ndim 1."""
     t, n = _check_positive_t(t), _check_counts(n, ndim)
     hm = require_hermitian(h, "H")
     if hm.shape[0] != dim:
         raise DimensionMismatch(f"H and {payload} dimensions differ")
-    return t, n, propagator(hm, t / n)
+    return t, n, hm
 
 
 def _kick_step(h, u_kick, t: float, n, ndim: int = 1):
     """Validate kicks; return (N, U_kick, k -> [U_kick U(t/N)]^k), batched over N (B,)."""
     uk = require_unitary(u_kick, "U_kick")
-    _, n, u = _free_step(h, "U_kick", len(uk), t, n, ndim)
-    return n, uk, _SpectralEvaluator(*_cayley_eig(uk @ u))  # each cycle as unitary as uk
+    t, n, hm = _free_step(h, "U_kick", len(uk), t, n, ndim)
+    return n, uk, _SpectralEvaluator(*_cayley_eig(uk @ propagator(hm, t / n)))  # unitary as uk
+
+
+def _small_part(hm: np.ndarray, res: ResolutionOfIdentity, tau) -> np.ndarray:
+    """E = W†(U(tau) - I)W, W = ``res.basis``, (B, d, d) for tau (B,), from one eigh of H: each
+    e^{-i tau w} - 1 as -2i sin(tau w/2) e^{-i tau w/2}, relatively exact however small tau w."""
+    vw = dagger(res.basis) @ (free := hermitian_evolution(hm)).v
+    half = _phases(free.w, 0.5 * tau, (0, 1))  # sin(tau w/2) = -Im e^{-i tau w/2}
+    return (vw * (2j * half.imag * half)[..., None, :]) @ dagger(vw)
+
+
+def _measured_power(x: np.ndarray, n) -> np.ndarray:
+    """(I + X_b)^{N_b} for small parts X (B, m, m), counts N (B,): V (1 + nu)^N V⁻¹ from one
+    guarded eig, log(1 + nu) = log1p(2 Re nu + |nu|²)/2 + i arg(1 + nu) as exact as nu (numpy's
+    complex log1p is not).  A slice that ``ok`` refuses, or with a 1 + nu = 0, falls back."""
+    spectral = nonhermitian_evolution(x)
+    mag = 2.0 * (nu := spectral.w).real + abs(nu) ** 2  # |1 + nu|² - 1
+    ok = spectral.ok & np.all(mag > -1.0, axis=-1)
+    w = 0.5j * np.log1p(np.where(ok[:, None], mag, 0.0)) - np.arctan2(nu.imag, 1.0 + nu.real)
+    out = _SpectralEvaluator(w, spectral.v, spectral._vi)(n)
+    for b in np.flatnonzero(~ok):  # X near defective, or I + X singular
+        out[b] = np.linalg.matrix_power(np.eye(x.shape[-1]) + x[b], n[b])
+    return out
 
 
 def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
@@ -199,8 +222,8 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
     a round is two d²×d² products: U ⊗ U* for the free evolution, then the
     resolution's pinching map inside ``pinch``.
     """
-    t, n, u = _free_step(h, "resolution", res.dim, t, n, ndim=0)
-    rho, uu = check_density_matrix(rho0, res.dim), _lift(u)
+    t, n, hm = _free_step(h, "resolution", res.dim, t, n, ndim=0)
+    rho, uu = check_density_matrix(rho0, res.dim), _lift(propagator(hm, t / n))
     keep = _checkpoints(n, samples)
     states = np.empty((len(keep), *rho.shape), dtype=complex)
     corrections: list[tuple[int, float]] = []
@@ -221,14 +244,16 @@ def evolve_projective(rho0, h, res: ResolutionOfIdentity, t: float, n: int,
 
 
 def _measured_finals(rho0, h, res: ResolutionOfIdentity, t: float, ns) -> np.ndarray:
-    """Final states (B, d, d) of ``evolve_projective`` for N (B,): S_b = Π (U_b ⊗ U_b*) to
-    the N_b by one ``matrix_power`` each, unguarded (a contraction), not renormalised."""
-    _, ns, u = _free_step(h, "resolution", res.dim, t, ns)
-    rho = check_density_matrix(rho0, res.dim)
-    x = res.pinching @ rho.reshape(-1)  # vec(pinch rho0)
-    rounds = res.pinching @ _lift(u)  # S_b, (B, d², d²)
-    finals = [np.linalg.matrix_power(s, n) @ x for s, n in zip(rounds, ns.tolist())]
-    return np.stack(finals).reshape(-1, *rho.shape)
+    """Final states (B, d, d) of ``evolve_projective`` for N (B,), not renormalised: a round
+    maps the sum r_n² block-diagonal entries (i, k) of W† rho W, W = ``res.basis``, by I + X,
+    X those entries of E ⊗ I + I ⊗ E* + E ⊗ E*, E the ``_small_part``, raised once per N."""
+    t, ns, hm = _free_step(h, "resolution", res.dim, t, ns)
+    rho, w = check_density_matrix(rho0, res.dim), res.basis
+    i, k = np.divmod(np.flatnonzero(res.column_sectors[:, None] == res.column_sectors), res.dim)
+    ek = (e := _small_part(hm, res, t / ns)).conj()[:, k[:, None], k]  # (a, b): E*_{k_a k_b}
+    x = e[:, i[:, None], i] * ((k[:, None] == k) + ek) + (i[:, None] == i) * ek
+    s = _measured_power(x, ns) @ (dagger(w) @ rho @ w)[i, k]  # the N-round entries
+    return (w[:, i] * s[:, None, :]) @ dagger(w[:, k])  # sum_a s_a w_{i_a} w_{k_a}†
 
 
 def evolve_kicked(state0, h, u_kick, t: float, n: int,
@@ -402,13 +427,13 @@ def projective_survival(state0, h, res: ResolutionOfIdentity, sector: int,
     It differs from the sector population of the nonselective record, which
     also counts histories that leave the sector and return.  For a rank-1
     sector and a 2-level Hamiltonian Omega sigma_x it reduces to the
-    classic cos^{2N}(Omega t / N).  With W the sector's ``res.basis`` columns,
-    [P U]^N = W B^{N-1} W† U, so only the r×r block B = W† U W is powered.
+    classic cos^{2N}(Omega t / N).  With W = ``res.basis``, c the sector's columns and E the
+    ``_small_part``, W_c† [P U]^N = (I + X)^{N-1} (I + E)[c, :] W†: only X = E[c, c] is raised.
     """
-    _, n, u = _free_step(h, "resolution", res.dim, t, n, ndim=0)
+    t, n, hm = _free_step(h, "resolution", res.dim, t, n, ndim=0)
     res.projector(sector)  # refuses a sector out of range
-    w = res.basis[:, res.sector_columns[sector]]
-    v = np.linalg.matrix_power(dagger(w) @ u @ w, n - 1) @ dagger(w) @ u  # W† [P U]^N
+    e, c, w = _small_part(hm, res, t / n), res.sector_columns[sector], res.basis
+    v = _measured_power(e[None, c, c], [n - 1])[0] @ (e[c] + np.eye(len(w))[c]) @ dagger(w)
     state = _check_state(state0, res.dim)
     if state.ndim == 2:
         return float(np.trace(v @ state @ dagger(v)).real)

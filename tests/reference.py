@@ -1,8 +1,12 @@
 """40-digit mpmath references shared by the oracle and certificate tests.
 
 Every float input is lifted exactly into the one 40-digit context ``_MP``, so a
-reference shares no rounding with the numpy code it judges.
+reference shares no rounding with the numpy code it judges.  A power N of a round
+close to the identity loses about log10 N digits, so such references run inside
+``scaled_digits(N)``, at 45 + log10 N digits.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -12,9 +16,25 @@ _MP.dps = 40
 
 
 def _mp_lift(a):
-    """complex128 array -> mpmath matrix, exactly (a vector becomes a column)."""
+    """complex128 array -> mpmath matrix, exactly (a vector becomes a column); an mpmath
+    matrix is returned as it is."""
+    if isinstance(a, _MP.matrix):
+        return a
     rows = np.atleast_2d(a).T if np.ndim(a) == 1 else np.asarray(a)
     return _MP.matrix([[_MP.mpc(z.real, z.imag) for z in row] for row in rows])
+
+
+def scaled_digits(n: int):
+    """Context in which ``_MP`` works at 45 + log10 N digits, for a power N of a round."""
+    return _MP.workdps(45 + int(math.log10(n)))
+
+
+def sector_projectors(res):
+    """Projectors onto the sectors of ``res`` that are exact to the working digits: its
+    ``basis`` columns orthonormalised by an mpmath QR.  The float projectors are idempotent
+    only to eps, so a power N of P U(t/N) built from them drifts by about N eps."""
+    q, _ = _MP.qr(_mp_lift(res.basis))
+    return [q[:, s] * q[:, s].H for s in res.sector_columns]
 
 
 def _mp_power(m, k: int):
@@ -74,6 +94,12 @@ def projective_curve_distance(h, projectors, rho0, t: float, n: int):
     u_z, pinched = _mp_zeno_propagator(h, projectors, t), _mp_unvec(vec0, dim)
     final = _mp_unvec(_mp_power(step, int(n)) * vec0, dim)
     return _MP.mnorm(final - u_z * pinched * u_z.H, "f")
+
+
+def projective_survival_probability(h, projector, psi0, t: float, n: int):
+    """||[P U(t/N)]^N psi0||² at the working digits, P a float or an mpmath projector."""
+    factor = _mp_lift(projector) * _MP.expm(_mp_lift(-1j * h) * (_MP.mpf(t) / int(n)))
+    return sum(abs(z) ** 2 for z in _mp_power(factor, int(n)) * _mp_lift(psi0))
 
 
 def projective_series_rows(h, projectors, rho0, t: float, n: int, steps):

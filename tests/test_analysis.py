@@ -528,6 +528,12 @@ class TestConvergenceCurve:
         assert np.isnan(curve.fitted_rate)
         assert np.isnan(curve.doubling_factor)
 
+    def test_zero_last_distance_has_no_doubling_factor(self):
+        # not exact, yet the sweep ends at distance 0: no finite factor per doubling
+        curve = ConvergenceCurve("N", [1, 2, 4], [0.1, 0.05, 0.0])
+        assert not curve.exact
+        assert np.isnan(curve.doubling_factor)
+
     def test_kicked_requires_integer_counts(self):
         with pytest.raises(InvalidParameter):
             convergence_curve(four_level_kicked(), 1.0, [4, 8.5, 16])

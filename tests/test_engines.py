@@ -23,7 +23,8 @@ from conftest import (
     uneven_resolution,
 )
 from reference import (_MP, _mp_lift, _mp_measured, _mp_power, _to_numpy,
-                       projective_curve_distance)
+                       projective_curve_distance, projective_survival_probability,
+                       scaled_digits, sector_projectors)
 from zenosim import engines, linalg
 from zenosim.analysis import (
     coherence_block_norm,
@@ -285,6 +286,9 @@ class TestProjective:
 
 
 class TestKicked:
+    def test_default_sample_count(self):
+        assert len(evolve_kicked(basis_state(3, 0), CHAIN, np.eye(3), t=1.0, n=100)) == 50
+
     def test_identity_kick_is_free_evolution(self):
         psi0 = basis_state(3, 0)
         rec = evolve_kicked(psi0, CHAIN, np.eye(3), t=1.3, n=7)
@@ -448,9 +452,7 @@ def test_projective_survival_matches_40_digit_oracle(n, rotated):
            else bundle.res)
     t, dim = 1.0, 3
     psi0 = straddle_state(dim)
-    factor = (_mp_lift(res.projector(0))
-              * _MP.expm(_mp_lift(-1j * bundle.H) * (_MP.mpf(t) / n)))
-    ref = float(sum(abs(z) ** 2 for z in _mp_power(factor, n) * _mp_lift(psi0)))
+    ref = float(projective_survival_probability(bundle.H, res.projector(0), psi0, t, n))
     tol = 64 * dim * np.finfo(float).eps * (1 + n)
     for state in (psi0, np.outer(psi0, psi0.conj())):
         assert abs(projective_survival(state, bundle.H, res, 0, t, n) - ref) <= tol
@@ -518,6 +520,31 @@ def test_measured_finals_match_the_step_loop(seed):
     for n, final in zip(ns, finals):
         loop = evolve_projective(rho0, h, res, t, n, samples=2).final_state
         assert np.abs(final - loop).max() <= 2 * 64 * 3 * np.finfo(float).eps * (1 + n)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["aligned", "rotated"])
+def test_projective_family_matches_scaled_digit_references(rotated):
+    """Survival and curve at N = 2^30, 2^50 and 2^62 against references at 45 + log10 N
+    digits, within 64 d eps with no (1 + N) factor: both raise the small part of one round,
+    so their roundoff does not grow with N.  The references take exact projectors onto the
+    sectors of ``res.basis``; the rotated resolution is the seeded one of the 40-digit
+    oracles above."""
+    bundle = three_level_projective(1.0, 1.0)
+    res = (random_two_block_resolution(np.random.default_rng(11), 3, 2) if rotated
+           else bundle.res)
+    t, dim, ns = 1.0, 3, [2**30, 2**50, 2**62]
+    psi0 = straddle_state(dim)
+    rho0 = np.outer(psi0, psi0.conj())
+    tol = 64 * dim * np.finfo(float).eps
+    curve = projective_convergence_curve(ModelBundle(bundle.H, res=res), rho0, t, ns)
+    for n, distance in zip(ns, curve.distances):
+        with scaled_digits(n):
+            ps = sector_projectors(res)
+            ref = float(projective_curve_distance(bundle.H, ps, rho0, t, n))
+            survival = float(projective_survival_probability(bundle.H, ps[0], psi0, t, n))
+        assert abs(distance - ref) <= tol
+        for state in (psi0, rho0):
+            assert abs(projective_survival(state, bundle.H, res, 0, t, n) - survival) <= tol
 
 
 # the decay scenario's model; H + K H_c has an exceptional point (EP), two
@@ -1558,6 +1585,19 @@ class TestProjectiveSurvival:
         a = projective_survival(psi, self.H2, self.RES2, 0, t=1.0, n=7)
         b = projective_survival(rho, self.H2, self.RES2, 0, t=1.0, n=7)
         assert abs(a - b) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    def test_singular_block_takes_the_fallback(self, monkeypatch, n):
+        # Omega t / N = pi/2: the rank-1 block <0|U|0> = cos(pi/2) is 0 to roundoff, so
+        # 1 + nu is 0 in float and the power falls back to matrix_power
+        calls, matrix_power = [], np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power",
+                            lambda m, k: calls.append(k) or matrix_power(m, k))
+        t = n * np.pi / 2
+        for state in (basis_state(2, 0), np.diag([1.0, 0.0]).astype(complex)):
+            s = projective_survival(state, self.H2, self.RES2, 0, t=t, n=n)
+            assert abs(s - np.cos(t / n) ** (2 * n)) <= 64 * 2 * np.finfo(float).eps
+        assert calls == [n - 1, n - 1]
 
     def test_sector_bounds(self):
         for sector in (2, 0.5):

@@ -189,3 +189,15 @@ def test_bundle_sectors_read_through_the_accessor():
     assert [name for name, tree in TREES.items()
             if any(isinstance(n, ast.Attribute) and n.attr == "res"
                    and isinstance(n.ctx, ast.Load) for n in ast.walk(tree))] == ["models.py"]
+
+
+def test_measured_rounds_raised_by_one_power():
+    """``projective_survival`` and the projective curve raise one small part through
+    ``engines._measured_power``: ``matrix_power`` appears once in ``engines``, as that
+    power's fallback, and only ``spectral`` reads the d²×d² ``pinching`` map, so no engine
+    powers or lifts a measured round outside the step loop's ``pinch``."""
+    powers = _where(lambda n: isinstance(n, ast.Attribute) and n.attr == "matrix_power")
+    assert powers["engines.py"] == ["_measured_power"]
+    assert SOURCES["engines.py"].count("matrix_power") == 1
+    assert list(_where(lambda n: isinstance(n, ast.Attribute) and n.attr == "pinching")) == [
+        "spectral.py"]

@@ -233,6 +233,11 @@ class TestProjectionsOfHermitian:
         with pytest.raises(DegenerateClustering):
             projections_of_hermitian(np.diag([0.0, 1.2e-8, 1.0]).astype(complex))
 
+    def test_gap_below_the_width_is_ambiguous_too(self):
+        # the band starts at width/2: a gap in [width/2, width) raises, it is not merged
+        with pytest.raises(DegenerateClustering):
+            projections_of_hermitian(np.diag([0.0, 0.75e-8, 1.0]).astype(complex))
+
     def test_not_hermitian(self):
         with pytest.raises(NotHermitian):
             projections_of_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
