@@ -10,8 +10,8 @@ Exit codes: 0 success, 2 schema error, 3 numeric failure, 4 I/O error.
 Output formats are part of the stable contract: CSV files with a header row,
 integer columns printed as integers and every other cell to 17 significant
 digits (lossless double round-trip), and matrix dumps with a "dim N" header
-followed by N rows of N space-separated "re,im" pairs.  Identical config and
-version produce byte-identical files.
+followed by N rows of N space-separated "re,im" pairs; no cell prints "-0".
+Identical config, version and BLAS kernel produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = ["run_scenario", "main"]
 
 
 def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    return f"{float(x) + 0.0:.17g}"
 
 
 def _matrix_lines(m: np.ndarray) -> list[str]:

@@ -128,3 +128,32 @@ def kick_limit_distance(h, u_kick, projectors, t: float, n: int):
     gap = _mp_power(_MP.inverse(uk), n) * _mp_power(cycle, n) - _mp_zeno_propagator(
         h, projectors, t)
     return max(_MP.svd_c(gap, compute_uv=False))
+
+
+def dark_state_survival(g, big_gamma, k, t: float):
+    """|<b|exp(-iGt)|b>|² in closed form, 40 digits, for the decay model with ω1 = ω_b = 0.
+
+    Level a decouples; on (b, c, M) the generator is G = [[0, g, 0], [g, -iΓ, K], [0, K, 0]].
+    Its eigenvalue 0 carries the dark state K|b> - g|M>, and λ± = (-iΓ ± √(4(K² + g²) - Γ²))/2
+    the bright pair, so, G being complex symmetric,
+    <b|exp(-iGt)|b> = [K² + g²(λ+ e^{-iλ-t} - λ- e^{-iλ+t})/(λ+ - λ-)] / (K² + g²)
+    off the exceptional point 4(K² + g²) = Γ² (there λ+ = λ- = λ, and the fraction's limit
+    is (1 + iλt)e^{-iλt}).
+    """
+    g, big_gamma, k, t = (_MP.mpf(x) for x in (g, big_gamma, k, t))
+    root = _MP.sqrt(_MP.mpc(4 * (k * k + g * g) - big_gamma * big_gamma))
+    plus, minus = (_MP.mpc(0, -big_gamma) + root) / 2, (_MP.mpc(0, -big_gamma) - root) / 2
+    bright = (plus * _MP.exp(-1j * minus * t) - minus * _MP.exp(-1j * plus * t)) / root
+    return abs((k * k + g * g * bright) / (k * k + g * g)) ** 2
+
+
+def zeno_limit_propagator(omega1, t: float, dim: int) -> np.ndarray:
+    """U_Z(t) = exp(-i H_Z t) in closed form, at 40 digits rounded once to complex128, for
+    every non-decay registry model: its sectors cut the b--c coupling, so
+    H_Z = ω1(|a><b| + |b><a|), and U_Z is cos(ω1 t) and -i sin(ω1 t) on span{a, b} and the
+    identity on the other levels."""
+    phase = _MP.mpf(omega1) * _MP.mpf(t)
+    u = _MP.eye(dim)
+    u[0, 0] = u[1, 1] = _MP.cos(phase)
+    u[0, 1] = u[1, 0] = _MP.mpc(0, -_MP.sin(phase))
+    return _to_numpy(u)

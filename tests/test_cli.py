@@ -2,7 +2,6 @@ import ast
 import hashlib
 import itertools
 import json
-import re
 import os
 import subprocess
 import sys
@@ -13,7 +12,7 @@ import pytest
 
 import zenosim
 from zenosim.analysis import observables
-from zenosim.cli import main, run_scenario
+from zenosim.cli import _csv_lines, _fmt, _matrix_lines, main, run_scenario
 from zenosim.config import (
     MECHANISMS,
     MODEL_REGISTRY,
@@ -475,11 +474,6 @@ class TestMain:
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
-# "name.csv <sha256>", or "name.csv <old sha256> → <new sha256>" when a change moves it
-_HASH_ENTRY = re.compile(r"([\w.-]+\.(?:csv|txt))`?:?\s+([0-9a-f]{64})"
-                         r"(?:\s*(?:→|->)\s*([0-9a-f]{64}))?")
-
-
 # every scalar a scenario gives the run: t and K on one model, then each builder parameter
 _SCALAR_INPUTS = [("four-level-continuous", "schedule.t"),
                   ("four-level-continuous", "schedule.K")] + [
@@ -520,24 +514,38 @@ def test_magnitude_domain_is_checked_where_each_scalar_enters(tmp_path, capsys, 
         assert "[2**-128, 2**128]" in err
 
 
-def _recorded_hashes() -> dict[str, str]:
-    """sha256 per scenario output file, from the latest CHANGES.md entry listing them."""
-    changes = SCENARIOS.parent / "CHANGES.md"
-    for line in reversed(changes.read_text(encoding="utf-8").splitlines()):
-        found = {name: new or old for name, old, new in _HASH_ENTRY.findall(line)}
-        if len(found) >= 12:
-            return found
-    raise AssertionError("no CHANGES.md entry lists the scenario output hashes")
+def test_no_cell_prints_a_negative_zero():
+    """-0.0 prints as "0" wherever ``_fmt`` writes it: a CSV cell, and either part of a
+    matrix entry; which zeros carry a sign can depend on the BLAS kernel."""
+    assert _fmt(-0.0) == "0"
+    assert _csv_lines({"K": np.array([-0.0, 0.0, -1.5])}) == ["K", "0", "0", "-1.5"]
+    m = np.zeros((2, 2), dtype=complex)
+    m.real, m.imag = [[-0.0, -2.0], [0.0, 1.0]], [[-0.0, 0.0], [0.5, -0.0]]
+    assert _matrix_lines(m) == ["dim 2", "0,0 -2,0", "0,0.5 1,0"]
+
+
+# a comment naming the OpenBLAS core, then one "<sha256>  <file>" line per output file
+RECORDED = Path(__file__).with_name("scenario_outputs.sha256")
+
+
+def _recorded_hashes() -> tuple[str, dict[str, str]]:
+    """The core comment of ``RECORDED``, and its sha256 per scenario output file."""
+    comment, *entries = RECORDED.read_text(encoding="utf-8").splitlines()
+    return comment.lstrip("# "), {name: digest for digest, name in map(str.split, entries)}
 
 
 def test_scenario_outputs_match_the_recorded_hashes(tmp_path):
-    """The shipped scenarios write exactly the bytes the latest entry records."""
+    """The shipped scenarios write exactly the bytes recorded for the core ``RECORDED`` names."""
     for scenario in sorted(SCENARIOS.glob("*.json")):
         assert main(["run", str(scenario), "--output-dir", str(tmp_path), "--quiet"]) == 0
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
+    core, recorded = _recorded_hashes()
     assert len(written) == 12
-    assert written == _recorded_hashes()
+    assert written == recorded, (
+        f"{sorted(n for n in written | recorded if written.get(n) != recorded.get(n))} differ "
+        f"from {RECORDED.name} ({core}); on another core, tests/test_certificates.py "
+        "judges the numbers")
 
 
 def _loads_scipy(code: str) -> bool:
